@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/lane_backend.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "common/types.hh"
@@ -80,9 +79,7 @@ finish()
  *
  * Deliberately timestamp-free: CI byte-compares back-to-back runs of
  * the fault-tolerance bench, so everything here must be stable within
- * one build on one host.  "simd" records the widest lane backend the
- * build + CPU can run (avx512|avx2|none), so perf numbers carry the
- * capability they were measured under.
+ * one build on one host.
  */
 inline std::string
 jsonEnvelope()
@@ -94,9 +91,8 @@ jsonEnvelope()
     return formatString(
         "\"envelope\": {\"schema_version\": 1, "
         "\"git_sha\": \"%s\", \"build_type\": \"%s\", "
-        "\"hostname\": \"%s\", \"simd\": \"%s\"}",
-        SNAP_GIT_SHA, SNAP_BUILD_TYPE, host,
-        simdCapabilityString());
+        "\"hostname\": \"%s\"}",
+        SNAP_GIT_SHA, SNAP_BUILD_TYPE, host);
 }
 
 /**

@@ -15,10 +15,12 @@
  * gates must hold with the observability hot path fully lit.
  *
  * Topology: an R=2 ShardRouter (hedging + warm session backups +
- * background re-dial on) in front of two in-process ShardServers
- * with lane batching enabled.  Both shards run machine-level message
+ * background re-dial on) in front of two in-process ShardServers,
+ * each with its answer cache.  Both shards run machine-level message
  * faults (drop/corrupt/delay inside the simulated interconnect,
- * detected and retried by the serve engine).  Fleet-level wire
+ * detected and retried by the serve engine); a cached answer comes
+ * only from a run in which nothing was injected, so the per-query
+ * byte check covers cache hits on faulted shards too.  Fleet-level wire
  * faults — connection drops, truncated frames, byzantine-corrupt
  * Response payloads, slow-shard delays — are armed on shard 0 only,
  * so shard 1 is the clean control replica: every escape route the
@@ -86,7 +88,6 @@ soakServeConfig()
 {
     serve::ServeConfig cfg;
     cfg.numWorkers = 2;
-    cfg.maxBatchLanes = 8;
     cfg.maxRetries = 16;
     cfg.machine.numClusters = 8;
     cfg.machine.perfNetEnabled = false;

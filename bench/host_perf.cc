@@ -477,8 +477,8 @@ captureFig17Trace(std::uint32_t rounds)
  * Steady-state serving admission: @p n pre-built stateless requests
  * submitted through the ResponseSlot path of a paused engine.  The
  * pending pool is prefilled at construction and every piece of
- * derived per-request state (seed, deadline, program content hash)
- * is computed into it, so the whole loop must not touch the heap.
+ * derived per-request state (seed, deadline) is computed into it, so
+ * the whole loop must not touch the heap.
  * The engine is started afterwards and every answer verified, so the
  * measured submits are real admissions, not a dry run.
  */
@@ -498,7 +498,6 @@ countAdmissionAllocs(std::size_t n)
     serve::ServeConfig cfg;
     cfg.numWorkers = 2;
     cfg.queueCapacity = n;
-    cfg.maxBatchLanes = 8;
     cfg.startPaused = true;
 
     std::vector<serve::Request> reqs(n);

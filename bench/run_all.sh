@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Run every fig/ablation/host_perf/serving/batch bench and regenerate
-# all BENCH_*.json artifacts at the repo root.
+# Run every fig/ablation/host_perf/serving/fault/shard/chaos bench
+# and regenerate all BENCH_*.json artifacts at the repo root.
 #
 #   bench/run_all.sh [build_dir]       (default: <repo>/build)
 #
@@ -30,7 +30,6 @@ benches=(
     beta_analysis
     host_perf
     serving
-    batch
     fault_tolerance
     shard
     chaos_soak

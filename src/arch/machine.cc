@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/host_prof.hh"
-#include "common/multibitvector.hh"
 #include "common/stats.hh"
 #include "runtime/reference.hh"
 #include "trace/trace.hh"
@@ -721,26 +720,6 @@ SnapMachine::run(const Program &prog)
         sh->ctx.alphaPerProp = nullptr;
     }
     return result;
-}
-
-BatchRunResult
-SnapMachine::runBatch(const Program &prog, std::uint32_t lanes)
-{
-    snap_assert(lanes >= 1 && lanes <= MultiBitVector::maxLanes,
-                "batch lanes %u out of 1..%u", lanes,
-                MultiBitVector::maxLanes);
-
-    const std::uint64_t events_before = eventsProcessed();
-    RunResult pilot = run(prog);
-
-    BatchRunResult batch;
-    batch.lanes = lanes;
-    batch.results = std::move(pilot.results);
-    batch.wallTicks = pilot.wallTicks;
-    batch.stats = std::move(pilot.stats);
-    batch.hostEvents = eventsProcessed() - events_before;
-    batch.fault = pilot.fault;
-    return batch;
 }
 
 std::string

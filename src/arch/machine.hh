@@ -63,39 +63,6 @@ struct RunResult
 };
 
 /**
- * Outcome of one lane-batched execution (SnapMachine::runBatch): up
- * to MultiBitVector::maxLanes (2048) same-program queries served by
- * one simulated traversal.
- *
- * Every lane is billed the full solo cost in *simulated* time — the
- * DES cost model charges lanes independently, so wallTicks is each
- * lane's answer, bit-identical to its solo run.  The amortization is
- * host-side: hostEvents is the event count of the whole batch, paid
- * once instead of once per lane.
- */
-struct BatchRunResult
-{
-    /** Lanes served (1..MultiBitVector::maxLanes). */
-    std::uint32_t lanes = 0;
-    /** Retrieval results of each lane (identical programs against
-     *  identical state produce identical result sets). */
-    ResultSet results;
-    /** Per-lane simulated execution time. */
-    Tick wallTicks = 0;
-    /** Per-lane statistics breakdown (each lane's independent
-     *  charge under the cost model). */
-    ExecBreakdown stats;
-    /** Host DES events consumed by the whole batch. */
-    std::uint64_t hostEvents = 0;
-    /** Fault report of the batch's one simulated traversal.  A fault
-     *  poisons every lane (they share the traversal), so the serving
-     *  layer falls back to solo re-execution. */
-    FaultReport fault;
-
-    double wallUs() const { return ticksToUs(wallTicks); }
-};
-
-/**
  * The whole machine.  Usage:
  *
  *     SnapMachine machine(MachineConfig::paperSetup());
@@ -124,27 +91,6 @@ class SnapMachine
     /** Execute @p prog to completion.  Marker state persists across
      *  runs (applications issue multiple programs). */
     RunResult run(const Program &prog);
-
-    /**
-     * Execute a LaneBatch: @p lanes same-program queries as one
-     * simulated traversal.
-     *
-     * Contract (enforced by the serving layer's batch former, which
-     * groups queued requests by Program::contentHash over cleared
-     * marker state): every lane is the same program entering from
-     * the same marker state, so the lanes' solo runs are replicas of
-     * one another — one status-table kernel pass, one relation-table
-     * search, and one simulated ICN delivery schedule serve the
-     * whole batch, and the per-lane answer (results and wallTicks)
-     * is bit-identical to each lane's solo run at every lane count.
-     * The per-lane equivalence ctest pins this for lane counts
-     * spanning the row-word seams, {1, 2, 7, 8, 33, 64, 65, 127,
-     * 128, 512, 1024}.
-     *
-     * Like run(), entry marker state is the caller's: stateless
-     * serving resets markers first.
-     */
-    BatchRunResult runBatch(const Program &prog, std::uint32_t lanes);
 
     const MachineConfig &config() const { return cfg_; }
 

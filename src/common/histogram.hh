@@ -150,110 +150,6 @@ class Histogram
     double max_ = 0.0;
 };
 
-/**
- * Exact histogram over small non-negative integers, one bucket per
- * value in [0, maxValue] (values above clamp into the top bucket).
- *
- * The log-linear Histogram's ~6% relative error is fine for
- * latencies but wrong for lane counts: above 64 its octave buckets
- * are 8..128 lanes wide, so a 1024-lane batch and a 1151-lane batch
- * were indistinguishable (and quantiles reported bucket midpoints
- * that are not achievable lane counts).  This variant keeps every
- * statistic — quantiles included — exact.  Same method surface as
- * Histogram (record/count/sum/min/max/mean/quantile/merge/reset) so
- * metrics plumbing treats the two interchangeably.  Not thread-safe,
- * like Histogram: per-worker instances merged under the owner's
- * lock.
- */
-template <std::uint32_t MaxValue>
-class LinearHistogram
-{
-  public:
-    static constexpr std::uint32_t maxValue = MaxValue;
-
-    void
-    record(double v)
-    {
-        if (!(v >= 0.0))
-            v = 0.0;
-        auto b = static_cast<std::uint64_t>(v);
-        if (b > MaxValue)
-            b = MaxValue;
-        ++counts_[b];
-        ++count_;
-        sum_ += v;
-        if (v < min_)
-            min_ = v;
-        if (v > max_)
-            max_ = v;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    double
-    mean() const
-    {
-        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-    }
-
-    /** Exact quantile: the smallest recorded value v such that at
-     *  least ceil(p * count) samples are <= v; 0 when empty. */
-    double
-    quantile(double p) const
-    {
-        snap_assert(p > 0.0 && p <= 1.0, "quantile(%f)", p);
-        if (count_ == 0)
-            return 0.0;
-        auto target = static_cast<std::uint64_t>(
-            std::ceil(p * static_cast<double>(count_)));
-        if (target == 0)
-            target = 1;
-        std::uint64_t seen = 0;
-        for (std::uint32_t b = 0; b <= MaxValue; ++b) {
-            seen += counts_[b];
-            if (seen >= target)
-                return static_cast<double>(b);
-        }
-        return max_;
-    }
-
-    /** Fold @p other into this histogram. */
-    void
-    merge(const LinearHistogram &other)
-    {
-        for (std::uint32_t b = 0; b <= MaxValue; ++b)
-            counts_[b] += other.counts_[b];
-        count_ += other.count_;
-        sum_ += other.sum_;
-        if (other.count_) {
-            if (other.min_ < min_)
-                min_ = other.min_;
-            if (other.max_ > max_)
-                max_ = other.max_;
-        }
-    }
-
-    void
-    reset()
-    {
-        counts_.fill(0);
-        count_ = 0;
-        sum_ = 0.0;
-        min_ = std::numeric_limits<double>::infinity();
-        max_ = 0.0;
-    }
-
-  private:
-    std::array<std::uint64_t, MaxValue + 1> counts_{};
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = 0.0;
-};
-
 } // namespace snap
 
 #endif // SNAP_COMMON_HISTOGRAM_HH

@@ -77,10 +77,11 @@ class Program
     /**
      * Content digest over the instruction stream and rule table
      * (FNV-1a; rule names excluded — they do not affect execution).
-     * Two programs with equal hashes run identically against the
-     * same stateless replica, which is what the serving layer's
-     * lane-batch former groups on.  Allocation-free: computed once
-     * at admission on the hot path.
+     * The router places stateless requests by it, so repeats of a
+     * query meet on one shard, and the answer cache uses it to pick
+     * a bucket.  A 64-bit digest can collide, so equal hashes alone
+     * never prove equal programs: the cache compares canonical
+     * program bytes (serve/answer_cache.hh).  Allocation-free.
      */
     std::uint64_t contentHash() const;
 

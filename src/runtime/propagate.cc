@@ -2,7 +2,6 @@
 
 #include <deque>
 
-#include "common/lane_backend.hh"
 #include "common/logging.hh"
 #include "runtime/frontier_map.hh"
 
@@ -161,174 +160,6 @@ propagateFunctional(const SemanticNetwork &net, MarkerStore &store,
                     continue;  // dominated: do not re-propagate
                 queue.push_back(
                     Arrival{l.dst, ns, nv, a.origin, nsteps});
-            }
-        }
-    }
-    return st;
-}
-
-std::vector<PropagationStats>
-propagateFunctionalBatch(const SemanticNetwork &net,
-                         LaneMarkerStore &store, MarkerId m1,
-                         MarkerId m2, const PropRule &rule,
-                         MarkerFunc func)
-{
-    snap_assert(m1 != m2,
-                "PROPAGATE with identical source and destination "
-                "marker m%u", static_cast<unsigned>(m1));
-
-    using Word = MultiBitVector::Word;
-    constexpr std::uint32_t wb = MultiBitVector::bitsPerWord;
-    const std::uint32_t num_lanes = store.numLanes();
-    const std::uint32_t lane_words =
-        store.bits(m1).laneWords();
-    const LaneOps &ops = laneOps();
-    std::vector<PropagationStats> st(num_lanes);
-
-    // One shared queue entry: (node, state, steps) plus the lanes
-    // present as a W-word row mask, with per-lane labels packed in
-    // ascending lane order (entry i of values/origins belongs to the
-    // i-th set bit of mask, rows scanned low to high).  state and
-    // steps are shared by construction — see the header comment's
-    // order-preservation argument.
-    struct BatchArrival
-    {
-        NodeId node;
-        std::uint8_t state;
-        std::uint32_t steps;
-        std::vector<Word> mask;
-        std::vector<float> values;
-        std::vector<NodeId> origins;
-    };
-
-    // Per-lane non-dominated label frontiers (admission control is a
-    // per-query decision; only the traversal is shared).
-    std::vector<FrontierMap> best(num_lanes);
-    auto key = [](NodeId n, std::uint8_t s) {
-        return (static_cast<std::uint64_t>(n) << 8) | s;
-    };
-    // Row-then-ctz scan: global lane order stays ascending across
-    // word seams, so packed label order matches solo FIFO order.
-    auto forEachLane = [lane_words](const Word *mask, auto &&fn) {
-        std::uint32_t i = 0;
-        for (std::uint32_t w = 0; w < lane_words; ++w) {
-            Word m = mask[w];
-            while (m) {
-                std::uint32_t lane =
-                    w * wb + static_cast<std::uint32_t>(
-                                 __builtin_ctzll(m));
-                m &= m - 1;
-                fn(lane, i++);
-            }
-        }
-    };
-
-    std::deque<BatchArrival> queue;
-
-    // Seed: one pass over the lane-packed m1 status plane, ascending
-    // node order; each active row yields the whole batch's sources
-    // at that node.
-    store.bits(m1).forEachActiveRow(
-        [&](std::uint32_t u, const Word *mask) {
-        BatchArrival a{u, 0, 0,
-                       std::vector<Word>(mask, mask + lane_words),
-                       {}, {}};
-        forEachLane(mask, [&](std::uint32_t lane, std::uint32_t) {
-            ++st[lane].sources;
-            float v0 = store.value(m1, u, lane);
-            a.values.push_back(v0);
-            a.origins.push_back(u);
-            frontierAdmit(func, best[lane][key(u, 0)],
-                          PropLabel{v0, u, 0});
-        });
-        queue.push_back(std::move(a));
-    });
-
-    std::vector<std::uint8_t> next_states;
-    std::vector<float> cand_values;
-    std::vector<NodeId> cand_origins;
-    std::vector<Word> have(lane_words);
-    std::vector<Word> admit(lane_words);
-    while (!queue.empty()) {
-        BatchArrival a = std::move(queue.front());
-        queue.pop_front();
-
-        // Liveness and the step bound depend only on the shared
-        // (state, steps), so the whole wave passes or dies together —
-        // exactly as each lane would solo.
-        if (!rule.live(a.state))
-            continue;
-        if (a.steps >= rule.maxSteps)
-            continue;
-
-        forEachLane(a.mask.data(),
-                    [&](std::uint32_t lane, std::uint32_t) {
-            if (st[lane].levelExpansions.size() <= a.steps)
-                st[lane].levelExpansions.resize(a.steps + 1, 0);
-            ++st[lane].levelExpansions[a.steps];
-        });
-
-        for (const Link &l : net.links(a.node)) {
-            forEachLane(a.mask.data(),
-                        [&](std::uint32_t lane, std::uint32_t) {
-                            ++st[lane].linksScanned;
-                        });
-            next_states.clear();
-            rule.step(a.state, l.rel, next_states);
-            if (next_states.empty())
-                continue;
-
-            std::uint32_t nsteps = a.steps + 1;
-
-            // Deliver marker-2 to the destination for every lane of
-            // the wave: one backend fetch-and-OR reads the whole
-            // batch's already-marked row and sets the newcomers.
-            // The wave mask is a subset of the valid lanes, so the
-            // tail-lane invariant is preserved without re-masking.
-            ops.orFetch(store.bits(m2).rowMut(l.dst), a.mask.data(),
-                        have.data(), lane_words);
-            forEachLane(a.mask.data(),
-                        [&](std::uint32_t lane, std::uint32_t i) {
-                float nv = applyStep(func, a.values[i], l.weight);
-                if (nsteps > st[lane].maxDepth)
-                    st[lane].maxDepth = nsteps;
-                if (!((have[lane / wb] >> (lane % wb)) & 1u)) {
-                    store.setValue(m2, l.dst, lane, nv,
-                                   a.origins[i]);
-                    ++st[lane].nodesMarked;
-                } else if (betterArrival(
-                               func, nv, a.origins[i],
-                               store.value(m2, l.dst, lane),
-                               store.origin(m2, l.dst, lane))) {
-                    store.setValue(m2, l.dst, lane, nv,
-                                   a.origins[i]);
-                }
-            });
-
-            // Continue per reachable rule state: per-lane admission,
-            // one shared child entry for all admitted lanes.
-            for (std::uint8_t ns : next_states) {
-                ops.fill(admit.data(), 0, lane_words);
-                cand_values.clear();
-                cand_origins.clear();
-                forEachLane(a.mask.data(), [&](std::uint32_t lane,
-                                               std::uint32_t i) {
-                    ++st[lane].traversals;
-                    float nv =
-                        applyStep(func, a.values[i], l.weight);
-                    if (!frontierAdmit(
-                            func, best[lane][key(l.dst, ns)],
-                            PropLabel{nv, a.origins[i], nsteps}))
-                        return;  // dominated: no re-propagation
-                    admit[lane / wb] |= Word{1} << (lane % wb);
-                    cand_values.push_back(nv);
-                    cand_origins.push_back(a.origins[i]);
-                });
-                if (ops.any(admit.data(), lane_words)) {
-                    queue.push_back(BatchArrival{
-                        l.dst, ns, nsteps, admit, cand_values,
-                        cand_origins});
-                }
             }
         }
     }

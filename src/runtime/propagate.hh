@@ -26,7 +26,6 @@
 #include "isa/function.hh"
 #include "isa/prop_rule.hh"
 #include "kb/semantic_network.hh"
-#include "runtime/lane_store.hh"
 #include "runtime/marker_store.hh"
 
 namespace snap
@@ -104,38 +103,6 @@ PropagationStats propagateFunctional(const SemanticNetwork &net,
                                      MarkerStore &store, MarkerId m1,
                                      MarkerId m2, const PropRule &rule,
                                      MarkerFunc func);
-
-/**
- * Lane-batched PROPAGATE: one shared traversal serves every lane.
- *
- * Runs the same fixpoint as propagateFunctional for up to
- * MultiBitVector::maxLanes (2048) independent queries whose marker
- * state is lane-packed in @p store.  Row arithmetic (delivery merge,
- * admission masks, active-row scans) goes through the pluggable lane
- * backend (common/lane_backend.hh); every backend computes the same
- * boolean function, so results are backend-invariant as well as
- * batch-invariant.
- * The traversal is shared — one relation-table scan per expanded
- * (node, state) wave and one status-word merge per delivery cover
- * every lane present — while admission, value merging, and every
- * work counter stay per-lane, so each lane's final marker state AND
- * its PropagationStats are bit-identical to running that lane solo.
- *
- * Why per-lane results are exact: batch queue entries carry a lane
- * mask plus per-lane labels, and an entry's (state, steps) are shared
- * by construction (seeds start at (0, 0); expansion children inherit
- * parent steps + 1).  The global FIFO preserves each lane's relative
- * push order, and expanding an entry emits a lane's arrivals in the
- * same link/state order as its solo run, so the subsequence of
- * entries containing lane L is exactly L's solo FIFO — admission
- * decisions, frontier contents, and counters then match solo run for
- * run, not just at the fixpoint.
- *
- * @return per-lane statistics, indexed by lane.
- */
-std::vector<PropagationStats> propagateFunctionalBatch(
-    const SemanticNetwork &net, LaneMarkerStore &store, MarkerId m1,
-    MarkerId m2, const PropRule &rule, MarkerFunc func);
 
 } // namespace snap
 

@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "common/lane_backend.hh"
 #include "common/logging.hh"
 #include "trace/trace.hh"
 
@@ -63,10 +62,6 @@ ServeEngine::ServeEngine(const SemanticNetwork &net,
 {
     if (cfg_.numWorkers < 1)
         snap_fatal("ServeConfig.numWorkers must be >= 1");
-    if (cfg_.maxBatchLanes < 1 ||
-        cfg_.maxBatchLanes > MultiBitVector::maxLanes)
-        snap_fatal("ServeConfig.maxBatchLanes must be 1..%u",
-                   MultiBitVector::maxLanes);
     if (image) {
         // Adopting a deserialized image: its partition decides the
         // cluster count, not the configured default.
@@ -279,8 +274,6 @@ ServeEngine::releasePending(std::unique_ptr<Pending> p)
 {
     p->slot = nullptr;
     p->callback = nullptr;
-    p->batchable = false;
-    p->progHash = 0;
     p->sessionSeq = 0;
     p->hasDeadline = false;
     p->answered.store(false, std::memory_order_relaxed);
@@ -295,11 +288,10 @@ ServeEngine::releasePending(std::unique_ptr<Pending> p)
 
 /**
  * Shared admission: assign id/seed/deadline, take the session turn,
- * hoist the batching key, and enqueue — all under admitMu_ so queue
- * order == session order.  On reject (@return false) the response is
- * in @p early, the session turn is released, and @p pending has been
- * recycled.  Allocation-free on the admit path: every derived field
- * lands in the pooled Pending, and contentHash() does not allocate.
+ * and enqueue — all under admitMu_ so queue order == session order.
+ * On reject (@return false) the response is in @p early, the session
+ * turn is released, and @p pending has been recycled.  Allocation-free
+ * on the admit path: every derived field lands in the pooled Pending.
  */
 bool
 ServeEngine::admit(Request &&req, std::unique_ptr<Pending> &pending,
@@ -347,9 +339,6 @@ ServeEngine::admit(Request &&req, std::unique_ptr<Pending> &pending,
 
     if (sessioned)
         pending->sessionSeq = sessions_.admit(req.sessionId);
-    pending->batchable = !sessioned && cfg_.maxBatchLanes > 1;
-    pending->progHash =
-        pending->batchable ? req.prog.contentHash() : 0;
 
     early.id = req.id;
     early.rngSeed = req.rngSeed;
@@ -488,59 +477,12 @@ ServeEngine::unregisterInflight(Pending *p)
 void
 ServeEngine::workerMain(std::uint32_t idx)
 {
-    std::vector<std::unique_ptr<Pending>> batch;
-    batch.reserve(cfg_.maxBatchLanes);
     while (auto pending = queue_.pop()) {
         std::unique_ptr<Pending> p = std::move(*pending);
-        if (p->batchable) {
-            batch.clear();
-            batch.push_back(std::move(p));
-            std::uint64_t form_ns =
-                SNAP_TRACE_ON(trace::kServe) ? trace::hostNowNs()
-                                             : 0;
-            gatherBatch(batch);
-            if (form_ns != 0) {
-                trace::hostSpanArg(trace::kServe,
-                                   trace::tidWorker(idx),
-                                   "batch.form", form_ns,
-                                   trace::hostNowNs(), batch.size());
-            }
-            for (auto &q : batch)
-                registerInflight(idx, q.get());
-            serveBatch(idx, batch);
-            batch.clear();
-        } else {
-            registerInflight(idx, p.get());
-            serveOne(idx, std::move(p));
-        }
+        registerInflight(idx, p.get());
+        serveOne(idx, std::move(p));
     }
     workersExited_.fetch_add(1, std::memory_order_release);
-}
-
-/**
- * The batch former's gulp: pull queued stateless requests with the
- * same program hash as batch.front(), waiting up to batchWindowMs
- * for the lanes to fill.  FIFO order is preserved both inside the
- * batch and among the requests left behind.
- */
-void
-ServeEngine::gatherBatch(std::vector<std::unique_ptr<Pending>> &batch)
-{
-    const std::size_t want = cfg_.maxBatchLanes;
-    if (batch.size() >= want)
-        return;
-    Clock::time_point deadline = Clock::now();
-    if (cfg_.batchWindowMs > 0.0) {
-        deadline += std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                cfg_.batchWindowMs));
-    }
-    const std::uint64_t h = batch.front()->progHash;
-    queue_.extractMatching(
-        [h](const std::unique_ptr<Pending> &q) {
-            return q->batchable && q->progHash == h;
-        },
-        want - batch.size(), batch, deadline);
 }
 
 void
@@ -589,6 +531,30 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
         return;
     }
 
+    // A stateless pure program is looked up before any replica runs:
+    // a hit is the answer of an earlier clean run of the same program
+    // against this image, results and wallTicks alike.
+    const bool cacheable = !sessioned && programIsPure(req.prog);
+    AnswerCache::Key key;
+    if (cacheable) {
+        const std::uint64_t lookup_ns =
+            SNAP_TRACE_ON(trace::kServe) ? trace::hostNowNs() : 0;
+        key = AnswerCache::keyOf(req.prog, req.prog.contentHash());
+        if (cache_.lookup(key, resp.results, resp.wallTicks)) {
+            if (lookup_ns != 0) {
+                trace::hostSpan(trace::kServe, trace::tidWorker(idx),
+                                "cache.hit", lookup_ns,
+                                trace::hostNowNs());
+            }
+            resp.serviceMs = msBetween(begin, Clock::now());
+            resp.status = RequestStatus::Ok;
+            metrics_.noteCompleted(idx, queue_ms, resp.serviceMs,
+                                   resp.wallTicks, false);
+            deliverResponse(std::move(p), std::move(resp));
+            return;
+        }
+    }
+
     if (cfg_.preRunHook)
         cfg_.preRunHook(idx);
 
@@ -628,10 +594,9 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
         run = machine.run(req.prog);
         accumulateRunStats(run.stats);
         if (flow_id != 0) {
-            trace::hostSpanArgs(trace::kServe, trace::tidWorker(idx),
-                                "attempt", attempt_ns,
-                                trace::hostNowNs(), attempts,
-                                laneOps().name);
+            trace::hostSpanArg(trace::kServe, trace::tidWorker(idx),
+                               "attempt", attempt_ns,
+                               trace::hostNowNs(), attempts);
         }
         if (run.fault.ok())
             break;
@@ -674,6 +639,12 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
         sessions_.complete(req.sessionId, p->sessionSeq,
                            machine.image().flatten());
     }
+    // Only a run with nothing injected is the fault-free answer (a
+    // delay can pass the integrity shadow yet shift wallTicks).
+    // Inserted before delivery, so swapImage's drain also waits for
+    // it and no old-image answer lands after the flush.
+    if (cacheable && run.fault.injected() == 0)
+        cache_.insert(std::move(key), run.results, run.wallTicks);
 
     resp.status = RequestStatus::Ok;
     resp.results = std::move(run.results);
@@ -684,125 +655,6 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
     if (attempts > 0)
         metrics_.noteRecovered();
     deliverResponse(std::move(p), std::move(resp));
-}
-
-/**
- * Serve a gulped group as one lane-batched run.  Every member is
- * stateless and same-program by construction (gatherBatch matched on
- * progHash over batchable == stateless entries), so one run over
- * cleared markers is each lane's solo run — per-request results and
- * wallTicks are bit-identical to the unbatched path.
- */
-void
-ServeEngine::serveBatch(std::uint32_t idx,
-                        std::vector<std::unique_ptr<Pending>> &batch)
-{
-    Clock::time_point begin = Clock::now();
-
-    // Deadline triage per member (stateless: no session turn to
-    // release).  Expired members leave before the run.
-    std::size_t live = 0;
-    for (auto &p : batch) {
-        if (p->hasDeadline && begin > p->deadline) {
-            double queue_ms = msBetween(p->enqueuedAt, begin);
-            Response resp;
-            resp.id = p->req.id;
-            resp.rngSeed = p->req.rngSeed;
-            resp.worker = idx;
-            resp.queueMs = queue_ms;
-            resp.status = RequestStatus::TimedOut;
-            metrics_.noteTimedOut(queue_ms);
-            if (SNAP_TRACE_ON(trace::kServe)) {
-                trace::hostInstant(trace::kServe,
-                                   trace::tidWorker(idx),
-                                   "deadline.expired");
-            }
-            deliverResponse(std::move(p), std::move(resp));
-        } else {
-            batch[live++] = std::move(p);
-        }
-    }
-    batch.resize(live);
-    if (batch.empty())
-        return;
-    if (batch.size() == 1) {
-        // Straggler: no partner arrived inside the window.
-        serveOne(idx, std::move(batch.front()));
-        batch.clear();
-        return;
-    }
-
-    const std::uint32_t lanes =
-        static_cast<std::uint32_t>(batch.size());
-    SnapMachine &machine = *machines_.at(idx);
-    machine.image().resetMarkers();
-    std::uint64_t flow_id = 0;
-    std::uint64_t attempt_ns = 0;
-    if (SNAP_TRACE_ON(trace::kServe)) {
-        flow_id = trace::nextFlowId();
-        attempt_ns = trace::hostNowNs();
-        trace::hostFlowStart(trace::kServe, trace::tidWorker(idx),
-                             flow_id, attempt_ns);
-        trace::armFlow(flow_id);
-    }
-    BatchRunResult run =
-        machine.runBatch(batch.front()->req.prog, lanes);
-    if (flow_id != 0) {
-        // Lane width + backend name: the trace attributes this
-        // span's sim amortization to the kernel that produced it.
-        trace::hostSpanArgs(trace::kServe, trace::tidWorker(idx),
-                            "batch.attempt", attempt_ns,
-                            trace::hostNowNs(), lanes,
-                            laneOps().name);
-    }
-
-    if (!run.fault.ok()) {
-        // The shared traversal is poisoned, so no lane's answer is
-        // trustworthy.  Evict the batch and re-serve every lane solo;
-        // each gets its own retry budget, and lanes unaffected by the
-        // re-drawn fault stream commit normally.
-        noteReplicaFault(idx, run.fault);
-        metrics_.noteBatchFallback();
-        if (SNAP_TRACE_ON(trace::kServe)) {
-            trace::hostInstant(trace::kServe, trace::tidWorker(idx),
-                               "batch.fallback", lanes, true);
-        }
-        for (auto &p : batch)
-            serveOne(idx, std::move(p));
-        batch.clear();
-        return;
-    }
-    noteReplicaOk(idx);
-    accumulateRunStats(run.stats);
-    Clock::time_point end = Clock::now();
-    double service_ms = msBetween(begin, end);
-
-    metrics_.noteBatch(lanes);
-    for (std::uint32_t i = 0; i < lanes; ++i) {
-        std::unique_ptr<Pending> p = std::move(batch[i]);
-        Response resp;
-        resp.id = p->req.id;
-        resp.rngSeed = p->req.rngSeed;
-        resp.worker = idx;
-        resp.queueMs = msBetween(p->enqueuedAt, begin);
-        resp.status = RequestStatus::Ok;
-        if (i + 1 < lanes)
-            resp.results = run.results;
-        else
-            resp.results = std::move(run.results);
-        resp.wallTicks = run.wallTicks;
-        resp.serviceMs = service_ms;
-        resp.batchLanes = lanes;
-        // Request-facing metrics take the full batch cost; the
-        // worker's busy share divides it, and the simulated run is
-        // billed to the farm once (first lane), so utilization and
-        // the sim makespan show the amortization.
-        metrics_.noteCompletedShared(
-            idx, resp.queueMs, service_ms, service_ms / lanes,
-            run.wallTicks, i == 0 ? run.wallTicks : 0);
-        deliverResponse(std::move(p), std::move(resp));
-    }
-    batch.clear();
 }
 
 /**
@@ -873,7 +725,8 @@ ServeEngine::quarantineReplica(std::uint32_t idx)
  * Epoch hot-swap.  Admissions are blocked (admitMu_ held) while
  * everything already admitted drains, so no request ever runs half on
  * the old image and half on the new; then every replica is re-stamped
- * — the same machinery quarantine uses, pointed at a new master.
+ * — the same machinery quarantine uses, pointed at a new master — and
+ * the answer cache, whose entries describe the old image, is flushed.
  * Session marker stores are global-node-id keyed and survive as long
  * as the node count matches, which is checked up front.
  */
@@ -908,6 +761,7 @@ ServeEngine::swapImage(const SemanticNetwork &net,
     // All workers are parked in queue_.pop() now: nothing reads
     // master_ or the shadow, so the swap is plain stores.
     master_ = std::move(image);
+    cache_.clear();
     if (shadowNet_) {
         auto shadow = std::make_unique<SemanticNetwork>(net);
         shadowNet_ = std::move(shadow);
@@ -975,8 +829,10 @@ ServeEngine::metricsSnapshot() const
 {
     double uptime = std::chrono::duration<double>(
                         Clock::now() - startedAt_).count();
-    return metrics_.snapshot(queue_.depth(), queue_.highWater(),
-                             queue_.capacity(), uptime);
+    MetricsSnapshot s = metrics_.snapshot(
+        queue_.depth(), queue_.highWater(), queue_.capacity(), uptime);
+    s.answerCache = cache_.stats();
+    return s;
 }
 
 MarkerStore

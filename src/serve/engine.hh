@@ -1,6 +1,6 @@
 /**
  * @file
- * ServeEngine: the concurrent batch query-serving engine.
+ * ServeEngine: the concurrent query-serving engine.
  *
  * Models the deployment the paper argues for — one SNAP-1 knowledge
  * base answering many independent marker-propagation queries — as a
@@ -25,14 +25,11 @@
  *  - every request carries a deterministic seed (requestSeed) echoed
  *    in its response.
  *
- * Lane batching (ServeConfig::maxBatchLanes > 1): a worker that pops
- * a stateless request gulps queued stateless requests with the same
- * Program::contentHash (waiting up to batchWindowMs for more) and
- * serves the whole group as one lane-batched traversal.  Because the
- * lanes are same-program over cleared state, each one's results and
- * simulated wallTicks are bit-identical to its solo run — batching
- * changes host cost only, never answers.  Stragglers that find no
- * partner fall back to the solo path.
+ * Answer cache (serve/answer_cache.hh): a stateless request with a
+ * pure program is looked up before its replica runs; a hit returns
+ * the stored answer of an earlier clean run of the same program,
+ * bit-identical to running it again.  Sessions never use the cache,
+ * and a hot-swap clears it.
  *
  * Non-goals in this layer: running programs with structural KB edits
  * (CREATE/DELETE) outside a session is undefined — edits would make
@@ -58,6 +55,7 @@
 #include "common/metrics_registry.hh"
 #include "fault/fault_plan.hh"
 #include "kb/semantic_network.hh"
+#include "serve/answer_cache.hh"
 #include "serve/metrics.hh"
 #include "serve/request.hh"
 #include "serve/request_queue.hh"
@@ -78,22 +76,6 @@ struct ServeConfig
     std::uint64_t baseSeed = 0x5eed5eed5eed5eedull;
     /** Default queue-wait deadline (host ms); 0 = none. */
     double defaultTimeoutMs = 0.0;
-    /**
-     * Lane-batch former: a worker that pops a stateless request may
-     * gulp up to this many queued stateless requests with the same
-     * Program::contentHash and serve them as one lane-batched
-     * traversal (SnapMachine::runBatch) — identical per-request
-     * results and simulated wallTicks, one simulated run's host cost.
-     * 1 disables batching; capped at MultiBitVector::maxLanes
-     * (2048 — the lane planes carry ceil(lanes/64) words per node).
-     */
-    std::uint32_t maxBatchLanes = 1;
-    /**
-     * Host milliseconds a worker holding a partial batch waits for
-     * more same-program arrivals before serving what it has.
-     * 0 = batch only what is already queued (never wait).
-     */
-    double batchWindowMs = 0.0;
     /**
      * Construct workers idle: requests only queue until start() is
      * called.  Gives tests and the load generator a deterministic
@@ -244,9 +226,10 @@ class ServeEngine
 
     /**
      * Unified observability export: pushes the serving counters
-     * (snap_serve_*), the aggregated simulated-execution breakdown
-     * of every run attempt (snap_exec_*), and each replica's
-     * component stats (ICN, perf net, sync tree, queues; labelled
+     * (snap_serve_*, answer cache included), the aggregated
+     * simulated-execution breakdown of every run attempt
+     * (snap_exec_*), and each replica's component stats (ICN, perf
+     * net, sync tree, queues; labelled
      * worker="N") into one MetricsRegistry.  Replica component stats
      * are read without synchronization, so call after drain() or
      * shutdown() for exact values; mid-flight reads are approximate.
@@ -297,12 +280,6 @@ class ServeEngine
         Clock::time_point deadline;
         bool hasDeadline = false;
         std::uint64_t sessionSeq = 0;
-        /** Stateless and batching enabled: a gulp candidate. */
-        bool batchable = false;
-        /** Program::contentHash, hoisted to admission (stateless
-         *  only) — workers group on it without touching the queue's
-         *  programs. */
-        std::uint64_t progHash = 0;
         /** Exactly-once delivery: set by whoever answers first — the
          *  serving worker or the shutdown watchdog. */
         std::atomic<bool> answered{false};
@@ -316,9 +293,6 @@ class ServeEngine
 
     void workerMain(std::uint32_t idx);
     void serveOne(std::uint32_t idx, std::unique_ptr<Pending> p);
-    void gatherBatch(std::vector<std::unique_ptr<Pending>> &batch);
-    void serveBatch(std::uint32_t idx,
-                    std::vector<std::unique_ptr<Pending>> &batch);
     bool admit(Request &&req, std::unique_ptr<Pending> &pending,
                Response &early);
     void deliverResponse(std::unique_ptr<Pending> p, Response &&resp);
@@ -362,6 +336,8 @@ class ServeEngine
     BoundedQueue<std::unique_ptr<Pending>> queue_;
     SessionStore sessions_;
     ServeMetrics metrics_;
+    /** Answers of clean stateless runs against master_. */
+    AnswerCache cache_;
     Clock::time_point startedAt_;
 
     /** Engine-wide sum of every run attempt's ExecBreakdown (the

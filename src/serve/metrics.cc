@@ -12,11 +12,8 @@ namespace serve
 namespace
 {
 
-// Histogram and LinearHistogram expose the same summary surface;
-// templating keeps the JSON and registry shapes identical for both.
-template <typename Hist>
 void
-histJson(std::ostringstream &os, const char *name, const Hist &h,
+histJson(std::ostringstream &os, const char *name, const Histogram &h,
          const char *indent)
 {
     os << indent << "\"" << name << "\": {"
@@ -29,10 +26,9 @@ histJson(std::ostringstream &os, const char *name, const Hist &h,
        << ", \"max\": " << formatString("%.6g", h.max()) << "}";
 }
 
-template <typename Hist>
 void
 histMetrics(MetricsRegistry &reg, const std::string &base,
-            const Hist &h, const char *help,
+            const Histogram &h, const char *help,
             const MetricsRegistry::Labels &labels)
 {
     reg.counter(base + "_count", static_cast<double>(h.count()),
@@ -67,10 +63,6 @@ MetricsSnapshot::exportMetrics(MetricsRegistry &reg,
         "Requests rejected at admission (backpressure)");
     cnt("snap_serve_timed_out_total", timedOut,
         "Requests expired before service");
-    cnt("snap_serve_batches_total", batches,
-        "Lane batches served (>= 2 lanes)");
-    cnt("snap_serve_batched_requests_total", batchedRequests,
-        "Requests served inside lane batches");
     cnt("snap_serve_faults_detected_total", faultsDetected,
         "Run attempts that tripped fault detection");
     cnt("snap_serve_wedges_total", wedges,
@@ -87,10 +79,20 @@ MetricsSnapshot::exportMetrics(MetricsRegistry &reg,
         "Stateless requests shed during a fault storm");
     cnt("snap_serve_quarantines_total", quarantines,
         "Replica quarantines (re-stamped from master)");
-    cnt("snap_serve_batch_fallbacks_total", batchFallbacks,
-        "Lane batches evicted to solo re-serves");
     cnt("snap_serve_image_swaps_total", imageSwaps,
         "Knowledge-image hot-swaps applied (epoch flips)");
+    cnt("snap_serve_answer_cache_hits_total", answerCache.hits,
+        "Stateless requests answered from the answer cache");
+    cnt("snap_serve_answer_cache_misses_total", answerCache.misses,
+        "Answer-cache lookups that ran the program");
+    cnt("snap_serve_answer_cache_admitted_total", answerCache.admitted,
+        "Answers admitted to the cache (second clean run)");
+    cnt("snap_serve_answer_cache_evictions_total",
+        answerCache.evictions,
+        "Answers evicted least-recently-used under the byte budget");
+    gau("snap_serve_answer_cache_bytes",
+        static_cast<double>(answerCache.bytes),
+        "Bytes held by the answer cache");
 
     gau("snap_serve_queue_depth", static_cast<double>(queueDepth),
         "Admission queue depth at snapshot time");
@@ -116,8 +118,6 @@ MetricsSnapshot::exportMetrics(MetricsRegistry &reg,
                 "End-to-end latency (host ms)", labels);
     histMetrics(reg, "snap_serve_sim_us", simUs,
                 "Simulated execution time (us)", labels);
-    histMetrics(reg, "snap_serve_batch_lanes", batchLanes,
-                "Lanes filled per lane batch", labels);
 
     for (std::size_t i = 0; i < workers.size(); ++i) {
         MetricsRegistry::Labels wl = labels;
@@ -145,10 +145,11 @@ metricsJson(const MetricsSnapshot &s)
     os << "  \"completed\": " << s.completed << ",\n";
     os << "  \"rejected\": " << s.rejected << ",\n";
     os << "  \"timed_out\": " << s.timedOut << ",\n";
-    os << "  \"batching\": {\"batches\": " << s.batches
-       << ", \"batched_requests\": " << s.batchedRequests
-       << ", \"mean_lanes\": "
-       << formatString("%.6g", s.batchLanes.mean()) << "},\n";
+    os << "  \"answer_cache\": {\"hits\": " << s.answerCache.hits
+       << ", \"misses\": " << s.answerCache.misses
+       << ", \"admitted\": " << s.answerCache.admitted
+       << ", \"evictions\": " << s.answerCache.evictions
+       << ", \"bytes\": " << s.answerCache.bytes << "},\n";
     os << "  \"robustness\": {\"faults_detected\": " << s.faultsDetected
        << ", \"wedges\": " << s.wedges
        << ", \"retries\": " << s.retries
@@ -157,7 +158,6 @@ metricsJson(const MetricsSnapshot &s)
        << ", \"hung\": " << s.hung
        << ", \"shed\": " << s.shed
        << ", \"quarantines\": " << s.quarantines
-       << ", \"batch_fallbacks\": " << s.batchFallbacks
        << ", \"image_swaps\": " << s.imageSwaps << "},\n";
     os << "  \"queue\": {\"depth\": " << s.queueDepth
        << ", \"high_water\": " << s.queueHighWater
@@ -173,8 +173,6 @@ metricsJson(const MetricsSnapshot &s)
     histJson(os, "total_ms", s.totalMs, "  ");
     os << ",\n";
     histJson(os, "sim_us", s.simUs, "  ");
-    os << ",\n";
-    histJson(os, "batch_lanes", s.batchLanes, "  ");
     os << ",\n";
     os << "  \"sim_makespan_us\": "
        << formatString("%.6g", ticksToUs(s.simMakespanTicks()))

@@ -25,28 +25,20 @@
 
 #include "common/histogram.hh"
 #include "common/metrics_registry.hh"
-#include "common/multibitvector.hh"
 #include "common/types.hh"
+#include "serve/answer_cache.hh"
 
 namespace snap
 {
 namespace serve
 {
 
-/**
- * Lane-occupancy distribution: one exact bucket per possible lane
- * count.  The log-linear Histogram buckets coarsen to 8..128 lanes
- * wide above 64, which silently blurred wide batches (and reported
- * bucket-midpoint "lane counts" no batch could have); lane counts
- * are small integers, so exact buckets cost one word each.
- */
-using BatchLanesHistogram = LinearHistogram<MultiBitVector::maxLanes>;
-
 /** Per-worker serving tallies. */
 struct WorkerStats
 {
     std::uint64_t served = 0;
-    /** Simulated machine time spent executing (sum of wallTicks). */
+    /** Simulated machine time spent executing (sum of wallTicks of
+     *  the runs this replica made; answer-cache hits add none). */
     Tick busyTicks = 0;
     /** Host milliseconds spent executing. */
     double busyMs = 0.0;
@@ -59,11 +51,6 @@ struct MetricsSnapshot
     std::uint64_t completed = 0;
     std::uint64_t rejected = 0;
     std::uint64_t timedOut = 0;
-
-    /** Lane batches served (>= 2 lanes; solo runs are not batches). */
-    std::uint64_t batches = 0;
-    /** Requests that were served inside those batches. */
-    std::uint64_t batchedRequests = 0;
 
     // --- robustness (all zero unless fault injection is armed) ---------
     /** Run attempts that tripped fault detection (integrity mismatch,
@@ -84,8 +71,6 @@ struct MetricsSnapshot
     std::uint64_t shed = 0;
     /** Replica quarantines (re-stamped from the master image). */
     std::uint64_t quarantines = 0;
-    /** Lane batches evicted to solo re-serves after a poisoned run. */
-    std::uint64_t batchFallbacks = 0;
     /** Knowledge-image hot-swaps applied (epoch flips). */
     std::uint64_t imageSwaps = 0;
 
@@ -100,11 +85,12 @@ struct MetricsSnapshot
     Histogram serviceMs;
     Histogram totalMs;
     Histogram simUs;
-    /** Occupancy (lanes filled) per lane batch — exact buckets so
-     *  wide batches (65..2048 lanes) are not blurred. */
-    BatchLanesHistogram batchLanes;
 
     std::vector<WorkerStats> workers;
+
+    /** The engine's answer cache (filled in by the engine, which owns
+     *  the cache). */
+    AnswerCache::Stats answerCache;
 
     /** Completed requests per host wall-clock second. */
     double
@@ -168,26 +154,15 @@ class ServeMetrics
         queueWaitMs_.record(queue_ms);
     }
 
-    void
-    noteCompleted(std::uint32_t worker, double queue_ms,
-                  double service_ms, Tick sim_ticks)
-    {
-        noteCompletedShared(worker, queue_ms, service_ms, service_ms,
-                            sim_ticks, sim_ticks);
-    }
-
     /**
-     * Completion of one request served inside a lane batch.  The
-     * request-facing histograms record the full batch cost (that is
-     * what the request experienced); the worker's busy tallies take
-     * only this request's *share*, so utilization and the simulated
-     * makespan reflect the amortization instead of double-counting
-     * the shared run once per lane.
+     * One request answered Ok with an answer of @p sim_ticks simulated
+     * time.  @p executed is false for an answer-cache hit: the replica
+     * ran nothing, so its simulated busy time takes none of it.
      */
     void
-    noteCompletedShared(std::uint32_t worker, double queue_ms,
-                        double service_ms, double busy_share_ms,
-                        Tick sim_ticks, Tick sim_share_ticks)
+    noteCompleted(std::uint32_t worker, double queue_ms,
+                  double service_ms, Tick sim_ticks,
+                  bool executed = true)
     {
         std::lock_guard<std::mutex> lock(mu_);
         ++completed_;
@@ -197,18 +172,9 @@ class ServeMetrics
         simUs_.record(ticksToUs(sim_ticks));
         WorkerStats &w = workers_.at(worker);
         ++w.served;
-        w.busyTicks += sim_share_ticks;
-        w.busyMs += busy_share_ms;
-    }
-
-    /** One lane batch was formed and served with @p lanes lanes. */
-    void
-    noteBatch(std::uint32_t lanes)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++batches_;
-        batchedRequests_ += lanes;
-        batchLanes_.record(static_cast<double>(lanes));
+        if (executed)
+            w.busyTicks += sim_ticks;
+        w.busyMs += service_ms;
     }
 
     /** One run attempt tripped fault detection. */
@@ -270,14 +236,6 @@ class ServeMetrics
         ++quarantines_;
     }
 
-    /** Lane batch evicted to solo re-serves after a poisoned run. */
-    void
-    noteBatchFallback()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++batchFallbacks_;
-    }
-
     /** One knowledge-image hot-swap (epoch flip) was applied. */
     void
     noteImageSwap()
@@ -298,8 +256,6 @@ class ServeMetrics
         s.completed = completed_;
         s.rejected = rejected_;
         s.timedOut = timedOut_;
-        s.batches = batches_;
-        s.batchedRequests = batchedRequests_;
         s.faultsDetected = faultsDetected_;
         s.wedges = wedges_;
         s.retries = retries_;
@@ -308,7 +264,6 @@ class ServeMetrics
         s.hung = hung_;
         s.shed = shed_;
         s.quarantines = quarantines_;
-        s.batchFallbacks = batchFallbacks_;
         s.imageSwaps = imageSwaps_;
         s.queueDepth = queue_depth;
         s.queueHighWater = queue_high_water;
@@ -318,7 +273,6 @@ class ServeMetrics
         s.serviceMs = serviceMs_;
         s.totalMs = totalMs_;
         s.simUs = simUs_;
-        s.batchLanes = batchLanes_;
         s.workers = workers_;
         return s;
     }
@@ -329,8 +283,6 @@ class ServeMetrics
     std::uint64_t completed_ = 0;
     std::uint64_t rejected_ = 0;
     std::uint64_t timedOut_ = 0;
-    std::uint64_t batches_ = 0;
-    std::uint64_t batchedRequests_ = 0;
     std::uint64_t faultsDetected_ = 0;
     std::uint64_t wedges_ = 0;
     std::uint64_t retries_ = 0;
@@ -339,13 +291,11 @@ class ServeMetrics
     std::uint64_t hung_ = 0;
     std::uint64_t shed_ = 0;
     std::uint64_t quarantines_ = 0;
-    std::uint64_t batchFallbacks_ = 0;
     std::uint64_t imageSwaps_ = 0;
     Histogram queueWaitMs_;
     Histogram serviceMs_;
     Histogram totalMs_;
     Histogram simUs_;
-    BatchLanesHistogram batchLanes_;
     std::vector<WorkerStats> workers_;
 };
 

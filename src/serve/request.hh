@@ -115,8 +115,6 @@ struct Response
     double serviceMs = 0.0;
     /** Worker replica that served the request. */
     std::uint32_t worker = 0;
-    /** Lanes in the batch this request was served in (1 = solo). */
-    std::uint32_t batchLanes = 1;
     /** Re-executions needed after detected faults (0 = clean first
      *  try).  Ok with retries > 0 means the engine recovered. */
     std::uint32_t retries = 0;
@@ -158,12 +156,13 @@ class ResponseSlot
     void
     deliver(Response &&resp)
     {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            snap_assert(!ready_, "ResponseSlot delivered twice");
-            resp_ = std::move(resp);
-            ready_ = true;
-        }
+        // Notify under the lock: once the waiter sees ready_ it may
+        // return and destroy the slot, so the condition variable must
+        // not be touched after the lock is released.
+        std::lock_guard<std::mutex> lock(mu_);
+        snap_assert(!ready_, "ResponseSlot delivered twice");
+        resp_ = std::move(resp);
+        ready_ = true;
         cv_.notify_all();
     }
 

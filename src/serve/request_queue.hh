@@ -15,11 +15,6 @@
  * engine's alloc-free submit depends on.  T must therefore be
  * default-constructible and move-assignable.
  *
- * extractMatching() is the lane-batch former's gulp primitive: it
- * removes up to N items satisfying a predicate, preserving FIFO
- * order both among the extracted items and among the survivors, and
- * optionally waits until a deadline for more matches to arrive.
- *
  * Header-only template so tests can exercise it on plain ints; the
  * engine instantiates it over move-only pending-request records.
  */
@@ -27,7 +22,6 @@
 #ifndef SNAP_SERVE_REQUEST_QUEUE_HH
 #define SNAP_SERVE_REQUEST_QUEUE_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -70,14 +64,10 @@ class BoundedQueue
                 return false;
             slots_[(head_ + size_) % cap_] = std::move(item);
             ++size_;
-            ++pushes_;
             if (size_ > highWater_)
                 highWater_ = size_;
         }
-        // notify_all, not notify_one: a consumer parked in
-        // extractMatching() may wake, find no match, and sleep again
-        // — a plain pop() waiter must still learn about the item.
-        notEmpty_.notify_all();
+        notEmpty_.notify_one();
         return true;
     }
 
@@ -103,37 +93,6 @@ class BoundedQueue
         head_ = (head_ + 1) % cap_;
         --size_;
         return item;
-    }
-
-    /**
-     * Remove up to @p max_items queued items satisfying @p pred,
-     * appending them to @p out in FIFO order; survivors keep their
-     * relative FIFO order.  When fewer than @p max_items match
-     * immediately, blocks until @p deadline for more matching pushes
-     * (returns early when filled or the queue closes).  A deadline in
-     * the past means "scan once, never wait".
-     *
-     * @return the number of items extracted.
-     */
-    template <typename Pred>
-    std::size_t
-    extractMatching(Pred &&pred, std::size_t max_items,
-                    std::vector<T> &out,
-                    std::chrono::steady_clock::time_point deadline)
-    {
-        std::size_t taken = 0;
-        std::unique_lock<std::mutex> lock(mu_);
-        for (;;) {
-            taken += extractLocked(pred, max_items - taken, out);
-            if (taken >= max_items || closed_)
-                break;
-            std::uint64_t seen = pushes_;
-            if (!notEmpty_.wait_until(lock, deadline, [&] {
-                    return closed_ || pushes_ != seen;
-                }))
-                break;  // deadline, and no push happened: done
-        }
-        return taken;
     }
 
     /** Stop admissions and wake every blocked consumer; already-
@@ -172,31 +131,6 @@ class BoundedQueue
     }
 
   private:
-    /** One compacting scan under mu_: move matches out, close the
-     *  holes.  Two-pointer sweep over logical indices, so both the
-     *  extracted and the surviving subsequences keep FIFO order. */
-    template <typename Pred>
-    std::size_t
-    extractLocked(Pred &pred, std::size_t limit, std::vector<T> &out)
-    {
-        std::size_t kept = 0;
-        std::size_t taken = 0;
-        for (std::size_t i = 0; i < size_; ++i) {
-            T &slot = slots_[(head_ + i) % cap_];
-            if (taken < limit &&
-                pred(static_cast<const T &>(slot))) {
-                out.push_back(std::move(slot));
-                ++taken;
-            } else {
-                if (kept != i)
-                    slots_[(head_ + kept) % cap_] = std::move(slot);
-                ++kept;
-            }
-        }
-        size_ = kept;
-        return taken;
-    }
-
     mutable std::mutex mu_;
     std::condition_variable notEmpty_;
     std::vector<T> slots_;  // fixed ring; tryPush never allocates
@@ -204,7 +138,6 @@ class BoundedQueue
     std::size_t head_ = 0;
     std::size_t size_ = 0;
     std::size_t highWater_ = 0;
-    std::uint64_t pushes_ = 0;
     bool closed_ = false;
 };
 

@@ -6,8 +6,9 @@
  * this format, so "router + N shards returns the same answers as one
  * process" is a plain `diff`.  Only what the client would consider
  * the *answer* is included — request status and collected results by
- * symbolic name — never timing, worker ids, or batch shapes, which
- * legitimately differ between deployments of the same knowledge.
+ * symbolic name — never timing, worker ids, or whether the answer
+ * came from the cache, which legitimately differ between deployments
+ * of the same knowledge.
  */
 
 #ifndef SNAP_SHARD_ANSWERS_HH

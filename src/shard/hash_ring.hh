@@ -11,7 +11,7 @@
  * which is what keeps session pinning stable across shard-set edits.
  *
  * Keys: stateless requests hash Program::contentHash (same query
- * text -> same shard -> same lane-batch former), sessions hash the
+ * text -> same shard -> same answer cache), sessions hash the
  * session id (every query of a session must reach the marker state
  * it accumulated).  The ring itself is key-agnostic: it maps u64 ->
  * shard index.

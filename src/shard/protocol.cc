@@ -172,7 +172,10 @@ bool
 decodeResults(WireReader &r, ResultSet &out)
 {
     const std::uint32_t count = r.u32();
-    if (r.failed())
+    // Each result is >= 13 bytes (op, marker, color, rel, and the two
+    // list counts); a count the bytes left cannot hold is rejected
+    // before anything is reserved for it.
+    if (r.failed() || count > r.remaining() / 13)
         return false;
     out.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -378,42 +381,43 @@ encodeResponse(WireWriter &w, const ResponseFrame &f)
     w.f64(f.queueMs);
     w.f64(f.serviceMs);
     w.u32(f.worker);
-    w.u32(f.batchLanes);
     w.u32(f.retries);
     w.u8(f.faultDetected ? 1 : 0);
     encodeResults(w, f.results);
-    // v2: trailing checksum over every payload byte written above, so
-    // a corrupt-but-well-framed response is detected, never served.
+    // Trailing checksum over every payload byte written above, so a
+    // corrupt-but-well-framed response is detected, never served.
     w.u64(fnv1a64(w.bytes().data(), w.size()));
 }
 
 bool
 decodeResponse(WireReader &r, ResponseFrame &f)
 {
-    f.id = r.u64();
-    const std::uint8_t status = r.u8();
-    f.wallTicks = r.u64();
-    f.rngSeed = r.u64();
-    f.queueMs = r.f64();
-    f.serviceMs = r.f64();
-    f.worker = r.u32();
-    f.batchLanes = r.u32();
-    f.retries = r.u32();
-    f.faultDetected = r.u8() != 0;
-    if (r.failed() ||
+    // Integrity first: the mandatory trailing checksum is verified
+    // over the whole payload before any field — and so any count —
+    // is read from it.
+    if (r.remaining() < 8)
+        return false;
+    const std::uint8_t *payload = r.data() + r.pos();
+    const std::size_t body_len = r.remaining() - 8;
+    WireReader tail(payload + body_len, 8);
+    if (tail.u64() != fnv1a64(payload, body_len))
+        return false;
+
+    WireReader body(payload, body_len);
+    f.id = body.u64();
+    const std::uint8_t status = body.u8();
+    f.wallTicks = body.u64();
+    f.rngSeed = body.u64();
+    f.queueMs = body.f64();
+    f.serviceMs = body.f64();
+    f.worker = body.u32();
+    f.retries = body.u32();
+    f.faultDetected = body.u8() != 0;
+    if (body.failed() ||
         status > static_cast<std::uint8_t>(serve::RequestStatus::Hung))
         return false;
     f.status = static_cast<serve::RequestStatus>(status);
-    if (!decodeResults(r, f.results))
-        return false;
-    // Version-tolerant tail: a v1 payload ends here; a v2 payload has
-    // exactly 8 checksum bytes left, verified over the bytes consumed.
-    if (r.remaining() == 8) {
-        const std::uint64_t want = fnv1a64(r.data(), r.pos());
-        if (r.u64() != want)
-            return false;
-    }
-    return r.done();
+    return decodeResults(body, f.results) && body.done();
 }
 
 void

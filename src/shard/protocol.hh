@@ -40,15 +40,18 @@ namespace shard
 
 /** Protocol revision; bumped on any incompatible frame change.
  *  v2: Response frames carry a trailing FNV-1a64 payload checksum
- *  (decode stays tolerant of checksum-less v1 payloads) and the
- *  session migration frames (SessionPull..SessionPushAck) exist.
+ *  and the session migration frames (SessionPull..SessionPushAck)
+ *  exist.
  *  v3: Request frames may carry a trailing distributed-trace
  *  context (only when sampling is on, so trace-off bytes are
  *  unchanged), HelloAck carries a trailing shard trace-clock
  *  reading for cross-process timeline alignment, and the Stats
- *  pull frames (StatsPull/StatsSnapshot) exist.  All tails decode
- *  version-tolerantly, so a v2 peer's frames still parse. */
-constexpr std::uint32_t protocolVersion = 3;
+ *  pull frames (StatsPull/StatsSnapshot) exist.
+ *  v4: Response frames drop the batch-lane count, and their
+ *  checksum is mandatory and verified over the whole payload before
+ *  any field is parsed.  A peer of another version is refused at
+ *  Hello. */
+constexpr std::uint32_t protocolVersion = 4;
 
 /** Hard cap on one frame's payload (a serialized Program or
  *  ResultSet is well under this; the cap bounds a hostile peer). */
@@ -153,7 +156,6 @@ struct ResponseFrame
     double queueMs = 0.0;
     double serviceMs = 0.0;
     std::uint32_t worker = 0;
-    std::uint32_t batchLanes = 1;
     std::uint32_t retries = 0;
     bool faultDetected = false;
 };

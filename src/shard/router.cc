@@ -408,8 +408,13 @@ ShardRouter::readerMain(std::uint32_t idx)
             break;
           }
           case FrameType::StatsSnapshot: {
+            // Decode into a fresh frame: a pull replaces the previous
+            // snapshot, it never appends to it.
+            StatsSnapshotFrame snap;
+            const bool ok = decodeStatsSnapshot(r, snap);
             std::lock_guard<std::mutex> lock(shard.mu);
-            if (decodeStatsSnapshot(r, shard.statsAck)) {
+            if (ok) {
+                shard.statsAck = std::move(snap);
                 shard.controlType = FrameType::StatsSnapshot;
                 shard.controlReady = true;
                 shard.controlCv.notify_all();

@@ -3,8 +3,8 @@
  * ShardRouter: consistent-hash front door for N shard processes.
  *
  * Placement: stateless requests hash Program::contentHash onto the
- * ring — identical queries always land on the same shard, which keeps
- * that shard's lane-batch former fed; session requests hash the
+ * ring — identical queries always land on the same shard, where they
+ * meet on that shard's answer cache; session requests hash the
  * session id, so a session's marker state accumulates on exactly one
  * shard.  Each shard connection has a bounded in-flight window;
  * submit() blocks (backpressure) when the target window is full.

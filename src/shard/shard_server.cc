@@ -132,6 +132,15 @@ ShardServer::handleFrame(int fd, std::uint32_t conn,
                          const std::vector<std::uint8_t> &payload)
 {
     WireReader r(payload.data(), payload.size());
+    // A failed reply does not drop the connection: a peer that has
+    // stopped reading (a router retiring this shard) may still have a
+    // Shutdown queued behind this frame, and only the read side sees
+    // where the stream ends.
+    auto reply = [&](FrameType reply_type, const WireWriter &w) {
+        std::lock_guard<std::mutex> lock(write_mu);
+        writeFrame(fd, reply_type, w.bytes());
+        return true;
+    };
     switch (type) {
       case FrameType::Hello: {
         HelloFrame hello;
@@ -152,8 +161,7 @@ ShardServer::handleFrame(int fd, std::uint32_t conn,
         ack.traceClockNs = trace::hostNowNs();
         WireWriter w;
         encodeHelloAck(w, ack);
-        std::lock_guard<std::mutex> lock(write_mu);
-        return writeFrame(fd, FrameType::HelloAck, w.bytes());
+        return reply(FrameType::HelloAck, w);
       }
       case FrameType::Request: {
         RequestFrame frame;
@@ -176,8 +184,7 @@ ShardServer::handleFrame(int fd, std::uint32_t conn,
         ack.fingerprint = fingerprint();
         WireWriter w;
         encodeHealthAck(w, ack);
-        std::lock_guard<std::mutex> lock(write_mu);
-        return writeFrame(fd, FrameType::HealthAck, w.bytes());
+        return reply(FrameType::HealthAck, w);
       }
       case FrameType::Prepare: {
         PrepareFrame prep;
@@ -193,8 +200,7 @@ ShardServer::handleFrame(int fd, std::uint32_t conn,
         epoch_.store(commit.epoch, std::memory_order_release);
         WireWriter w;
         encodeEpoch(w, commit);
-        std::lock_guard<std::mutex> lock(write_mu);
-        return writeFrame(fd, FrameType::CommitAck, w.bytes());
+        return reply(FrameType::CommitAck, w);
       }
       case FrameType::SessionPull: {
         SessionPullFrame pull;
@@ -212,8 +218,7 @@ ShardServer::handleFrame(int fd, std::uint32_t conn,
         }
         WireWriter w;
         encodeSessionState(w, st);
-        std::lock_guard<std::mutex> lock(write_mu);
-        return writeFrame(fd, FrameType::SessionState, w.bytes());
+        return reply(FrameType::SessionState, w);
       }
       case FrameType::SessionPush: {
         SessionPushFrame push;
@@ -237,8 +242,7 @@ ShardServer::handleFrame(int fd, std::uint32_t conn,
                       ack.sessionId.c_str(), ack.detail.c_str());
         WireWriter w;
         encodeSessionPushAck(w, ack);
-        std::lock_guard<std::mutex> lock(write_mu);
-        return writeFrame(fd, FrameType::SessionPushAck, w.bytes());
+        return reply(FrameType::SessionPushAck, w);
       }
       case FrameType::StatsPull: {
         StatsPullFrame pull;
@@ -255,8 +259,7 @@ ShardServer::handleFrame(int fd, std::uint32_t conn,
         snap.samples = reg.samples();
         WireWriter w;
         encodeStatsSnapshot(w, snap);
-        std::lock_guard<std::mutex> lock(write_mu);
-        return writeFrame(fd, FrameType::StatsSnapshot, w.bytes());
+        return reply(FrameType::StatsSnapshot, w);
       }
       case FrameType::Shutdown: {
         stop();
@@ -315,7 +318,6 @@ ShardServer::handleRequest(int fd, std::uint32_t conn,
             out.queueMs = resp.queueMs;
             out.serviceMs = resp.serviceMs;
             out.worker = resp.worker;
-            out.batchLanes = resp.batchLanes;
             out.retries = resp.retries;
             out.faultDetected = resp.faultDetected;
             WireWriter w;

@@ -30,10 +30,6 @@
  *                         traffic drains first; zero wrong answers)
  *     --answers-out FILE  write the canonical answer text (same
  *                         format as snapserve --answers-out)
- *     --lane-backend B    lane-kernel backend for this process:
- *                         auto|scalar|avx2|avx512 (default auto);
- *                         a backend this build or CPU lacks is a
- *                         usage error (exit 2)
  *     --trace-out FILE    write the router's Chrome trace-event
  *                         JSON: per-attempt rpc spans with "xrpc"
  *                         flow starts into the shards' traces, plus
@@ -84,7 +80,6 @@
 #include <vector>
 
 #include "arch/kb_image_io.hh"
-#include "common/lane_backend.hh"
 #include "common/logging.hh"
 #include "common/metrics_registry.hh"
 #include "common/strutil.hh"
@@ -121,8 +116,6 @@ usage()
         "(repeatable)\n"
         "  --swap-epoch FILE@K hot-swap to FILE after K submits\n"
         "  --answers-out FILE  write canonical answer text\n"
-        "  --lane-backend B    auto|scalar|avx2|avx512 "
-        "(default auto)\n"
         "  --trace-out FILE    write router Chrome trace JSON\n"
         "  --trace-categories L trace category list (default all)\n"
         "  --trace-sample X    sampling rate 0..1 (default 1 with "
@@ -293,14 +286,6 @@ main(int argc, char **argv)
             swap_after = static_cast<std::size_t>(k);
         } else if (arg == "--answers-out") {
             answers_path = next();
-        } else if (arg == "--lane-backend") {
-            LaneBackend backend;
-            if (!parseLaneBackend(next(), backend))
-                usageError("--lane-backend must be "
-                           "auto|scalar|avx2|avx512");
-            std::string err;
-            if (!setLaneBackend(backend, err))
-                usageError(err.c_str());
         } else if (arg == "--trace-out") {
             trace_out = next();
         } else if (arg == "--trace-categories") {
@@ -492,11 +477,10 @@ main(int argc, char **argv)
                                ? std::string("query")
                                : "session " + specs[i].sessionId;
         std::printf("request #%zu (%s): %s, sim %.1f us, queue "
-                    "%.3f ms, lanes %u\n",
+                    "%.3f ms\n",
                     i, kind.c_str(),
                     serve::requestStatusName(resp.status),
-                    ticksToUs(resp.wallTicks), resp.queueMs,
-                    resp.batchLanes);
+                    ticksToUs(resp.wallTicks), resp.queueMs);
     }
     std::printf("\nrouted %llu ok, %llu failed over %u shard(s), "
                 "%llu re-routed, %llu hedged, %llu sessions "

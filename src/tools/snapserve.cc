@@ -9,14 +9,6 @@
  *     --threads N           host threads per worker machine
  *     --queue N             admission queue capacity (default 256)
  *     --timeout-ms X        default per-request queue deadline
- *     --batch-lanes N       lane-batch up to N same-program stateless
- *                           queries per simulated run (1..2048,
- *                           default 1)
- *     --batch-window X      host ms to wait filling a batch
- *     --lane-backend B      lane-kernel backend: auto (default,
- *                           widest compiled + CPU-supported), scalar,
- *                           avx2, avx512.  A backend this build or
- *                           CPU lacks is a usage error (exit 2)
  *     --clusters N          replica array size (1..32, default 16)
  *     --partition seq|rr|sem  allocation strategy (default sem)
  *     --relax-capacity      lift the 1024-nodes-per-cluster limit
@@ -91,10 +83,8 @@
 #include <vector>
 
 #include "arch/kb_image_io.hh"
-#include "common/lane_backend.hh"
 #include "common/logging.hh"
 #include "common/metrics_registry.hh"
-#include "common/multibitvector.hh"
 #include "common/strutil.hh"
 #include "fault/fault_plan.hh"
 #include "trace/trace.hh"
@@ -125,11 +115,6 @@ usage()
         "  --queue N              admission queue capacity "
         "(default 256)\n"
         "  --timeout-ms X         default queue deadline, host ms\n"
-        "  --batch-lanes N        lane-batch same-program queries "
-        "(1..2048)\n"
-        "  --batch-window X       host ms to wait filling a batch\n"
-        "  --lane-backend B       auto|scalar|avx2|avx512 "
-        "(default auto)\n"
         "  --clusters N           replica array size (1..32)\n"
         "  --partition seq|rr|sem allocation (default sem)\n"
         "  --relax-capacity       lift the 1024 nodes/cluster cap\n"
@@ -279,25 +264,6 @@ main(int argc, char **argv)
             if (!parseDouble(next(), x) || x < 0)
                 usageError("--timeout-ms must be >= 0");
             cfg.defaultTimeoutMs = x;
-        } else if (arg == "--batch-lanes") {
-            long long n;
-            if (!parseInt(next(), n) || n < 1 ||
-                n > MultiBitVector::maxLanes)
-                usageError("--batch-lanes must be 1..2048");
-            cfg.maxBatchLanes = static_cast<std::uint32_t>(n);
-        } else if (arg == "--lane-backend") {
-            LaneBackend backend;
-            if (!parseLaneBackend(next(), backend))
-                usageError("--lane-backend must be "
-                           "auto|scalar|avx2|avx512");
-            std::string err;
-            if (!setLaneBackend(backend, err))
-                usageError(err.c_str());
-        } else if (arg == "--batch-window") {
-            double x;
-            if (!parseDouble(next(), x) || x < 0)
-                usageError("--batch-window must be >= 0");
-            cfg.batchWindowMs = x;
         } else if (arg == "--clusters") {
             long long n;
             if (!parseInt(next(), n) || n < 1 || n > 32)
@@ -594,11 +560,10 @@ main(int argc, char **argv)
                                ? std::string("query")
                                : "session " + s.sessionId;
         std::printf("request #%zu (%s): %s, worker %u, sim "
-                    "%.1f us, queue %.3f ms, lanes %u",
+                    "%.1f us, queue %.3f ms",
                     i, kind.c_str(),
                     serve::requestStatusName(resp.status),
-                    resp.worker, resp.wallUs(), resp.queueMs,
-                    resp.batchLanes);
+                    resp.worker, resp.wallUs(), resp.queueMs);
         if (resp.retries > 0)
             std::printf(", retries %u", resp.retries);
         std::printf("\n");
@@ -650,28 +615,26 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(m.timedOut),
                 m.throughputQps(),
                 ticksToUs(m.simMakespanTicks()));
-    if (m.batches > 0) {
-        std::printf("lane batches: %llu served %llu requests "
-                    "(mean %.2f lanes)\n",
-                    static_cast<unsigned long long>(m.batches),
+    if (m.answerCache.hits + m.answerCache.misses > 0) {
+        std::printf("answer cache: %llu hits, %llu misses, %llu "
+                    "admitted\n",
+                    static_cast<unsigned long long>(m.answerCache.hits),
                     static_cast<unsigned long long>(
-                        m.batchedRequests),
-                    m.batchLanes.mean());
+                        m.answerCache.misses),
+                    static_cast<unsigned long long>(
+                        m.answerCache.admitted));
     }
     if (cfg.faults.any()) {
         std::printf("robustness: %llu faults detected, %llu "
                     "retries, %llu recovered, %llu failed, %llu "
-                    "shed, %llu quarantines, %llu batch "
-                    "fallbacks\n",
+                    "shed, %llu quarantines\n",
                     static_cast<unsigned long long>(
                         m.faultsDetected),
                     static_cast<unsigned long long>(m.retries),
                     static_cast<unsigned long long>(m.recovered),
                     static_cast<unsigned long long>(m.failed),
                     static_cast<unsigned long long>(m.shed),
-                    static_cast<unsigned long long>(m.quarantines),
-                    static_cast<unsigned long long>(
-                        m.batchFallbacks));
+                    static_cast<unsigned long long>(m.quarantines));
     }
 
     if (!metrics_path.empty()) {

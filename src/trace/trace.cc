@@ -356,12 +356,8 @@ writeJson(std::ostream &os)
                << "\"";
         if (ev.ph == 'f')
             os << ",\"bp\":\"e\"";
-        if (ev.hasArg) {
-            os << ",\"args\":{\"v\":" << ev.arg;
-            if (ev.sarg)
-                os << ",\"backend\":\"" << ev.sarg << "\"";
-            os << "}";
-        }
+        if (ev.hasArg)
+            os << ",\"args\":{\"v\":" << ev.arg << "}";
         os << "}";
     }
 

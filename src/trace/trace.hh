@@ -52,8 +52,8 @@ enum Category : std::uint32_t
     kAllCategories = (1u << 8) - 1,
 };
 
-/** One trace event.  POD; `name` and `sarg` must point at strings
- *  with static storage duration (they are not copied). */
+/** One trace event.  POD; `name` must point at a string with
+ *  static storage duration (it is not copied). */
 struct Event
 {
     std::uint64_t ts = 0;       ///< sim ticks (ps) or host ns
@@ -61,8 +61,6 @@ struct Event
     std::uint64_t id = 0;       ///< flow / async id ('s','f','b','e')
     std::uint64_t arg = 0;      ///< numeric payload, emitted as "v"
     const char *name = nullptr;
-    const char *sarg = nullptr; ///< string payload, emitted as
-                                ///< "backend" beside "v"
     std::uint32_t pid = 0;
     std::uint32_t tid = 0;
     std::uint32_t cat = 0;
@@ -264,22 +262,6 @@ hostSpanArg(std::uint32_t cat, std::uint32_t tid, const char *name,
     Event ev;
     ev.ts = startNs; ev.dur = endNs - startNs; ev.name = name;
     ev.arg = arg; ev.hasArg = true;
-    ev.pid = kHostPid; ev.tid = tid; ev.cat = cat; ev.ph = 'X';
-    ev.host = true;
-    record(ev);
-}
-
-/** hostSpanArg plus a static string payload: serve spans use it to
- *  stamp the lane-execution backend beside the lane count, so traces
- *  attribute sim amortization to the kernel that produced it. */
-inline void
-hostSpanArgs(std::uint32_t cat, std::uint32_t tid, const char *name,
-             std::uint64_t startNs, std::uint64_t endNs,
-             std::uint64_t arg, const char *sarg)
-{
-    Event ev;
-    ev.ts = startNs; ev.dur = endNs - startNs; ev.name = name;
-    ev.arg = arg; ev.hasArg = true; ev.sarg = sarg;
     ev.pid = kHostPid; ev.tid = tid; ev.cat = cat; ev.ph = 'X';
     ev.host = true;
     record(ev);

@@ -4,7 +4,8 @@
  * serving layer's recovery machinery: spec round-trips, rate-zero
  * bit-identity, seed reproducibility, detection soundness (no
  * corrupted answer survives), wedge repair, and the engine's
- * retry / quarantine / shed / hung-worker-watchdog policies.
+ * retry / quarantine / shed / hung-worker-watchdog policies and
+ * answer-cache admission under faults.
  */
 
 #include <gtest/gtest.h>
@@ -123,14 +124,19 @@ TEST(FaultInjection, RateZeroIsBitIdenticalToNoPlan)
     zero.seed = 42;  // a seed but no rates: the plan can never fire
     armed.installFaults(zero);
 
-    for (std::uint32_t lanes : {1u, 2u, 4u, 8u, 64u}) {
+    // Repeated stateless runs on both machines: every one must match.
+    for (int round = 0; round < 4; ++round) {
         bare.image().resetMarkers();
         armed.image().resetMarkers();
-        BatchRunResult a = bare.runBatch(q, lanes);
-        BatchRunResult b = armed.runBatch(q, lanes);
+        const std::uint64_t bare_before = bare.eventsProcessed();
+        const std::uint64_t armed_before = armed.eventsProcessed();
+        RunResult a = bare.run(q);
+        RunResult b = armed.run(q);
         test::expectSameResults(a.results, b.results);
-        EXPECT_EQ(a.wallTicks, b.wallTicks) << "lanes " << lanes;
-        EXPECT_EQ(a.hostEvents, b.hostEvents) << "lanes " << lanes;
+        EXPECT_EQ(a.wallTicks, b.wallTicks) << "round " << round;
+        EXPECT_EQ(bare.eventsProcessed() - bare_before,
+                  armed.eventsProcessed() - armed_before)
+            << "round " << round;
         EXPECT_FALSE(b.fault.enabled)
             << "zero-rate plan must take the fault-free fast path";
         test::expectSameMarkers(armed.image(), bare.image().flatten(),
@@ -467,47 +473,40 @@ TEST(ServeFaults, StatelessLoadIsShedDuringAStorm)
         << "session requests must never be shed";
 }
 
-TEST(ServeFaults, BatchFallsBackToSoloOnPoisonedRun)
+TEST(ServeFaults, RunsWithInjectedFaultsNeverEnterTheAnswerCache)
 {
     SemanticNetwork net = makeTreeKb(300, 4);
     RelationType inc = net.relationId("includes");
     Program q = countQuery(0, inc);
 
-    MachineConfig mcfg = smallConfig();
-    SnapMachine direct(mcfg);
+    SnapMachine direct(smallConfig());
     direct.loadKb(net);
     RunResult golden = direct.run(q);
 
-    ServeConfig cfg = faultEngineConfig(1, 2, 0.01);
-    cfg.maxRetries = 30;
-    cfg.maxBatchLanes = 8;
-    cfg.startPaused = true;
+    // Delay-only faults pass the integrity shadow (the results are
+    // right) but stretch simulated time: an Ok answer that is not
+    // the fault-free answer, so it must never be cached.
+    ServeConfig cfg;
+    cfg.numWorkers = 1;
+    cfg.machine.numClusters = 8;
+    cfg.faults.seed = 5;
+    cfg.faults.icnDelayRate = 0.5;
     ServeEngine engine(net, cfg);
 
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < 8; ++i) {
+    constexpr int kRepeats = 6;
+    for (int i = 0; i < kRepeats; ++i) {
         Request req;
         req.prog = q;
-        futures.push_back(engine.submit(std::move(req)));
-    }
-    engine.start();
-    std::uint64_t ok = 0;
-    for (auto &f : futures) {
-        Response resp = f.get();
-        if (resp.status == RequestStatus::Ok) {
-            ++ok;
-            test::expectSameResults(resp.results, golden.results);
-        }
+        Response resp = engine.submit(std::move(req)).get();
+        ASSERT_EQ(resp.status, RequestStatus::Ok);
+        test::expectSameResults(resp.results, golden.results);
+        EXPECT_GT(resp.wallTicks, golden.wallTicks)
+            << "request " << i << " was not a delayed run";
     }
     serve::MetricsSnapshot m = engine.metricsSnapshot();
-    // One worker, one gulp, a fixed seed: the run is deterministic.
-    // At a 1% message-fault rate the shared pilot run trips
-    // detection, so the batch must have been evicted to the solo
-    // path, where per-lane retries recover clean runs.
-    EXPECT_GT(m.batchFallbacks, 0u);
-    EXPECT_GT(ok, 0u)
-        << "30 per-lane retries at 1% faults should recover "
-           "someone";
+    EXPECT_EQ(m.answerCache.misses, static_cast<std::uint64_t>(kRepeats));
+    EXPECT_EQ(m.answerCache.hits, 0u);
+    EXPECT_EQ(m.answerCache.admitted, 0u);
 }
 
 // --- hung-worker watchdog (satellite: shutdown hardening) ---------------

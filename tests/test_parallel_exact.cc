@@ -6,9 +6,9 @@
  * count the machine must produce the identical RunResult — results,
  * final marker state, simulated wall time, and the full statistics
  * breakdown — because cfg.hostThreads is a host-performance knob
- * with zero simulated-behaviour surface.  The same holds through
- * runBatch and through fault-injecting runs (same injections, same
- * detection outcomes).
+ * with zero simulated-behaviour surface.  The same holds for repeated
+ * stateless runs and through fault-injecting runs (same injections,
+ * same detection outcomes).
  */
 
 #include <gtest/gtest.h>
@@ -216,9 +216,11 @@ TEST(ParallelExactTest, BackToBackRunsStayExact)
     expectSameBreakdown(a2.stats, b2.stats);
 }
 
-/** Lane-batched execution under threads: per-lane answers identical
- *  to the solo run at every thread count. */
-TEST(ParallelExactTest, BatchedSoloParallelAgree)
+/** Stateless re-runs under threads: a machine that has already run
+ *  the program, with its markers reset, answers exactly like a fresh
+ *  one at every thread count — the property the serving engine's
+ *  answer cache stands on. */
+TEST(ParallelExactTest, RepeatedStatelessRunsAgree)
 {
     Workload w = makeExerciser(4, 5);
     for (std::uint32_t threads : {1u, 4u}) {
@@ -227,19 +229,20 @@ TEST(ParallelExactTest, BatchedSoloParallelAgree)
         cfg.partition = PartitionStrategy::RoundRobin;
         cfg.maxNodesPerCluster = capacity::maxNodes;
         cfg.hostThreads = threads;
-        SnapMachine solo(cfg);
-        solo.loadKb(w.net);
-        RunResult sr = solo.run(w.prog);
+        SnapMachine fresh(cfg);
+        fresh.loadKb(w.net);
+        RunResult first = fresh.run(w.prog);
 
-        SnapMachine batcher(cfg);
-        batcher.loadKb(w.net);
-        BatchRunResult br = batcher.runBatch(w.prog, 8);
+        SnapMachine reused(cfg);
+        reused.loadKb(w.net);
+        reused.run(w.prog);
+        reused.image().resetMarkers();
+        RunResult again = reused.run(w.prog);
 
         SCOPED_TRACE("threads " + std::to_string(threads));
-        EXPECT_EQ(br.lanes, 8u);
-        EXPECT_EQ(br.wallTicks, sr.wallTicks);
-        test::expectSameResults(sr.results, br.results);
-        expectSameBreakdown(sr.stats, br.stats);
+        EXPECT_EQ(again.wallTicks, first.wallTicks);
+        test::expectSameResults(first.results, again.results);
+        expectSameBreakdown(first.stats, again.stats);
     }
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Tests for the concurrent query-serving subsystem: the bounded MPMC
  * queue, the latency histogram, thread-safe logging, shared-image
- * replication, and the engine's determinism / session / admission
- * semantics.  The concurrency tests double as the TSan CI workload.
+ * replication, the answer cache, and the engine's determinism /
+ * session / admission semantics.  The concurrency tests double as the
+ * TSan CI workload.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +19,14 @@
 
 #include "common/histogram.hh"
 #include "common/logging.hh"
+#include "fault/fault_plan.hh"
+#include "nlu/corpus.hh"
+#include "nlu/kb_factory.hh"
+#include "nlu/mb_parser.hh"
+#include "serve/answer_cache.hh"
 #include "serve/engine.hh"
 #include "serve/request_queue.hh"
+#include "shard/protocol.hh"
 #include "tests/test_helpers.hh"
 #include "workload/kb_gen.hh"
 
@@ -533,354 +540,343 @@ TEST(ServeEngine, MetricsJsonIsWellFormed)
               std::count(json.begin(), json.end(), ']'));
 }
 
-// --- queue extraction (the batch former's gulp primitive) ---------------
+// --- answer cache ---------------------------------------------------------
 
-TEST(BoundedQueue, ExtractMatchingPreservesBothFifoOrders)
+using serve::AnswerCache;
+
+/** One-result answer whose size depends only on @p nodes. */
+ResultSet
+answerOf(std::uint32_t nodes, float value)
 {
-    BoundedQueue<int> q(8);
-    for (int v : {1, 10, 2, 20, 3, 30})
-        ASSERT_TRUE(q.tryPush(v));
-
-    std::vector<int> out;
-    std::size_t n = q.extractMatching(
-        [](const int &v) { return v >= 10; }, 2, out,
-        std::chrono::steady_clock::now());  // past deadline: no wait
-    EXPECT_EQ(n, 2u);
-    EXPECT_EQ(out, (std::vector<int>{10, 20}));
-
-    // Survivors keep FIFO order, including the unmatched 30 (the
-    // limit was hit first).
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.pop().value(), 3);
-    EXPECT_EQ(q.pop().value(), 30);
-    EXPECT_EQ(q.depth(), 0u);
-
-    // The freed slots are reusable (ring compaction intact).
-    for (int v = 100; v < 108; ++v)
-        EXPECT_TRUE(q.tryPush(v));
-    EXPECT_FALSE(q.tryPush(200));
-    for (int v = 100; v < 108; ++v)
-        EXPECT_EQ(q.pop().value(), v);
+    CollectResult r;
+    for (std::uint32_t n = 0; n < nodes; ++n)
+        r.nodes.push_back(CollectedNode{n, value, invalidNode});
+    return ResultSet{r};
 }
 
-TEST(BoundedQueue, ExtractMatchingWaitsForLatePartners)
+/** Offer @p key's answer twice: the second offer admits it. */
+void
+admit(AnswerCache &cache, const AnswerCache::Key &key,
+      const ResultSet &answer, Tick wall)
 {
-    BoundedQueue<int> q(8);
-    ASSERT_TRUE(q.tryPush(5));
-    std::thread producer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        q.tryPush(6);
-        q.tryPush(7);
-    });
-    std::vector<int> out;
-    std::size_t n = q.extractMatching(
-        [](const int &v) { return v >= 6; }, 2, out,
-        std::chrono::steady_clock::now() +
-            std::chrono::seconds(10));
-    producer.join();
-    EXPECT_EQ(n, 2u);
-    EXPECT_EQ(out, (std::vector<int>{6, 7}));
-    EXPECT_EQ(q.pop().value(), 5);
+    cache.insert(key, answer, wall);
+    cache.insert(key, answer, wall);
 }
 
-TEST(BoundedQueue, ExtractMatchingUnblocksOnClose)
+TEST(AnswerCache, SameHashDifferentBytesNeverCrossHit)
 {
-    BoundedQueue<int> q(4);
-    std::thread closer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        q.close();
-    });
-    std::vector<int> out;
-    std::size_t n = q.extractMatching(
-        [](const int &) { return true; }, 4, out,
-        std::chrono::steady_clock::now() +
-            std::chrono::seconds(60));
-    closer.join();
-    EXPECT_EQ(n, 0u);
+    Program a = countQuery(0, 1, 0.0f);
+    Program b = countQuery(1, 1, 0.0f);
+    // Force both programs into one bucket, as a hash collision (or a
+    // program crafted to collide) would.
+    const std::uint64_t h = a.contentHash();
+    AnswerCache::Key ka = AnswerCache::keyOf(a, h);
+    AnswerCache::Key kb = AnswerCache::keyOf(b, h);
+    ASSERT_NE(ka.bytes, kb.bytes);
+
+    AnswerCache cache;
+    admit(cache, ka, answerOf(3, 1.0f), 111);
+    ResultSet out;
+    Tick wall = 0;
+    EXPECT_FALSE(cache.lookup(kb, out, wall))
+        << "a colliding program must not see another's answer";
+
+    admit(cache, kb, answerOf(5, 2.0f), 222);
+    ASSERT_TRUE(cache.lookup(ka, out, wall));
+    EXPECT_EQ(wall, 111u);
+    EXPECT_EQ(out[0].nodes.size(), 3u);
+    ASSERT_TRUE(cache.lookup(kb, out, wall));
+    EXPECT_EQ(wall, 222u);
+    EXPECT_EQ(out[0].nodes.size(), 5u);
+    EXPECT_EQ(cache.stats().entries, 2u);
 }
 
-// The gulp primitive racing producers, a plain-pop consumer, and a
-// mid-stream close: every accepted item must come out exactly once,
-// through exactly one of the two consumption paths, and every
-// extracted item must satisfy the predicate.  (TSan workload.)
-TEST(BoundedQueue, ConcurrentExtractPushCloseAccountsForEveryItem)
+TEST(AnswerCache, EveryFieldIsPartOfTheKey)
 {
-    constexpr int kProducers = 4;
-    constexpr int kPerProducer = 400;
-    BoundedQueue<int> q(32);
+    Program base = countQuery(7, 1, 0.0f);
 
-    std::vector<std::thread> producers;
-    std::vector<std::vector<int>> accepted(kProducers);
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&, p] {
-            for (int i = 0; i < kPerProducer; ++i) {
-                int v = p * 10'000 + i;
-                // Retry on backpressure: the queue only closes after
-                // the producers join, so every item lands eventually.
-                while (!q.tryPush(v))
-                    std::this_thread::yield();
-                accepted[p].push_back(v);
-            }
-        });
+    Program neg_zero;  // -0.0f search value: a different bit pattern
+    {
+        RuleId rule = neg_zero.addRule(PropRule::chain(1));
+        neg_zero.append(Instruction::searchNode(7, 0, -0.0f));
+        neg_zero.append(Instruction::propagate(0, 1, rule,
+                                               MarkerFunc::Count));
+        neg_zero.append(Instruction::barrier());
+        neg_zero.append(Instruction::collectMarker(1));
+    }
+    Program steps;  // same instructions, a tighter rule step bound
+    {
+        PropRule r = PropRule::chain(1);
+        r.maxSteps = 63;
+        RuleId rule = steps.addRule(r);
+        steps.append(Instruction::searchNode(7, 0, 0.0f));
+        steps.append(Instruction::propagate(0, 1, rule,
+                                            MarkerFunc::Count));
+        steps.append(Instruction::barrier());
+        steps.append(Instruction::collectMarker(1));
+    }
+    Program renamed;  // rule names do not affect execution
+    {
+        PropRule r = PropRule::chain(1);
+        r.name = "another-name";
+        RuleId rule = renamed.addRule(r);
+        renamed.append(Instruction::searchNode(7, 0, 0.0f));
+        renamed.append(Instruction::propagate(0, 1, rule,
+                                              MarkerFunc::Count));
+        renamed.append(Instruction::barrier());
+        renamed.append(Instruction::collectMarker(1));
     }
 
-    std::vector<int> extracted;
-    std::thread extractor([&] {
-        auto even = [](const int &v) { return v % 2 == 0; };
-        for (;;) {
-            std::size_t n = q.extractMatching(
-                even, 8, extracted,
-                std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(1));
-            if (n == 0 && q.closed())
-                break;
-        }
-    });
+    auto key = [](const Program &p) {
+        return AnswerCache::keyOf(p, p.contentHash());
+    };
+    AnswerCache cache;
+    admit(cache, key(base), answerOf(2, 1.0f), 10);
+    ResultSet out;
+    Tick wall = 0;
+    for (const Program *p : {&neg_zero, &steps}) {
+        EXPECT_NE(key(*p).bytes, key(base).bytes);
+        EXPECT_NE(p->contentHash(), base.contentHash());
+        EXPECT_FALSE(cache.lookup(key(*p), out, wall));
+    }
+    EXPECT_EQ(key(renamed).bytes, key(base).bytes);
+    EXPECT_TRUE(cache.lookup(key(renamed), out, wall));
 
-    std::vector<int> popped;
-    std::thread popper([&] {
-        while (auto v = q.pop())
-            popped.push_back(*v);
-    });
-
-    for (auto &t : producers)
-        t.join();
-    q.close();
-    extractor.join();
-    popper.join();
-
-    for (int v : extracted)
-        EXPECT_EQ(v % 2, 0) << "extractMatching broke its predicate";
-
-    std::multiset<int> got(extracted.begin(), extracted.end());
-    got.insert(popped.begin(), popped.end());
-    std::multiset<int> want;
-    for (const auto &vec : accepted)
-        want.insert(vec.begin(), vec.end());
-    EXPECT_EQ(got.size(),
-              static_cast<std::size_t>(kProducers * kPerProducer));
-    EXPECT_EQ(got, want)
-        << "an accepted item was lost or duplicated across the "
-           "extract/pop race";
+    admit(cache, key(neg_zero), answerOf(2, 2.0f), 20);
+    admit(cache, key(steps), answerOf(2, 3.0f), 30);
+    EXPECT_EQ(cache.stats().entries, 3u);
+    ASSERT_TRUE(cache.lookup(key(steps), out, wall));
+    EXPECT_EQ(wall, 30u);
 }
 
-// --- lane batching ------------------------------------------------------
+TEST(AnswerCache, SecondCleanRunAdmits)
+{
+    Program p = countQuery(0, 1, 0.0f);
+    AnswerCache::Key k = AnswerCache::keyOf(p, p.contentHash());
+    AnswerCache cache;
+    ResultSet out;
+    Tick wall = 0;
+    cache.insert(k, answerOf(1, 1.0f), 5);
+    EXPECT_FALSE(cache.lookup(k, out, wall)) << "first sighting only";
+    EXPECT_EQ(cache.stats().admitted, 0u);
+    cache.insert(k, answerOf(1, 1.0f), 5);
+    EXPECT_TRUE(cache.lookup(k, out, wall));
+    EXPECT_EQ(cache.stats().admitted, 1u);
+    cache.insert(k, answerOf(1, 1.0f), 5);
+    EXPECT_EQ(cache.stats().entries, 1u) << "no duplicate entries";
 
-TEST(ServeEngine, BatchedAnswersMatchSoloBitForBit)
+    cache.clear();
+    EXPECT_FALSE(cache.lookup(k, out, wall));
+    EXPECT_EQ(cache.stats().bytes, 0u);
+    cache.insert(k, answerOf(1, 1.0f), 5);
+    EXPECT_EQ(cache.stats().entries, 0u)
+        << "clear() forgets first sightings too";
+}
+
+TEST(AnswerCache, LruEvictionStaysWithinTheByteBudget)
+{
+    std::vector<AnswerCache::Key> keys;
+    for (NodeId n = 0; n < 4; ++n) {
+        Program p = countQuery(n, 1, 0.0f);
+        keys.push_back(AnswerCache::keyOf(p, p.contentHash()));
+    }
+    const ResultSet answer = answerOf(16, 1.0f);
+    std::size_t entry_bytes = 0;
+    {
+        AnswerCache probe;
+        admit(probe, keys[0], answer, 1);
+        entry_bytes = probe.stats().bytes;
+    }
+    ASSERT_GT(entry_bytes, 0u);
+
+    // Room for three entries of this size.
+    AnswerCache cache(3 * entry_bytes + entry_bytes / 2);
+    admit(cache, keys[0], answer, 1);
+    admit(cache, keys[1], answer, 1);
+    admit(cache, keys[2], answer, 1);
+    EXPECT_EQ(cache.stats().bytes, 3 * entry_bytes);
+    ResultSet out;
+    Tick wall = 0;
+    ASSERT_TRUE(cache.lookup(keys[0], out, wall));  // 1 is now oldest
+    admit(cache, keys[3], answer, 1);
+    AnswerCache::Stats st = cache.stats();
+    EXPECT_EQ(st.evictions, 1u);
+    EXPECT_EQ(st.entries, 3u);
+    EXPECT_LE(st.bytes, 3 * entry_bytes + entry_bytes / 2);
+    EXPECT_FALSE(cache.lookup(keys[1], out, wall))
+        << "the least recently used entry is the one evicted";
+    EXPECT_TRUE(cache.lookup(keys[0], out, wall));
+    EXPECT_TRUE(cache.lookup(keys[2], out, wall));
+    EXPECT_TRUE(cache.lookup(keys[3], out, wall));
+
+    // An answer bigger than the whole budget is never stored.
+    AnswerCache tiny(entry_bytes / 2);
+    admit(tiny, keys[0], answer, 1);
+    EXPECT_EQ(tiny.stats().admitted, 0u);
+    EXPECT_EQ(tiny.stats().bytes, 0u);
+}
+
+/** Canonical wire bytes of a result set: "byte-identical" made
+ *  literal. */
+std::vector<std::uint8_t>
+resultBytes(const ResultSet &results)
+{
+    shard::WireWriter w;
+    shard::encodeResults(w, results);
+    return w.take();
+}
+
+TEST(ServeEngine, FirstCacheHitIsTheThirdServe)
 {
     SemanticNetwork net = makeTreeKb(300, 4);
-    RelationType inc = net.relationId("includes");
-    Program prog = countQuery(0, inc, 0.0f);
-
-    // Solo reference.
-    MachineConfig mcfg = smallEngineConfig(1).machine;
-    SnapMachine direct(mcfg);
+    Program prog = countQuery(0, net.relationId("includes"), 0.0f);
+    SnapMachine direct(smallEngineConfig(1).machine);
     direct.loadKb(net);
     RunResult ref = direct.run(prog);
 
-    ServeConfig cfg = smallEngineConfig(1);
-    cfg.startPaused = true;  // everything queues, then one gulp
-    cfg.maxBatchLanes = 8;
-    ServeEngine engine(net, cfg);
-
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < 8; ++i) {
+    ServeEngine engine(net, smallEngineConfig(1));
+    const std::uint64_t want_hits[] = {0, 0, 1, 2};
+    const std::uint64_t want_admitted[] = {0, 1, 1, 1};
+    for (int i = 0; i < 4; ++i) {
         Request req;
         req.prog = prog;
-        futures.push_back(engine.submit(std::move(req)));
-    }
-    engine.start();
-    for (auto &f : futures) {
-        Response resp = f.get();
+        Response resp = engine.submit(std::move(req)).get();
         ASSERT_EQ(resp.status, RequestStatus::Ok);
-        EXPECT_EQ(resp.batchLanes, 8u);
-        EXPECT_EQ(resp.wallTicks, ref.wallTicks)
-            << "batching must not change simulated time";
-        test::expectSameResults(resp.results, ref.results);
-    }
-
-    serve::MetricsSnapshot m = engine.metricsSnapshot();
-    EXPECT_EQ(m.completed, 8u);
-    EXPECT_EQ(m.batches, 1u);
-    EXPECT_EQ(m.batchedRequests, 8u);
-    EXPECT_DOUBLE_EQ(m.batchLanes.mean(), 8.0);
-}
-
-TEST(ServeEngine, WideBatchCrossesLaneWordSeam)
-{
-    // 96 lanes: two row words with a 32-lane tail — the serve path's
-    // first stop past the old single-word (64-lane) ceiling.  Also
-    // pins the exact batch_lanes histogram: the log-linear histogram
-    // it replaced had 8-wide buckets at 96 and would misreport the
-    // quantiles.
-    SemanticNetwork net = makeTreeKb(300, 4);
-    RelationType inc = net.relationId("includes");
-    Program prog = countQuery(0, inc, 0.0f);
-
-    MachineConfig mcfg = smallEngineConfig(1).machine;
-    SnapMachine direct(mcfg);
-    direct.loadKb(net);
-    RunResult ref = direct.run(prog);
-
-    ServeConfig cfg = smallEngineConfig(1);
-    cfg.startPaused = true;
-    cfg.maxBatchLanes = 96;
-    ServeEngine engine(net, cfg);
-
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < 96; ++i) {
-        Request req;
-        req.prog = prog;
-        futures.push_back(engine.submit(std::move(req)));
-    }
-    engine.start();
-    for (auto &f : futures) {
-        Response resp = f.get();
-        ASSERT_EQ(resp.status, RequestStatus::Ok);
-        EXPECT_EQ(resp.batchLanes, 96u);
-        EXPECT_EQ(resp.wallTicks, ref.wallTicks)
-            << "wide batching must not change simulated time";
-        test::expectSameResults(resp.results, ref.results);
-    }
-
-    serve::MetricsSnapshot m = engine.metricsSnapshot();
-    EXPECT_EQ(m.completed, 96u);
-    EXPECT_EQ(m.batches, 1u);
-    EXPECT_EQ(m.batchedRequests, 96u);
-    EXPECT_DOUBLE_EQ(m.batchLanes.mean(), 96.0);
-    EXPECT_DOUBLE_EQ(m.batchLanes.quantile(0.5), 96.0);
-    EXPECT_DOUBLE_EQ(m.batchLanes.quantile(0.99), 96.0)
-        << "batch_lanes must bucket exactly above 64 lanes";
-    EXPECT_DOUBLE_EQ(m.batchLanes.max(), 96.0);
-}
-
-TEST(ServeEngine, BatchFormerGroupsByProgramHash)
-{
-    SemanticNetwork net = makeTreeKb(300, 4);
-    RelationType inc = net.relationId("includes");
-    RelationType isa = net.relationId("is-a");
-    Program down = countQuery(0, inc, 0.0f);
-    Program up = countQuery(77, isa, 0.0f);
-
-    EXPECT_EQ(down.contentHash(), countQuery(0, inc, 0.0f)
-                                      .contentHash());
-    EXPECT_NE(down.contentHash(), up.contentHash());
-
-    MachineConfig mcfg = smallEngineConfig(1).machine;
-    SnapMachine direct(mcfg);
-    direct.loadKb(net);
-    RunResult ref_down = direct.run(down);
-    direct.image().resetMarkers();
-    RunResult ref_up = direct.run(up);
-
-    ServeConfig cfg = smallEngineConfig(1);
-    cfg.startPaused = true;
-    cfg.maxBatchLanes = 64;
-    ServeEngine engine(net, cfg);
-
-    // Interleave the two programs: the former must split them into
-    // two same-hash batches, never mix lanes across programs.
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < 10; ++i) {
-        Request req;
-        req.prog = (i % 2 == 0) ? down : up;
-        futures.push_back(engine.submit(std::move(req)));
-    }
-    engine.start();
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        Response resp = futures[i].get();
-        ASSERT_EQ(resp.status, RequestStatus::Ok);
-        EXPECT_EQ(resp.batchLanes, 5u);
-        const RunResult &ref = (i % 2 == 0) ? ref_down : ref_up;
-        EXPECT_EQ(resp.wallTicks, ref.wallTicks) << "query " << i;
-        test::expectSameResults(resp.results, ref.results);
+        EXPECT_EQ(resp.wallTicks, ref.wallTicks) << "serve " << i;
+        EXPECT_EQ(resultBytes(resp.results), resultBytes(ref.results))
+            << "serve " << i;
+        serve::MetricsSnapshot m = engine.metricsSnapshot();
+        EXPECT_EQ(m.answerCache.hits, want_hits[i]) << "serve " << i;
+        EXPECT_EQ(m.answerCache.admitted, want_admitted[i])
+            << "serve " << i;
     }
     serve::MetricsSnapshot m = engine.metricsSnapshot();
-    EXPECT_EQ(m.batches, 2u);
-    EXPECT_EQ(m.batchedRequests, 10u);
+    EXPECT_EQ(m.completed, 4u);
+    EXPECT_EQ(m.answerCache.misses, 2u);
+    EXPECT_EQ(m.workers[0].busyTicks, 2 * ref.wallTicks)
+        << "hits bill no simulated busy time";
 }
 
-TEST(ServeEngine, StragglerFallsBackToSoloPath)
+TEST(ServeEngine, CacheHitsAreByteIdenticalToSoloRuns)
 {
-    SemanticNetwork net = makeTreeKb(300, 4);
-    RelationType inc = net.relationId("includes");
-
-    ServeConfig cfg = smallEngineConfig(1);
-    cfg.startPaused = true;
-    cfg.maxBatchLanes = 8;  // window 0: gulp only what is queued
-    ServeEngine engine(net, cfg);
-
-    Request req;
-    req.prog = countQuery(0, inc, 0.0f);
-    auto fut = engine.submit(std::move(req));
-    engine.start();
-    Response resp = fut.get();
-    ASSERT_EQ(resp.status, RequestStatus::Ok);
-    EXPECT_EQ(resp.batchLanes, 1u) << "no partner: solo service";
-
-    serve::MetricsSnapshot m = engine.metricsSnapshot();
-    EXPECT_EQ(m.completed, 1u);
-    EXPECT_EQ(m.batches, 0u) << "a solo run is not a batch";
-}
-
-TEST(ServeEngine, SessionsNeverBatch)
-{
-    SemanticNetwork net = makeTreeKb(300, 4);
-    RelationType inc = net.relationId("includes");
+    // Sentence parses on a linguistic KB, plus inheritance probes.
+    LinguisticKbParams params;
+    params.nonlexicalNodes = 1200;
+    params.vocabulary = 200;
+    params.seed = 17;
+    LinguisticKb kb(params);
+    MemoryBasedParser parser(kb);
+    std::vector<Program> progs;
+    for (const Sentence &s : makeNewswireBatch(kb.lexicon(), 4, 7))
+        progs.push_back(parser.buildProgram(s.words));
+    const SemanticNetwork &net = kb.net();
+    for (NodeId n = 0; n < 3; ++n)
+        progs.push_back(countQuery(n * 11, 0, 0.0f));
 
     ServeConfig cfg = smallEngineConfig(2);
-    cfg.startPaused = true;
-    cfg.maxBatchLanes = 8;
-    ServeEngine engine(net, cfg);
-
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < 4; ++i) {
-        Request req;
-        req.sessionId = "s1";
-        req.prog = countQuery(0, inc, 0.0f);
-        futures.push_back(engine.submit(std::move(req)));
+    SnapMachine direct(cfg.machine);
+    direct.loadKb(net);
+    std::vector<RunResult> ref;
+    for (const Program &p : progs) {
+        ASSERT_TRUE(programIsPure(p));
+        direct.image().resetMarkers();
+        ref.push_back(direct.run(p));
     }
-    engine.start();
-    for (auto &f : futures) {
-        Response resp = f.get();
-        ASSERT_EQ(resp.status, RequestStatus::Ok);
-        EXPECT_EQ(resp.batchLanes, 1u)
-            << "session requests carry state and must run solo";
+
+    ServeEngine engine(net, cfg);
+    constexpr int kRounds = 4;
+    for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::future<Response>> futures;
+        for (const Program &p : progs) {
+            Request req;
+            req.prog = p;
+            futures.push_back(engine.submit(std::move(req)));
+        }
+        for (std::size_t i = 0; i < futures.size(); ++i) {
+            Response resp = futures[i].get();
+            ASSERT_EQ(resp.status, RequestStatus::Ok);
+            EXPECT_EQ(resp.wallTicks, ref[i].wallTicks)
+                << "round " << round << " program " << i;
+            EXPECT_EQ(resultBytes(resp.results),
+                      resultBytes(ref[i].results))
+                << "round " << round << " program " << i;
+        }
     }
     serve::MetricsSnapshot m = engine.metricsSnapshot();
-    EXPECT_EQ(m.batches, 0u);
+    EXPECT_EQ(m.answerCache.admitted, progs.size());
+    EXPECT_GE(m.answerCache.hits, progs.size())
+        << "the last round must be all hits";
+    EXPECT_EQ(m.answerCache.hits + m.answerCache.misses,
+              kRounds * progs.size());
 }
 
-TEST(ServeEngine, BatchWindowCollectsLateArrivals)
+TEST(ServeEngine, SessionsAndImpureProgramsBypassTheCache)
 {
     SemanticNetwork net = makeTreeKb(300, 4);
     RelationType inc = net.relationId("includes");
-    Program prog = countQuery(0, inc, 0.0f);
+    // Re-colouring a node with its own colour leaves the KB as it
+    // was, but is a maintenance opcode: not a pure program.
+    Program impure = countQuery(0, inc, 0.0f);
+    impure.append(Instruction::setColor(5, net.color(5)));
+    ASSERT_FALSE(programIsPure(impure));
+
+    ServeEngine engine(net, smallEngineConfig(1));
+    for (int i = 0; i < 3; ++i) {
+        Request sess;
+        sess.sessionId = "s";
+        sess.prog = countQuery(0, inc, 0.0f);
+        ASSERT_EQ(engine.submit(std::move(sess)).get().status,
+                  RequestStatus::Ok);
+        Request req;
+        req.prog = impure;
+        ASSERT_EQ(engine.submit(std::move(req)).get().status,
+                  RequestStatus::Ok);
+    }
+    serve::MetricsSnapshot m = engine.metricsSnapshot();
+    EXPECT_EQ(m.completed, 6u);
+    EXPECT_EQ(m.answerCache.hits, 0u);
+    EXPECT_EQ(m.answerCache.misses, 0u);
+    EXPECT_EQ(m.answerCache.admitted, 0u);
+}
+
+TEST(ServeEngine, SwapImageFlushesTheCache)
+{
+    SemanticNetwork before = makeTreeKb(300, 4);
+    SemanticNetwork after = makeTreeKb(300, 3);
+    ASSERT_EQ(before.relationId("includes"),
+              after.relationId("includes"));
+    Program prog = countQuery(0, before.relationId("includes"), 0.0f);
 
     ServeConfig cfg = smallEngineConfig(1);
-    cfg.maxBatchLanes = 4;
-    cfg.batchWindowMs = 2000.0;  // worker waits for partners
-    ServeEngine engine(net, cfg);
+    SnapMachine direct(cfg.machine);
+    direct.loadKb(after);
+    RunResult ref_after = direct.run(prog);
 
-    // Engine running: the worker pops the first request, then parks
-    // in the window until the remaining lanes (or the cap) arrive.
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < 4; ++i) {
+    ServeEngine engine(before, cfg);
+    auto serveOnce = [&] {
         Request req;
         req.prog = prog;
-        futures.push_back(engine.submit(std::move(req)));
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    std::uint64_t total_lanes = 0;
-    for (auto &f : futures) {
-        Response resp = f.get();
+        return engine.submit(std::move(req)).get();
+    };
+    for (int i = 0; i < 3; ++i)
+        serveOnce();
+    ASSERT_EQ(engine.metricsSnapshot().answerCache.hits, 1u);
+    ASSERT_NE(serveOnce().wallTicks, ref_after.wallTicks)
+        << "the two images must answer differently for this test";
+
+    std::string err;
+    ASSERT_TRUE(engine.swapImage(
+        after, std::make_unique<KbImage>(after, cfg.machine), err))
+        << err;
+    EXPECT_EQ(engine.metricsSnapshot().answerCache.bytes, 0u);
+    for (int i = 0; i < 3; ++i) {
+        Response resp = serveOnce();
         ASSERT_EQ(resp.status, RequestStatus::Ok);
-        total_lanes += resp.batchLanes;
+        EXPECT_EQ(resp.wallTicks, ref_after.wallTicks) << "serve " << i;
+        EXPECT_EQ(resultBytes(resp.results),
+                  resultBytes(ref_after.results))
+            << "serve " << i;
     }
-    // Timing-dependent split, but the window must have merged at
-    // least once (4 solo runs would sum to 4).
-    EXPECT_GT(total_lanes, 4u) << "window formed no batch at all";
 }
 
 TEST(ServeEngine, ResponseSlotPathMatchesFuturePath)

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <future>
@@ -39,6 +40,35 @@
 #include "shard/wire_format.hh"
 #include "tests/test_helpers.hh"
 #include "workload/kb_gen.hh"
+
+// Largest single heap allocation made while g_trackAllocs is set: the
+// decoders must never size an allocation from an unverified count.
+static std::atomic<bool> g_trackAllocs{false};
+static std::atomic<std::size_t> g_largestAlloc{0};
+
+static void *
+trackedAlloc(std::size_t n)
+{
+    if (g_trackAllocs.load(std::memory_order_relaxed)) {
+        std::size_t seen = g_largestAlloc.load(std::memory_order_relaxed);
+        while (n > seen &&
+               !g_largestAlloc.compare_exchange_weak(seen, n))
+        {}
+    }
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *operator new(std::size_t n) { return trackedAlloc(n); }
+void *operator new[](std::size_t n) { return trackedAlloc(n); }
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace snap
 {
@@ -172,7 +202,6 @@ TEST(ShardProtocol, ResponseRoundTripPreservesResults)
     in.queueMs = 0.25;
     in.serviceMs = 3.5;
     in.worker = 2;
-    in.batchLanes = 4;
     in.retries = 1;
     in.faultDetected = true;
     CollectResult res;
@@ -191,7 +220,8 @@ TEST(ShardProtocol, ResponseRoundTripPreservesResults)
     EXPECT_EQ(out.id, in.id);
     EXPECT_EQ(out.status, in.status);
     EXPECT_EQ(out.wallTicks, in.wallTicks);
-    EXPECT_EQ(out.batchLanes, in.batchLanes);
+    EXPECT_EQ(out.worker, in.worker);
+    EXPECT_EQ(out.retries, in.retries);
     EXPECT_TRUE(out.faultDetected);
     ASSERT_EQ(out.results.size(), 1u);
     EXPECT_EQ(out.results[0].nodes, in.results[0].nodes);
@@ -256,7 +286,6 @@ encodedResponseBytes(shard::ResponseFrame *orig = nullptr)
     in.wallTicks = 4242;
     in.rngSeed = 13;
     in.serviceMs = 1.5;
-    in.batchLanes = 2;
     CollectResult res;
     res.op = Opcode::CollectMarker;
     res.marker = 1;
@@ -306,17 +335,16 @@ TEST(ShardProtocol, TruncationAtEveryOffsetIsRejected)
         },
         "request");
 
-    // Response: the only survivable cut is the v1 tail (a payload
-    // missing exactly its trailing 8 checksum bytes — an old peer).
-    std::vector<std::uint8_t> resp = encodedResponseBytes();
+    // Response: the checksum is mandatory, so no cut survives — not
+    // even the one that drops exactly the trailing checksum.
     expectEveryTruncationRejected(
-        resp,
+        encodedResponseBytes(),
         [](const std::uint8_t *d, std::size_t n) {
             WireReader r(d, n);
             shard::ResponseFrame out;
             return shard::decodeResponse(r, out);
         },
-        "response", resp.size() - 8);
+        "response");
 
     // HelloAck: the v2 tail (payload missing exactly its trailing
     // 8 traceClockNs bytes — an old peer) is the only survivable
@@ -607,15 +635,53 @@ TEST(ShardProtocol, ResponseChecksumCatchesEveryByteFlip)
             << "flip at byte " << i << " decoded";
     }
 
-    // Version tolerance: a v1 peer sends the same payload without
-    // the trailing checksum; that must still decode and match.
-    std::vector<std::uint8_t> v1(bytes.begin(), bytes.end() - 8);
-    WireReader r(v1.data(), v1.size());
+    // The intact frame decodes and matches.
+    {
+        WireReader r(bytes.data(), bytes.size());
+        shard::ResponseFrame out;
+        ASSERT_TRUE(shard::decodeResponse(r, out));
+        EXPECT_EQ(out.id, orig.id);
+        ASSERT_EQ(out.results.size(), 1u);
+        EXPECT_EQ(out.results[0].nodes, orig.results[0].nodes);
+    }
+
+    // No version tolerance: the same payload without its checksum (a
+    // checksum-less peer) is rejected, not trusted unchecked.
+    std::vector<std::uint8_t> unchecked(bytes.begin(), bytes.end() - 8);
+    WireReader r(unchecked.data(), unchecked.size());
     shard::ResponseFrame out;
-    ASSERT_TRUE(shard::decodeResponse(r, out));
-    EXPECT_EQ(out.id, orig.id);
-    ASSERT_EQ(out.results.size(), 1u);
-    EXPECT_EQ(out.results[0].nodes, orig.results[0].nodes);
+    EXPECT_FALSE(shard::decodeResponse(r, out));
+}
+
+TEST(ShardProtocol, HugeResultCountIsRejectedWithoutAllocating)
+{
+    // A well-formed header, then a result count of 2^32 - 1 with no
+    // results behind it, sealed with a correct checksum: integrity
+    // passes, so the count bound alone must stop the decode.
+    WireWriter w;
+    w.u64(1);                              // id
+    w.u8(0);                               // status Ok
+    w.u64(0);                              // wallTicks
+    w.u64(0);                              // rngSeed
+    w.f64(0.0);                            // queueMs
+    w.f64(0.0);                            // serviceMs
+    w.u32(0);                              // worker
+    w.u32(0);                              // retries
+    w.u8(0);                               // faultDetected
+    w.u32(0xffffffffu);                    // claimed result count
+    w.u64(shard::fnv1a64(w.bytes().data(), w.size()));
+    const std::vector<std::uint8_t> bytes = w.take();
+
+    shard::ResponseFrame out;
+    g_largestAlloc.store(0);
+    g_trackAllocs.store(true);
+    WireReader r(bytes.data(), bytes.size());
+    const bool decoded = shard::decodeResponse(r, out);
+    g_trackAllocs.store(false);
+    EXPECT_FALSE(decoded);
+    EXPECT_LT(g_largestAlloc.load(), 4096u)
+        << "the decoder sized an allocation from the claimed count";
+    EXPECT_TRUE(out.results.empty());
 }
 
 // --- typed endpoint errors ----------------------------------------------
@@ -952,11 +1018,15 @@ TEST_F(ShardFleetTest, TracedAnswersMatchAndFleetStatsAggregate)
     }
 
     // On-demand stats pull: each shard answers with its engine +
-    // logger registry snapshot.
+    // logger registry snapshot.  A second pull replaces the first: it
+    // carries the same series, not the first pull's samples again.
     for (std::uint32_t s = 0; s < 2; ++s) {
-        shard::StatsSnapshotFrame snap;
+        shard::StatsSnapshotFrame first, snap;
         std::string err;
+        ASSERT_TRUE(router.pullShardStats(s, first, err)) << err;
         ASSERT_TRUE(router.pullShardStats(s, snap, err)) << err;
+        EXPECT_EQ(snap.samples.size(), first.samples.size())
+            << "shard " << s;
         EXPECT_FALSE(snap.samples.empty());
         bool saw_engine = false, saw_logger = false;
         for (const auto &smp : snap.samples) {
@@ -975,7 +1045,11 @@ TEST_F(ShardFleetTest, TracedAnswersMatchAndFleetStatsAggregate)
     router.exportFleetMetrics(reg);
     double shards_up = -1.0;
     bool saw_shard0 = false, saw_shard1 = false, slow_total = false;
+    std::map<std::pair<std::string, MetricsRegistry::Labels>, int>
+        series;
     for (const auto &smp : reg.samples()) {
+        const int copies = ++series[std::make_pair(smp.name, smp.labels)];
+        EXPECT_EQ(copies, 1) << "duplicate fleet series " << smp.name;
         if (smp.name == "snap_router_shards_up")
             shards_up = smp.value;
         if (smp.name == "snap_router_slow_queries_total") {
@@ -1522,6 +1596,51 @@ TEST_F(ShardFleetTest, PlannedDrainMigratesSessionState)
     test::expectSameResults(r2.results, ref2.results);
     ASSERT_FALSE(ref2.results.empty());
     ASSERT_FALSE(ref2.results[0].nodes.empty());
+}
+
+TEST_F(ShardFleetTest, ShutdownBehindAFailedReplyStillStopsTheShard)
+{
+    // A draining router writes Shutdown and stops reading at once, so
+    // the shard's reply to a frame queued just before it (a health
+    // probe, a replicator pull) fails.  That failure must not end the
+    // read loop before the Shutdown is read, or the shard never exits.
+    TempPath sock("stopper.sock");
+    KbImageFile kb;
+    std::string detail;
+    ASSERT_EQ(loadKbImageFile(image_file_->path(), kb, detail),
+              KbImgStatus::Ok)
+        << detail;
+    shard::ShardServerConfig cfg;
+    cfg.listen = "unix:" + sock.path();
+    cfg.serve = shardServeConfig();
+    ShardServer server(std::move(kb), cfg);
+    ASSERT_TRUE(server.bind(detail)) << detail;
+    std::promise<void> returned;
+    std::future<void> run_done = returned.get_future();
+    std::thread runner([&] {
+        server.run();
+        returned.set_value();
+    });
+
+    shard::Endpoint ep;
+    ASSERT_TRUE(shard::parseEndpoint(cfg.listen, ep, detail)) << detail;
+    const int fd = shard::connectEndpoint(ep, 2000.0, detail);
+    ASSERT_GE(fd, 0) << detail;
+    ::shutdown(fd, SHUT_RD);  // every reply the shard writes now fails
+    shard::HealthFrame probe;
+    probe.nonce = 7;
+    WireWriter w;
+    shard::encodeHealth(w, probe);
+    EXPECT_TRUE(shard::writeFrame(fd, FrameType::Health, w.bytes()));
+    EXPECT_TRUE(shard::writeFrame(fd, FrameType::Shutdown, {}));
+
+    const bool stopped = run_done.wait_for(std::chrono::seconds(10)) ==
+                         std::future_status::ready;
+    EXPECT_TRUE(stopped) << "the Shutdown behind a failed reply was lost";
+    if (!stopped)
+        server.stop();
+    runner.join();
+    shard::closeFd(fd);
 }
 
 } // namespace

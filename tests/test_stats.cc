@@ -1,9 +1,7 @@
 /**
  * @file
- * Tests for the stats:: package (reset/merge semantics, group export),
- * the log-linear Histogram's quantile edge cases, and the exact
- * LinearHistogram that backs small-integer metrics like batch lane
- * counts.
+ * Tests for the stats:: package (reset/merge semantics, group export)
+ * and the log-bucketed Histogram's quantile edge cases.
  */
 
 #include <gtest/gtest.h>
@@ -239,9 +237,9 @@ TEST(LoggerMetrics, ExportsPerLevelEmitAndSuppressCounters)
     Logger::resetCounters();
 }
 
-// --- snap::Histogram (log-linear) quantile edges ---------------------------
+// --- snap::Histogram (log-bucketed) quantile edges -------------------------
 
-TEST(LogLinearHistogram, EmptyQuantileIsZero)
+TEST(LogBucketHistogram, EmptyQuantileIsZero)
 {
     Histogram h;
     EXPECT_EQ(h.count(), 0u);
@@ -251,7 +249,7 @@ TEST(LogLinearHistogram, EmptyQuantileIsZero)
     EXPECT_EQ(h.max(), 0.0);
 }
 
-TEST(LogLinearHistogram, SingleSampleQuantilesClampToIt)
+TEST(LogBucketHistogram, SingleSampleQuantilesClampToIt)
 {
     Histogram h;
     h.record(3.7);
@@ -263,7 +261,7 @@ TEST(LogLinearHistogram, SingleSampleQuantilesClampToIt)
     EXPECT_DOUBLE_EQ(h.quantile(1.0), 3.7);
 }
 
-TEST(LogLinearHistogram, AllSamplesInOneBucket)
+TEST(LogBucketHistogram, AllSamplesInOneBucket)
 {
     Histogram h;
     for (int i = 0; i < 1000; ++i)
@@ -276,7 +274,7 @@ TEST(LogLinearHistogram, AllSamplesInOneBucket)
     EXPECT_DOUBLE_EQ(h.mean(), 8.0);
 }
 
-TEST(LogLinearHistogram, QuantileOrderingAndBoundedError)
+TEST(LogBucketHistogram, QuantileOrderingAndBoundedError)
 {
     Histogram h;
     for (int i = 1; i <= 1000; ++i)
@@ -295,7 +293,7 @@ TEST(LogLinearHistogram, QuantileOrderingAndBoundedError)
     EXPECT_LE(h.quantile(1.0), h.max());
 }
 
-TEST(LogLinearHistogram, MergeAndReset)
+TEST(LogBucketHistogram, MergeAndReset)
 {
     Histogram a, b;
     a.record(1.0);
@@ -311,72 +309,6 @@ TEST(LogLinearHistogram, MergeAndReset)
     EXPECT_DOUBLE_EQ(a.min(), 1.0);
     EXPECT_DOUBLE_EQ(a.max(), 100.0);
 
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_EQ(a.quantile(0.5), 0.0);
-}
-
-// --- snap::LinearHistogram (exact small-integer buckets) -------------------
-
-TEST(LinearHistogram, ExactQuantilesAboveSixtyFour)
-{
-    // The log-linear Histogram widens its buckets past 64 (the bug
-    // the batch_lanes metric hit); the linear histogram must report
-    // wide lane counts exactly.
-    LinearHistogram<2048> h;
-    for (int i = 0; i < 10; ++i)
-        h.record(65.0);
-    for (int i = 0; i < 10; ++i)
-        h.record(1024.0);
-    EXPECT_EQ(h.count(), 20u);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 65.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.51), 1024.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 1024.0);
-    EXPECT_DOUBLE_EQ(h.min(), 65.0);
-    EXPECT_DOUBLE_EQ(h.max(), 1024.0);
-    EXPECT_DOUBLE_EQ(h.mean(), (65.0 + 1024.0) / 2.0);
-}
-
-TEST(LinearHistogram, EmptyAndSingleSample)
-{
-    LinearHistogram<128> h;
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.quantile(0.5), 0.0);
-    EXPECT_EQ(h.min(), 0.0);
-    EXPECT_EQ(h.max(), 0.0);
-    EXPECT_EQ(h.mean(), 0.0);
-    h.record(127.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.01), 127.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 127.0);
-}
-
-TEST(LinearHistogram, ClampsToTopBucketAndFloor)
-{
-    LinearHistogram<64> h;
-    h.record(1e9);  // above MaxValue: clamps into the top bucket
-    h.record(-3.0); // negative: clamps to 0
-    EXPECT_EQ(h.count(), 2u);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 64.0);
-    EXPECT_DOUBLE_EQ(h.max(), 1e9) << "envelope keeps the raw value";
-}
-
-TEST(LinearHistogram, MergeAndReset)
-{
-    LinearHistogram<2048> a, b;
-    a.record(2.0);
-    b.record(2000.0);
-    b.record(70.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 2000.0);
-    EXPECT_DOUBLE_EQ(a.sum(), 2072.0);
-    EXPECT_DOUBLE_EQ(a.quantile(0.34), 70.0);
-    LinearHistogram<2048> empty;
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
     a.reset();
     EXPECT_EQ(a.count(), 0u);
     EXPECT_EQ(a.quantile(0.5), 0.0);

@@ -2,9 +2,10 @@
  * @file
  * Tests for the snaptrace subsystem: off-by-default guard, ring-buffer
  * drop-oldest semantics, category parsing, flow arming, and — the
- * load-bearing invariant — that traced span durations reproduce the
+ * load-bearing invariants — that traced span durations reproduce the
  * ExecBreakdown counters exactly (per-category active time and
- * per-cluster MU busy time).
+ * per-cluster MU busy time) and that traced serve spans count what
+ * the metrics registry counts (cache hits, runs).
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 #include <vector>
 
 #include "arch/machine.hh"
+#include "common/metrics_registry.hh"
 #include "common/strutil.hh"
 #include "isa/instruction.hh"
+#include "serve/engine.hh"
 #include "trace/trace.hh"
 #include "workload/kb_gen.hh"
 
@@ -241,6 +244,73 @@ TEST(Trace, MachineSpansMatchExecStats)
     EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
     EXPECT_NE(json.find("machine.run"), std::string::npos);
+}
+
+// --- traced serve spans vs the metrics registry ------------------------------
+
+/** Value of the unlabelled sample @p name in @p reg (-1 if absent). */
+double
+sampleValue(const MetricsRegistry &reg, const std::string &name)
+{
+    for (const MetricsRegistry::Sample &s : reg.samples())
+        if (s.name == name && s.labels.empty())
+            return s.value;
+    return -1.0;
+}
+
+TEST(Trace, ServeSpansMatchRegistryCounters)
+{
+    TraceGuard guard;
+    SemanticNetwork net = makeTreeKb(300, 4);
+    RelationType inc = net.relationId("includes");
+
+    trace::start(trace::kServe);
+    serve::ServeConfig cfg;
+    cfg.numWorkers = 1;
+    cfg.machine.numClusters = 8;
+    MetricsRegistry reg;
+    {
+        serve::ServeEngine engine(net, cfg);
+        // Two programs, five serves each: two runs and three cache
+        // hits apiece; a session turn runs and never hits.
+        for (int round = 0; round < 5; ++round) {
+            for (NodeId start : {0u, 1u}) {
+                serve::Request req;
+                req.prog = countQuery(start, inc);
+                ASSERT_EQ(engine.submit(std::move(req)).get().status,
+                          serve::RequestStatus::Ok);
+            }
+        }
+        serve::Request sess;
+        sess.sessionId = "s";
+        sess.prog = countQuery(0, inc);
+        engine.submit(std::move(sess)).get();
+        engine.shutdown();
+        engine.exportMetrics(reg);
+    }
+    trace::stop();
+
+    std::uint64_t hit_spans = 0, attempt_spans = 0;
+    for (const trace::Event &ev : trace::snapshotEvents()) {
+        if (ev.ph != 'X' || !ev.host || ev.name == nullptr)
+            continue;
+        const std::string name = ev.name;
+        if (name == "cache.hit")
+            ++hit_spans;
+        else if (name == "attempt")
+            ++attempt_spans;
+    }
+    EXPECT_EQ(trace::droppedCount(), 0u);
+    EXPECT_EQ(static_cast<double>(hit_spans),
+              sampleValue(reg, "snap_serve_answer_cache_hits_total"));
+    EXPECT_EQ(hit_spans, 6u);
+    // Every completed request is either a traced hit or a traced run.
+    EXPECT_EQ(static_cast<double>(hit_spans + attempt_spans),
+              sampleValue(reg, "snap_serve_completed_total"));
+    EXPECT_EQ(static_cast<double>(attempt_spans),
+              sampleValue(reg, "snap_serve_answer_cache_misses_total") +
+                  1.0)
+        << "stateless runs are the cache misses; plus one session run";
 }
 
 // --- disabled path is inert ------------------------------------------------
