@@ -45,8 +45,7 @@ Cluster::Cluster(MachineContext &ctx, ClusterId id,
       instrQueue_(t_.instrQueueDepth),
       taskQueue_(t_.taskQueueDepth),
       activationOut_(t_.activationOutDepth),
-      arbiter_(0x5eed0000ull + id),
-      best_(ctx.cfg->seedHotPath)
+      arbiter_(0x5eed0000ull + id)
 {
     puEvent_ = std::make_unique<EventFunctionWrapper>(
         [this] {
@@ -195,7 +194,7 @@ Cluster::kickPu()
         d.sender = id_;
         d.senderSeq = nextWireSeq();
         d.cluster = id_;
-        ctx_.wire->send(ctx_.shard, std::move(d));
+        ctx_.wire->send(std::move(d));
     }
 
     puBusy_ = true;
@@ -1063,7 +1062,7 @@ Cluster::finishMu(std::uint32_t i)
             d.collectSeq = task.seq;
             d.collect = std::move(it->second);
             collects_.erase(it);
-            ctx_.wire->send(ctx_.shard, std::move(d));
+            ctx_.wire->send(std::move(d));
             break;
           }
           default:
@@ -1115,7 +1114,7 @@ Cluster::popInbox(std::uint32_t dim)
     d.dim = static_cast<std::uint8_t>(dim);
     d.nbField =
         static_cast<std::uint8_t>(HypercubeIcn::field(id_, dim));
-    ctx_.wire->send(ctx_.shard, std::move(d));
+    ctx_.wire->send(std::move(d));
     return msg;
 }
 
@@ -1131,7 +1130,7 @@ Cluster::stageIcnMsg(ClusterId nb, std::uint32_t dim,
     d.senderSeq = nextWireSeq();
     d.dim = static_cast<std::uint8_t>(dim);
     d.msg = std::move(msg);
-    ctx_.wire->send(ctx_.shard, std::move(d));
+    ctx_.wire->send(std::move(d));
 }
 
 void

@@ -18,13 +18,11 @@
  * (β-parallelism) and their marker deliveries are asynchronous until
  * a BARRIER.
  *
- * Isolation contract: a cluster mutates only its own state (and its
- * shard's queue/stats/sync-tree through MachineContext).  Every
+ * Isolation contract: a cluster mutates only its own state (and the
+ * machine's queue/stats/sync-tree through MachineContext).  Every
  * interaction with another cluster or the controller goes through
  * the Wire as a latency-stamped Deliverable — incoming ones arrive
- * via applyDeliverable().  This is what lets the machine shard
- * clusters across host threads while staying bit-identical to the
- * single-threaded run.
+ * via applyDeliverable().
  */
 
 #ifndef SNAP_ARCH_CLUSTER_HH
@@ -56,25 +54,19 @@
 namespace snap
 {
 
-/** Per-shard machine context handed to every cluster of the shard
- *  (and, for shard 0, the controller).  eq/sync/stats/perf point at
- *  the shard's own instances; cfg/image/icn/wire/faults are shared
- *  (read-only or internally partitioned by owner). */
+/** Machine context handed to every cluster and the controller: the
+ *  machine's one event queue, sync tree, statistics breakdown, and
+ *  perf net, plus the shared configuration and image. */
 struct MachineContext
 {
     EventQueue *eq = nullptr;
     const MachineConfig *cfg = nullptr;
     KbImage *image = nullptr;
     const HypercubeIcn *icn = nullptr;  ///< topology + lifetime stats
-    SyncTree *sync = nullptr;           ///< this shard's tree
-    PerfNet::View *perf = nullptr;      ///< this shard's emit view
-    ExecBreakdown *stats = nullptr;     ///< this shard's breakdown
+    SyncTree *sync = nullptr;
+    PerfNet *perf = nullptr;
+    ExecBreakdown *stats = nullptr;
     Wire *wire = nullptr;
-    std::uint32_t shard = 0;
-    /** True when this shard's sync tree covers the whole machine
-     *  (single-shard runs), i.e. its complete()/quiescent() are exact
-     *  and may be polled directly. */
-    bool syncIsGlobal = true;
     /** Live fault plan, or nullptr (the default, fault-free path). */
     FaultPlan *faults = nullptr;
     /** Chrome trace process id of this machine's simulated-time
@@ -149,10 +141,9 @@ class Cluster : public ClockedObject
 
     // --- per-run stat deltas, folded by the machine -------------------------
 
-    /** Per-cluster ICN traffic accumulated this run.  Folding these
-     *  into HypercubeIcn in canonical cluster order keeps the
-     *  floating-point distribution state bit-identical across host
-     *  thread counts. */
+    /** Per-cluster ICN traffic accumulated this run, folded into
+     *  HypercubeIcn in canonical cluster order at run end (the
+     *  order fixes the floating-point distribution state). */
     struct IcnDelta
     {
         std::uint64_t injected = 0;

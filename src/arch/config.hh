@@ -168,33 +168,12 @@ struct MachineConfig
     bool perfNetEnabled = true;
 
     /**
-     * Run the host-side hot path with the seed data structures
-     * (binary-heap event queue, node-based frontier maps) instead of
-     * the tuned ones.  Simulated results are identical either way;
-     * bench/host_perf uses this to measure the host speedup honestly
-     * in a single binary.
-     */
-    bool seedHotPath = false;
-
-    /**
      * Trace-domain index of this machine: its simulated-time events
      * land in Chrome process trace::kSimPidBase + traceDomain, so a
      * serve engine's replicas get distinct track groups.  Purely an
      * observability knob — no effect on simulated behaviour.
      */
     std::uint32_t traceDomain = 0;
-
-    /**
-     * Host worker threads driving the simulation.  1 (the default)
-     * runs the classic single-threaded event loop; N > 1 shards the
-     * clusters across min(N, numClusters) host threads that exchange
-     * wire deliverables at conservative-lookahead window boundaries.
-     * Purely a host-performance knob: results, statistics, and
-     * simulated timing are bit-identical at every value (the
-     * single-threaded run is the oracle the parallel tests pin
-     * against).  Simulated-time tracing forces one shard.
-     */
-    std::uint32_t hostThreads = 1;
 
     TimingParams t;
 
@@ -273,11 +252,9 @@ struct MachineConfig
                 snap_fatal("cluster %u has %u MUs (1..3 supported)",
                            c, mus(c));
         }
-        if (hostThreads < 1 || hostThreads > 64)
-            snap_fatal("hostThreads %u out of [1,64]", hostThreads);
-        // The parallel machine's lookahead window is
-        // min(broadcast time, ICN hop transfer time); both must be
-        // positive for the wire model to have any latency to hide.
+        // The wire lag, min(broadcast time, ICN hop transfer time),
+        // times every credit return and spaces the fault watchdog's
+        // check grid; both terms must be positive.
         if (t.instrWords == 0 || t.busCyclesPerWord == 0 ||
             controllerClockPeriod == 0)
             snap_fatal("broadcast time must be positive");

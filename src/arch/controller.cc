@@ -70,7 +70,7 @@ Controller::sendToCluster(ClusterId c, Deliverable &&d)
     d.receiver = c;
     d.sender = numClusters_;
     d.senderSeq = wireSeq_++;
-    ctx_.wire->send(ctx_.shard, std::move(d));
+    ctx_.wire->send(std::move(d));
 }
 
 void
@@ -84,11 +84,9 @@ Controller::kickScp()
         // final barrier without the explicit detection protocol).
         phase_ = Phase::Drain;
         drainEntry_ = curTick();
-        // In a single-shard run the tree is exact and the array may
-        // already be quiescent (no transition left to observe).
-        // Sharded runs poll the merged predicate at every window
-        // boundary instead.
-        if (ctx_.syncIsGlobal && ctx_.sync->quiescent())
+        // The array may already be quiescent, with no transition
+        // left for the sync tree's callback to observe.
+        if (ctx_.sync->quiescent())
             onQuiescentAt(ctx_.sync->lastMutation());
         return;
     }
@@ -185,7 +183,7 @@ Controller::onSyncCompleteAt(Tick tstar, std::uint64_t msgs_so_far)
     ctx_.stats->syncTicks += dur;
     snap_assert(tstar + dur >= curTick(),
                 "barrier detection (%llu + %llu) behind the present "
-                "%llu; detection time must exceed the wire lag",
+                "%llu",
                 static_cast<unsigned long long>(tstar),
                 static_cast<unsigned long long>(dur),
                 static_cast<unsigned long long>(curTick()));

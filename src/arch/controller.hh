@@ -14,12 +14,10 @@
  * barrier releases leave as Deliverables timed with the broadcast-bus
  * latency, and the array talks back the same way (instruction-queue
  * credits, collect buffers).  The controller never touches cluster
- * state directly, which is what lets the clusters live on other host
- * shards.  Barrier completion and quiescence are *predicates over the
- * sync tree* evaluated by the machine — in serial runs via the tree's
- * transition callbacks, in sharded runs at window boundaries — and
- * reported here with the exact mutation tick t*, so the detection
- * procedure starts at t* + detection time in both modes.
+ * state directly.  Barrier completion and quiescence are *predicates
+ * over the sync tree*: the machine forwards the tree's transition
+ * callbacks here with the exact mutation tick t*, and the detection
+ * procedure starts at t* + detection time.
  */
 
 #ifndef SNAP_ARCH_CONTROLLER_HH
@@ -46,8 +44,6 @@ class Controller : public ClockedObject
     void startProgram(const Program &prog);
 
     bool finished() const { return phase_ == Phase::Done; }
-    bool awaitingBarrier() const { return phase_ == Phase::BarrierWait; }
-    bool draining() const { return phase_ == Phase::Drain; }
 
     /** Tick the program finished at (valid once finished()). */
     Tick finishTick() const { return finishTick_; }
@@ -62,9 +58,8 @@ class Controller : public ClockedObject
     /**
      * The barrier the SCP is waiting on completed at tick @p tstar
      * (the last sync-tree mutation), with @p msgs_so_far inter-cluster
-     * messages sent machine-wide since the run began.  @p tstar may be
-     * earlier than curTick() (window-boundary detection); the
-     * detection procedure is timed from @p tstar regardless.
+     * messages sent machine-wide since the run began.  The detection
+     * procedure is timed from @p tstar.
      */
     void onSyncCompleteAt(Tick tstar, std::uint64_t msgs_so_far);
 

@@ -1,70 +1,11 @@
 #include "arch/exec_stats.hh"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/strutil.hh"
 
 namespace snap
 {
-
-void
-ActiveTimer::mergeUnion(const std::vector<const ActiveTimer *> &parts)
-{
-    std::vector<std::pair<Tick, Tick>> all;
-    for (std::size_t i = 0; i < N; ++i) {
-        all.clear();
-        for (const ActiveTimer *p : parts) {
-            snap_assert(p->allClosed(),
-                        "union-merging an open ActiveTimer");
-            all.insert(all.end(), p->intervals_[i].begin(),
-                       p->intervals_[i].end());
-        }
-        if (all.empty())
-            continue;
-        std::sort(all.begin(), all.end());
-        Tick lo = all.front().first;
-        Tick hi = all.front().second;
-        for (std::size_t k = 1; k < all.size(); ++k) {
-            if (all[k].first > hi) {
-                accum_[i] += hi - lo;
-                lo = all[k].first;
-                hi = all[k].second;
-            } else {
-                hi = std::max(hi, all[k].second);
-            }
-        }
-        accum_[i] += hi - lo;
-    }
-}
-
-void
-ExecBreakdown::addShard(const ExecBreakdown &other)
-{
-    for (std::size_t i = 0; i < numCats; ++i) {
-        categoryBusy[i] += other.categoryBusy[i];
-        categoryCounts[i] += other.categoryCounts[i];
-    }
-    for (std::size_t i = 0; i < numOps; ++i)
-        opcodeCounts[i] += other.opcodeCounts[i];
-    broadcastTicks += other.broadcastTicks;
-    commTicks += other.commTicks;
-    syncTicks += other.syncTicks;
-    collectTicks += other.collectTicks;
-    puBusyTicks += other.puBusyTicks;
-    muBusyTicks += other.muBusyTicks;
-    messagesSent += other.messagesSent;
-    messageHops += other.messageHops;
-    arrivalsProcessed += other.arrivalsProcessed;
-    localDeliveries += other.localDeliveries;
-    expansions += other.expansions;
-    linkTraversals += other.linkTraversals;
-    barriers += other.barriers;
-    collects += other.collects;
-    collectedItems += other.collectedItems;
-    if (other.maxDepth > maxDepth)
-        maxDepth = other.maxDepth;
-}
 
 void
 ExecBreakdown::merge(const ExecBreakdown &other)

@@ -81,7 +81,7 @@ class ActiveTimer
     /** Force-close every open interval at `now`.  Used when a run is
      *  demoted by a wedge/watchdog fault with units still mid-work:
      *  the accumulated times stay meaningful and allClosed() holds
-     *  again for the merge paths. */
+     *  again for mergeClosed(). */
     void
     closeAll(Tick now)
     {
@@ -99,8 +99,6 @@ class ActiveTimer
         count_.fill(0);
         accum_.fill(0);
         since_.fill(0);
-        for (auto &iv : intervals_)
-            iv.clear();
     }
 
     /** Add another (closed) timer's accumulated time. */
@@ -112,21 +110,6 @@ class ActiveTimer
             accum_[i] += other.accum_[i];
     }
 
-    /** Record every closed union interval so that timers of parallel
-     *  shards can be combined exactly (off by default — the serial
-     *  path needs only the running sums). */
-    void recordIntervals(bool on) { record_ = on; }
-
-    /**
-     * Fold the (closed, interval-recording) timers of parallel shards
-     * into this one: per category, the total length of the union of
-     * all their recorded intervals is added.  "At least one unit busy
-     * with category c" is shard-order independent, so this reproduces
-     * exactly what one machine-wide timer would have accumulated —
-     * the bit-exactness bridge between thread counts.
-     */
-    void mergeUnion(const std::vector<const ActiveTimer *> &parts);
-
   private:
     static constexpr std::size_t N =
         static_cast<std::size_t>(InstrCategory::NumCategories);
@@ -135,15 +118,11 @@ class ActiveTimer
     close(std::size_t i, Tick now)
     {
         accum_[i] += now - since_[i];
-        if (record_)
-            intervals_[i].emplace_back(since_[i], now);
     }
 
     std::array<std::uint32_t, N> count_{};
     std::array<Tick, N> since_{};
     std::array<Tick, N> accum_{};
-    std::array<std::vector<std::pair<Tick, Tick>>, N> intervals_;
-    bool record_ = false;
 };
 
 /** All statistics of one run. */
@@ -235,15 +214,6 @@ struct ExecBreakdown
      *  applications: the parser issues several programs per
      *  sentence). */
     void merge(const ExecBreakdown &other);
-
-    /**
-     * Accumulate one shard's counters at the end of a run.  Sums the
-     * commutative integer fields only — categoryTimer (interval
-     * union), alphaDist and msgLatency (folded in canonical cluster
-     * order), msgsPerEpoch (controller-owned), and wallTicks are
-     * merged separately by the machine.
-     */
-    void addShard(const ExecBreakdown &other);
 };
 
 } // namespace snap

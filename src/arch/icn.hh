@@ -17,9 +17,8 @@
  * dynamic state — per-dimension receive queues, sender-side
  * flow-control credits sized by icnMailboxDepth, and the in-flight
  * messages themselves — lives in the clusters and the Wire layer
- * (arch/wire.hh), so that every piece of mutable ICN state has
- * exactly one owning cluster and the array can be sharded across
- * host threads without shared writes.
+ * (arch/wire.hh), so every piece of mutable ICN state has exactly
+ * one owning cluster.
  */
 
 #ifndef SNAP_ARCH_ICN_HH

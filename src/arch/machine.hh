@@ -8,15 +8,12 @@
  * executes SNAP programs and reports execution time plus the full
  * statistics breakdown.
  *
- * Execution shards: the machine drives the simulation with
- * min(cfg.hostThreads, numClusters) host shards, each owning an event
- * queue, a contiguous block of clusters, a sync tree, a statistics
- * breakdown, and a perf-net view.  All cross-shard interaction rides
- * the Wire (arch/wire.hh) as latency-stamped deliverables, exchanged
- * at conservative-lookahead window boundaries; the single-shard run
- * executes the identical wire model on one queue and is the bit-exact
- * oracle — results, statistics, and simulated timing are identical at
- * every thread count.
+ * The machine owns one event queue, one sync tree, one statistics
+ * breakdown, and one perf net, shared by every cluster and the
+ * controller through MachineContext; all cross-endpoint interaction
+ * rides the Wire (arch/wire.hh) as latency-stamped deliverables.  A
+ * fault-free run drains the queue; a fault run steps it through the
+ * watchdog's check grid (runWatched).
  */
 
 #ifndef SNAP_ARCH_MACHINE_HH
@@ -125,46 +122,17 @@ class SnapMachine
 
     HypercubeIcn &icn() { return *icn_; }
     PerfNet &perfNet() { return *perf_; }
-    /** Shard 0's sync tree (the whole machine's on one shard). */
-    SyncTree &syncTree() { return *shards_.at(0)->sync; }
     Cluster &cluster(ClusterId c) { return *clusters_.at(c); }
 
-    /** Execution shards the array is driven with (1 until a KB is
-     *  loaded; then min(cfg.hostThreads, numClusters), or 1 when
-     *  simulated-time tracing is active). */
-    std::uint32_t numShards() const { return numShards_; }
-
-    /** Simulated time elapsed since construction (max over the shard
-     *  clocks; they are realigned at every run start). */
-    Tick
-    now() const
-    {
-        Tick t = 0;
-        for (const auto &sh : shards_)
-            t = std::max(t, sh->eq.curTick());
-        return t;
-    }
+    /** Simulated time elapsed since construction. */
+    Tick now() const { return eq_.curTick(); }
 
     /** Host-side event count (perf harness instrumentation). */
-    std::uint64_t
-    eventsProcessed() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &sh : shards_)
-            n += sh->eq.eventsProcessed();
-        return n;
-    }
+    std::uint64_t eventsProcessed() const { return eq_.eventsProcessed(); }
 
     /** Record the event-schedule trace of subsequent runs into
-     *  @p trace (perf harness instrumentation; nullptr stops).
-     *  Shard 0's queue only — single-threaded harness runs. */
-    void
-    recordEventTrace(ScheduleTrace *trace)
-    {
-        schedTrace_ = trace;
-        if (!shards_.empty())
-            shards_[0]->eq.recordTrace(trace);
-    }
+     *  @p trace (perf harness instrumentation; nullptr stops). */
+    void recordEventTrace(ScheduleTrace *trace) { eq_.recordTrace(trace); }
 
     /**
      * Component statistics ("integrated measurement system",
@@ -184,11 +152,11 @@ class SnapMachine
 
     /**
      * Arm a fault plan.  Subsequent runs inject per @p spec and take
-     * the detecting path (windowed execution with a simulated-time
-     * watchdog, wedge demotion from fatal assert to typed error,
-     * optional integrity shadow).  An all-zero spec arms the hooks
-     * but never fires — runs stay bit-identical to an unarmed
-     * machine.  Replaces any previous plan.
+     * the detecting path (a simulated-time watchdog, wedge demotion
+     * from fatal assert to typed error, optional integrity shadow).
+     * An all-zero spec arms the hooks but never fires — runs stay
+     * bit-identical to an unarmed machine.  Replaces any previous
+     * plan.
      */
     void installFaults(const FaultSpec &spec);
     void clearFaults();
@@ -216,60 +184,31 @@ class SnapMachine
     void repair();
 
   private:
-    /** One execution shard: an event queue plus every piece of
-     *  mutable machine state its clusters write during a window.
-     *  Addresses must be stable (contexts are captured by reference),
-     *  hence the unique_ptr storage in shards_. */
-    struct Shard
-    {
-        explicit Shard(EventQueue::Impl impl) : eq(impl) {}
-
-        EventQueue eq;
-        std::unique_ptr<SyncTree> sync;
-        ExecBreakdown stats;
-        PerfNet::View perf;
-        std::vector<std::uint64_t> alphaPerProp;
-        MachineContext ctx;
-        /** Clusters [firstCluster, endCluster) live here. */
-        ClusterId firstCluster = 0;
-        ClusterId endCluster = 0;
-    };
-
-    /** Build shards/ICN/sync/perf/clusters/controller around
+    /** Build ICN/sync/perf/wire/clusters/controller around
      *  image_. */
     void wireArray();
 
-    /** Conservative lookahead: min(broadcast time, ICN hop transfer
-     *  time) — no deliverable's latency is below it. */
+    /** min(broadcast time, ICN hop transfer time) — no deliverable's
+     *  latency is below it. */
     Tick wireLag() const;
-
-    /** Shard owning cluster @p c. */
-    std::uint32_t shardOf(ClusterId c) const;
 
     /** Register Perfetto process/track names for this machine's
      *  trace domain (cold; only when tracing is active). */
     void nameTraceTracks() const;
 
-    /** Arm this run's scheduled faults (flip/stick/wedge/dead) on
-     *  their owner shards.  All entropy is drawn here, single-
-     *  threaded, in a fixed order. */
+    /** Arm this run's scheduled faults (flip/stick/wedge/dead).  All
+     *  entropy is drawn here, before the run, in a fixed order. */
     void scheduleRunFaults(Tick start);
 
     /**
-     * Windowed event loop: every shard runs [boundary, next boundary)
-     * independently; the coordinator (the calling thread, which also
-     * drives shard 0) flushes the wire outboxes, folds the shard sync
-     * trees into the machine-wide barrier/quiescence predicates, and
-     * picks the next boundary at each window edge.  Used by every
-     * multi-shard run and by fault runs at any shard count (the
-     * watchdog lives on the deterministic boundary grid).
+     * Fault-run event loop: step the queue through a check grid of
+     * boundary = next pending tick + wireLag(), stop once only armed
+     * faults remain, and abort (watchdog) once boundary - start
+     * exceeds the plan's watchdogTicks.  The abort tick decides both
+     * the partial run and every later fault draw.
      * @return true when the program completed.
      */
-    bool runWindowed(Tick start, bool faulty);
-
-    /** Evaluate the merged sync predicates and notify the
-     *  controller (window-boundary coordinator only). */
-    void pollMergedSync();
+    bool runWatched(Tick start);
 
     /** Golden-model replay from @p entry; flags divergence. */
     void checkIntegrity(const Program &prog, const MarkerStore &entry,
@@ -277,30 +216,30 @@ class SnapMachine
 
     MachineConfig cfg_;
 
+    /** The simulated clock; it outlives every re-wiring (repair,
+     *  reload), so simulated time never moves backwards. */
+    EventQueue eq_;
     std::unique_ptr<KbImage> image_;
     std::unique_ptr<HypercubeIcn> icn_;
     std::unique_ptr<PerfNet> perf_;
     std::unique_ptr<Wire> wire_;
+    std::unique_ptr<SyncTree> sync_;
     ExecBreakdown stats_;
+    /** Source activations per PROPAGATE of the current program. */
+    std::vector<std::uint64_t> alphaPerProp_;
+    /** Shared by every cluster and the controller (captured by
+     *  reference, so it lives as long as the machine). */
+    MachineContext ctx_;
 
-    std::uint32_t numShards_ = 1;
-    std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<std::unique_ptr<Cluster>> clusters_;
     std::unique_ptr<Controller> controller_;
 
     std::unique_ptr<FaultPlan> faults_;
     const SemanticNetwork *shadowNet_ = nullptr;
     bool poisoned_ = false;
-    ScheduleTrace *schedTrace_ = nullptr;
 
-    /** This run's armed scheduled faults and the shard queues they
-     *  sit on (descheduled at run end). */
-    struct ArmedFault
-    {
-        EventQueue *eq;
-        std::unique_ptr<EventFunctionWrapper> ev;
-    };
-    std::vector<ArmedFault> faultEvents_;
+    /** This run's armed scheduled faults (descheduled at run end). */
+    std::vector<std::unique_ptr<EventFunctionWrapper>> faultEvents_;
 };
 
 } // namespace snap

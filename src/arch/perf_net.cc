@@ -17,53 +17,39 @@ PerfNet::PerfNet(std::uint32_t num_pes, const TimingParams &t,
 }
 
 void
-PerfNet::View::emit(std::uint32_t pe, Tick now, PerfEvent event,
-                    std::uint32_t status)
+PerfNet::emit(std::uint32_t pe, Tick now, PerfEvent event,
+              std::uint32_t status)
 {
-    PerfNet *net = net_;
-    if (!net || !net->enabled_)
+    if (!enabled_)
         return;
-    ++emitted_;
-    snap_assert(pe < net->portBusyUntil_.size(),
-                "perf pe %u out of %zu", pe,
-                net->portBusyUntil_.size());
-    Tick &busy = net->portBusyUntil_[pe];
+    ++emitted;
+    snap_assert(pe < portBusyUntil_.size(), "perf pe %u out of %zu", pe,
+                portBusyUntil_.size());
+    Tick &busy = portBusyUntil_[pe];
     if (busy > now) {
         // Serial-port register still shifting the previous record.
-        ++dropped_;
+        ++droppedRecords;
         return;
     }
-    busy = now + net->shiftTicks_;
-    records_.push_back(PerfRecord{now + net->shiftTicks_, pe, event,
-                                  status & 0xffffffu});
+    busy = now + shiftTicks_;
+    runRecords_.push_back(
+        PerfRecord{busy, pe, event, status & 0xffffffu});
 }
 
 void
-PerfNet::fold(const std::vector<View *> &views)
+PerfNet::endRun()
 {
-    std::size_t extra = 0;
-    for (View *v : views)
-        extra += v->records_.size();
-    records_.reserve(records_.size() + extra);
-    auto mid = records_.end() - records_.begin();
-    for (View *v : views) {
-        emitted += v->emitted_;
-        droppedRecords += v->dropped_;
-        v->emitted_ = 0;
-        v->dropped_ = 0;
-        records_.insert(records_.end(),
-                        std::make_move_iterator(v->records_.begin()),
-                        std::make_move_iterator(v->records_.end()));
-        v->records_.clear();
-    }
-    // (timestamp, pe) is unique: one shard drives each PE, and the
-    // serial port serializes that PE's records in time.
-    std::sort(records_.begin() + mid, records_.end(),
+    // (timestamp, pe) is unique: the serial port serializes each
+    // PE's records in time.
+    std::sort(runRecords_.begin(), runRecords_.end(),
               [](const PerfRecord &a, const PerfRecord &b) {
                   if (a.timestamp != b.timestamp)
                       return a.timestamp < b.timestamp;
                   return a.pe < b.pe;
               });
+    records_.insert(records_.end(), runRecords_.begin(),
+                    runRecords_.end());
+    runRecords_.clear();
 }
 
 } // namespace snap

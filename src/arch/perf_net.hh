@@ -15,15 +15,10 @@
  * register is still shifting is dropped (and counted) — the price of
  * perturbation-free instrumentation.
  *
- * Sharded execution: each host shard emits through its own View (its
- * own record buffer and counters, so no cross-thread writes), while
- * the per-PE serial-port state stays on the master — safe because
- * each PE is driven by exactly one shard.  At run end the master
- * folds the views into the central FIFO ordered by (timestamp, pe),
- * which is a total order (per-PE shift serialization forbids two
- * records from one PE at the same arrival tick).  The single-shard
- * machine uses one View and the identical fold, keeping the central
- * FIFO bit-exact across thread counts.
+ * A run's records collect in one buffer; at run end endRun() appends
+ * them to the central FIFO ordered by (timestamp, pe), which is a
+ * total order (per-PE shift serialization forbids two records from
+ * one PE at the same arrival tick).
  */
 
 #ifndef SNAP_ARCH_PERF_NET_HH
@@ -64,39 +59,21 @@ struct PerfRecord
 class PerfNet
 {
   public:
-    /** Per-shard emission front end. */
-    class View
-    {
-      public:
-        View() = default;
-        View(PerfNet *net) : net_(net) {}
-
-        /**
-         * PE @p pe emits a record at time @p now.  Non-blocking for
-         * the PE; dropped if that PE's serial port is still shifting.
-         */
-        void emit(std::uint32_t pe, Tick now, PerfEvent event,
-                  std::uint32_t status);
-
-      private:
-        friend class PerfNet;
-        PerfNet *net_ = nullptr;
-        std::vector<PerfRecord> records_;
-        std::uint64_t emitted_ = 0;
-        std::uint64_t dropped_ = 0;
-    };
-
     PerfNet(std::uint32_t num_pes, const TimingParams &t,
             bool enabled);
 
     bool enabled() const { return enabled_; }
 
     /**
-     * Merge the views' buffered records into the central FIFO in
-     * (timestamp, pe) order and drain them.  Call once per run, after
-     * all shards have quiesced.
+     * PE @p pe emits a record at time @p now.  Non-blocking for the
+     * PE; dropped if that PE's serial port is still shifting.
      */
-    void fold(const std::vector<View *> &views);
+    void emit(std::uint32_t pe, Tick now, PerfEvent event,
+              std::uint32_t status);
+
+    /** Append the run's buffered records to the central FIFO in
+     *  (timestamp, pe) order.  Call once per run, at its end. */
+    void endRun();
 
     const std::vector<PerfRecord> &records() const { return records_; }
 
@@ -115,12 +92,12 @@ class PerfNet
     stats::Scalar droppedRecords;
 
   private:
-    friend class View;
-
     bool enabled_;
     Tick shiftTicks_;
     std::vector<Tick> portBusyUntil_;
     std::vector<PerfRecord> records_;
+    /** This run's records, in emission order. */
+    std::vector<PerfRecord> runRecords_;
 };
 
 } // namespace snap

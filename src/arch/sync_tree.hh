@@ -10,27 +10,11 @@
  * If the processors are idle and the counters sum to zero, then the
  * propagation has terminated and the barrier is complete."
  *
- * The model keeps one SyncTree per execution shard.  Every tree is
- * sized over the full array; a shard only ever mutates the lines of
- * its own clusters, so foreign lines keep their initial values (idle,
- * not at barrier) and the machine-level predicates are computed by
- * folding the shard trees:
- *
- *   - every tree reports all idle lines up  (own clusters idle)
- *   - the at-barrier counts sum to the cluster count
- *   - the per-tier counters sum to zero across trees
- *
- * Counters are signed because creation and consumption of one message
- * may land on different shards (a shard's counter can legitimately go
- * negative); only the cross-shard sum is meaningful.  Every mutation
- * is stamped with the simulated tick so detection can be attributed
- * to the exact tick the merged predicate became true, independent of
- * when (in host time) the fold runs.
- *
- * On the single-shard path the optional callbacks fire synchronously
- * at the completing mutation — the fold is then the identity and the
- * controller is notified at the same tick the window-boundary fold
- * would compute.
+ * The machine keeps one SyncTree over the whole array.  Every
+ * mutation is stamped with the simulated tick, and the optional
+ * callbacks fire synchronously at the mutation that makes a predicate
+ * true, so the controller's detection procedure is timed from the
+ * exact tick the barrier completed.
  */
 
 #ifndef SNAP_ARCH_SYNC_TREE_HH
@@ -121,9 +105,7 @@ class SyncTree
     /** True when every cluster is at the barrier, idle, and all
      *  tier counters are zero.  O(1): the AND-tree lines and the
      *  nonzero-tier count are maintained incrementally, so the
-     *  detection check costs the same regardless of array size.
-     *  Exact only on a single shard; multi-shard machines fold the
-     *  shard trees instead. */
+     *  detection check costs the same regardless of array size. */
     bool
     complete() const
     {
@@ -147,25 +129,18 @@ class SyncTree
     }
 
     /** All clusters idle and all counters drained (ignores the
-     *  at-barrier lines) — end-of-program quiescence.  O(1); exact
-     *  only on a single shard. */
+     *  at-barrier lines) — end-of-program quiescence.  O(1). */
     bool
     quiescent() const
     {
         return numIdle_ == idle_.size() && nonzeroLevels_ == 0;
     }
 
-    /** Tick of the most recent state-changing mutation.  When a
-     *  merged predicate holds, the fold of this over shards is the
-     *  tick it became true (sync state is stable once complete). */
+    /** Tick of the most recent state-changing mutation. */
     Tick lastMutation() const { return lastMutation_; }
 
-    std::size_t numAtBarrier() const { return numAtBarrier_; }
-    bool allIdle() const { return numIdle_ == idle_.size(); }
-
-    /** Install the completion callback (single-shard machines only:
-     *  the machine forwards to the controller's detection
-     *  procedure). */
+    /** Install the completion callback (the machine forwards it to
+     *  the controller's detection procedure). */
     void onComplete(std::function<void()> fn)
     {
         onComplete_ = std::move(fn);
@@ -184,9 +159,6 @@ class SyncTree
     void
     bump(std::uint8_t lvl, std::int64_t delta)
     {
-        // Signed: consumption may be tallied by a different shard
-        // than creation, so a single tree's counter can dip below
-        // zero while the cross-shard sum stays exact.
         std::int64_t before = counters_[lvl];
         std::int64_t after = before + delta;
         counters_[lvl] = after;

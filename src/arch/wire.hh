@@ -6,30 +6,21 @@
  * time-stamped Deliverable between endpoints instead of a direct
  * call into the receiver.
  *
- * Why: the original model let a sender push into the receiver's
- * mailbox at the send tick and poll the receiver's state with zero
- * latency.  That is fine on one host thread, but it couples every
- * endpoint to every other at every tick.  Giving each interaction
- * its physical latency (ICN hop transfer time, broadcast bus time)
- * creates a conservative lookahead window
+ * Each interaction carries its physical latency — the ICN hop
+ * transfer time or the broadcast bus time — and none is shorter than
  *
- *     lag = min(broadcast time, ICN hop transfer time)
+ *     lag = min(broadcast time, ICN hop transfer time),
  *
- * during which shards of the array can simulate independently: no
- * deliverable staged in a window can arrive before the next window
- * boundary, so per-shard event queues only need to exchange
- * deliverables at boundaries.  The single-shard machine runs the
- * identical wire model (deliverables inserted directly into the
- * receiver's pending heap), which makes it a bit-exact oracle for
- * the sharded one.
+ * which also times the credit returns and spaces the fault
+ * watchdog's check grid (SnapMachine::runWatched).
  *
  * Determinism: each endpoint drains its pending heap in the
  * canonical order (when, kind, sender, senderSeq).  senderSeq is a
  * per-sender monotone counter, so the order is a pure function of
- * simulated history and independent of host thread count or the
- * order outboxes are flushed in.  The drain itself runs as a
- * wire-class event, which the event queue orders ahead of all
- * normal events at the same tick.
+ * simulated history.  The drain itself runs as a wire-class event,
+ * which the event queue orders ahead of all normal events at the
+ * same tick.  This order is part of the simulated semantics: the
+ * machine goldens (tests/test_machine_equiv.cc) pin it.
  */
 
 #ifndef SNAP_ARCH_WIRE_HH
@@ -91,26 +82,13 @@ struct Deliverable
     ClusterId cluster = 0;        ///< InstrCredit / CollectReady origin
     std::uint16_t collectSeq = 0; ///< CollectReady instruction seq
     CollectResult collect;        ///< CollectReady payload
-
-    /** Canonical apply order at equal ticks. */
-    bool
-    before(const Deliverable &o) const
-    {
-        if (when != o.when)
-            return when < o.when;
-        if (kind != o.kind)
-            return kind < o.kind;
-        if (sender != o.sender)
-            return sender < o.sender;
-        return senderSeq < o.senderSeq;
-    }
 };
 
 /**
  * The machine's wire fabric.  Endpoints are the clusters
  * (0..numClusters-1) and the controller (endpoint numClusters).
  * Each endpoint owns a pending min-heap of deliverables plus one
- * persistent wire-class pump event on its shard's queue; the pump
+ * persistent wire-class pump event on the machine's queue; the pump
  * fires at the earliest pending tick and applies everything due.
  */
 class Wire
@@ -118,64 +96,49 @@ class Wire
   public:
     using Apply = std::function<void(Deliverable &&)>;
 
-    Wire(std::uint32_t num_endpoints, std::uint32_t num_shards,
-         Tick lag, bool seed_hot_path = false)
-        : lag_(lag), numShards_(num_shards), seedHeap_(seed_hot_path),
-          eps_(num_endpoints), outbox_(num_shards)
+    Wire(EventQueue &eq, std::uint32_t num_endpoints, Tick lag)
+        : eq_(eq), lag_(lag), eps_(num_endpoints)
     {
-        snap_assert(lag > 0, "wire lookahead must be positive");
+        snap_assert(lag > 0, "wire lag must be positive");
     }
 
-    /** Conservative lookahead: no deliverable's latency is below
-     *  this, so a window of this many ticks is safe. */
+    /** Shortest latency of any deliverable (see the file comment). */
     Tick lag() const { return lag_; }
 
-    /** Register endpoint @p ep living on @p shard. */
+    /** Register endpoint @p ep's arrival callback. */
     void
-    bindEndpoint(std::uint32_t ep, std::uint32_t shard,
-                 EventQueue *eq, Apply apply)
+    bindEndpoint(std::uint32_t ep, Apply apply)
     {
         Endpoint &e = eps_.at(ep);
-        e.shard = shard;
-        e.eq = eq;
         e.apply = std::move(apply);
         e.pump = std::make_unique<EventFunctionWrapper>(
             [this, ep] { pumpFire(ep); }, "wire.pump");
         e.pump->setWireClass();
         e.heap.clear();
-        e.dheap.clear();
         e.pool.clear();
         e.freeSlots.clear();
         e.pumpAt = 0;
     }
 
-    /**
-     * Stage a deliverable from an endpoint running on
-     * @p sender_shard.  Same-shard receivers get it inserted into
-     * their pending heap immediately; cross-shard receivers get it
-     * at the next window boundary, which its latency (>= lag)
-     * guarantees is still before its arrival tick.
-     */
+    /** Stage a deliverable for its receiver; it applies at d.when. */
     void
-    send(std::uint32_t sender_shard, Deliverable &&d)
+    send(Deliverable &&d)
     {
         snap_assert(d.receiver < eps_.size(), "wire endpoint %u",
                     d.receiver);
-        if (eps_[d.receiver].shard == sender_shard)
-            insertLocal(std::move(d));
-        else
-            outbox_[sender_shard].push_back(std::move(d));
-    }
-
-    /** Move everything staged cross-shard into the receivers'
-     *  heaps.  Window-boundary coordinator only (single-threaded). */
-    void
-    flushOutboxes()
-    {
-        for (auto &box : outbox_) {
-            for (auto &d : box)
-                insertLocal(std::move(d));
-            box.clear();
+        Endpoint &e = eps_[d.receiver];
+        Slot s;
+        s.when = d.when;
+        s.senderSeq = d.senderSeq;
+        s.sender = d.sender;
+        s.kind = static_cast<std::uint8_t>(d.kind);
+        const Tick when = d.when;
+        s.idx = poolPut(e, std::move(d));
+        e.heap.push_back(s);
+        std::push_heap(e.heap.begin(), e.heap.end(), heapCmp);
+        if (!e.pump->scheduled() || when < e.pumpAt) {
+            eq_.reschedule(e.pump.get(), when);
+            e.pumpAt = when;
         }
     }
 
@@ -183,35 +146,30 @@ class Wire
     bool
     empty() const
     {
-        for (const auto &box : outbox_)
-            if (!box.empty())
-                return false;
         for (const auto &e : eps_)
-            if (!e.heap.empty() || !e.dheap.empty())
+            if (!e.heap.empty())
                 return false;
         return true;
     }
 
-    /** Drop all in-flight deliverables and descheduled pumps (wedged
-     *  run teardown / repair). */
+    /** Drop all in-flight deliverables and deschedule the pumps
+     *  (wedged run teardown / repair). */
     void
     clear()
     {
-        for (auto &box : outbox_)
-            box.clear();
         for (auto &e : eps_) {
             e.heap.clear();
-            e.dheap.clear();
             e.pool.clear();
             e.freeSlots.clear();
             if (e.pump && e.pump->scheduled())
-                e.eq->deschedule(e.pump.get());
+                eq_.deschedule(e.pump.get());
         }
     }
 
   private:
     /**
-     * Heap node: the canonical sort key plus a pool index.  A
+     * Heap node: the canonical apply order's sort key plus a pool
+     * index.  A
      * Deliverable is 200 bytes (three payload variants inline), so
      * sifting whole objects through push_heap/pop_heap dominated the
      * wire's host cost; the heap moves these 24-byte slots instead
@@ -247,13 +205,8 @@ class Wire
          *  deque growth never relocates the slot being applied. */
         std::deque<Deliverable> pool;
         std::vector<std::uint32_t> freeSlots;
-        /** Seed hot path: a min-heap of whole deliverables, sifting
-         *  the full 200-byte objects on every push/pop. */
-        std::vector<Deliverable> dheap;
         std::unique_ptr<EventFunctionWrapper> pump;
         Tick pumpAt = 0;
-        std::uint32_t shard = 0;
-        EventQueue *eq = nullptr;
         Apply apply;
     };
 
@@ -262,41 +215,6 @@ class Wire
     {
         // std::push_heap builds a max-heap; invert for min-first.
         return b.before(a);
-    }
-
-    static bool
-    dheapCmp(const Deliverable &a, const Deliverable &b)
-    {
-        return b.before(a);
-    }
-
-    void
-    insertLocal(Deliverable &&d)
-    {
-        Endpoint &e = eps_[d.receiver];
-        if (seedHeap_) {
-            const Tick when = d.when;
-            e.dheap.push_back(std::move(d));
-            std::push_heap(e.dheap.begin(), e.dheap.end(), dheapCmp);
-            if (!e.pump->scheduled() || when < e.pumpAt) {
-                e.eq->reschedule(e.pump.get(), when);
-                e.pumpAt = when;
-            }
-            return;
-        }
-        Slot s;
-        s.when = d.when;
-        s.senderSeq = d.senderSeq;
-        s.sender = d.sender;
-        s.kind = static_cast<std::uint8_t>(d.kind);
-        const Tick when = d.when;
-        s.idx = poolPut(e, std::move(d));
-        e.heap.push_back(s);
-        std::push_heap(e.heap.begin(), e.heap.end(), heapCmp);
-        if (!e.pump->scheduled() || when < e.pumpAt) {
-            e.eq->reschedule(e.pump.get(), when);
-            e.pumpAt = when;
-        }
     }
 
     static std::uint32_t
@@ -317,12 +235,8 @@ class Wire
     void
     pumpFire(std::uint32_t ep)
     {
-        if (seedHeap_) {
-            pumpFireSeed(ep);
-            return;
-        }
         Endpoint &e = eps_[ep];
-        const Tick now = e.eq->curTick();
+        const Tick now = eq_.curTick();
         while (!e.heap.empty() && e.heap.front().when == now) {
             std::pop_heap(e.heap.begin(), e.heap.end(), heapCmp);
             const std::uint32_t idx = e.heap.back().idx;
@@ -337,42 +251,19 @@ class Wire
         if (!e.heap.empty()) {
             const Tick next = e.heap.front().when;
             snap_assert(next > now, "wire pump missed a deliverable");
-            // The apply callbacks may have staged new same-shard
-            // deliverables for this endpoint and rescheduled the
-            // pump already; keep the earlier firing.
+            // The apply callbacks may have staged new deliverables
+            // for this endpoint and rescheduled the pump already;
+            // keep the earlier firing.
             if (!e.pump->scheduled() || next < e.pumpAt) {
-                e.eq->reschedule(e.pump.get(), next);
+                eq_.reschedule(e.pump.get(), next);
                 e.pumpAt = next;
             }
         }
     }
 
-    void
-    pumpFireSeed(std::uint32_t ep)
-    {
-        Endpoint &e = eps_[ep];
-        const Tick now = e.eq->curTick();
-        while (!e.dheap.empty() && e.dheap.front().when == now) {
-            std::pop_heap(e.dheap.begin(), e.dheap.end(), dheapCmp);
-            Deliverable d = std::move(e.dheap.back());
-            e.dheap.pop_back();
-            e.apply(std::move(d));
-        }
-        if (!e.dheap.empty()) {
-            const Tick next = e.dheap.front().when;
-            snap_assert(next > now, "wire pump missed a deliverable");
-            if (!e.pump->scheduled() || next < e.pumpAt) {
-                e.eq->reschedule(e.pump.get(), next);
-                e.pumpAt = next;
-            }
-        }
-    }
-
+    EventQueue &eq_;
     Tick lag_;
-    std::uint32_t numShards_;
-    bool seedHeap_;
     std::vector<Endpoint> eps_;
-    std::vector<std::vector<Deliverable>> outbox_;
 };
 
 } // namespace snap

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <mutex>
 
 namespace snap
 {
@@ -18,10 +17,6 @@ thread_local ThreadState tls;
 
 namespace
 {
-/** Totals folded in by exited worker threads (foldThread). */
-std::mutex g_foldMu;
-Totals g_folded;
-
 /** Calibration anchors: nowRaw() and steady_clock sampled together
  *  at setEnabled(true).  snapshot() derives raw-units-per-ns from a
  *  second pair, so reported ns stay honest whatever nowRaw() is. */
@@ -72,21 +67,6 @@ resetThread()
         t.ns[i] = 0;
         t.hits[i] = 0;
     }
-    std::lock_guard<std::mutex> lk(g_foldMu);
-    g_folded = Totals{};
-}
-
-void
-foldThread()
-{
-    auto &t = detail::tls;
-    std::lock_guard<std::mutex> lk(g_foldMu);
-    for (std::size_t i = 0; i < numPhases; ++i) {
-        g_folded.ns[i] += t.ns[i];
-        g_folded.hits[i] += t.hits[i];
-        t.ns[i] = 0;
-        t.hits[i] = 0;
-    }
 }
 
 Totals
@@ -104,12 +84,10 @@ snapshot()
             : 1.0;
     Totals out;
     const auto &t = detail::tls;
-    std::lock_guard<std::mutex> lk(g_foldMu);
     for (std::size_t i = 0; i < numPhases; ++i) {
-        const std::uint64_t raw = t.ns[i] + g_folded.ns[i];
         out.ns[i] = static_cast<std::uint64_t>(
-            static_cast<double>(raw) * toNs);
-        out.hits[i] = t.hits[i] + g_folded.hits[i];
+            static_cast<double>(t.ns[i]) * toNs);
+        out.hits[i] = t.hits[i];
     }
     return out;
 }

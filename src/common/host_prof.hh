@@ -13,8 +13,7 @@
  *  - Self-time attribution: nested scopes suspend their parent, so a
  *    phase's time excludes the phases it calls into.
  *  - Thread-safe by construction: all counters are thread_local and
- *    snapshot() folds the calling thread's view.  Parallel-machine
- *    profiling sums worker threads via the registry in host_prof.cc.
+ *    snapshot() reads the calling thread's view.
  */
 
 #ifndef SNAP_COMMON_HOST_PROF_HH
@@ -61,11 +60,6 @@ inline bool enabled()
 void setEnabled(bool on);
 void resetThread();
 
-/** Fold the calling thread's counters into the global registry and
- *  zero them.  Parallel-machine worker threads call this before
- *  exiting so snapshot() on the main thread sees their time. */
-void foldThread();
-
 struct Totals
 {
     std::uint64_t ns[numPhases] = {};
@@ -79,8 +73,7 @@ struct Totals
     }
 };
 
-/** The calling thread's accumulated per-phase self-time, plus
- *  everything folded in by exited worker threads (foldThread). */
+/** The calling thread's accumulated per-phase self-time. */
 Totals snapshot();
 
 /** Formatted table of @p t (phase, self-ns, hits, share). */

@@ -283,28 +283,9 @@ FaultPlan::beginRun()
 {
     tally_ = FaultReport{};
     tally_.enabled = true;
-    for (Stream &s : streams_)
-        s.tally = FaultReport{};
     // Dead clusters scope to one run: a wedged run is torn down and
     // re-wired (repair()), a clean run left the array drained.
-    deadMask_.store(0, std::memory_order_relaxed);
-}
-
-void
-FaultPlan::foldTallies()
-{
-    for (std::size_t s = 1; s < streams_.size(); ++s) {
-        FaultReport &t = streams_[s].tally;
-        tally_.icnDropped += t.icnDropped;
-        tally_.icnCorrupted += t.icnCorrupted;
-        tally_.icnDelayed += t.icnDelayed;
-        tally_.semStalls += t.semStalls;
-        tally_.markerFlips += t.markerFlips;
-        tally_.markerSticks += t.markerSticks;
-        tally_.syncWedges += t.syncWedges;
-        tally_.deadClusters += t.deadClusters;
-        t = FaultReport{};
-    }
+    deadMask_ = 0;
 }
 
 FaultPlan::Stream &
@@ -322,7 +303,7 @@ FaultPlan::drawOn(std::uint32_t s, FaultKind k)
     std::size_t i = static_cast<std::size_t>(k);
     std::uint64_t x = spec_.seed;
     x ^= kindSalt[i];
-    x += 0x9e3779b97f4a7c15ull * (stream(s).counters[i]++ + 1);
+    x += 0x9e3779b97f4a7c15ull * (stream(s)[i]++ + 1);
     x += 0xc2b2ae3d27d4eb4full * generation_;
     // Stream 0 (the machine) reproduces the historical single-stream
     // draws exactly; cluster streams diverge by this term.
@@ -355,7 +336,7 @@ FaultPlan::rollIcnDrop(ClusterId c)
 {
     if (!rollOn(c + 1, FaultKind::IcnDrop, spec_.icnDropRate))
         return false;
-    ++stream(c + 1).tally.icnDropped;
+    ++tally_.icnDropped;
     return true;
 }
 
@@ -364,7 +345,7 @@ FaultPlan::rollIcnCorrupt(ClusterId c)
 {
     if (!rollOn(c + 1, FaultKind::IcnCorrupt, spec_.icnCorruptRate))
         return false;
-    ++stream(c + 1).tally.icnCorrupted;
+    ++tally_.icnCorrupted;
     return true;
 }
 
@@ -373,7 +354,7 @@ FaultPlan::rollIcnDelay(ClusterId c)
 {
     if (!rollOn(c + 1, FaultKind::IcnDelay, spec_.icnDelayRate))
         return false;
-    ++stream(c + 1).tally.icnDelayed;
+    ++tally_.icnDelayed;
     return true;
 }
 
@@ -382,7 +363,7 @@ FaultPlan::rollSemStall(ClusterId c)
 {
     if (!rollOn(c + 1, FaultKind::SemStall, spec_.semStallRate))
         return false;
-    ++stream(c + 1).tally.semStalls;
+    ++tally_.semStalls;
     return true;
 }
 
@@ -426,7 +407,7 @@ void
 FaultPlan::markDead(ClusterId c)
 {
     if (c < 64)
-        deadMask_.fetch_or(1ull << c, std::memory_order_relaxed);
+        deadMask_ |= 1ull << c;
 }
 
 void
@@ -434,8 +415,8 @@ FaultPlan::bumpGeneration()
 {
     ++generation_;
     for (Stream &s : streams_)
-        s.counters.fill(0);
-    deadMask_.store(0, std::memory_order_relaxed);
+        s.fill(0);
+    deadMask_ = 0;
 }
 
 // --- helpers ---------------------------------------------------------

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -129,15 +128,11 @@ struct FaultReport {
  * seed-determined) fault patterns.  bumpGeneration() reseeds the whole
  * stream — used when a serving replica is quarantined and re-stamped.
  *
- * Sharded execution: injection sites are visited concurrently by the
- * host shards, so the entropy is split into independent streams —
- * stream 0 for the machine itself (per-run arm decisions, made
- * single-threaded before the run starts) and stream c+1 for cluster c
- * (its CU/MU injection-site rolls).  Each stream's draw history is a
- * pure function of that cluster's own simulated event order, which the
- * wire model keeps identical across thread counts — so the injected
- * fault pattern is too.  Tallies are likewise kept per stream and
- * folded at run end.
+ * The entropy is split into independent streams — stream 0 for the
+ * machine itself (per-run arm decisions, made before the run starts)
+ * and stream c+1 for cluster c (its CU/MU injection-site rolls).  Each
+ * stream's draw history is a pure function of that cluster's own
+ * simulated event order.
  */
 class FaultPlan
 {
@@ -156,14 +151,6 @@ class FaultPlan
 
     FaultReport &tally() { return tally_; }
     const FaultReport &tally() const { return tally_; }
-
-    /// Injection tally of cluster @p c's stream.  Written only by the
-    /// shard driving that cluster; folded into tally() at run end.
-    FaultReport &tallyFor(ClusterId c) { return stream(c + 1).tally; }
-
-    /// Sum the per-cluster stream tallies into tally() and clear
-    /// them.  Single-threaded (run end).
-    void foldTallies();
 
     // --- per-event injection-site rolls on cluster @p c's stream
     //     (each advances its counter exactly once per call, hit or
@@ -195,25 +182,11 @@ class FaultPlan
     float corruptValue(float v);
 
     // --- dead-cluster state ------------------------------------------
-    // The mask is one shared word: each bit is written only by the
-    // shard driving that cluster (the fault event runs on the owner's
-    // queue), but read by all of them, hence the relaxed atomics.  A
-    // cluster's reads of its *own* bit are same-thread and therefore
-    // deterministic; foreign bits only gate work that the foreign
-    // cluster never sends once dead.
+    // One bit per cluster, cleared at every run start.
     void markDead(ClusterId c);
     bool clusterDead(ClusterId c) const
     {
-        std::uint64_t m = deadMask_.load(std::memory_order_relaxed);
-        return m != 0 && c < 64 && (m >> c & 1ull) != 0;
-    }
-    bool anyDead() const
-    {
-        return deadMask_.load(std::memory_order_relaxed) != 0;
-    }
-    void reviveAll()
-    {
-        deadMask_.store(0, std::memory_order_relaxed);
+        return c < 64 && (deadMask_ >> c & 1ull) != 0;
     }
 
     /// Reseed the whole stream (replica re-stamp after quarantine).
@@ -221,12 +194,8 @@ class FaultPlan
     std::uint64_t generation() const { return generation_; }
 
   private:
-    /// One independent entropy stream + its injection tally.
-    struct Stream
-    {
-        std::array<std::uint64_t, numFaultKinds> counters{};
-        FaultReport tally;
-    };
+    /// One independent entropy stream: a draw counter per kind.
+    using Stream = std::array<std::uint64_t, numFaultKinds>;
 
     Stream &stream(std::uint32_t s);
     std::uint64_t drawOn(std::uint32_t s, FaultKind k);
@@ -237,7 +206,7 @@ class FaultPlan
     FaultReport tally_;
     std::vector<Stream> streams_{1};
     std::uint64_t generation_ = 0;
-    std::atomic<std::uint64_t> deadMask_{0};
+    std::uint64_t deadMask_ = 0;
 };
 
 // --- helpers shared by machine integrity checking and tests ----------

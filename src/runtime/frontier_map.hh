@@ -20,16 +20,13 @@
  *    stay contiguous and lookups need no tombstone handling.
  *
  * Entry iteration order is never observed by the simulator, so the
- * change cannot affect simulated results.  A legacy mode wrapping
- * std::unordered_map is kept as the measurement baseline for
- * bench/host_perf (MachineConfig::seedHotPath).
+ * map cannot affect simulated results.
  */
 
 #ifndef SNAP_RUNTIME_FRONTIER_MAP_HH
 #define SNAP_RUNTIME_FRONTIER_MAP_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "runtime/propagate.hh"
@@ -40,19 +37,12 @@ namespace snap
 class FrontierMap
 {
   public:
-    explicit FrontierMap(bool legacy = false) : legacy_(legacy)
-    {
-        if (!legacy_)
-            slots_.resize(initialCapacity);
-    }
+    FrontierMap() : slots_(initialCapacity) {}
 
     /** Label list for @p key, default-constructed on first access. */
     std::vector<PropLabel> &
     operator[](std::uint64_t key)
     {
-        if (legacy_)
-            return legacyMap_[key];
-
         if ((size_ + 1) * 4 > slots_.size() * 3)
             grow();
 
@@ -66,19 +56,15 @@ class FrontierMap
         return s->labels;
     }
 
-    /** Drop all entries; flat mode keeps slot and label capacity. */
+    /** Drop all entries; slot and label capacity are kept. */
     void
     clear()
     {
-        if (legacy_) {
-            legacyMap_.clear();
-            return;
-        }
         ++epoch_;
         size_ = 0;
     }
 
-    std::size_t size() const { return legacy_ ? legacyMap_.size() : size_; }
+    std::size_t size() const { return size_; }
 
   private:
     static constexpr std::size_t initialCapacity = 1024;
@@ -132,11 +118,9 @@ class FrontierMap
         }
     }
 
-    bool legacy_;
     std::vector<Slot> slots_;
     std::uint64_t epoch_ = 1;
     std::size_t size_ = 0;
-    std::unordered_map<std::uint64_t, std::vector<PropLabel>> legacyMap_;
 };
 
 } // namespace snap

@@ -311,7 +311,6 @@ encodeHelloAck(WireWriter &w, const HelloAckFrame &f)
     w.u64(f.epoch);
     w.u32(f.numNodes);
     w.u32(f.numClusters);
-    // v3 tail: the shard's trace clock at ack time.
     w.u64(f.traceClockNs);
 }
 
@@ -323,12 +322,7 @@ decodeHelloAck(WireReader &r, HelloAckFrame &f)
     f.epoch = r.u64();
     f.numNodes = r.u32();
     f.numClusters = r.u32();
-    if (r.failed())
-        return false;
-    // Version-tolerant tail: a v2 payload ends here; a v3 payload
-    // has exactly 8 bytes of shard trace-clock left.
-    if (r.remaining() == 8)
-        f.traceClockNs = r.u64();
+    f.traceClockNs = r.u64();
     return r.done();
 }
 
@@ -340,13 +334,11 @@ encodeRequest(WireWriter &w, const RequestFrame &f)
     w.f64(f.timeoutMs);
     w.u64(f.rngSeed);
     encodeProgram(w, f.prog);
-    // v3 trace-context tail, present only for sampled requests: with
-    // tracing off the encoding is byte-identical to v2.
-    if (f.traceFlags != 0) {
-        w.u64(f.traceId);
-        w.u64(f.traceParent);
-        w.u8(f.traceFlags);
-    }
+    // The trace context, zeroed for an unsampled request.
+    const bool sampled = f.traceFlags != 0;
+    w.u64(sampled ? f.traceId : 0);
+    w.u64(sampled ? f.traceParent : 0);
+    w.u8(f.traceFlags);
 }
 
 bool
@@ -358,16 +350,13 @@ decodeRequest(WireReader &r, RequestFrame &f)
     f.rngSeed = r.u64();
     if (r.failed() || !decodeProgram(r, f.prog))
         return false;
-    // Version-tolerant tail: a v2 (or unsampled v3) payload ends
-    // here; a sampled v3 payload has exactly 17 trace-context bytes
-    // left.
-    if (r.remaining() == 17) {
-        f.traceId = r.u64();
-        f.traceParent = r.u64();
-        f.traceFlags = r.u8();
-        if (f.traceFlags == 0)
-            return false;
-    }
+    f.traceId = r.u64();
+    f.traceParent = r.u64();
+    f.traceFlags = r.u8();
+    // An unsampled context is all zeros; the encoder never emits
+    // anything else.
+    if (f.traceFlags == 0 && (f.traceId != 0 || f.traceParent != 0))
+        return false;
     return r.done();
 }
 

@@ -49,9 +49,12 @@ namespace shard
  *  pull frames (StatsPull/StatsSnapshot) exist.
  *  v4: Response frames drop the batch-lane count, and their
  *  checksum is mandatory and verified over the whole payload before
- *  any field is parsed.  A peer of another version is refused at
- *  Hello. */
-constexpr std::uint32_t protocolVersion = 4;
+ *  any field is parsed.
+ *  v5: no optional tails: every Request carries the 17-byte trace
+ *  context (all zeros when not sampled) and every HelloAck its
+ *  trace clock; a payload of any other length is rejected.
+ *  A peer of another version is refused at Hello. */
+constexpr std::uint32_t protocolVersion = 5;
 
 /** Hard cap on one frame's payload (a serialized Program or
  *  ResultSet is well under this; the cap bounds a hostile peer). */
@@ -118,10 +121,10 @@ struct HelloAckFrame
     std::uint64_t epoch = 0;
     std::uint32_t numNodes = 0;
     std::uint32_t numClusters = 0;
-    /** v3: the shard's trace-epoch host clock (trace::hostNowNs) at
-     *  ack time.  The router subtracts it from its own clock to get
-     *  the per-shard offset `snaptrace merge` uses to align the
-     *  process timelines.  0 from a v2 peer (tolerant decode). */
+    /** The shard's trace-epoch host clock (trace::hostNowNs) at ack
+     *  time.  The router subtracts it from its own clock to get the
+     *  per-shard offset `snaptrace merge` uses to align the process
+     *  timelines. */
     std::uint64_t traceClockNs = 0;
 };
 
@@ -134,9 +137,8 @@ struct RequestFrame
     double timeoutMs = 0.0;
     std::uint64_t rngSeed = 0;
     Program prog;
-    /** v3 distributed-trace context, encoded as a trailing tail only
-     *  when traceFlags != 0 — so with tracing off the wire bytes are
-     *  byte-identical to v2.  traceParent is the router-side span id
+    /** Distributed-trace context, always encoded (all zeros when
+     *  traceFlags == 0).  traceParent is the router-side span id
      *  of the specific attempt (hedged duplicates and failover
      *  reroutes each get their own), the anchor for the shard's
      *  cross-process "xrpc" flow arrow. */

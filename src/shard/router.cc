@@ -169,13 +169,10 @@ ShardRouter::dialShard(std::uint32_t idx, double timeout_ms,
     epoch_ = std::max(epoch_, ack.epoch);
     // Clock alignment for snaptrace merge: the ack carries the
     // shard's trace-clock reading of (approximately) this instant.
-    // 0 means a v2 shard — no alignment available, offset stays 0.
-    if (ack.traceClockNs != 0) {
-        shard.clockOffsetNs.store(
-            static_cast<std::int64_t>(ack.traceClockNs) -
-                static_cast<std::int64_t>(trace::hostNowNs()),
-            std::memory_order_release);
-    }
+    shard.clockOffsetNs.store(
+        static_cast<std::int64_t>(ack.traceClockNs) -
+            static_cast<std::int64_t>(trace::hostNowNs()),
+        std::memory_order_release);
     {
         std::lock_guard<std::mutex> lock(shard.mu);
         shard.fd = fd;

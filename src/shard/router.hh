@@ -253,7 +253,7 @@ class ShardRouter
 
     /** Shard clock minus router clock at handshake (trace::hostNowNs
      *  domain), i.e. routerNs - offset ~= the shard's reading of the
-     *  same instant.  0 for a v2 shard (no clock in its HelloAck). */
+     *  same instant. */
     std::int64_t shardClockOffsetNs(std::uint32_t shard) const;
 
     /**

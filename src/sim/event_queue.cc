@@ -34,12 +34,6 @@ EventQueue::schedule(Event *event, Tick when)
 }
 
 void
-EventQueue::insertOverflow(const Entry &e)
-{
-    overflow_.push(e);
-}
-
-void
 EventQueue::insertSorted(Bucket &bk, const Entry &e)
 {
     // Out-of-order arrivals still land near the tail (interleaved
@@ -96,21 +90,6 @@ EventQueue::resetBucket(std::uint32_t b)
     occ_[b >> 6] &= ~(1ull << (b & 63));
 }
 
-void
-EventQueue::reclaimStale(Event *ev, const Entry &entry)
-{
-    // A stale entry normally belongs to an event that moved on
-    // (rescheduled, fired, or recycled — its seq no longer matches).
-    // The one case that still owns memory: a non-pooled auto-delete
-    // one-shot descheduled and untouched since.  Its seq still
-    // matches, so this entry — the only reference left — frees it.
-    if (ev->scheduled_ || ev->seq_ != entry.seq)
-        return;
-    if (!ev->autoDelete_ || ev->pooled_ || ev->inFreeList_)
-        return;
-    delete ev;
-}
-
 EventQueue::Head
 EventQueue::findHead()
 {
@@ -130,8 +109,6 @@ EventQueue::findHead()
             while (staleEntries_ != 0 &&
                    bk.drainPos < bk.entries.size() &&
                    stale(bk.entries[bk.drainPos])) {
-                const Entry &e = bk.entries[bk.drainPos];
-                reclaimStale(e.event, e);
                 ++bk.drainPos;
                 --ringCount_;
                 --staleEntries_;
@@ -154,7 +131,6 @@ EventQueue::findHead()
     while (!overflow_.empty()) {
         const Entry &top = overflow_.top();
         if (staleEntries_ != 0 && stale(top)) {
-            reclaimStale(top.event, top);
             overflow_.pop();
             --staleEntries_;
             continue;
@@ -211,8 +187,6 @@ EventQueue::serviceHead(const Head &head)
         recycle(cb);
     } else {
         ev->process();
-        if (ev->autoDelete_)
-            delete ev;
     }
 }
 
@@ -225,8 +199,7 @@ EventQueue::deschedule(Event *event)
     // discarded when it surfaces.  Pooled one-shots go straight back
     // to the free list (the pool keeps the storage alive, so the
     // stale entry is safe to examine later; its seq check rejects
-    // any reuse).  Non-pooled auto-delete events must outlive their
-    // stale entry and are freed when it surfaces (reclaimStale).
+    // any reuse).
     event->scheduled_ = false;
     --live_;
     ++staleEntries_;
@@ -237,8 +210,8 @@ EventQueue::deschedule(Event *event)
 void
 EventQueue::reschedule(Event *event, Tick when)
 {
-    snap_assert(event != nullptr && !event->autoDelete_,
-                "rescheduling an auto-delete event");
+    snap_assert(event != nullptr && !event->pooled_,
+                "rescheduling a pooled one-shot");
     if (event->scheduled_)
         deschedule(event);
     schedule(event, when);
@@ -275,7 +248,6 @@ EventQueue::clearPending()
         if (stale(e)) {
             snap_assert(staleEntries_ != 0,
                         "stale accounting underflow in clearPending");
-            reclaimStale(ev, e);
             --staleEntries_;
             return;
         }
@@ -283,8 +255,6 @@ EventQueue::clearPending()
         --live_;
         if (ev->pooled_)
             recycle(ev);
-        else if (ev->autoDelete_)
-            delete ev;
     };
     for (std::uint32_t b = 0; b < numBuckets; ++b) {
         Bucket &bk = buckets_[b];
@@ -336,7 +306,6 @@ EventQueue::run(std::uint64_t max_events)
                 hostprof::Scope hpq(hostprof::Phase::Queue);
                 const Entry e = bk.entries[bk.drainPos];
                 if (staleEntries_ != 0 && stale(e)) [[unlikely]] {
-                    reclaimStale(e.event, e);
                     ++bk.drainPos;
                     --ringCount_;
                     --staleEntries_;
@@ -366,8 +335,6 @@ EventQueue::run(std::uint64_t max_events)
                     recycle(cb);
                 } else {
                     ev->process();
-                    if (ev->autoDelete_)
-                        delete ev;
                 }
             }
             if (bk.drainPos == bk.entries.size())

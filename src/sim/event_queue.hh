@@ -7,31 +7,21 @@
  * fire in FIFO scheduling order (a monotonically increasing sequence
  * number breaks ties) so simulations are fully deterministic.
  *
- * Two interchangeable storage backends share one semantic contract
- * (identical fire order for identical schedule calls):
+ * Storage is a two-level queue.  Near-future events — within ~17
+ * simulated microseconds of now, which covers most periodic machine
+ * events — live in a ring of time-indexed buckets addressed by
+ * `when >> bucketShift`, giving O(1) schedule and amortized O(1) pop
+ * for the common same-cycle / next-cycle cases.  Far-future events
+ * overflow into a binary heap and are compared against the ring head
+ * at pop time, so ordering stays exact.  One-shot callbacks come from
+ * an internal free-list pool with inline callable storage; after
+ * warm-up the steady state performs no per-event allocation of any
+ * kind.
  *
- *  - Impl::Indexed (default): a two-level queue.  Near-future events
- *    — within ~17 simulated microseconds of now, which covers most
- *    periodic machine events — live in a ring of time-indexed buckets
- *    addressed by `when >> bucketShift`, giving O(1) schedule and
- *    amortized O(1) pop for the common same-cycle / next-cycle cases.
- *    Far-future events overflow into a binary heap and are compared
- *    against the ring head at pop time, so ordering stays exact.
- *    One-shot callbacks come from an internal free-list pool with
- *    inline callable storage; after warm-up the steady state performs
- *    no per-event allocation of any kind.
- *
- *  - Impl::Heap: the seed revision's implementation — a single binary
- *    heap, with every scheduleCallback() heap-allocating a one-shot
- *    wrapper (std::function + name string) that is deleted after it
- *    fires.  Kept bit-faithful as the measurement baseline for
- *    bench/host_perf and as a cross-check in the unit tests.
- *
- * Descheduling is lazy in both backends: the event is marked
- * unscheduled and its stale queue entry is discarded when it
- * surfaces.  Unlike the seed, a descheduled one-shot no longer leaks:
- * pooled wrappers are recycled at deschedule time, heap-allocated
- * ones are freed when their stale entry surfaces.
+ * Descheduling is lazy: the event is marked unscheduled and its stale
+ * queue entry is discarded when it surfaces.  A descheduled pooled
+ * one-shot is recycled at once (its seq check rejects the stale
+ * entry).
  */
 
 #ifndef SNAP_SIM_EVENT_QUEUE_HH
@@ -83,25 +73,16 @@ class Event
 
     const std::string &name() const { return name_; }
 
-    /** One-shot events reclaimed by the queue after firing (or after
-     *  a deschedule): pooled ones return to the free list, others are
-     *  deleted.  Callers must not touch such an event once it has
-     *  been handed to the queue. */
-    bool isAutoDelete() const { return autoDelete_; }
-
     /**
      * Mark this event as wire class: at any given tick, wire-class
      * events fire before every normal event scheduled for the same
-     * tick, regardless of scheduling order.  The parallel machine's
-     * cross-shard delivery pumps use this so that staged arrivals are
-     * applied ahead of same-tick local work in both the serial and
-     * sharded execution modes — a precondition for bit-exactness.
+     * tick, regardless of scheduling order.  The machine's wire
+     * delivery pumps use this so staged arrivals apply ahead of
+     * same-tick local work — part of the canonical apply order the
+     * machine goldens pin.
      */
     void setWireClass() { wireClass_ = true; }
     bool isWireClass() const { return wireClass_; }
-
-  protected:
-    void setAutoDelete() { autoDelete_ = true; }
 
   private:
     friend class EventQueue;
@@ -110,9 +91,9 @@ class Event
     Tick when_ = 0;
     std::uint64_t seq_ = 0;
     bool scheduled_ = false;
-    bool autoDelete_ = false;
-    /** Owned by the queue's callback pool (recycled, never freed
-     *  individually). */
+    /** A one-shot owned by the queue's callback pool: recycled after
+     *  firing or a deschedule, never freed individually.  Callers
+     *  must not touch one once it has been handed to the queue. */
     bool pooled_ = false;
     /** Pooled event currently parked on the free list. */
     bool inFreeList_ = false;
@@ -137,7 +118,7 @@ class EventFunctionWrapper : public Event
 /**
  * Schedule-trace instrumentation for bench/host_perf: the recorded
  * (delta, fanout) stream lets a replay reproduce a workload's exact
- * event arrival pattern against any queue backend.
+ * event arrival pattern through a bare queue.
  */
 struct ScheduleTrace
 {
@@ -155,26 +136,10 @@ struct ScheduleTrace
 class EventQueue
 {
   public:
-    /** Storage backend (identical semantics, different cost). */
-    enum class Impl
-    {
-        Indexed,  ///< bucket ring + overflow heap (default)
-        Heap,     ///< seed binary heap + per-event allocation
-    };
-
-    explicit EventQueue(Impl impl = Impl::Indexed)
-        : indexed_(impl == Impl::Indexed)
-    {
-        occ_.fill(0);
-    }
+    EventQueue() { occ_.fill(0); }
     ~EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    Impl impl() const
-    {
-        return indexed_ ? Impl::Indexed : Impl::Heap;
-    }
 
     /** Current simulated time. */
     Tick curTick() const { return curTick_; }
@@ -184,37 +149,24 @@ class EventQueue
 
     /**
      * Remove a scheduled event from the queue.  A pooled one-shot is
-     * recycled immediately; a non-pooled auto-delete event is freed
-     * when its stale entry surfaces.  Either way the caller must not
-     * use an auto-delete event after descheduling it.
+     * recycled immediately; the caller must not use it afterwards.
      */
     void deschedule(Event *event);
 
     /** Deschedule (if needed) and schedule at a new tick.  Not valid
-     *  for auto-delete events (the queue reclaims those). */
+     *  for pooled one-shots (the queue reclaims those). */
     void reschedule(Event *event, Tick when);
 
     /**
-     * Convenience: schedule a one-shot callback.
-     *
-     * Indexed backend: the wrapper comes from an internal free-list
-     * pool and stores the callable inline — steady-state operation
-     * allocates nothing, and @p name is ignored (pooled wrappers are
-     * all named "callback").  Heap backend: allocates a one-shot
-     * wrapper per call, exactly as the seed revision did.
+     * Convenience: schedule a one-shot callback.  The wrapper comes
+     * from an internal free-list pool and stores the callable inline,
+     * so steady-state operation allocates nothing.  Pooled wrappers
+     * are all named "callback".
      */
     template <typename F>
     void
-    scheduleCallback(Tick when, F &&fn,
-                     const char *name = "callback")
+    scheduleCallback(Tick when, F &&fn)
     {
-        if (!indexed_) {
-            schedule(new HeapOneShot(
-                         std::function<void()>(std::forward<F>(fn)),
-                         name),
-                     when);
-            return;
-        }
         PooledCallback *cb = acquireCallback();
         cb->assign(std::forward<F>(fn));
         scheduleImpl(cb, when);
@@ -240,11 +192,10 @@ class EventQueue
 
     /**
      * Run every event strictly before @p limit (events at exactly
-     * @p limit do NOT fire).  The parallel machine's window driver:
-     * one conservative lookahead window is [T, T + W), exclusive at
-     * the upper edge so a window-boundary arrival belongs to the next
-     * window.  curTick() is left at the last processed event, not
-     * advanced to the boundary.  @return events processed.
+     * @p limit do NOT fire).  The machine's fault watchdog runs one
+     * step of its check grid this way.  curTick() is left at the last
+     * processed event, not advanced to @p limit.
+     * @return events processed.
      */
     std::uint64_t runBefore(Tick limit);
 
@@ -260,25 +211,11 @@ class EventQueue
     }
 
     /**
-     * Jump simulated time forward to @p when on an empty queue.  The
-     * sharded machine uses it to realign every shard's clock to the
-     * common run-start tick (shards finish a run at slightly
-     * different curTicks once their last local events differ).
-     */
-    void
-    advanceTo(Tick when)
-    {
-        snap_assert(live_ == 0, "advanceTo on a non-empty queue");
-        snap_assert(when >= curTick_, "advanceTo into the past");
-        curTick_ = when;
-    }
-
-    /**
      * Discard every pending event without firing it.  Pooled one-shots
-     * return to the free list, non-pooled auto-delete events are freed,
-     * component-owned events are left unscheduled (safe to destroy or
-     * reschedule).  Simulated time does not move.  Used to abort a
-     * wedged machine run before the component graph is rebuilt.
+     * return to the free list, component-owned events are left
+     * unscheduled (safe to destroy or reschedule).  Simulated time
+     * does not move.  Used to abort a wedged machine run before the
+     * component graph is rebuilt.
      */
     void clearPending();
 
@@ -315,7 +252,7 @@ class EventQueue
     class PooledCallback : public Event
     {
       public:
-        PooledCallback() : Event("callback") { setAutoDelete(); }
+        PooledCallback() : Event("callback") {}
         ~PooledCallback() override { reset(); }
 
         template <typename F>
@@ -365,18 +302,6 @@ class EventQueue
         /** Intrusive free-list link (valid while inFreeList_). */
         PooledCallback *nextFree_ = nullptr;
         alignas(std::max_align_t) unsigned char store_[storeSize];
-    };
-
-    /** Seed-style one-shot: heap-allocated per call, deleted after
-     *  firing (Impl::Heap measurement baseline). */
-    class HeapOneShot : public EventFunctionWrapper
-    {
-      public:
-        HeapOneShot(std::function<void()> fn, std::string name)
-            : EventFunctionWrapper(std::move(fn), std::move(name))
-        {
-            setAutoDelete();
-        }
     };
 
     struct Entry
@@ -472,14 +397,11 @@ class EventQueue
         }
 
         Entry e{when, event->seq_, event};
-        if (indexed_ && when - curTick_ < nearSpan)
+        if (when - curTick_ < nearSpan)
             insertRing(e);
         else
-            insertOverflow(e);
+            overflow_.push(e);
     }
-
-    /** Far-future (or Heap-impl) arrival: push onto the heap. */
-    void insertOverflow(const Entry &e);
 
     void
     insertRing(const Entry &e)
@@ -509,9 +431,6 @@ class EventQueue
     std::uint32_t nextOccupied(std::uint32_t cursor) const;
     void resetBucket(std::uint32_t b);
 
-    /** Reclaim a one-shot whose stale entry surfaced (descheduled
-     *  and never recycled / rescheduled since). */
-    void reclaimStale(Event *ev, const Entry &entry);
     void recycle(Event *ev);
     /** Pop a wrapper off the free list, growing the pool if empty. */
     PooledCallback *
@@ -533,8 +452,6 @@ class EventQueue
     {
         return !e.event->scheduled_ || e.event->seq_ != e.seq;
     }
-
-    bool indexed_;
 
     std::array<Bucket, numBuckets> buckets_;
     std::array<std::uint64_t, numBuckets / 64> occ_;

@@ -6,7 +6,6 @@
  *   snapserve <kb.snapkb|kb.kbimg> <requests.txt> [options]
  *   snapserve <kb.snapkb|kb.kbimg> --listen <endpoint> [options]
  *     --workers N           worker replicas (default 2)
- *     --threads N           host threads per worker machine
  *     --queue N             admission queue capacity (default 256)
  *     --timeout-ms X        default per-request queue deadline
  *     --clusters N          replica array size (1..32, default 16)
@@ -110,8 +109,6 @@ usage()
         "       snapserve <kb.snapkb|kb.kbimg> --listen <endpoint> "
         "[options]\n"
         "  --workers N            worker replicas (default 2)\n"
-        "  --threads N            host threads per worker machine "
-        "(1..64, default 1)\n"
         "  --queue N              admission queue capacity "
         "(default 256)\n"
         "  --timeout-ms X         default queue deadline, host ms\n"
@@ -269,11 +266,6 @@ main(int argc, char **argv)
             if (!parseInt(next(), n) || n < 1 || n > 32)
                 usageError("--clusters must be 1..32");
             cfg.machine.numClusters = static_cast<std::uint32_t>(n);
-        } else if (arg == "--threads") {
-            long long n;
-            if (!parseInt(next(), n) || n < 1 || n > 64)
-                usageError("--threads must be 1..64");
-            cfg.machine.hostThreads = static_cast<std::uint32_t>(n);
         } else if (arg == "--partition") {
             std::string p = next();
             if (p == "seq")

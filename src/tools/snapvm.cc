@@ -8,8 +8,6 @@
  *     --partition seq|rr|sem  allocation strategy (default sem)
  *     --mus N               marker units per cluster (default: the
  *                           prototype's 3/2 mix)
- *     --threads N           host worker threads sharding the
- *                           cluster array (1..64, default 1)
  *     --relax-capacity      lift the 1024-nodes-per-cluster limit
  *     --stats               print the full execution breakdown
  *     --disasm              print the program before running
@@ -60,7 +58,6 @@ usage()
         "  --clusters N           array size (1..32, default 16)\n"
         "  --partition seq|rr|sem allocation (default sem)\n"
         "  --mus N                marker units per cluster\n"
-        "  --threads N            host worker threads (1..64, default 1)\n"
         "  --relax-capacity       lift the 1024 nodes/cluster cap\n"
         "  --stats                print the execution breakdown\n"
         "  --disasm               print the program first\n"
@@ -136,11 +133,6 @@ main(int argc, char **argv)
                 usageError("--mus must be 1..3");
             cfg.musPerCluster.assign(32,
                                      static_cast<std::uint32_t>(n));
-        } else if (arg == "--threads") {
-            long long n;
-            if (!parseInt(next(), n) || n < 1 || n > 64)
-                usageError("--threads must be 1..64");
-            cfg.hostThreads = static_cast<std::uint32_t>(n);
         } else if (arg == "--fault-seed") {
             long long n;
             if (!parseInt(next(), n))

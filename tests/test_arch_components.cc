@@ -90,8 +90,8 @@ TEST(HypercubeIcnTest, TransferTimeIs640ns)
  *  senderSeq) order no matter what order they were staged in. */
 TEST(WireTest, SameTickAppliesInCanonicalOrder)
 {
-    EventQueue eq(EventQueue::Impl::Indexed);
-    Wire wire(2, 1, 1000);
+    EventQueue eq;
+    Wire wire(eq, 2, 1000);
 
     struct Applied
     {
@@ -100,10 +100,10 @@ TEST(WireTest, SameTickAppliesInCanonicalOrder)
         std::uint64_t seq;
     };
     std::vector<Applied> applied;
-    wire.bindEndpoint(0, 0, &eq, [&](Deliverable &&d) {
+    wire.bindEndpoint(0, [&](Deliverable &&d) {
         applied.push_back(Applied{d.kind, d.sender, d.senderSeq});
     });
-    wire.bindEndpoint(1, 0, &eq, [](Deliverable &&) {});
+    wire.bindEndpoint(1, [](Deliverable &&) {});
 
     auto stage = [&](WireKind k, std::uint32_t sender,
                      std::uint64_t seq) {
@@ -113,7 +113,7 @@ TEST(WireTest, SameTickAppliesInCanonicalOrder)
         d.receiver = 0;
         d.sender = sender;
         d.senderSeq = seq;
-        wire.send(0, std::move(d));
+        wire.send(std::move(d));
     };
     // Scrambled staging order.
     stage(WireKind::Instr, 1, 7);
@@ -136,37 +136,6 @@ TEST(WireTest, SameTickAppliesInCanonicalOrder)
     EXPECT_EQ(applied[3].kind, WireKind::IcnCredit); // kinds in order
     EXPECT_EQ(applied[4].kind, WireKind::Instr);
     EXPECT_EQ(eq.curTick(), 5000u);
-}
-
-/** Cross-shard sends sit in the sender's outbox until the boundary
- *  flush, then arrive at their stamped tick on the receiver's
- *  queue. */
-TEST(WireTest, CrossShardDeliveryWaitsForFlush)
-{
-    EventQueue eqA(EventQueue::Impl::Indexed);
-    EventQueue eqB(EventQueue::Impl::Indexed);
-    Wire wire(2, 2, 1000);
-
-    std::vector<Tick> arrivals;
-    wire.bindEndpoint(0, 0, &eqA, [](Deliverable &&) {});
-    wire.bindEndpoint(1, 1, &eqB, [&](Deliverable &&) {
-        arrivals.push_back(eqB.curTick());
-    });
-
-    Deliverable d;
-    d.when = 2500;
-    d.receiver = 1;
-    wire.send(0, std::move(d));  // endpoint 0 lives on shard 0
-
-    // Still in shard 0's outbox: the receiver's queue has nothing.
-    EXPECT_FALSE(wire.empty());
-    EXPECT_TRUE(eqB.empty());
-
-    wire.flushOutboxes();
-    EXPECT_FALSE(eqB.empty());
-    eqB.run();
-    EXPECT_EQ(arrivals, (std::vector<Tick>{2500}));
-    EXPECT_TRUE(wire.empty());
 }
 
 // --- multiport memory -----------------------------------------------------------
@@ -279,20 +248,25 @@ TEST(SyncTreeTest, QuiescentIgnoresBarrierLines)
     EXPECT_TRUE(sync.quiescent());
 }
 
-/** Counters are signed: a consumption can land on a different tree
- *  (shard) than its creation, so one tree's counter legitimately
- *  goes negative — only the cross-tree sum is meaningful. */
-TEST(SyncTreeTest, CountersAreSignedAcrossTrees)
+TEST(SyncTreeTest, CountersAreSignedAndTotalsCountEveryMutation)
 {
-    SyncTree a(1);
-    SyncTree b(1);
-    a.created(0, 10);
-    b.consumed(0, 20);
-    EXPECT_EQ(a.counter(0), 1);
-    EXPECT_EQ(b.counter(0), -1);
-    EXPECT_EQ(a.counter(0) + b.counter(0), 0);
-    EXPECT_EQ(a.totalCreated(), 1u);
-    EXPECT_EQ(b.totalConsumed(), 1u);
+    SyncTree sync(1);
+    sync.created(0, 10);
+    sync.consumed(0, 20);
+    EXPECT_EQ(sync.counter(0), 0);
+    EXPECT_TRUE(sync.quiescent());
+
+    // A consumption seen before its creation drives the tier negative,
+    // and a negative tier holds off quiescence like a positive one.
+    sync.consumed(1, 30);
+    EXPECT_EQ(sync.counter(1), -1);
+    EXPECT_EQ(sync.inFlight(), -1);
+    EXPECT_FALSE(sync.quiescent());
+    sync.created(1, 40);
+    EXPECT_TRUE(sync.quiescent());
+
+    EXPECT_EQ(sync.totalCreated(), 2u);
+    EXPECT_EQ(sync.totalConsumed(), 2u);
 }
 
 // --- perf net ----------------------------------------------------------------------
@@ -309,9 +283,8 @@ TEST(PerfNetTest, RecordsTimestampedAtArrival)
 {
     TimingParams t;
     PerfNet net(4, t, true);
-    PerfNet::View view(&net);
-    view.emit(2, 1000, PerfEvent::MsgSent, 7);
-    net.fold({&view});
+    net.emit(2, 1000, PerfEvent::MsgSent, 7);
+    net.endRun();
     ASSERT_EQ(net.records().size(), 1u);
     EXPECT_EQ(net.records()[0].timestamp, 1000 + net.shiftTime());
     EXPECT_EQ(net.records()[0].pe, 2u);
@@ -323,48 +296,47 @@ TEST(PerfNetTest, BusyPortDropsRecords)
 {
     TimingParams t;
     PerfNet net(2, t, true);
-    PerfNet::View view(&net);
-    view.emit(0, 0, PerfEvent::TaskStart, 1);
-    view.emit(0, 100, PerfEvent::TaskEnd, 2);  // port still shifting
-    view.emit(1, 100, PerfEvent::TaskStart, 3);  // other PE: fine
-    view.emit(0, net.shiftTime(), PerfEvent::TaskEnd, 4);  // done
-    net.fold({&view});
+    net.emit(0, 0, PerfEvent::TaskStart, 1);
+    net.emit(0, 100, PerfEvent::TaskEnd, 2);  // port still shifting
+    net.emit(1, 100, PerfEvent::TaskStart, 3);  // other PE: fine
+    net.emit(0, net.shiftTime(), PerfEvent::TaskEnd, 4);  // done
+    net.endRun();
     EXPECT_EQ(net.dropped(), 1u);
     EXPECT_EQ(net.records().size(), 3u);
     EXPECT_EQ(net.emitted.value(), 4.0);
 }
 
-/** Two views sharing the master's per-PE serial ports: port
- *  contention spans views, and the fold orders the central FIFO by
- *  (timestamp, pe) regardless of fold argument order. */
-TEST(PerfNetTest, FoldMergesViewsInTimestampOrder)
+/** endRun() appends the run's records to the central FIFO in
+ *  (timestamp, pe) order, whatever order the PEs emitted them in. */
+TEST(PerfNetTest, RunRecordsLandInTimestampThenPeOrder)
 {
     TimingParams t;
     PerfNet net(3, t, true);
-    PerfNet::View a(&net);
-    PerfNet::View b(&net);
-    b.emit(2, 500, PerfEvent::MsgReceived, 2);
-    a.emit(0, 0, PerfEvent::TaskStart, 1);
-    a.emit(1, 900, PerfEvent::MsgSent, 3);
-    net.fold({&a, &b});
+    net.emit(2, 500, PerfEvent::MsgReceived, 2);
+    net.emit(1, 500, PerfEvent::MsgSent, 3);
+    net.emit(0, 0, PerfEvent::TaskStart, 1);
+    EXPECT_TRUE(net.records().empty());
+    net.endRun();
     ASSERT_EQ(net.records().size(), 3u);
     EXPECT_EQ(net.records()[0].pe, 0u);
-    EXPECT_EQ(net.records()[1].pe, 2u);
-    EXPECT_EQ(net.records()[2].pe, 1u);
+    EXPECT_EQ(net.records()[1].pe, 1u);
+    EXPECT_EQ(net.records()[2].pe, 2u);
     EXPECT_EQ(net.emitted.value(), 3.0);
-    // A second fold of the (drained) views adds nothing.
-    net.fold({&a, &b});
-    EXPECT_EQ(net.records().size(), 3u);
-    EXPECT_EQ(net.emitted.value(), 3.0);
+    // A second run appends after the first; an empty one adds
+    // nothing.
+    net.endRun();
+    net.emit(0, net.shiftTime(), PerfEvent::TaskEnd, 4);
+    net.endRun();
+    ASSERT_EQ(net.records().size(), 4u);
+    EXPECT_EQ(net.records()[3].status, 4u);
 }
 
 TEST(PerfNetTest, DisabledNetworkIsSilent)
 {
     TimingParams t;
     PerfNet net(2, t, false);
-    PerfNet::View view(&net);
-    view.emit(0, 0, PerfEvent::TaskStart, 1);
-    net.fold({&view});
+    net.emit(0, 0, PerfEvent::TaskStart, 1);
+    net.endRun();
     EXPECT_TRUE(net.records().empty());
     EXPECT_EQ(net.emitted.value(), 0.0);
 }

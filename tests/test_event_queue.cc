@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -177,32 +178,24 @@ TEST(EventQueue, CallbackPoolReachesSteadyState)
     EXPECT_EQ(fired, 53 * burst);
 }
 
-TEST(EventQueue, HeapImplBehavesIdentically)
+/** Self-expanding random storm over every queue path (same tick,
+ *  near ring, mid ring, overflow heap), checked against direct
+ *  oracles: events fire at their scheduled tick, strictly increasing
+ *  in (when, scheduling order), and every scheduled id fires exactly
+ *  once. */
+TEST(EventQueue, RandomStormFiresInOrderExactlyOnce)
 {
-    EventQueue eq(EventQueue::Impl::Heap);
-    EXPECT_EQ(eq.impl(), EventQueue::Impl::Heap);
-    std::vector<int> order;
-    eq.scheduleCallback(30, [&] { order.push_back(3); });
-    eq.scheduleCallback(10, [&] { order.push_back(1); });
-    for (int i = 0; i < 3; ++i)
-        eq.scheduleCallback(20, [&, i] { order.push_back(10 + i); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 10, 11, 12, 3}));
-}
-
-/** Self-expanding random storm; returns the (tick, id) fire log. */
-static std::vector<std::pair<Tick, int>>
-stormFireLog(EventQueue::Impl impl)
-{
-    EventQueue eq(impl);
+    EventQueue eq;
     Rng rng(987);
+    // Ids are handed out in scheduling order, so they are the
+    // queue's FIFO tie-break.
+    std::vector<Tick> due;
     std::vector<std::pair<Tick, int>> log;
-    int next_id = 0;
-    const int total = 3000;
+    const std::size_t total = 3000;
 
     std::function<void()> spawnSome = [&] {
         int fanout = static_cast<int>(rng.below(4));
-        for (int i = 0; i < fanout && next_id < total; ++i) {
+        for (int i = 0; i < fanout && due.size() < total; ++i) {
             Tick delta;
             switch (rng.below(4)) {
               case 0: delta = 0; break;                    // same tick
@@ -212,8 +205,9 @@ stormFireLog(EventQueue::Impl impl)
                 delta = (Tick{1} << 30) + rng.below(1u << 30);
                 break;
             }
-            int id = next_id++;
-            eq.scheduleCallback(eq.curTick() + delta, [&, id] {
+            const int id = static_cast<int>(due.size());
+            due.push_back(eq.curTick() + delta);
+            eq.scheduleCallback(due.back(), [&, id] {
                 log.emplace_back(eq.curTick(), id);
                 spawnSome();
             });
@@ -223,15 +217,52 @@ stormFireLog(EventQueue::Impl impl)
     for (int i = 0; i < 64; ++i)
         spawnSome();
     eq.run();
-    return log;
+
+    ASSERT_EQ(due.size(), total);
+    ASSERT_EQ(log.size(), due.size());
+    std::vector<bool> fired(due.size(), false);
+    for (std::size_t k = 0; k < log.size(); ++k) {
+        const auto [when, id] = log[k];
+        EXPECT_EQ(when, due[id]) << "id " << id;
+        EXPECT_FALSE(fired[id]) << "id " << id << " fired twice";
+        fired[id] = true;
+        if (k > 0) {
+            EXPECT_LT(log[k - 1], log[k]) << "fire " << k;
+        }
+    }
 }
 
-TEST(EventQueue, IndexedMatchesHeapUnderRandomStorm)
+/** A wire-class event fires ahead of a normal event at the same tick
+ *  even when the normal one was scheduled first: both on the near
+ *  ring, both on the overflow heap, and with the normal event on the
+ *  heap and the wire event on the ring. */
+TEST(EventQueue, WireClassFiresBeforeEarlierSameTickEvents)
 {
-    auto indexed = stormFireLog(EventQueue::Impl::Indexed);
-    auto heap = stormFireLog(EventQueue::Impl::Heap);
-    ASSERT_FALSE(indexed.empty());
-    EXPECT_EQ(indexed, heap);
+    const Tick far = Tick{1} << 35;
+    auto order = [](Tick normal_at, Tick wire_at, Tick wire_from) {
+        EventQueue eq;
+        std::vector<std::string> fired;
+        EventFunctionWrapper normal([&] { fired.push_back("normal"); },
+                                    "normal");
+        EventFunctionWrapper wire([&] { fired.push_back("wire"); },
+                                  "wire");
+        wire.setWireClass();
+        eq.schedule(&normal, normal_at);
+        eq.scheduleCallback(normal_at, [&] {
+            fired.push_back("callback");
+        });
+        // Schedule the wire event from tick wire_from, so its delta
+        // picks the ring or the heap.
+        eq.scheduleCallback(wire_from, [&] {
+            eq.schedule(&wire, wire_at);
+        });
+        eq.run();
+        return fired;
+    };
+    const std::vector<std::string> want{"wire", "normal", "callback"};
+    EXPECT_EQ(order(100, 100, 0), want);              // ring, ring
+    EXPECT_EQ(order(far, far, 0), want);              // heap, heap
+    EXPECT_EQ(order(far, far, far - 100), want);      // heap, ring
 }
 
 TEST(EventQueueDeath, PastSchedulingPanics)

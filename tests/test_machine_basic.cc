@@ -9,6 +9,7 @@
 
 #include "arch/machine.hh"
 #include "tests/test_helpers.hh"
+#include "workload/alpha_beta.hh"
 #include "workload/kb_gen.hh"
 
 namespace snap
@@ -254,6 +255,76 @@ TEST(MachineBasic, RunTwiceKeepsMarkerState)
     ASSERT_EQ(run.results.size(), 1u);
     ASSERT_EQ(run.results[0].nodes.size(), 1u);
     EXPECT_EQ(run.results[0].nodes[0].node, 1u);
+}
+
+/** Every ExecBreakdown field, distributions bit for bit. */
+void
+expectSameBreakdown(const ExecBreakdown &a, const ExecBreakdown &b)
+{
+    EXPECT_EQ(a.wallTicks, b.wallTicks);
+    for (std::size_t c = 0; c < ExecBreakdown::numCats; ++c) {
+        auto cat = static_cast<InstrCategory>(c);
+        EXPECT_EQ(a.categoryTicks(cat), b.categoryTicks(cat))
+            << "categoryTicks " << c;
+        EXPECT_EQ(a.categoryBusy[c], b.categoryBusy[c])
+            << "categoryBusy " << c;
+        EXPECT_EQ(a.categoryCounts[c], b.categoryCounts[c])
+            << "categoryCounts " << c;
+    }
+    EXPECT_EQ(a.opcodeCounts, b.opcodeCounts);
+    EXPECT_EQ(a.broadcastTicks, b.broadcastTicks);
+    EXPECT_EQ(a.commTicks, b.commTicks);
+    EXPECT_EQ(a.syncTicks, b.syncTicks);
+    EXPECT_EQ(a.collectTicks, b.collectTicks);
+    EXPECT_EQ(a.messagesSent, b.messagesSent);
+    EXPECT_EQ(a.messageHops, b.messageHops);
+    EXPECT_EQ(a.arrivalsProcessed, b.arrivalsProcessed);
+    EXPECT_EQ(a.localDeliveries, b.localDeliveries);
+    EXPECT_EQ(a.expansions, b.expansions);
+    EXPECT_EQ(a.linkTraversals, b.linkTraversals);
+    EXPECT_EQ(a.barriers, b.barriers);
+    EXPECT_EQ(a.collects, b.collects);
+    EXPECT_EQ(a.collectedItems, b.collectedItems);
+    EXPECT_EQ(a.puBusyTicks, b.puBusyTicks);
+    EXPECT_EQ(a.muBusyTicks, b.muBusyTicks);
+    EXPECT_EQ(a.msgsPerEpoch, b.msgsPerEpoch);
+    EXPECT_EQ(a.maxDepth, b.maxDepth);
+    EXPECT_EQ(a.alphaDist.count(), b.alphaDist.count());
+    EXPECT_EQ(a.alphaDist.sum(), b.alphaDist.sum());
+    EXPECT_EQ(a.alphaDist.variance(), b.alphaDist.variance());
+    EXPECT_EQ(a.msgLatency.count(), b.msgLatency.count());
+    EXPECT_EQ(a.msgLatency.sum(), b.msgLatency.sum());
+    EXPECT_EQ(a.msgLatency.variance(), b.msgLatency.variance());
+    EXPECT_EQ(a.msgLatency.min(), b.msgLatency.min());
+    EXPECT_EQ(a.msgLatency.max(), b.msgLatency.max());
+}
+
+/** A machine that has already run a program, with its markers reset,
+ *  answers exactly like a fresh one: same results, simulated time,
+ *  and full statistics breakdown.  The serving engine's answer cache
+ *  stands on this. */
+TEST(MachineBasic, RepeatedStatelessRunsAgree)
+{
+    Workload w = makeBetaWorkload(6, 4, 6, 1, true, 5);
+    for (std::uint32_t j = 0; j < 4; ++j) {
+        w.prog.append(Instruction::collectMarker(
+            static_cast<MarkerId>(2 * j + 1)));
+    }
+    MachineConfig cfg = smallConfig(16);
+
+    SnapMachine fresh(cfg);
+    fresh.loadKb(w.net);
+    RunResult first = fresh.run(w.prog);
+
+    SnapMachine reused(cfg);
+    reused.loadKb(w.net);
+    reused.run(w.prog);
+    reused.image().resetMarkers();
+    RunResult again = reused.run(w.prog);
+
+    EXPECT_EQ(again.wallTicks, first.wallTicks);
+    test::expectSameResults(first.results, again.results);
+    expectSameBreakdown(first.stats, again.stats);
 }
 
 } // namespace

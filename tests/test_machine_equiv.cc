@@ -16,10 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <tuple>
+#include <string>
+#include <utility>
 
 #include "arch/machine.hh"
 #include "common/rng.hh"
+#include "fault/fault_plan.hh"
 #include "runtime/validate.hh"
 #include "tests/test_helpers.hh"
 #include "workload/alpha_beta.hh"
@@ -450,25 +452,130 @@ TEST(MachineGolden, Fig16SeededRegression)
     EXPECT_EQ(digestResults(r.results), 0x6f0edaeb4ac41b8aull);
 }
 
-TEST(MachineGolden, TunedAndSeedHotPathsAgree)
+// --- fault-run golden regression ---------------------------------------
+//
+// Fault runs take the watchdog loop instead of draining the queue,
+// and every fault draw after a run depends on where that run stopped.
+// These values pin the full observable outcome of two back-to-back
+// runs on one machine per fault plan: simulated time, the results
+// digest, and every FaultReport field.  The plans cover clean,
+// perturbed-but-completing, wedged, and watchdog-aborted runs.
+
+/** Four overlapped PROPAGATEs, a barrier, and a collect per
+ *  destination marker. */
+Workload
+makeFaultGolden()
 {
-    // The tuned host structures (indexed event queue, pooled events,
-    // flat frontier map) and the seed ones must be observationally
-    // identical: same simulated time, same event count, same results.
-    auto runWith = [](bool seed_hot_path) {
-        Workload w = makeFig17Golden();
-        MachineConfig cfg = MachineConfig::paperSetup();
-        cfg.partition = PartitionStrategy::RoundRobin;
-        cfg.maxNodesPerCluster = capacity::maxNodes;
-        cfg.seedHotPath = seed_hot_path;
-        SnapMachine machine(cfg);
-        machine.loadKb(w.net);
-        RunResult r = machine.run(w.prog);
-        return std::tuple<Tick, std::uint64_t, std::uint64_t>(
-            r.wallTicks, machine.eventsProcessed(),
-            digestResults(r.results));
+    Workload w = makeBetaWorkload(6, 4, 6, 1, true, 29);
+    for (std::uint32_t j = 0; j < 4; ++j) {
+        w.prog.append(Instruction::collectMarker(
+            static_cast<MarkerId>(2 * j + 1)));
+    }
+    return w;
+}
+
+/** One run's pinned fields as a line: wall ticks, results digest,
+ *  the injection counts (drop/corrupt/delay/sem/flip/stick/wedge/
+ *  dead), and the flag bits enabled, wedged, watchdog fired, integrity
+ *  checked, integrity failed. */
+std::string
+describeFaultRun(const RunResult &r)
+{
+    const FaultReport &f = r.fault;
+    auto u = [](std::uint64_t v) {
+        return static_cast<unsigned long long>(v);
     };
-    EXPECT_EQ(runWith(false), runWith(true));
+    return formatString(
+        "wall %llu res %016llx inj %llu/%llu/%llu/%llu/%llu/%llu/%llu/"
+        "%llu flag %d%d%d%d%d",
+        u(r.wallTicks), u(digestResults(r.results)), u(f.icnDropped),
+        u(f.icnCorrupted), u(f.icnDelayed), u(f.semStalls),
+        u(f.markerFlips), u(f.markerSticks), u(f.syncWedges),
+        u(f.deadClusters), f.enabled, f.wedged, f.watchdogFired,
+        f.integrityChecked, f.integrityFailed);
+}
+
+/** Two runs of @p w on one fault-armed machine with the integrity
+ *  shadow on; the second follows repair() when the first aborted. */
+std::pair<std::string, std::string>
+runFaultPair(const Workload &w, const FaultSpec &spec)
+{
+    MachineConfig cfg;
+    cfg.numClusters = 16;
+    cfg.partition = PartitionStrategy::RoundRobin;
+    cfg.maxNodesPerCluster = capacity::maxNodes;
+    SnapMachine machine(cfg);
+    machine.loadKb(w.net);
+    machine.installFaults(spec);
+    machine.setIntegrityShadow(&w.net);
+    std::string first = describeFaultRun(machine.run(w.prog));
+    if (machine.poisoned())
+        machine.repair();
+    std::string second = describeFaultRun(machine.run(w.prog));
+    return {first, second};
+}
+
+TEST(MachineGolden, FaultRunsSeededRegression)
+{
+    using Pair = std::pair<std::string, std::string>;
+    Workload w = makeFaultGolden();
+
+    // Message faults plus every per-run fault kind, seeds 1..12.
+    const Pair sweep[] = {
+        {"wall 494667500 res ee6aa85c9d66970d inj 1/0/0/0/0/1/0/0 flag 10011",
+         "wall 166767500 res cbf29ce484222325 inj 0/1/0/0/0/0/1/0 flag 11000"},
+        {"wall 494667500 res ee6aa85c9d66970d inj 1/1/0/0/1/0/0/0 flag 10011",
+         "wall 494667500 res ee6aa85c9d66970d inj 0/0/0/0/0/1/0/0 flag 10011"},
+        {"wall 166127500 res cbf29ce484222325 inj 0/1/1/0/0/1/1/0 flag 11000",
+         "wall 492587500 res ee6aa85c9d66970d inj 0/1/0/0/1/0/0/0 flag 10011"},
+        {"wall 171767500 res cbf29ce484222325 inj 1/0/0/0/1/0/1/0 flag 11000",
+         "wall 287767500 res cbf29ce484222325 inj 0/1/0/0/0/0/0/1 flag 11000"},
+        {"wall 494667500 res ee6aa85c9d66970d inj 0/3/0/0/0/1/0/0 flag 10011",
+         "wall 166767500 res cbf29ce484222325 inj 0/1/0/0/0/0/0/1 flag 11000"},
+        {"wall 166767500 res cbf29ce484222325 inj 0/0/0/0/0/1/1/0 flag 11000",
+         "wall 492107500 res ee6aa85c9d66970d inj 1/0/0/0/1/0/0/0 flag 10011"},
+        {"wall 494667500 res ee6aa85c9d66970d inj 1/1/0/0/1/1/0/0 flag 10011",
+         "wall 494667500 res ee6aa85c9d66970d inj 0/0/1/0/0/1/0/0 flag 10010"},
+        {"wall 167687500 res cbf29ce484222325 inj 1/1/0/0/0/0/1/0 flag 11000",
+         "wall 492107500 res ee6aa85c9d66970d inj 0/0/0/0/1/1/0/0 flag 10011"},
+        {"wall 494667500 res ee6aa85c9d66970d inj 0/1/0/0/1/0/0/0 flag 10011",
+         "wall 494667500 res ee6aa85c9d66970d inj 2/0/0/0/0/0/0/0 flag 10010"},
+        {"wall 166127500 res cbf29ce484222325 inj 0/1/0/0/1/0/0/1 flag 11000",
+         "wall 493107500 res ee6aa85c9d66970d inj 1/0/0/0/1/0/0/0 flag 10011"},
+        {"wall 494667500 res ee6aa85c9d66970d inj 2/0/0/0/0/1/0/0 flag 10011",
+         "wall 494667500 res ee6aa85c9d66970d inj 0/0/2/0/0/0/0/0 flag 10010"},
+        {"wall 492307500 res ee6aa85c9d66970d inj 2/1/0/0/0/0/0/0 flag 10010",
+         "wall 166767500 res cbf29ce484222325 inj 0/0/1/0/0/1/1/0 flag 11000"},
+    };
+    auto sweepSpec = [](std::uint64_t seed) {
+        FaultSpec spec = FaultSpec::messageFaults(seed, 0.01);
+        spec.markerFlipRate = 0.3;
+        spec.markerStickRate = 0.3;
+        spec.syncWedgeRate = 0.2;
+        spec.deadClusterRate = 0.2;
+        return spec;
+    };
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE("fault seed " + std::to_string(seed));
+        EXPECT_EQ(runFaultPair(w, sweepSpec(seed)), sweep[seed - 1]);
+    }
+
+    // A rate low enough that nothing fires: clean, checked runs.
+    EXPECT_EQ(runFaultPair(w, FaultSpec::messageFaults(1, 1e-4)),
+              Pair("wall 494667500 res ee6aa85c9d66970d inj "
+                   "0/0/0/0/0/0/0/0 flag 10010",
+                   "wall 494667500 res ee6aa85c9d66970d inj "
+                   "0/0/0/0/0/0/0/0 flag 10010"));
+
+    // A 200 us watchdog: the first run wedges before the budget runs
+    // out, the second trips the watchdog mid-run.
+    FaultSpec watchdog = sweepSpec(3);
+    watchdog.watchdogTicks = 200'000'000;
+    EXPECT_EQ(runFaultPair(w, watchdog),
+              Pair("wall 166127500 res cbf29ce484222325 inj "
+                   "0/1/1/0/0/1/1/0 flag 11000",
+                   "wall 201087500 res cbf29ce484222325 inj "
+                   "0/1/0/0/1/0/0/0 flag 11100"));
 }
 
 } // namespace

@@ -121,9 +121,10 @@ TEST(HashRing, SkippingMovesOnlyOrphanedKeys)
         std::uint32_t home = ring.owner(k);
         std::uint32_t live = ring.ownerSkipping(k, down);
         EXPECT_NE(live, 2u);
-        if (home != 2)
+        if (home != 2) {
             EXPECT_EQ(live, home)
                 << "healthy placements must not move";
+        }
     }
     // All shards down: the walk gives up and returns the home shard.
     std::vector<bool> all(kShards, true);
@@ -300,21 +301,15 @@ encodedResponseBytes(shard::ResponseFrame *orig = nullptr)
 }
 
 /** Run a decoder over every strict prefix of @p bytes; each must be
- *  a clean rejection.  Offsets in @p allow are expected to decode
- *  (version-tolerant tails). */
+ *  a clean rejection. */
 template <typename Decode>
 void
 expectEveryTruncationRejected(const std::vector<std::uint8_t> &bytes,
-                              Decode decode, const char *what,
-                              std::size_t allow = SIZE_MAX)
+                              Decode decode, const char *what)
 {
     for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-        const bool ok = decode(bytes.data(), cut);
-        if (cut == allow)
-            EXPECT_TRUE(ok) << what << ": tolerant tail at " << cut;
-        else
-            EXPECT_FALSE(ok)
-                << what << ": prefix of " << cut << " bytes decoded";
+        EXPECT_FALSE(decode(bytes.data(), cut))
+            << what << ": prefix of " << cut << " bytes decoded";
     }
 }
 
@@ -346,9 +341,9 @@ TEST(ShardProtocol, TruncationAtEveryOffsetIsRejected)
         },
         "response");
 
-    // HelloAck: the v2 tail (payload missing exactly its trailing
-    // 8 traceClockNs bytes — an old peer) is the only survivable
-    // cut.
+    // HelloAck: the trace clock is mandatory, so the old v2 length
+    // (the payload without its trailing 8 clock bytes) is rejected
+    // like every other cut.
     WireWriter hw;
     shard::encodeHelloAck(hw, shard::HelloAckFrame{});
     expectEveryTruncationRejected(
@@ -358,7 +353,7 @@ TEST(ShardProtocol, TruncationAtEveryOffsetIsRejected)
             shard::HelloAckFrame out;
             return shard::decodeHelloAck(r, out);
         },
-        "hello-ack", hw.bytes().size() - 8);
+        "hello-ack");
 
     // PrepareAck (carries a string).
     shard::PrepareAckFrame pack;
@@ -413,9 +408,9 @@ TEST(ShardProtocol, TruncationAtEveryOffsetIsRejected)
         "session-push");
 }
 
-TEST(ShardProtocol, TraceContextRoundTripsAndToleratesV2Peers)
+TEST(ShardProtocol, TraceContextRoundTripsAndOldLengthsAreRejected)
 {
-    // Sampled request: the 17-byte trace tail rides along.
+    // Sampled request: the 17-byte trace context round-trips.
     shard::RequestFrame in;
     in.id = 5;
     in.sessionId = "traced";
@@ -434,9 +429,9 @@ TEST(ShardProtocol, TraceContextRoundTripsAndToleratesV2Peers)
         EXPECT_EQ(out.traceFlags, 1u);
     }
 
-    // Every-byte-offset fuzz over the traced encoding: only the
-    // v2-peer cut (payload without the 17-byte trace tail) decodes,
-    // and it must come back with a zeroed context.
+    // Every-byte-offset fuzz over the traced encoding: no cut
+    // decodes, including the old v2 length (the payload without its
+    // 17 context bytes).
     expectEveryTruncationRejected(
         w.bytes(),
         [](const std::uint8_t *d, std::size_t n) {
@@ -444,9 +439,17 @@ TEST(ShardProtocol, TraceContextRoundTripsAndToleratesV2Peers)
             shard::RequestFrame out;
             return shard::decodeRequest(r, out);
         },
-        "traced-request", w.bytes().size() - 17);
+        "traced-request");
+
+    // Unsampled requests carry the context too, all zeros: the same
+    // length as a sampled one, whatever the frame's id fields hold.
+    shard::RequestFrame off = in;
+    off.traceFlags = 0;
+    WireWriter ow;
+    shard::encodeRequest(ow, off);
+    EXPECT_EQ(ow.bytes().size(), w.bytes().size());
     {
-        WireReader r(w.bytes().data(), w.bytes().size() - 17);
+        WireReader r(ow.bytes().data(), ow.bytes().size());
         shard::RequestFrame out;
         ASSERT_TRUE(shard::decodeRequest(r, out));
         EXPECT_EQ(out.traceId, 0u);
@@ -455,26 +458,17 @@ TEST(ShardProtocol, TraceContextRoundTripsAndToleratesV2Peers)
         EXPECT_EQ(out.sessionId, in.sessionId);
     }
 
-    // Unsampled requests must not grow a tail at all: trace-off
-    // bytes are byte-identical to a v2 encoding of the same frame.
-    shard::RequestFrame off = in;
-    off.traceId = 0;
-    off.traceParent = 0;
-    off.traceFlags = 0;
-    WireWriter ow;
-    shard::encodeRequest(ow, off);
-    EXPECT_EQ(ow.bytes().size(), w.bytes().size() - 17);
-
-    // A tail whose flags byte says "not sampled" is malformed (the
-    // encoder never emits it), not silently accepted.
+    // A context whose flags byte says "not sampled" but whose ids are
+    // set is malformed (the encoder never emits it), not silently
+    // accepted.
     std::vector<std::uint8_t> forged = w.bytes();
     forged[forged.size() - 1] = 0;
     WireReader fr(forged.data(), forged.size());
     shard::RequestFrame fout;
     EXPECT_FALSE(shard::decodeRequest(fr, fout));
 
-    // HelloAck v3 tail round-trips; a v2-length payload decodes
-    // with traceClockNs == 0.
+    // HelloAck's trace clock round-trips; the old v2 length without
+    // it is rejected.
     shard::HelloAckFrame hello;
     hello.fingerprint = 0xfeed;
     hello.epoch = 4;
@@ -486,13 +480,12 @@ TEST(ShardProtocol, TraceContextRoundTripsAndToleratesV2Peers)
         shard::HelloAckFrame out;
         ASSERT_TRUE(shard::decodeHelloAck(r, out));
         EXPECT_EQ(out.traceClockNs, 123456789u);
+        EXPECT_EQ(out.epoch, 4u);
     }
     {
         WireReader r(hw.bytes().data(), hw.bytes().size() - 8);
         shard::HelloAckFrame out;
-        ASSERT_TRUE(shard::decodeHelloAck(r, out));
-        EXPECT_EQ(out.traceClockNs, 0u);
-        EXPECT_EQ(out.epoch, 4u);
+        EXPECT_FALSE(shard::decodeHelloAck(r, out));
     }
 }
 
