@@ -148,18 +148,17 @@ KbImage::markerOrigin(MarkerId m, NodeId n) const
 MarkerStore
 KbImage::flatten() const
 {
+    // Walk each plane's status words by set bit: the cost follows the
+    // marked slots, not nodes x planes.
     MarkerStore flat(part_.numNodes());
     for (const auto &ckb : clusters_) {
         const MarkerStore &ms = ckb->markers();
-        for (LocalNodeId l = 0; l < ckb->numLocalNodes(); ++l) {
-            NodeId g = ckb->globalId(l);
-            for (std::uint32_t m = 0; m < capacity::numMarkers; ++m) {
-                auto mid = static_cast<MarkerId>(m);
-                if (ms.test(mid, l)) {
-                    flat.set(mid, g, ms.value(mid, l),
-                             ms.origin(mid, l));
-                }
-            }
+        for (std::uint32_t m = 0; m < capacity::numMarkers; ++m) {
+            auto mid = static_cast<MarkerId>(m);
+            ms.bits(mid).forEachSet([&](LocalNodeId l) {
+                flat.set(mid, ckb->globalId(l), ms.value(mid, l),
+                         ms.origin(mid, l));
+            });
         }
     }
     return flat;

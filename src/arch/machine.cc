@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/stats.hh"
 #include "runtime/reference.hh"
@@ -292,15 +293,15 @@ SnapMachine::runWatched(Tick start)
 }
 
 void
-SnapMachine::checkIntegrity(const Program &prog,
-                            const MarkerStore &entry, RunResult &result)
+SnapMachine::checkIntegrity(const Program &prog, MarkerStore entry,
+                            RunResult &result)
 {
     result.fault.integrityChecked = true;
     // The shadow network is never mutated: integrity runs only for
     // pure programs (no maintenance opcodes).
     ReferenceInterpreter ref(
         const_cast<SemanticNetwork &>(*shadowNet_));
-    ref.store() = entry;
+    ref.store() = std::move(entry);
     ResultSet want = ref.run(prog);
     bool ok = resultsEquivalent(want, result.results) &&
               markersEquivalent(ref.store(), image_->flatten());
@@ -425,7 +426,7 @@ SnapMachine::run(const Program &prog)
     if (faulty) {
         result.fault = faults_->tally();
         if (completed && entry)
-            checkIntegrity(prog, *entry, result);
+            checkIntegrity(prog, std::move(*entry), result);
     }
 
     ctx_.rules = nullptr;

@@ -211,7 +211,7 @@ class SnapMachine
     bool runWatched(Tick start);
 
     /** Golden-model replay from @p entry; flags divergence. */
-    void checkIntegrity(const Program &prog, const MarkerStore &entry,
+    void checkIntegrity(const Program &prog, MarkerStore entry,
                         RunResult &result);
 
     MachineConfig cfg_;

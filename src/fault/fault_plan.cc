@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -430,31 +429,6 @@ splitmix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-std::uint64_t
-markerChecksum(const MarkerStore &s)
-{
-    std::uint64_t h = 0x6a09e667f3bcc909ull;
-    for (std::uint32_t m = 0; m < capacity::numMarkers; ++m) {
-        const BitVector &bv = s.bits(static_cast<MarkerId>(m));
-        for (std::uint32_t w = 0; w < bv.numWords(); ++w)
-            h = splitmix64(h ^ bv.word(w) ^ (std::uint64_t{m} << 32));
-        if (!isComplexMarker(static_cast<MarkerId>(m)))
-            continue;
-        for (NodeId n = 0; n < s.numNodes(); ++n) {
-            if (!s.test(static_cast<MarkerId>(m), n))
-                continue;
-            float v = s.value(static_cast<MarkerId>(m), n);
-            std::uint32_t bits;
-            std::memcpy(&bits, &v, sizeof(bits));
-            h = splitmix64(h ^ bits ^
-                           (std::uint64_t{s.origin(
-                                static_cast<MarkerId>(m), n)} << 32) ^
-                           n);
-        }
-    }
-    return h;
-}
-
 bool
 markersEquivalent(const MarkerStore &a, const MarkerStore &b)
 {
@@ -469,9 +443,9 @@ markersEquivalent(const MarkerStore &a, const MarkerStore &b)
                 return false;
         if (!isComplexMarker(mid))
             continue;
-        for (NodeId n = 0; n < a.numNodes(); ++n) {
-            if (!a.test(mid, n))
-                continue;
+        // The planes are equal, so only a's set bits carry values.
+        for (NodeId n = ba.findNext(0); n < ba.size();
+             n = ba.findNext(n + 1)) {
             if (a.value(mid, n) != b.value(mid, n) ||
                 a.origin(mid, n) != b.origin(mid, n))
                 return false;

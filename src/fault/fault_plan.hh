@@ -214,10 +214,6 @@ class FaultPlan
 /// SplitMix64 — the repo-wide seeding primitive.
 std::uint64_t splitmix64(std::uint64_t x);
 
-/// Order-independent checksum of every marker plane (bits, values,
-/// origins).  Cheap enough to run per-query.
-std::uint64_t markerChecksum(const MarkerStore &s);
-
 /// Exact semantic equality of two marker stores (bit planes, and value
 /// and origin of every set bit on complex markers).
 bool markersEquivalent(const MarkerStore &a, const MarkerStore &b);

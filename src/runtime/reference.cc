@@ -183,40 +183,45 @@ ReferenceInterpreter::doSearchRelation(const Instruction &i)
 void
 ReferenceInterpreter::doBoolean(const Instruction &i)
 {
-    std::uint32_t n = net_.numNodes();
-    for (NodeId u = 0; u < n; ++u) {
-        bool s1 = store_.test(i.m1, u);
-
-        if (i.op == Opcode::NotMarker) {
-            if (!s1) {
+    if (i.op == Opcode::NotMarker) {
+        std::uint32_t n = net_.numNodes();
+        for (NodeId u = 0; u < n; ++u) {
+            if (!store_.test(i.m1, u)) {
                 store_.set(i.m3, u, 0.0f, u);
                 ++work_.valueOps;
             } else {
                 store_.clear(i.m3, u);
             }
-            continue;
         }
+        return;
+    }
 
-        bool s2 = store_.test(i.m2, u);
-        float v1 = store_.value(i.m1, u);
-        float v2 = store_.value(i.m2, u);
-        NodeId o1 = isComplexMarker(i.m1) && s1 ? store_.origin(i.m1, u)
-                                                : invalidNode;
-        NodeId o2 = isComplexMarker(i.m2) && s2 ? store_.origin(i.m2, u)
-                                                : invalidNode;
+    // AND/OR: only a node holding m1 or m2 can hold m3, so walk the
+    // status words and visit the set bits of each result word.  The
+    // result word is computed before anything is written, because m3
+    // may alias m1 or m2.
+    using Word = BitVector::Word;
+    BitVector &b3 = store_.bits(i.m3);
+    for (std::uint32_t w = 0; w < b3.numWords(); ++w) {
+        const Word w1 = store_.bits(i.m1).word(w);
+        const Word w2 = store_.bits(i.m2).word(w);
+        const Word w3 = i.op == Opcode::AndMarker ? w1 & w2 : w1 | w2;
+        for (Word rest = w3; rest != 0; rest &= rest - 1) {
+            const auto b =
+                static_cast<std::uint32_t>(__builtin_ctzll(rest));
+            const NodeId u = w * BitVector::bitsPerWord + b;
+            const bool s1 = (w1 >> b) & 1;
+            const bool s2 = (w2 >> b) & 1;
+            float v1 = store_.value(i.m1, u);
+            float v2 = store_.value(i.m2, u);
+            NodeId o1 = isComplexMarker(i.m1) && s1
+                            ? store_.origin(i.m1, u) : invalidNode;
+            NodeId o2 = isComplexMarker(i.m2) && s2
+                            ? store_.origin(i.m2, u) : invalidNode;
 
-        bool s3;
-        float v3 = 0.0f;
-        NodeId o3 = u;
-        if (i.op == Opcode::AndMarker) {
-            s3 = s1 && s2;
-            if (s3) {
-                v3 = combine(i.comb, v1, v2);
-                o3 = o1 != invalidNode ? o1
-                     : o2 != invalidNode ? o2 : u;
-            }
-        } else {  // OrMarker
-            s3 = s1 || s2;
+            // AND reaches here only with both set.
+            float v3;
+            NodeId o3;
             if (s1 && s2) {
                 v3 = combine(i.comb, v1, v2);
                 o3 = o1 != invalidNode ? o1
@@ -224,18 +229,14 @@ ReferenceInterpreter::doBoolean(const Instruction &i)
             } else if (s1) {
                 v3 = v1;
                 o3 = o1 != invalidNode ? o1 : u;
-            } else if (s2) {
+            } else {
                 v3 = v2;
                 o3 = o2 != invalidNode ? o2 : u;
             }
-        }
-
-        if (s3) {
-            store_.set(i.m3, u, v3, o3);
+            store_.setValue(i.m3, u, v3, o3);
             ++work_.valueOps;
-        } else {
-            store_.clear(i.m3, u);
         }
+        b3.setWord(w, w3);
     }
 }
 

@@ -1,5 +1,6 @@
 #include "shard/shard_server.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <sys/socket.h>
 #include <thread>
@@ -30,11 +31,17 @@ ShardServer::ShardServer(KbImageFile kb, ShardServerConfig cfg)
 ShardServer::~ShardServer()
 {
     stop();
-    // Reader threads exit once their fds are closed by stop().
+    // Reader threads exit once stop() has shut their fds down.
     std::vector<std::thread> threads;
     {
         std::lock_guard<std::mutex> lock(connMu_);
         threads.swap(connThreads_);
+        // run() closes the listener on its way out; this closes the
+        // listener of a server that was bound but never run.
+        if (listenFd_ >= 0) {
+            closeFd(listenFd_);
+            listenFd_ = -1;
+        }
     }
     for (std::thread &t : threads)
         t.join();
@@ -50,7 +57,11 @@ ShardServer::bind(std::string &detail)
 void
 ShardServer::run()
 {
-    snap_assert(listenFd_ >= 0, "run() before bind()");
+    // run() owns the listener: stop() only shuts it down, which wakes
+    // accept, and the fd is closed after the loop, so accept never
+    // sees a closed (or reused) fd number.
+    const int listen_fd = listenFd_;
+    snap_assert(listen_fd >= 0, "run() before bind()");
     snap_inform("shard: serving %u nodes / %u clusters on %s "
                 "(fingerprint %016llx)",
                 engine_->sharedImage().numNodes(),
@@ -59,9 +70,9 @@ ShardServer::run()
                 static_cast<unsigned long long>(fingerprint()));
     for (;;) {
         std::string detail;
-        int fd = acceptConnection(listenFd_, detail);
+        int fd = acceptConnection(listen_fd, detail);
         if (fd < 0) {
-            // stop() closed the listener; anything else is fatal to
+            // stop() shut the listener down; anything else is fatal to
             // the accept loop but existing connections keep serving.
             if (!stopping_.load(std::memory_order_acquire))
                 snap_warn("shard: accept failed: %s", detail.c_str());
@@ -76,6 +87,11 @@ ShardServer::run()
         connThreads_.emplace_back(
             [this, fd] { serveConnection(fd); });
     }
+    {
+        std::lock_guard<std::mutex> lock(connMu_);
+        closeFd(listenFd_);
+        listenFd_ = -1;
+    }
     // Finish everything already admitted before returning, so a
     // Shutdown-initiated exit never abandons an in-flight answer.
     engine_->drain();
@@ -87,13 +103,11 @@ ShardServer::stop()
     bool was = stopping_.exchange(true, std::memory_order_acq_rel);
     if (was)
         return;
-    // Closing the fds unblocks the accept loop and every reader.
+    // Shutting the fds down unblocks the accept loop and every
+    // reader; their owners close them.
     std::lock_guard<std::mutex> lock(connMu_);
-    if (listenFd_ >= 0) {
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
-        closeFd(listenFd_);
-        listenFd_ = -1;
-    }
     for (int fd : connFds_)
         ::shutdown(fd, SHUT_RDWR);
 }
@@ -123,6 +137,12 @@ ShardServer::serveConnection(int fd)
     // dead fd — harmless (send fails, response dropped), but drain
     // first so the Pending callbacks never outlive write_mu.
     engine_->drain();
+    // Unlist the fd before closing it, so stop() never shuts down a
+    // reused fd number.
+    {
+        std::lock_guard<std::mutex> lock(connMu_);
+        connFds_.erase(std::find(connFds_.begin(), connFds_.end(), fd));
+    }
     closeFd(fd);
 }
 

@@ -121,10 +121,15 @@ class ShardServer
     /** Serializes Prepare handling (one swap at a time). */
     std::mutex swapMu_;
 
-    int listenFd_ = -1;
     std::atomic<bool> stopping_{false};
     std::mutex connMu_;
+    /** Listener: set by bind(); closed by run() on its way out, or by
+     *  the destructor when run() never ran.  stop() only shuts it
+     *  down.  Written after bind() only under connMu_. */
+    int listenFd_ = -1;
     std::vector<std::thread> connThreads_;
+    /** Open connection fds; a reader unlists its fd before closing
+     *  it. */
     std::vector<int> connFds_;
     /** Connection ordinal allocator (trace tids). */
     std::atomic<std::uint32_t> connSeq_{0};

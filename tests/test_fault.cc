@@ -285,6 +285,54 @@ TEST(FaultDetection, MarkerFaultsAreCaughtByTheShadow)
         << "ten seeded single-bit marker flips with none detected";
 }
 
+TEST(FaultDetection, MarkersEquivalentSeesEverySingleDifference)
+{
+    // 130 nodes: two full status words and a last word of two nodes.
+    constexpr std::uint32_t n = 130;
+    const MarkerId bin = capacity::numComplexMarkers + 6;
+    MarkerStore base(n);
+    base.set(3, 5, 1.5f, 40);
+    base.set(3, 70, -2.0f, 7);
+    base.set(3, 129, 4.0f, 129);
+    base.setBit(bin, 1);
+    base.setBit(bin, 128);
+
+    // A difference must show whichever store comes first.
+    auto differs = [&base](auto mutate) {
+        MarkerStore other = base;
+        mutate(other);
+        return !markersEquivalent(base, other) &&
+               !markersEquivalent(other, base);
+    };
+
+    MarkerStore same = base;
+    EXPECT_TRUE(markersEquivalent(base, same));
+    // A value register under a clear bit is not marker state.
+    same.setValue(3, 10, 9.0f, 10);
+    EXPECT_TRUE(markersEquivalent(base, same));
+    EXPECT_TRUE(markersEquivalent(same, base));
+
+    EXPECT_TRUE(differs([&](MarkerStore &s) { s.setBit(bin, 2); }))
+        << "binary bit";
+    EXPECT_TRUE(differs([&](MarkerStore &s) { s.set(3, 6, 1.5f, 40); }))
+        << "complex bit";
+    EXPECT_TRUE(differs([&](MarkerStore &s) { s.clear(3, 70); }))
+        << "complex bit cleared";
+    EXPECT_TRUE(differs([&](MarkerStore &s) {
+        s.setValue(3, 70, -2.5f, 7);
+    })) << "value only";
+    EXPECT_TRUE(differs([&](MarkerStore &s) {
+        s.setValue(3, 70, -2.0f, 8);
+    })) << "origin only";
+    EXPECT_TRUE(differs([&](MarkerStore &s) { s.setBit(bin, 129); }))
+        << "bit in the last partial word";
+    EXPECT_TRUE(differs([&](MarkerStore &s) {
+        s.setValue(3, 129, 4.0f, 128);
+    })) << "origin in the last partial word";
+    EXPECT_FALSE(markersEquivalent(MarkerStore(n), MarkerStore(n + 1)))
+        << "node count";
+}
+
 // --- wedges, watchdog, repair --------------------------------------------
 
 TEST(FaultRecovery, WedgeIsDetectedAndRepairable)

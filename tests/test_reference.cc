@@ -169,6 +169,85 @@ TEST(Reference, BooleanAndOrNot)
     EXPECT_FALSE(ri.store().test(4, 1));
     EXPECT_FALSE(ri.store().test(4, 2));
     EXPECT_TRUE(ri.store().test(4, 5));
+
+    // In place (m3 aliases m1 or m2) over complex and binary
+    // operands.  Origins differ from the nodes, so each case shows
+    // whose origin the result keeps.
+    MarkerStore &st = ri.store();
+    const MarkerId b1 = capacity::numComplexMarkers;
+    const MarkerId b2 = capacity::numComplexMarkers + 1;
+    st.set(10, 1, 1.0f, 4);
+    st.set(10, 2, 2.0f, 3);
+    st.set(11, 2, 10.0f, 0);
+    st.set(11, 3, 20.0f, 1);
+    // A stale register under a clear bit must not leak into a result.
+    st.set(11, 1, 100.0f, 5);
+    st.clear(11, 1);
+    st.setBit(b1, 0);
+    st.setBit(b1, 2);
+    st.setBit(b2, 2);
+    st.setBit(b2, 3);
+
+    // m11 := m10 OR m11: one side, both sides, the other side.
+    ri.execute(Instruction::orMarker(10, 11, 11, CombineOp::Sum),
+               rules, rs);
+    EXPECT_EQ(ri.lastWork().valueOps, 3u);
+    EXPECT_FALSE(st.test(11, 0));
+    EXPECT_FLOAT_EQ(st.value(11, 1), 1.0f);
+    EXPECT_EQ(st.origin(11, 1), 4u);
+    EXPECT_FLOAT_EQ(st.value(11, 2), 12.0f);
+    EXPECT_EQ(st.origin(11, 2), 3u);
+    EXPECT_FLOAT_EQ(st.value(11, 3), 20.0f);
+    EXPECT_EQ(st.origin(11, 3), 1u);
+    EXPECT_FALSE(st.test(11, 4));
+
+    // m10 := m10 AND m11.
+    ri.execute(Instruction::andMarker(10, 11, 10, CombineOp::Max),
+               rules, rs);
+    EXPECT_EQ(ri.lastWork().valueOps, 2u);
+    EXPECT_FLOAT_EQ(st.value(10, 1), 1.0f);
+    EXPECT_EQ(st.origin(10, 1), 4u);
+    EXPECT_FLOAT_EQ(st.value(10, 2), 12.0f);
+    EXPECT_EQ(st.origin(10, 2), 3u);
+    EXPECT_FALSE(st.test(10, 3));
+
+    // m10 := m10 AND b1: a binary m2 adds 0 and has no origin.
+    ri.execute(Instruction::andMarker(10, b1, 10, CombineOp::Sum),
+               rules, rs);
+    EXPECT_EQ(ri.lastWork().valueOps, 1u);
+    EXPECT_FALSE(st.test(10, 1));
+    EXPECT_TRUE(st.test(10, 2));
+    EXPECT_FLOAT_EQ(st.value(10, 2), 12.0f);
+    EXPECT_EQ(st.origin(10, 2), 3u);
+    EXPECT_EQ(st.count(10), 1u);
+
+    // m11 := b2 OR m11: the origin comes from the complex m2.
+    ri.execute(Instruction::orMarker(b2, 11, 11, CombineOp::Sum),
+               rules, rs);
+    EXPECT_EQ(ri.lastWork().valueOps, 3u);
+    EXPECT_FLOAT_EQ(st.value(11, 1), 1.0f);
+    EXPECT_EQ(st.origin(11, 1), 4u);
+    EXPECT_FLOAT_EQ(st.value(11, 2), 12.0f);
+    EXPECT_EQ(st.origin(11, 2), 3u);
+    EXPECT_FLOAT_EQ(st.value(11, 3), 20.0f);
+    EXPECT_EQ(st.origin(11, 3), 1u);
+    EXPECT_EQ(st.count(11), 3u);
+
+    // Binary in place: b1 := b1 OR b2, then b2 := b1 AND b2.
+    ri.execute(Instruction::orMarker(b1, b2, b1), rules, rs);
+    EXPECT_EQ(ri.lastWork().valueOps, 3u);
+    EXPECT_TRUE(st.test(b1, 0));
+    EXPECT_FALSE(st.test(b1, 1));
+    EXPECT_TRUE(st.test(b1, 2));
+    EXPECT_TRUE(st.test(b1, 3));
+    EXPECT_EQ(st.count(b1), 3u);
+    ri.execute(Instruction::andMarker(b1, b2, b2), rules, rs);
+    EXPECT_EQ(ri.lastWork().valueOps, 2u);
+    EXPECT_FALSE(st.test(b2, 0));
+    EXPECT_TRUE(st.test(b2, 2));
+    EXPECT_TRUE(st.test(b2, 3));
+    EXPECT_EQ(st.count(b2), 2u);
+    EXPECT_FLOAT_EQ(st.value(b2, 2), 0.0f);
 }
 
 TEST(Reference, BooleanOverwritesStaleResult)
