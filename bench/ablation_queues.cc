@@ -83,7 +83,7 @@ main()
         RunResult run = machine.run(prog);
 
         double blocked_sends =
-            machine.icn().blockedSends.value();
+            static_cast<double>(machine.icn().blockedSends);
         std::size_t high = 0;
         for (ClusterId c = 0; c < cfg.numClusters; ++c)
             high = std::max(high,

@@ -77,13 +77,13 @@ class HypercubeIcn
     // deltas during a run; the machine folds them in canonical
     // cluster order at end of run (see Cluster::IcnDelta).
 
-    stats::Scalar messagesInjected;   ///< first-hop sends
-    stats::Scalar hopsTraversed;      ///< total port-to-port hops
-    stats::Scalar relays;             ///< intermediate-hop handlings
-    stats::Distribution hopDist;      ///< hops per delivered message
-    stats::Distribution latency;      ///< end-to-end ticks per message
-    stats::Scalar blockedSends;       ///< sends stalled on zero credit
-    stats::Scalar messagesDropped;    ///< injected link-fault losses
+    std::uint64_t messagesInjected = 0; ///< first-hop sends
+    std::uint64_t hopsTraversed = 0;    ///< total port-to-port hops
+    std::uint64_t relays = 0;           ///< intermediate-hop handlings
+    stats::Distribution hopDist;        ///< hops per delivered message
+    stats::Distribution latency;        ///< end-to-end ticks per message
+    std::uint64_t blockedSends = 0;     ///< sends stalled on zero credit
+    std::uint64_t messagesDropped = 0;  ///< injected link-fault losses
 
   private:
     std::uint32_t numClusters_;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/wire_format.hh"
 
 namespace snap
 {
@@ -31,137 +32,10 @@ enum SectionId : std::uint32_t
 };
 constexpr std::uint32_t kNumSections = 7;
 
-std::uint64_t
-fnv1a64(const std::uint8_t *data, std::size_t n,
-        std::uint64_t h = 0xcbf29ce484222325ull)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/** Little-endian append-only byte buffer. */
-class Buf
-{
-  public:
-    void u8(std::uint8_t v) { bytes_.push_back(v); }
-    void
-    u16(std::uint16_t v)
-    {
-        bytes_.push_back(static_cast<std::uint8_t>(v));
-        bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
-    }
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-    void
-    f32(float v)
-    {
-        std::uint32_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        u32(bits);
-    }
-    void
-    str(const std::string &s)
-    {
-        u32(static_cast<std::uint32_t>(s.size()));
-        bytes_.insert(bytes_.end(), s.begin(), s.end());
-    }
-
-    const std::uint8_t *data() const { return bytes_.data(); }
-    std::size_t size() const { return bytes_.size(); }
-    void reserve(std::size_t n) { bytes_.reserve(n); }
-
-  private:
-    std::vector<std::uint8_t> bytes_;
-};
-
-/** Bounds-checked little-endian cursor over an untrusted buffer. */
-class Cursor
-{
-  public:
-    Cursor(const std::uint8_t *data, std::size_t n)
-        : data_(data), end_(n)
-    {}
-
-    bool
-    u8(std::uint8_t &v)
-    {
-        if (pos_ + 1 > end_)
-            return false;
-        v = data_[pos_++];
-        return true;
-    }
-    bool
-    u16(std::uint16_t &v)
-    {
-        if (pos_ + 2 > end_)
-            return false;
-        v = static_cast<std::uint16_t>(
-            data_[pos_] | (data_[pos_ + 1] << 8));
-        pos_ += 2;
-        return true;
-    }
-    bool
-    u32(std::uint32_t &v)
-    {
-        if (pos_ + 4 > end_)
-            return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        return true;
-    }
-    bool
-    u64(std::uint64_t &v)
-    {
-        if (pos_ + 8 > end_)
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        return true;
-    }
-    bool
-    f32(float &v)
-    {
-        std::uint32_t bits;
-        if (!u32(bits))
-            return false;
-        std::memcpy(&v, &bits, sizeof(v));
-        return true;
-    }
-    bool
-    str(std::string &s, std::uint32_t max_len = 1u << 20)
-    {
-        std::uint32_t n;
-        if (!u32(n) || n > max_len || pos_ + n > end_)
-            return false;
-        s.assign(reinterpret_cast<const char *>(data_ + pos_), n);
-        pos_ += n;
-        return true;
-    }
-
-    bool done() const { return pos_ == end_; }
-
-  private:
-    const std::uint8_t *data_;
-    std::size_t pos_ = 0;
-    std::size_t end_;
-};
+/** Longest symbol or node name a loader accepts. */
+constexpr std::uint32_t kMaxNameBytes = 1u << 20;
+/** Bytes of one compiled relation slot in the clusters section. */
+constexpr std::size_t kSlotBytes = 2 + 2 + 4 + 4 + 4;
 
 std::uint32_t
 strategyCode(PartitionStrategy s)
@@ -213,11 +87,11 @@ saveKbImage(const SemanticNetwork &net, const KbImage &image,
                 "image over %u nodes but network has %u",
                 image.numNodes(), num_nodes);
 
-    Buf sections[kNumSections];
+    WireWriter sections[kNumSections];
 
     // --- 1: meta --------------------------------------------------------
     {
-        Buf &b = sections[SectMeta - 1];
+        WireWriter &b = sections[SectMeta - 1];
         b.u32(num_nodes);
         b.u32(num_clusters);
         b.u64(net.numLinks());
@@ -229,7 +103,7 @@ saveKbImage(const SemanticNetwork &net, const KbImage &image,
 
     // --- 2: symbol tables (relations, colors) ---------------------------
     {
-        Buf &b = sections[SectSymbols - 1];
+        WireWriter &b = sections[SectSymbols - 1];
         b.u32(net.relations().size());
         for (std::uint32_t r = 0; r < net.relations().size(); ++r)
             b.str(net.relations().name(
@@ -241,7 +115,7 @@ saveKbImage(const SemanticNetwork &net, const KbImage &image,
 
     // --- 3: node names --------------------------------------------------
     {
-        Buf &b = sections[SectNodeNames - 1];
+        WireWriter &b = sections[SectNodeNames - 1];
         b.u32(num_nodes);
         for (NodeId n = 0; n < num_nodes; ++n)
             b.str(net.nodeName(n));
@@ -249,7 +123,7 @@ saveKbImage(const SemanticNetwork &net, const KbImage &image,
 
     // --- 4: node colors -------------------------------------------------
     {
-        Buf &b = sections[SectNodeColors - 1];
+        WireWriter &b = sections[SectNodeColors - 1];
         b.reserve(num_nodes);
         for (NodeId n = 0; n < num_nodes; ++n)
             b.u8(net.color(n));
@@ -257,7 +131,7 @@ saveKbImage(const SemanticNetwork &net, const KbImage &image,
 
     // --- 5: logical links (CSR) -----------------------------------------
     {
-        Buf &b = sections[SectLinks - 1];
+        WireWriter &b = sections[SectLinks - 1];
         b.reserve(8 * (num_nodes + 1) + 12 * net.numLinks());
         std::uint64_t off = 0;
         for (NodeId n = 0; n < num_nodes; ++n) {
@@ -277,7 +151,7 @@ saveKbImage(const SemanticNetwork &net, const KbImage &image,
 
     // --- 6: partition placements ----------------------------------------
     {
-        Buf &b = sections[SectPartition - 1];
+        WireWriter &b = sections[SectPartition - 1];
         b.reserve(8 * num_nodes);
         for (NodeId n = 0; n < num_nodes; ++n) {
             Placement p = image.place(n);
@@ -289,7 +163,7 @@ saveKbImage(const SemanticNetwork &net, const KbImage &image,
 
     // --- 7: compiled per-cluster relation tables ------------------------
     {
-        Buf &b = sections[SectClusters - 1];
+        WireWriter &b = sections[SectClusters - 1];
         for (ClusterId c = 0; c < num_clusters; ++c) {
             const ClusterKb &ckb = image.cluster(c);
             const std::uint32_t locals = ckb.numLocalNodes();
@@ -314,7 +188,7 @@ saveKbImage(const SemanticNetwork &net, const KbImage &image,
     }
 
     // --- header + section table + payloads ------------------------------
-    Buf head;
+    WireWriter head;
     for (char ch : kMagic)
         head.u8(static_cast<std::uint8_t>(ch));
     head.u32(kbImgVersion);
@@ -329,14 +203,15 @@ saveKbImage(const SemanticNetwork &net, const KbImage &image,
         head.u32(0);
         head.u64(offset);
         head.u64(sections[i].size());
-        head.u64(fnv1a64(sections[i].data(), sections[i].size()));
+        head.u64(fnv1a64(sections[i].bytes().data(),
+                         sections[i].size()));
         offset += sections[i].size();
     }
 
-    os.write(reinterpret_cast<const char *>(head.data()),
+    os.write(reinterpret_cast<const char *>(head.bytes().data()),
              static_cast<std::streamsize>(head.size()));
-    for (const Buf &b : sections) {
-        os.write(reinterpret_cast<const char *>(b.data()),
+    for (const WireWriter &b : sections) {
+        os.write(reinterpret_cast<const char *>(b.bytes().data()),
                  static_cast<std::streamsize>(b.size()));
     }
     os.flush();
@@ -391,13 +266,11 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
         detail = "'" + path + "' is not a .kbimg file";
         return KbImgStatus::BadMagic;
     }
-    Cursor head(bytes.data() + sizeof(kMagic),
-                kHeaderBytes - sizeof(kMagic));
-    std::uint32_t version, endian, nsect, reserved;
-    head.u32(version);
-    head.u32(endian);
-    head.u32(nsect);
-    head.u32(reserved);
+    WireReader head(bytes.data() + sizeof(kMagic),
+                    kHeaderBytes - sizeof(kMagic));
+    const std::uint32_t version = head.u32();
+    const std::uint32_t endian = head.u32();
+    const std::uint32_t nsect = head.u32();
     if (version != kbImgVersion) {
         detail = formatString("format version %u (this build reads "
                               "version %u)", version, kbImgVersion);
@@ -425,16 +298,14 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
 
     Section sect[kNumSections];
     std::uint64_t fingerprint = 0xcbf29ce484222325ull;
-    Cursor table(bytes.data() + kHeaderBytes,
-                 table_end - kHeaderBytes);
+    WireReader table(bytes.data() + kHeaderBytes,
+                     table_end - kHeaderBytes);
     for (std::uint32_t i = 0; i < nsect; ++i) {
-        std::uint32_t id, rsvd;
-        std::uint64_t off, size, sum;
-        table.u32(id);
-        table.u32(rsvd);
-        table.u64(off);
-        table.u64(size);
-        table.u64(sum);
+        const std::uint32_t id = table.u32();
+        table.u32(); // reserved
+        const std::uint64_t off = table.u64();
+        const std::uint64_t size = table.u64();
+        const std::uint64_t sum = table.u64();
         if (off > bytes.size() || size > bytes.size() - off) {
             detail = formatString("section %u [%llu, +%llu) runs "
                                   "past the %zu-byte file", id,
@@ -456,9 +327,7 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
             }
             sect[id - 1] = Section{off, size, sum, true};
         }
-        fingerprint = fnv1a64(
-            reinterpret_cast<const std::uint8_t *>(&sum),
-            sizeof(sum), fingerprint);
+        fingerprint = fnv1a64(&sum, sizeof(sum), fingerprint);
     }
     for (std::uint32_t i = 0; i < kNumSections; ++i) {
         if (!sect[i].present) {
@@ -467,9 +336,9 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
         }
     }
 
-    auto cursorOf = [&](std::uint32_t id) {
-        return Cursor(bytes.data() + sect[id - 1].offset,
-                      sect[id - 1].size);
+    auto readerOf = [&](std::uint32_t id) {
+        return WireReader(bytes.data() + sect[id - 1].offset,
+                          sect[id - 1].size);
     };
     auto bad = [&](const char *what) {
         detail = formatString("malformed %s section", what);
@@ -477,15 +346,16 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
     };
 
     // --- meta -----------------------------------------------------------
-    Cursor meta = cursorOf(SectMeta);
-    std::uint32_t num_nodes, num_clusters, strat_code, num_rels,
-        num_colors, rsvd;
-    std::uint64_t num_links;
-    PartitionStrategy strategy;
-    if (!meta.u32(num_nodes) || !meta.u32(num_clusters) ||
-        !meta.u64(num_links) || !meta.u32(strat_code) ||
-        !meta.u32(num_rels) || !meta.u32(num_colors) ||
-        !meta.u32(rsvd) || !strategyFromCode(strat_code, strategy) ||
+    WireReader meta = readerOf(SectMeta);
+    const std::uint32_t num_nodes = meta.u32();
+    const std::uint32_t num_clusters = meta.u32();
+    const std::uint64_t num_links = meta.u64();
+    const std::uint32_t strat_code = meta.u32();
+    const std::uint32_t num_rels = meta.u32();
+    const std::uint32_t num_colors = meta.u32();
+    meta.u32(); // reserved
+    PartitionStrategy strategy = PartitionStrategy::Semantic;
+    if (meta.failed() || !strategyFromCode(strat_code, strategy) ||
         num_clusters < 1 || num_clusters > capacity::maxClusters ||
         num_nodes > capacity::maxNodes)
         return bad("meta");
@@ -496,25 +366,28 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
 
     // --- symbols --------------------------------------------------------
     {
-        Cursor c = cursorOf(SectSymbols);
-        std::uint32_t n;
-        std::string name;
-        if (!c.u32(n) || n != num_rels)
+        // Each name is at least its u32 length.
+        WireReader c = readerOf(SectSymbols);
+        std::uint32_t n = c.count(4);
+        if (c.failed() || n != num_rels)
             return bad("symbol");
         for (std::uint32_t i = 0; i < n; ++i) {
-            if (!c.str(name))
+            const std::string name = c.str(kMaxNameBytes);
+            if (c.failed())
                 return bad("symbol");
             if (result.net.relations().intern(name) !=
                 static_cast<RelationType>(i))
                 return bad("symbol");
         }
-        if (!c.u32(n) || n != num_colors)
+        n = c.count(4);
+        if (c.failed() || n != num_colors)
             return bad("symbol");
         for (std::uint32_t i = 0; i < n; ++i) {
             // Color 0 ("concept") is pre-interned by the network
             // constructor; re-interning the stored table in order
             // reproduces the saved ids exactly.
-            if (!c.str(name))
+            const std::string name = c.str(kMaxNameBytes);
+            if (c.failed())
                 return bad("symbol");
             if (result.net.colorNames().intern(name) !=
                 static_cast<Color>(i))
@@ -524,15 +397,15 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
 
     // --- node names + colors --------------------------------------------
     {
-        Cursor names = cursorOf(SectNodeNames);
-        Cursor colors = cursorOf(SectNodeColors);
-        std::uint32_t n;
-        if (!names.u32(n) || n != num_nodes)
+        WireReader names = readerOf(SectNodeNames);
+        WireReader colors = readerOf(SectNodeColors);
+        const std::uint32_t n = names.count(4);
+        if (names.failed() || n != num_nodes)
             return bad("node-name");
-        std::string name;
-        std::uint8_t color;
         for (NodeId i = 0; i < num_nodes; ++i) {
-            if (!names.str(name) || !colors.u8(color))
+            const std::string name = names.str(kMaxNameBytes);
+            const std::uint8_t color = colors.u8();
+            if (names.failed() || colors.failed())
                 return bad("node");
             if (color >= num_colors)
                 return bad("node");
@@ -543,24 +416,23 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
 
     // --- links ----------------------------------------------------------
     {
-        Cursor c = cursorOf(SectLinks);
+        WireReader c = readerOf(SectLinks);
         std::vector<std::uint64_t> offsets(num_nodes + 1);
-        for (auto &o : offsets) {
-            if (!c.u64(o))
-                return bad("link");
-        }
-        if (offsets[0] != 0 || offsets[num_nodes] != num_links)
+        for (auto &o : offsets)
+            o = c.u64();
+        if (c.failed() || offsets[0] != 0 ||
+            offsets[num_nodes] != num_links)
             return bad("link");
         for (NodeId n = 0; n < num_nodes; ++n) {
             if (offsets[n] > offsets[n + 1])
                 return bad("link");
             std::uint64_t fan = offsets[n + 1] - offsets[n];
             for (std::uint64_t k = 0; k < fan; ++k) {
-                std::uint16_t rel, pad;
-                std::uint32_t dst;
-                float w;
-                if (!c.u16(rel) || !c.u16(pad) || !c.u32(dst) ||
-                    !c.f32(w) || rel >= num_rels || dst >= num_nodes)
+                const std::uint16_t rel = c.u16();
+                c.u16(); // pad
+                const std::uint32_t dst = c.u32();
+                const float w = c.f32();
+                if (c.failed() || rel >= num_rels || dst >= num_nodes)
                     return bad("link");
                 result.net.addLink(n, rel, dst, w);
             }
@@ -571,12 +443,15 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
     std::vector<Placement> placements(num_nodes);
     std::vector<std::uint32_t> cluster_sizes(num_clusters, 0);
     {
-        Cursor c = cursorOf(SectPartition);
+        WireReader c = readerOf(SectPartition);
         for (NodeId n = 0; n < num_nodes; ++n) {
-            std::uint16_t cluster, pad;
-            std::uint32_t local;
-            if (!c.u16(cluster) || !c.u16(pad) || !c.u32(local) ||
-                cluster >= num_clusters)
+            const std::uint16_t cluster = c.u16();
+            c.u16(); // pad
+            const std::uint32_t local = c.u32();
+            // A cluster holds at most every node; the bound also
+            // keeps `local + 1` from wrapping below.
+            if (c.failed() || cluster >= num_clusters ||
+                local >= num_nodes)
                 return bad("partition");
             placements[n] = Placement{cluster, local};
             cluster_sizes[cluster] =
@@ -606,32 +481,31 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
     std::vector<std::unique_ptr<ClusterKb>> clusters;
     clusters.reserve(num_clusters);
     {
-        Cursor c = cursorOf(SectClusters);
+        WireReader c = readerOf(SectClusters);
         for (ClusterId cl = 0; cl < num_clusters; ++cl) {
-            std::uint32_t locals;
-            std::uint64_t total;
-            if (!c.u32(locals) || locals != cluster_sizes[cl] ||
-                !c.u64(total))
+            // Each local carries a u32 slot count.
+            const std::uint32_t locals = c.count(4);
+            const std::uint64_t total = c.u64();
+            if (c.failed() || locals != cluster_sizes[cl])
                 return bad("cluster");
             std::vector<std::uint32_t> counts(locals);
             std::uint64_t sum = 0;
             for (auto &n : counts) {
-                if (!c.u32(n))
-                    return bad("cluster");
+                n = c.count(kSlotBytes);
                 sum += n;
             }
-            if (sum != total)
+            if (c.failed() || sum != total)
                 return bad("cluster");
             std::vector<std::vector<RelSlot>> slots(locals);
             for (LocalNodeId l = 0; l < locals; ++l) {
                 slots[l].reserve(counts[l]);
                 for (std::uint32_t k = 0; k < counts[l]; ++k) {
-                    std::uint16_t rel, dcluster;
-                    std::uint32_t dlocal, dglobal;
-                    float w;
-                    if (!c.u16(rel) || !c.u16(dcluster) ||
-                        !c.u32(dlocal) || !c.u32(dglobal) ||
-                        !c.f32(w) || rel >= num_rels ||
+                    const std::uint16_t rel = c.u16();
+                    const std::uint16_t dcluster = c.u16();
+                    const std::uint32_t dlocal = c.u32();
+                    const std::uint32_t dglobal = c.u32();
+                    const float w = c.f32();
+                    if (c.failed() || rel >= num_rels ||
                         dcluster >= num_clusters ||
                         (dglobal != invalidNode &&
                          dglobal >= num_nodes))

@@ -21,6 +21,10 @@
  *              | u64 size | u64 fnv1a64 checksum
  *     payload  section bytes at the recorded offsets
  *
+ * Encoded and decoded with the shard protocol's byte codec
+ * (common/wire_format.hh): every element count is bounded by the
+ * section bytes left before anything is reserved for it.
+ *
  * Rejection is *typed* (KbImgStatus), never fatal: a truncated file,
  * a corrupted section, a foreign-endian or future-version header all
  * come back as a status + detail string so tools can map them onto

@@ -1,10 +1,8 @@
 #include "arch/machine.hh"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
-#include "common/stats.hh"
 #include "runtime/reference.hh"
 #include "trace/trace.hh"
 
@@ -377,11 +375,11 @@ SnapMachine::run(const Program &prog)
     // the floating-point accumulator state.
     for (auto &cl : clusters_) {
         Cluster::IcnDelta &d = cl->icnDelta();
-        icn_->messagesInjected += static_cast<double>(d.injected);
-        icn_->hopsTraversed += static_cast<double>(d.hops);
-        icn_->relays += static_cast<double>(d.relays);
-        icn_->blockedSends += static_cast<double>(d.blockedSends);
-        icn_->messagesDropped += static_cast<double>(d.dropped);
+        icn_->messagesInjected += d.injected;
+        icn_->hopsTraversed += d.hops;
+        icn_->relays += d.relays;
+        icn_->blockedSends += d.blockedSends;
+        icn_->messagesDropped += d.dropped;
         icn_->hopDist.merge(d.hopDist);
         icn_->latency.merge(d.latency);
         stats_.msgLatency.merge(cl->msgLatencyDelta());
@@ -434,63 +432,43 @@ SnapMachine::run(const Program &prog)
     return result;
 }
 
-std::string
-SnapMachine::formatComponentStats() const
-{
-    snap_assert(icn_ != nullptr, "stats before loadKb()");
-    std::ostringstream os;
-
-    stats::Group icn_group("icn");
-    icn_group.addScalar("messagesInjected",
-                        &icn_->messagesInjected);
-    icn_group.addScalar("hopsTraversed", &icn_->hopsTraversed);
-    icn_group.addScalar("relays", &icn_->relays);
-    icn_group.addScalar("blockedSends", &icn_->blockedSends);
-    icn_group.addScalar("messagesDropped", &icn_->messagesDropped);
-    icn_group.addDistribution("hops", &icn_->hopDist);
-    icn_group.addDistribution("latencyTicks", &icn_->latency);
-    os << icn_group.format();
-
-    stats::Group perf_group("perfNet");
-    perf_group.addScalar("emitted", &perf_->emitted);
-    perf_group.addScalar("dropped", &perf_->droppedRecords);
-    os << perf_group.format();
-
-    os << "sync.totalCreated " << sync_->totalCreated() << "\n";
-    os << "sync.totalConsumed " << sync_->totalConsumed() << "\n";
-
-    for (const auto &c : clusters_) {
-        os << "cluster" << c->id() << ".activationOutHighWater "
-           << c->activationOutHighWater() << "\n";
-        os << "cluster" << c->id() << ".arrivalsHighWater "
-           << c->arrivalsHighWater() << "\n";
-        os << "cluster" << c->id() << ".muBusyMs "
-           << ticksToMs(c->muBusyLocal()) << "\n";
-    }
-    return os.str();
-}
-
 void
 SnapMachine::exportMetrics(MetricsRegistry &reg,
                            MetricsRegistry::Labels labels) const
 {
     snap_assert(icn_ != nullptr, "metrics before loadKb()");
 
-    stats::Group icn_group("icn");
-    icn_group.addScalar("messagesInjected",
-                        &icn_->messagesInjected);
-    icn_group.addScalar("hopsTraversed", &icn_->hopsTraversed);
-    icn_group.addScalar("relays", &icn_->relays);
-    icn_group.addScalar("blockedSends", &icn_->blockedSends);
-    icn_group.addScalar("messagesDropped", &icn_->messagesDropped);
-    icn_group.addDistribution("hops", &icn_->hopDist);
-    icn_group.addDistribution("latencyTicks", &icn_->latency);
-    icn_group.exportTo(reg, labels);
-
-    stats::Group perf_group("perfNet");
-    perf_group.addScalar("emitted", &perf_->emitted);
-    perf_group.addScalar("dropped", &perf_->droppedRecords);
-    perf_group.exportTo(reg, labels);
+    // Component stats export as snap_<component>_<stat>, by stat
+    // name within each component.
+    auto counter = [&](const char *component, const char *stat,
+                       std::uint64_t v) {
+        reg.counter(formatString("snap_%s_%s", component, stat),
+                    static_cast<double>(v),
+                    formatString("component counter %s.%s", component,
+                                 stat),
+                    labels);
+    };
+    auto distribution = [&](const char *stat,
+                            const stats::Distribution &d) {
+        const std::string base = formatString("snap_icn_%s", stat);
+        reg.counter(base + "_count", static_cast<double>(d.count()),
+                    formatString("sample count of icn.%s", stat),
+                    labels);
+        reg.counter(base + "_sum", d.sum(),
+                    formatString("sample sum of icn.%s", stat), labels);
+        reg.gauge(base + "_min", d.min(), "", labels);
+        reg.gauge(base + "_max", d.max(), "", labels);
+        reg.gauge(base + "_mean", d.mean(), "", labels);
+    };
+    counter("icn", "blockedSends", icn_->blockedSends);
+    counter("icn", "hopsTraversed", icn_->hopsTraversed);
+    counter("icn", "messagesDropped", icn_->messagesDropped);
+    counter("icn", "messagesInjected", icn_->messagesInjected);
+    counter("icn", "relays", icn_->relays);
+    distribution("hops", icn_->hopDist);
+    distribution("latencyTicks", icn_->latency);
+    counter("perfNet", "dropped", perf_->droppedRecords);
+    counter("perfNet", "emitted", perf_->emitted);
 
     reg.counter("snap_sync_total_created",
                 static_cast<double>(sync_->totalCreated()),

@@ -134,17 +134,10 @@ class SnapMachine
      *  @p trace (perf harness instrumentation; nullptr stops). */
     void recordEventTrace(ScheduleTrace *trace) { eq_.recordTrace(trace); }
 
-    /**
-     * Component statistics ("integrated measurement system",
-     * §II-B): ICN traffic, performance-network activity, and
-     * per-cluster queue high-water marks, formatted as
-     * "component.stat value" lines.
-     */
-    std::string formatComponentStats() const;
-
-    /** Push the component stats (ICN, perf net, sync tree, per-
-     *  cluster queues) into the unified MetricsRegistry; `labels`
-     *  (e.g. worker="2") is applied to every sample. */
+    /** Push the component statistics ("integrated measurement
+     *  system", §II-B: ICN traffic, perf net, sync tree, per-cluster
+     *  queues) into the unified MetricsRegistry; `labels` (e.g.
+     *  worker="2") is applied to every sample. */
     void exportMetrics(MetricsRegistry &reg,
                        MetricsRegistry::Labels labels = {}) const;
 

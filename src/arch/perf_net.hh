@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "arch/config.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace snap
@@ -80,16 +79,13 @@ class PerfNet
     /** Clear the central FIFO (between experiments). */
     void clearRecords() { records_.clear(); }
 
-    std::uint64_t dropped() const
-    {
-        return static_cast<std::uint64_t>(droppedRecords.value());
-    }
+    std::uint64_t dropped() const { return droppedRecords; }
 
     /** Serial shift time of one record. */
     Tick shiftTime() const { return shiftTicks_; }
 
-    stats::Scalar emitted;
-    stats::Scalar droppedRecords;
+    std::uint64_t emitted = 0;
+    std::uint64_t droppedRecords = 0;
 
   private:
     bool enabled_;

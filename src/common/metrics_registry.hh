@@ -1,14 +1,13 @@
 /**
  * @file
- * MetricsRegistry: a flat, export-oriented metrics sink that unifies
- * the repo's three metric islands (the stats:: component registry,
- * ExecStats, and serve::ServeMetrics).
+ * MetricsRegistry: the one metrics export path.
  *
- * Producers push (name, kind, value, labels) samples; the registry
- * serializes the lot as either structured JSON or Prometheus text
- * exposition format.  It deliberately holds no live references —
- * each export is a point-in-time snapshot assembled by the owning
- * subsystems' exportMetrics()/exportTo() methods, so there is no
+ * Producers (SnapMachine's components, ExecBreakdown,
+ * serve::ServeMetrics, the logger) push (name, kind, value, labels)
+ * samples; the registry alone renders them, as structured JSON or
+ * Prometheus text exposition format.  It deliberately holds no live
+ * references — each export is a point-in-time snapshot assembled by
+ * the owning subsystems' exportMetrics() methods, so there is no
  * locking protocol to get wrong.
  */
 

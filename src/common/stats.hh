@@ -1,13 +1,13 @@
 /**
  * @file
- * Statistics package for the SNAP-1 model.
+ * Running distributions for the SNAP-1 model.
  *
  * The paper (§II-B "Performance") describes an integrated measurement
  * system for evaluating marker-propagation algorithms, partitioning
  * functions, communication traffic, and synchronization protocols.
- * This package is its software analogue: named scalar counters,
- * distributions, and histograms that components register into groups
- * and the harness dumps as formatted tables.
+ * Components accumulate their samples in a Distribution; what they
+ * report leaves through their exportMetrics() into the one
+ * MetricsRegistry (common/metrics_registry.hh).
  */
 
 #ifndef SNAP_COMMON_STATS_HH
@@ -15,35 +15,13 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
-#include <vector>
-
-#include "common/metrics_registry.hh"
 
 namespace snap
 {
 namespace stats
 {
 
-/** Named scalar counter / accumulator. */
-class Scalar
-{
-  public:
-    Scalar() = default;
-
-    Scalar &operator++() { ++value_; return *this; }
-    Scalar &operator+=(double v) { value_ += v; return *this; }
-    Scalar &operator=(double v) { value_ = v; return *this; }
-
-    double value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    double value_ = 0;
-};
-
-/** Running distribution: count, sum, min, max, mean, stddev. */
+/** Running distribution: count, sum, min, max, mean. */
 class Distribution
 {
   public:
@@ -52,7 +30,6 @@ class Distribution
     {
         ++count_;
         sum_ += v;
-        sumSq_ += v * v;
         if (v < min_)
             min_ = v;
         if (v > max_)
@@ -70,24 +47,11 @@ class Distribution
         return count_ ? sum_ / static_cast<double>(count_) : 0;
     }
 
-    double
-    variance() const
-    {
-        if (count_ < 2)
-            return 0;
-        double n = static_cast<double>(count_);
-        double m = mean();
-        double v = (sumSq_ - n * m * m) / (n - 1);
-        return v > 0 ? v : 0;
-    }
-
-    double stddev() const;
-
     void
     reset()
     {
         count_ = 0;
-        sum_ = sumSq_ = 0;
+        sum_ = 0;
         min_ = std::numeric_limits<double>::infinity();
         max_ = -std::numeric_limits<double>::infinity();
     }
@@ -98,7 +62,6 @@ class Distribution
     {
         count_ += other.count_;
         sum_ += other.sum_;
-        sumSq_ += other.sumSq_;
         if (other.count_) {
             if (other.min_ < min_)
                 min_ = other.min_;
@@ -110,105 +73,8 @@ class Distribution
   private:
     std::uint64_t count_ = 0;
     double sum_ = 0;
-    double sumSq_ = 0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/** Fixed-width bucketed histogram over [0, bucket_size * buckets). */
-class Histogram
-{
-  public:
-    Histogram() : Histogram(1, 16) {}
-
-    Histogram(double bucket_size, std::uint32_t num_buckets)
-        : bucketSize_(bucket_size), counts_(num_buckets, 0)
-    {}
-
-    void
-    sample(double v)
-    {
-        dist_.sample(v);
-        if (v < 0) {
-            ++underflow_;
-            return;
-        }
-        auto idx = static_cast<std::uint64_t>(v / bucketSize_);
-        if (idx >= counts_.size())
-            ++overflow_;
-        else
-            ++counts_[idx];
-    }
-
-    const Distribution &dist() const { return dist_; }
-    double bucketSize() const { return bucketSize_; }
-    std::uint64_t bucketCount(std::uint32_t i) const
-    {
-        return counts_[i];
-    }
-    std::uint32_t numBuckets() const
-    {
-        return static_cast<std::uint32_t>(counts_.size());
-    }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t underflow() const { return underflow_; }
-
-    void
-    reset()
-    {
-        dist_.reset();
-        underflow_ = overflow_ = 0;
-        for (auto &c : counts_)
-            c = 0;
-    }
-
-  private:
-    double bucketSize_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    Distribution dist_;
-};
-
-/**
- * Registry of named statistics owned by one component.  Components
- * register pointers; the group formats and resets them by name.
- */
-class Group
-{
-  public:
-    explicit Group(std::string name) : name_(std::move(name)) {}
-
-    void addScalar(const std::string &name, Scalar *s);
-    void addDistribution(const std::string &name, Distribution *d);
-    void addHistogram(const std::string &name, Histogram *h);
-
-    /** Dump "group.stat value" lines. */
-    std::string format() const;
-
-    /** Reset every registered statistic. */
-    void resetAll();
-
-    /** Bridge into the unified MetricsRegistry: scalars export as
-     *  snap_<group>_<stat> counters; distributions and histograms
-     *  export count/sum/min/max/mean samples.  `labels` is applied
-     *  to every emitted sample. */
-    void exportTo(MetricsRegistry &reg,
-                  MetricsRegistry::Labels labels = {}) const;
-
-    const std::string &name() const { return name_; }
-
-    /** Look up a scalar by name (nullptr if absent). */
-    Scalar *scalar(const std::string &name) const;
-    Distribution *distribution(const std::string &name) const;
-    Histogram *histogram(const std::string &name) const;
-
-  private:
-    std::string name_;
-    // std::map for deterministic dump ordering.
-    std::map<std::string, Scalar *> scalars_;
-    std::map<std::string, Distribution *> dists_;
-    std::map<std::string, Histogram *> histos_;
 };
 
 } // namespace stats

@@ -41,8 +41,11 @@ loadMarkers(std::istream &is)
     ++lineno;
     std::vector<std::string> head = tokenize(trim(line));
     long long nodes;
+    // No network holds more than capacity::maxNodes nodes, and the
+    // store below is sized from this count.
     if (head.size() != 3 || head[0] != "snapmarkers" ||
-        head[1] != "1" || !parseInt(head[2], nodes) || nodes < 0) {
+        head[1] != "1" || !parseInt(head[2], nodes) || nodes < 0 ||
+        nodes > static_cast<long long>(capacity::maxNodes)) {
         snap_fatal("bad snapshot header '%s'", line.c_str());
     }
 

@@ -1,9 +1,5 @@
 #include "serve/metrics.hh"
 
-#include <sstream>
-
-#include "common/logging.hh"
-
 namespace snap
 {
 namespace serve
@@ -11,20 +7,6 @@ namespace serve
 
 namespace
 {
-
-void
-histJson(std::ostringstream &os, const char *name, const Histogram &h,
-         const char *indent)
-{
-    os << indent << "\"" << name << "\": {"
-       << "\"count\": " << h.count()
-       << ", \"mean\": " << formatString("%.6g", h.mean())
-       << ", \"min\": " << formatString("%.6g", h.min())
-       << ", \"p50\": " << formatString("%.6g", h.quantile(0.50))
-       << ", \"p95\": " << formatString("%.6g", h.quantile(0.95))
-       << ", \"p99\": " << formatString("%.6g", h.quantile(0.99))
-       << ", \"max\": " << formatString("%.6g", h.max()) << "}";
-}
 
 void
 histMetrics(MetricsRegistry &reg, const std::string &base,
@@ -134,62 +116,6 @@ MetricsSnapshot::exportMetrics(MetricsRegistry &reg,
                   "Host milliseconds this worker spent executing",
                   wl);
     }
-}
-
-std::string
-metricsJson(const MetricsSnapshot &s)
-{
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"submitted\": " << s.submitted << ",\n";
-    os << "  \"completed\": " << s.completed << ",\n";
-    os << "  \"rejected\": " << s.rejected << ",\n";
-    os << "  \"timed_out\": " << s.timedOut << ",\n";
-    os << "  \"answer_cache\": {\"hits\": " << s.answerCache.hits
-       << ", \"misses\": " << s.answerCache.misses
-       << ", \"admitted\": " << s.answerCache.admitted
-       << ", \"evictions\": " << s.answerCache.evictions
-       << ", \"bytes\": " << s.answerCache.bytes << "},\n";
-    os << "  \"robustness\": {\"faults_detected\": " << s.faultsDetected
-       << ", \"wedges\": " << s.wedges
-       << ", \"retries\": " << s.retries
-       << ", \"recovered\": " << s.recovered
-       << ", \"failed\": " << s.failed
-       << ", \"hung\": " << s.hung
-       << ", \"shed\": " << s.shed
-       << ", \"quarantines\": " << s.quarantines
-       << ", \"image_swaps\": " << s.imageSwaps << "},\n";
-    os << "  \"queue\": {\"depth\": " << s.queueDepth
-       << ", \"high_water\": " << s.queueHighWater
-       << ", \"capacity\": " << s.queueCapacity << "},\n";
-    os << "  \"uptime_sec\": "
-       << formatString("%.6g", s.uptimeSec) << ",\n";
-    os << "  \"throughput_qps\": "
-       << formatString("%.6g", s.throughputQps()) << ",\n";
-    histJson(os, "queue_wait_ms", s.queueWaitMs, "  ");
-    os << ",\n";
-    histJson(os, "service_ms", s.serviceMs, "  ");
-    os << ",\n";
-    histJson(os, "total_ms", s.totalMs, "  ");
-    os << ",\n";
-    histJson(os, "sim_us", s.simUs, "  ");
-    os << ",\n";
-    os << "  \"sim_makespan_us\": "
-       << formatString("%.6g", ticksToUs(s.simMakespanTicks()))
-       << ",\n";
-    os << "  \"workers\": [\n";
-    for (std::size_t i = 0; i < s.workers.size(); ++i) {
-        const WorkerStats &w = s.workers[i];
-        os << "    {\"worker\": " << i << ", \"served\": " << w.served
-           << ", \"busy_sim_us\": "
-           << formatString("%.6g", ticksToUs(w.busyTicks))
-           << ", \"busy_host_ms\": "
-           << formatString("%.6g", w.busyMs) << "}"
-           << (i + 1 < s.workers.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n";
-    os << "}\n";
-    return os.str();
 }
 
 } // namespace serve

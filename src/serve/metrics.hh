@@ -7,8 +7,8 @@
  * time, end-to-end latency (host milliseconds), and simulated
  * execution time feed log-bucketed histograms; admission outcomes
  * feed counters; the queue reports depth/high-water gauges.  A
- * snapshot renders as a JSON document (metricsJson) for dashboards
- * and the bench harness.
+ * snapshot leaves the process only through the MetricsRegistry
+ * (exportMetrics), as JSON or Prometheus text.
  *
  * Recording is mutex-serialized — one short critical section per
  * request completion, negligible next to a multi-millisecond
@@ -120,38 +120,36 @@ struct MetricsSnapshot
                        MetricsRegistry::Labels labels = {}) const;
 };
 
-/** Render @p snap as a pretty-printed JSON object. */
-std::string metricsJson(const MetricsSnapshot &snap);
-
 /** Shared recording surface for the engine's workers. */
 class ServeMetrics
 {
   public:
     explicit ServeMetrics(std::uint32_t num_workers)
-        : workers_(num_workers)
-    {}
+    {
+        m_.workers.resize(num_workers);
+    }
 
     void
     noteSubmitted()
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++submitted_;
+        ++m_.submitted;
     }
 
     void
     noteRejected()
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++submitted_;
-        ++rejected_;
+        ++m_.submitted;
+        ++m_.rejected;
     }
 
     void
     noteTimedOut(double queue_ms)
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++timedOut_;
-        queueWaitMs_.record(queue_ms);
+        ++m_.timedOut;
+        m_.queueWaitMs.record(queue_ms);
     }
 
     /**
@@ -165,12 +163,12 @@ class ServeMetrics
                   bool executed = true)
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++completed_;
-        queueWaitMs_.record(queue_ms);
-        serviceMs_.record(service_ms);
-        totalMs_.record(queue_ms + service_ms);
-        simUs_.record(ticksToUs(sim_ticks));
-        WorkerStats &w = workers_.at(worker);
+        ++m_.completed;
+        m_.queueWaitMs.record(queue_ms);
+        m_.serviceMs.record(service_ms);
+        m_.totalMs.record(queue_ms + service_ms);
+        m_.simUs.record(ticksToUs(sim_ticks));
+        WorkerStats &w = m_.workers.at(worker);
         ++w.served;
         if (executed)
             w.busyTicks += sim_ticks;
@@ -182,16 +180,16 @@ class ServeMetrics
     noteFaultDetected(bool wedged)
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++faultsDetected_;
+        ++m_.faultsDetected;
         if (wedged)
-            ++wedges_;
+            ++m_.wedges;
     }
 
     void
     noteRetry()
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++retries_;
+        ++m_.retries;
     }
 
     /** Request answered Ok after at least one retry. */
@@ -199,7 +197,7 @@ class ServeMetrics
     noteRecovered()
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++recovered_;
+        ++m_.recovered;
     }
 
     /** Retry budget exhausted; request answered Failed. */
@@ -207,8 +205,8 @@ class ServeMetrics
     noteFailed(double queue_ms)
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++failed_;
-        queueWaitMs_.record(queue_ms);
+        ++m_.failed;
+        m_.queueWaitMs.record(queue_ms);
     }
 
     /** Shutdown watchdog force-failed a request as Hung. */
@@ -216,7 +214,7 @@ class ServeMetrics
     noteHung()
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++hung_;
+        ++m_.hung;
     }
 
     /** Stateless request shed at admission under a fault storm. */
@@ -224,8 +222,8 @@ class ServeMetrics
     noteShed()
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++submitted_;
-        ++shed_;
+        ++m_.submitted;
+        ++m_.shed;
     }
 
     /** Replica quarantined and re-stamped from the master image. */
@@ -233,7 +231,7 @@ class ServeMetrics
     noteQuarantine()
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++quarantines_;
+        ++m_.quarantines;
     }
 
     /** One knowledge-image hot-swap (epoch flip) was applied. */
@@ -241,7 +239,7 @@ class ServeMetrics
     noteImageSwap()
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++imageSwaps_;
+        ++m_.imageSwaps;
     }
 
     /** Copy everything out; queue gauges and uptime are supplied by
@@ -251,52 +249,19 @@ class ServeMetrics
              std::size_t queue_capacity, double uptime_sec) const
     {
         std::lock_guard<std::mutex> lock(mu_);
-        MetricsSnapshot s;
-        s.submitted = submitted_;
-        s.completed = completed_;
-        s.rejected = rejected_;
-        s.timedOut = timedOut_;
-        s.faultsDetected = faultsDetected_;
-        s.wedges = wedges_;
-        s.retries = retries_;
-        s.recovered = recovered_;
-        s.failed = failed_;
-        s.hung = hung_;
-        s.shed = shed_;
-        s.quarantines = quarantines_;
-        s.imageSwaps = imageSwaps_;
+        MetricsSnapshot s = m_;
         s.queueDepth = queue_depth;
         s.queueHighWater = queue_high_water;
         s.queueCapacity = queue_capacity;
         s.uptimeSec = uptime_sec;
-        s.queueWaitMs = queueWaitMs_;
-        s.serviceMs = serviceMs_;
-        s.totalMs = totalMs_;
-        s.simUs = simUs_;
-        s.workers = workers_;
         return s;
     }
 
   private:
     mutable std::mutex mu_;
-    std::uint64_t submitted_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t rejected_ = 0;
-    std::uint64_t timedOut_ = 0;
-    std::uint64_t faultsDetected_ = 0;
-    std::uint64_t wedges_ = 0;
-    std::uint64_t retries_ = 0;
-    std::uint64_t recovered_ = 0;
-    std::uint64_t failed_ = 0;
-    std::uint64_t hung_ = 0;
-    std::uint64_t shed_ = 0;
-    std::uint64_t quarantines_ = 0;
-    std::uint64_t imageSwaps_ = 0;
-    Histogram queueWaitMs_;
-    Histogram serviceMs_;
-    Histogram totalMs_;
-    Histogram simUs_;
-    std::vector<WorkerStats> workers_;
+    /** The counters, histograms and per-worker tallies; the queue
+     *  gauges, uptime and answer-cache stats stay zero here. */
+    MetricsSnapshot m_;
 };
 
 } // namespace serve

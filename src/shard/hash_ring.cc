@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "shard/wire_format.hh"
 
 namespace snap
 {

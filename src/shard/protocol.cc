@@ -73,21 +73,24 @@ encodeProgram(WireWriter &w, const Program &prog)
 bool
 decodeProgram(WireReader &r, Program &out)
 {
-    const std::uint32_t num_rules = r.u32();
+    // Minimum element sizes: a rule is a name length, its step bound
+    // and a segment count; a segment a star flag and a relation
+    // count; an instruction 29 fixed bytes.
+    const std::uint32_t num_rules = r.count(12);
     if (r.failed() || num_rules > maxRules)
         return false;
     for (std::uint32_t i = 0; i < num_rules; ++i) {
         PropRule rule;
         rule.name = r.str();
         rule.maxSteps = r.u32();
-        const std::uint32_t num_segs = r.u32();
+        const std::uint32_t num_segs = r.count(5);
         if (r.failed() || num_segs > 255)
             return false;
         rule.segments.reserve(num_segs);
         for (std::uint32_t s = 0; s < num_segs; ++s) {
             RuleSegment seg;
             seg.star = r.u8() != 0;
-            const std::uint32_t num_rels = r.u32();
+            const std::uint32_t num_rels = r.count(2);
             if (r.failed() || num_rels > capacity::numRelationTypes)
                 return false;
             seg.rels.reserve(num_rels);
@@ -99,7 +102,7 @@ decodeProgram(WireReader &r, Program &out)
             return false;
         out.addRule(std::move(rule));
     }
-    const std::uint32_t num_instrs = r.u32();
+    const std::uint32_t num_instrs = r.count(29);
     if (r.failed())
         return false;
     for (std::uint32_t i = 0; i < num_instrs; ++i) {
@@ -171,11 +174,10 @@ encodeResults(WireWriter &w, const ResultSet &results)
 bool
 decodeResults(WireReader &r, ResultSet &out)
 {
-    const std::uint32_t count = r.u32();
-    // Each result is >= 13 bytes (op, marker, color, rel, and the two
-    // list counts); a count the bytes left cannot hold is rejected
-    // before anything is reserved for it.
-    if (r.failed() || count > r.remaining() / 13)
+    // A result is >= 13 bytes (op, marker, color, rel, and the two
+    // list counts), a node 12 and a link 14.
+    const std::uint32_t count = r.count(13);
+    if (r.failed())
         return false;
     out.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -188,10 +190,8 @@ decodeResults(WireReader &r, ResultSet &out)
             op >= static_cast<std::uint8_t>(Opcode::NumOpcodes))
             return false;
         cr.op = static_cast<Opcode>(op);
-        const std::uint32_t num_nodes = r.u32();
-        // Each entry is >= 12 bytes; reject counts the frame cannot
-        // hold before reserving.
-        if (r.failed() || num_nodes > r.remaining() / 12 + 1)
+        const std::uint32_t num_nodes = r.count(12);
+        if (r.failed())
             return false;
         cr.nodes.reserve(num_nodes);
         for (std::uint32_t k = 0; k < num_nodes; ++k) {
@@ -201,8 +201,8 @@ decodeResults(WireReader &r, ResultSet &out)
             n.origin = r.u32();
             cr.nodes.push_back(n);
         }
-        const std::uint32_t num_links = r.u32();
-        if (r.failed() || num_links > r.remaining() / 14 + 1)
+        const std::uint32_t num_links = r.count(14);
+        if (r.failed())
             return false;
         cr.links.reserve(num_links);
         for (std::uint32_t k = 0; k < num_links; ++k) {
@@ -258,14 +258,14 @@ decodeMarkers(WireReader &r, MarkerStore &out)
     int prev_plane = -1;
     for (std::uint32_t p = 0; p < num_planes; ++p) {
         const std::uint8_t mk = r.u8();
-        const std::uint32_t count = r.u32();
         if (r.failed() || mk >= capacity::numMarkers ||
             static_cast<int>(mk) <= prev_plane)
             return false;
         prev_plane = mk;
         const MarkerId marker = static_cast<MarkerId>(mk);
-        const std::size_t entry = isComplexMarker(marker) ? 12 : 4;
-        if (count > out.numNodes() || count > r.remaining() / entry + 1)
+        const std::uint32_t count =
+            r.count(isComplexMarker(marker) ? 12 : 4);
+        if (r.failed() || count > out.numNodes())
             return false;
         std::uint32_t prev_node = 0;
         for (std::uint32_t k = 0; k < count; ++k) {
@@ -600,11 +600,10 @@ bool
 decodeStatsSnapshot(WireReader &r, StatsSnapshotFrame &f)
 {
     f.nonce = r.u64();
-    const std::uint32_t count = r.u32();
-    // Each sample is >= 19 bytes (two empty strings, kind, label
-    // count, value); reject counts the frame cannot hold before
-    // reserving.
-    if (r.failed() || count > r.remaining() / 19 + 1)
+    // A sample is >= 19 bytes (two empty strings, kind, label count,
+    // value).
+    const std::uint32_t count = r.count(19);
+    if (r.failed())
         return false;
     f.samples.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {

@@ -27,16 +27,22 @@
 #include <vector>
 
 #include "common/metrics_registry.hh"
+#include "common/wire_format.hh"
 #include "isa/program.hh"
 #include "runtime/marker_store.hh"
 #include "runtime/results.hh"
 #include "serve/request.hh"
-#include "shard/wire_format.hh"
 
 namespace snap
 {
 namespace shard
 {
+
+// The codec lives in common/ (the .kbimg format uses it too); these
+// keep the names that callers spell shard::WireWriter and so on.
+using snap::fnv1a64;
+using snap::WireReader;
+using snap::WireWriter;
 
 /** Protocol revision; bumped on any incompatible frame change.
  *  v2: Response frames carry a trailing FNV-1a64 payload checksum

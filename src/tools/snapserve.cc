@@ -12,12 +12,11 @@
  *     --partition seq|rr|sem  allocation strategy (default sem)
  *     --relax-capacity      lift the 1024-nodes-per-cluster limit
  *     --seed N              base of the per-request seed chain
- *     --metrics FILE        write the metrics JSON dump to FILE
- *     --metrics-format F    serve-json (default; the legacy rich
- *                           document) | json | prometheus (the
- *                           unified MetricsRegistry export covering
- *                           serving counters, aggregated execution
- *                           stats, and per-replica component stats)
+ *     --metrics FILE        write the metrics export to FILE
+ *     --metrics-format F    json (default) | prometheus: the
+ *                           MetricsRegistry export covering serving
+ *                           counters, aggregated execution stats,
+ *                           and per-replica component stats
  *     --trace-out FILE      write a Chrome trace-event JSON with
  *                           host request spans flow-linked to the
  *                           replicas' simulated-time machine spans
@@ -116,8 +115,8 @@ usage()
         "  --partition seq|rr|sem allocation (default sem)\n"
         "  --relax-capacity       lift the 1024 nodes/cluster cap\n"
         "  --seed N               base request-seed chain\n"
-        "  --metrics FILE         write metrics JSON to FILE\n"
-        "  --metrics-format F     serve-json|json|prometheus\n"
+        "  --metrics FILE         write metrics to FILE\n"
+        "  --metrics-format F     json|prometheus\n"
         "  --trace-out FILE       write Chrome trace-event JSON\n"
         "  --trace-categories L   trace category list (default all)\n"
         "  --sessions-out DIR     checkpoint session marker state\n"
@@ -223,7 +222,7 @@ main(int argc, char **argv)
     cfg.machine = MachineConfig::paperSetup();
     cfg.machine.perfNetEnabled = false;
     std::string metrics_path;
-    std::string metrics_format = "serve-json";
+    std::string metrics_format = "json";
     std::string trace_out;
     std::string trace_categories = "all";
     std::string sessions_dir;
@@ -320,11 +319,10 @@ main(int argc, char **argv)
             metrics_path = next();
         } else if (arg == "--metrics-format") {
             metrics_format = next();
-            if (metrics_format != "serve-json" &&
-                metrics_format != "json" &&
+            if (metrics_format != "json" &&
                 metrics_format != "prometheus")
-                usageError("--metrics-format must be serve-json, "
-                           "json, or prometheus");
+                usageError("--metrics-format must be json or "
+                           "prometheus");
         } else if (arg == "--trace-out") {
             trace_out = next();
         } else if (arg == "--trace-categories") {
@@ -634,23 +632,16 @@ main(int argc, char **argv)
         if (!os)
             snap_fatal("cannot open '%s' for writing",
                        metrics_path.c_str());
-        if (metrics_format == "serve-json") {
-            os << serve::metricsJson(m);
-            std::printf("wrote metrics JSON to %s\n",
-                        metrics_path.c_str());
-        } else {
-            // Unified registry export: serving counters, aggregated
-            // execution breakdown, per-replica component stats.
-            MetricsRegistry reg;
-            engine.exportMetrics(reg);
-            if (metrics_format == "prometheus")
-                reg.writePrometheus(os);
-            else
-                reg.writeJson(os);
-            std::printf("wrote %zu metrics (%s) to %s\n", reg.size(),
-                        metrics_format.c_str(),
-                        metrics_path.c_str());
-        }
+        // Serving counters, aggregated execution breakdown,
+        // per-replica component stats.
+        MetricsRegistry reg;
+        engine.exportMetrics(reg);
+        if (metrics_format == "prometheus")
+            reg.writePrometheus(os);
+        else
+            reg.writeJson(os);
+        std::printf("wrote %zu metrics (%s) to %s\n", reg.size(),
+                    metrics_format.c_str(), metrics_path.c_str());
     }
 
     if (!sessions_dir.empty()) {

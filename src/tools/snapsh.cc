@@ -34,6 +34,7 @@
 
 #include "arch/machine.hh"
 #include "common/logging.hh"
+#include "common/metrics_registry.hh"
 #include "common/strutil.hh"
 #include "isa/assembler.hh"
 #include "kb/kb_io.hh"
@@ -131,8 +132,11 @@ main(int argc, char **argv)
                 std::printf("simulated machine time: %.3f ms\n",
                             ticksToMs(machine.now()));
             } else if (tok[0] == ".stats") {
-                std::printf("%s",
-                            machine.formatComponentStats().c_str());
+                MetricsRegistry reg;
+                machine.exportMetrics(reg);
+                std::ostringstream os;
+                reg.writePrometheus(os);
+                std::printf("%s", os.str().c_str());
             } else if (tok[0] == ".markers" && tok.size() == 2) {
                 long long m;
                 if (!parseInt(tok[1].substr(tok[1][0] == 'm' ? 1 : 0),

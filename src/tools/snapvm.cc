@@ -310,8 +310,11 @@ main(int argc, char **argv)
                 run.wallUs());
     if (stats) {
         std::printf("\n%s", run.stats.summary().c_str());
-        std::printf("\n%s",
-                    machine.formatComponentStats().c_str());
+        MetricsRegistry reg;
+        machine.exportMetrics(reg);
+        std::ostringstream os;
+        reg.writePrometheus(os);
+        std::printf("\n%s", os.str().c_str());
     }
 
     if (!perf_csv.empty()) {

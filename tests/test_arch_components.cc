@@ -303,7 +303,7 @@ TEST(PerfNetTest, BusyPortDropsRecords)
     net.endRun();
     EXPECT_EQ(net.dropped(), 1u);
     EXPECT_EQ(net.records().size(), 3u);
-    EXPECT_EQ(net.emitted.value(), 4.0);
+    EXPECT_EQ(net.emitted, 4u);
 }
 
 /** endRun() appends the run's records to the central FIFO in
@@ -321,7 +321,7 @@ TEST(PerfNetTest, RunRecordsLandInTimestampThenPeOrder)
     EXPECT_EQ(net.records()[0].pe, 0u);
     EXPECT_EQ(net.records()[1].pe, 1u);
     EXPECT_EQ(net.records()[2].pe, 2u);
-    EXPECT_EQ(net.emitted.value(), 3.0);
+    EXPECT_EQ(net.emitted, 3u);
     // A second run appends after the first; an empty one adds
     // nothing.
     net.endRun();
@@ -338,7 +338,7 @@ TEST(PerfNetTest, DisabledNetworkIsSilent)
     net.emit(0, 0, PerfEvent::TaskStart, 1);
     net.endRun();
     EXPECT_TRUE(net.records().empty());
-    EXPECT_EQ(net.emitted.value(), 0.0);
+    EXPECT_EQ(net.emitted, 0u);
 }
 
 // --- kb image -----------------------------------------------------------------------

@@ -16,6 +16,7 @@
 
 #include "arch/kb_image_io.hh"
 #include "arch/machine.hh"
+#include "common/wire_format.hh"
 #include "isa/program.hh"
 #include "tests/test_helpers.hh"
 #include "workload/kb_gen.hh"
@@ -57,6 +58,54 @@ writeBytes(const std::string &path, const std::string &bytes)
     os.write(bytes.data(),
              static_cast<std::streamsize>(bytes.size()));
     ASSERT_TRUE(os.good()) << path;
+}
+
+/** Little-endian @p n-byte field of a .kbimg held in memory. */
+std::uint64_t
+getLe(const std::string &b, std::size_t at, int n)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < n; ++i)
+        v |= static_cast<std::uint64_t>(
+                 static_cast<std::uint8_t>(b.at(at + i)))
+             << (8 * i);
+    return v;
+}
+
+void
+putLe(std::string &b, std::size_t at, int n, std::uint64_t v)
+{
+    for (int i = 0; i < n; ++i)
+        b.at(at + i) = static_cast<char>(v >> (8 * i));
+}
+
+/** Section table entry of section @p id (header 24 bytes, entries 32:
+ *  id, reserved, offset, size, checksum). */
+std::size_t
+tableEntry(const std::string &b, std::uint32_t id)
+{
+    for (std::size_t e = 24; e < 24 + 7 * 32; e += 32)
+        if (getLe(b, e, 4) == id)
+            return e;
+    ADD_FAILURE() << "no section " << id;
+    return 24;
+}
+
+std::size_t
+sectionOffset(const std::string &b, std::uint32_t id)
+{
+    return getLe(b, tableEntry(b, id) + 8, 8);
+}
+
+/** Recompute section @p id's checksum after its payload was edited,
+ *  so only the loader's content checks can reject it. */
+void
+reseal(std::string &b, std::uint32_t id)
+{
+    const std::size_t e = tableEntry(b, id);
+    const std::size_t off = getLe(b, e + 8, 8);
+    const std::size_t size = getLe(b, e + 16, 8);
+    putLe(b, e + 24, 8, fnv1a64(b.data() + off, size));
 }
 
 Program
@@ -229,6 +278,50 @@ TEST(KbImg, CorruptionIsTypedRejection)
         writeBytes(f.path(), bad);
         EXPECT_EQ(loadKbImageFile(f.path(), out, detail),
                   KbImgStatus::BadEndian);
+    }
+
+    // A slot count of 0xF0000000 on cluster 0's first local, with
+    // the cluster's slot total adjusted to match and the checksum
+    // recomputed: the count must be refused before anything is
+    // reserved for it.  (Clusters section: u32 locals, u64 total,
+    // then one u32 slot count per local.)
+    {
+        std::string bad = whole;
+        const std::size_t off = sectionOffset(bad, 7);
+        const std::uint64_t total = getLe(bad, off + 4, 8);
+        const std::uint64_t first = getLe(bad, off + 12, 4);
+        putLe(bad, off + 12, 4, 0xF0000000u);
+        putLe(bad, off + 4, 8, total - first + 0xF0000000u);
+        reseal(bad, 7);
+        writeBytes(f.path(), bad);
+        EXPECT_EQ(loadKbImageFile(f.path(), out, detail),
+                  KbImgStatus::BadSection)
+            << detail;
+    }
+
+    // A placement with local 0xFFFFFFFF (so local + 1 wraps to 0) on
+    // a node that held local 0 of a cluster of at least two nodes.
+    // (Partition section: per node u16 cluster, u16 pad, u32 local.)
+    {
+        std::string bad = whole;
+        const std::size_t off = sectionOffset(bad, 6);
+        const std::uint32_t nodes = net.numNodes();
+        std::vector<std::uint32_t> sizes(cfg.numClusters, 0);
+        for (NodeId n = 0; n < nodes; ++n)
+            ++sizes.at(getLe(bad, off + 8 * n, 2));
+        std::size_t victim = nodes;
+        for (NodeId n = 0; n < nodes && victim == nodes; ++n) {
+            if (getLe(bad, off + 8 * n + 4, 4) == 0 &&
+                sizes.at(getLe(bad, off + 8 * n, 2)) >= 2)
+                victim = n;
+        }
+        ASSERT_LT(victim, nodes);
+        putLe(bad, off + 8 * victim + 4, 4, 0xFFFFFFFFu);
+        reseal(bad, 6);
+        writeBytes(f.path(), bad);
+        EXPECT_EQ(loadKbImageFile(f.path(), out, detail),
+                  KbImgStatus::BadSection)
+            << detail;
     }
 
     // The pristine file still loads after all that.

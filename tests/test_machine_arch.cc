@@ -196,7 +196,7 @@ TEST(MachineArch, ExtremeContentionMatchesGolden)
     prog.append(Instruction::collectMarker(1));
 
     RunResult run = machine.run(prog);
-    EXPECT_GT(machine.icn().blockedSends.value(), 0.0);
+    EXPECT_GT(machine.icn().blockedSends, 0u);
 
     ReferenceInterpreter golden(net_golden);
     ResultSet gres = golden.run(prog);

@@ -19,6 +19,7 @@
 
 #include "common/histogram.hh"
 #include "common/logging.hh"
+#include "common/metrics_registry.hh"
 #include "fault/fault_plan.hh"
 #include "nlu/corpus.hh"
 #include "nlu/kb_factory.hh"
@@ -523,13 +524,31 @@ TEST(ServeEngine, MetricsJsonIsWellFormed)
     for (auto &f : futures)
         ASSERT_EQ(f.get().status, RequestStatus::Ok);
 
-    std::string json =
-        serve::metricsJson(engine.metricsSnapshot());
+    MetricsRegistry reg;
+    engine.exportMetrics(reg);
+    std::ostringstream os;
+    reg.writeJson(os);
+    const std::string json = os.str();
     for (const char *key :
-         {"\"submitted\": 6", "\"completed\": 6", "\"rejected\": 0",
-          "\"queue_wait_ms\"", "\"service_ms\"", "\"total_ms\"",
-          "\"sim_us\"", "\"p95\"", "\"workers\"",
-          "\"sim_makespan_us\""}) {
+         {"\"snap_serve_submitted_total\", \"kind\": \"counter\", "
+          "\"value\": 6}",
+          "\"snap_serve_completed_total\", \"kind\": \"counter\", "
+          "\"value\": 6}",
+          "\"snap_serve_rejected_total\", \"kind\": \"counter\", "
+          "\"value\": 0}",
+          // Every completion feeds the four latency histograms.
+          "\"snap_serve_queue_wait_ms_count\", \"kind\": \"counter\", "
+          "\"value\": 6}",
+          "\"snap_serve_service_ms_count\", \"kind\": \"counter\", "
+          "\"value\": 6}",
+          "\"snap_serve_total_ms_count\", \"kind\": \"counter\", "
+          "\"value\": 6}",
+          "\"snap_serve_sim_us_count\", \"kind\": \"counter\", "
+          "\"value\": 6}",
+          "\"snap_serve_total_ms_p95\"",
+          "\"snap_serve_worker_served_total\", \"kind\": \"counter\", "
+          "\"labels\": {\"worker\": \"1\"}",
+          "\"snap_serve_sim_makespan_us\""}) {
         EXPECT_NE(json.find(key), std::string::npos)
             << "missing " << key << " in:\n" << json;
     }

@@ -29,6 +29,7 @@
 
 #include "arch/kb_image_io.hh"
 #include "arch/machine.hh"
+#include "common/wire_format.hh"
 #include "fault/fleet_fault.hh"
 #include "runtime/marker_store.hh"
 #include "serve/engine.hh"
@@ -37,7 +38,6 @@
 #include "shard/protocol.hh"
 #include "shard/router.hh"
 #include "shard/shard_server.hh"
-#include "shard/wire_format.hh"
 #include "tests/test_helpers.hh"
 #include "workload/kb_gen.hh"
 
@@ -80,8 +80,6 @@ using shard::HashRing;
 using shard::IoErrorKind;
 using shard::ShardRouter;
 using shard::ShardServer;
-using shard::WireReader;
-using shard::WireWriter;
 
 // --- hash ring ----------------------------------------------------------
 
@@ -662,7 +660,7 @@ TEST(ShardProtocol, HugeResultCountIsRejectedWithoutAllocating)
     w.u32(0);                              // retries
     w.u8(0);                               // faultDetected
     w.u32(0xffffffffu);                    // claimed result count
-    w.u64(shard::fnv1a64(w.bytes().data(), w.size()));
+    w.u64(fnv1a64(w.bytes().data(), w.size()));
     const std::vector<std::uint8_t> bytes = w.take();
 
     shard::ResponseFrame out;
@@ -675,6 +673,41 @@ TEST(ShardProtocol, HugeResultCountIsRejectedWithoutAllocating)
     EXPECT_LT(g_largestAlloc.load(), 4096u)
         << "the decoder sized an allocation from the claimed count";
     EXPECT_TRUE(out.results.empty());
+}
+
+TEST(WireReader, CountIsBoundedByTheBytesLeft)
+{
+    // A count of 3 eight-byte elements with exactly 24 bytes behind
+    // it fits; 4 does not.
+    WireWriter w;
+    w.u32(3);
+    for (int i = 0; i < 3; ++i)
+        w.u64(0);
+    WireReader fits(w.bytes());
+    EXPECT_EQ(fits.count(8), 3u);
+    EXPECT_FALSE(fits.failed());
+
+    WireWriter over;
+    over.u32(4);
+    for (int i = 0; i < 3; ++i)
+        over.u64(0);
+    WireReader r(over.bytes());
+    EXPECT_EQ(r.count(8), 0u);
+    EXPECT_TRUE(r.failed());
+    // Sticky: later reads that would succeed leave it failed.
+    r.u64();
+    EXPECT_TRUE(r.failed());
+    EXPECT_FALSE(r.done());
+
+    // With no bytes left only a zero count fits.
+    WireWriter empty;
+    empty.u32(0);
+    empty.u32(1);
+    WireReader tail(empty.bytes());
+    EXPECT_EQ(tail.count(1), 0u);
+    EXPECT_FALSE(tail.failed());
+    EXPECT_EQ(tail.count(1), 0u);
+    EXPECT_TRUE(tail.failed());
 }
 
 // --- typed endpoint errors ----------------------------------------------
@@ -1516,7 +1549,7 @@ TEST_F(ShardFleetTest, WarmBackupFailoverPreservesSessionState)
 
     // Hard-kill the session's pinned primary.
     const std::uint32_t primary =
-        HashRing(2, rcfg.vnodes).owner(shard::fnv1a64(sid));
+        HashRing(2, rcfg.vnodes).owner(fnv1a64(sid));
     fleet[primary].reset();
 
     shard::RouterRequest req2;
@@ -1568,7 +1601,7 @@ TEST_F(ShardFleetTest, PlannedDrainMigratesSessionState)
               serve::RequestStatus::Ok);
 
     const std::uint32_t primary =
-        HashRing(2, rcfg.vnodes).owner(shard::fnv1a64(sid));
+        HashRing(2, rcfg.vnodes).owner(fnv1a64(sid));
     std::string err;
     ASSERT_TRUE(router.drainShard(primary, err)) << err;
     EXPECT_GE(router.migratedCount(), 1u)

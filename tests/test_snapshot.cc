@@ -167,9 +167,15 @@ TEST(Snapshot, SixteenSemToEightRrRestore)
 
 TEST(SnapshotDeath, BadHeaderIsFatal)
 {
-    std::istringstream is("wrong 1 10\n");
-    EXPECT_EXIT(loadMarkers(is), ::testing::ExitedWithCode(1),
-                "bad snapshot header");
+    // A node count past capacity::maxNodes must be refused before a
+    // store is sized from it.
+    for (const char *text :
+         {"wrong 1 10\n", "snapmarkers 1 4000000000\n"}) {
+        std::istringstream is(text);
+        EXPECT_EXIT(loadMarkers(is), ::testing::ExitedWithCode(1),
+                    "bad snapshot header")
+            << text;
+    }
 }
 
 TEST(SnapshotDeath, OutOfRangeNodeIsFatal)

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the stats:: package (reset/merge semantics, group export)
- * and the log-bucketed Histogram's quantile edge cases.
+ * Tests for stats::Distribution (reset/merge semantics), the
+ * MetricsRegistry exporters and the log-bucketed Histogram's quantile
+ * edge cases.
  */
 
 #include <gtest/gtest.h>
@@ -17,21 +18,6 @@ namespace snap
 {
 namespace
 {
-
-// --- stats::Scalar ---------------------------------------------------------
-
-TEST(StatsScalar, IncrementAssignReset)
-{
-    stats::Scalar s;
-    EXPECT_EQ(s.value(), 0.0);
-    ++s;
-    s += 2.5;
-    EXPECT_DOUBLE_EQ(s.value(), 3.5);
-    s = 7.0;
-    EXPECT_DOUBLE_EQ(s.value(), 7.0);
-    s.reset();
-    EXPECT_EQ(s.value(), 0.0);
-}
 
 // --- stats::Distribution ---------------------------------------------------
 
@@ -49,7 +35,6 @@ TEST(StatsDistribution, ResetRestoresEmptyState)
     EXPECT_EQ(d.min(), 0.0);
     EXPECT_EQ(d.max(), 0.0);
     EXPECT_EQ(d.mean(), 0.0);
-    EXPECT_EQ(d.variance(), 0.0);
 
     // A reset distribution must accept new samples as if fresh.
     d.sample(5.0);
@@ -72,13 +57,12 @@ TEST(StatsDistribution, MergePoolsSamples)
     EXPECT_DOUBLE_EQ(a.min(), 1.0);
     EXPECT_DOUBLE_EQ(a.max(), 20.0);
 
-    // Merged moments must match sampling everything into one
+    // The merged mean must match sampling everything into one
     // distribution directly.
     stats::Distribution direct;
     for (double v : {1.0, 2.0, 10.0, 20.0})
         direct.sample(v);
     EXPECT_DOUBLE_EQ(a.mean(), direct.mean());
-    EXPECT_DOUBLE_EQ(a.variance(), direct.variance());
 }
 
 TEST(StatsDistribution, MergeEmptyLeavesEnvelopeAlone)
@@ -96,56 +80,6 @@ TEST(StatsDistribution, MergeEmptyLeavesEnvelopeAlone)
     EXPECT_EQ(c.count(), 1u);
     EXPECT_DOUBLE_EQ(c.min(), 4.0);
     EXPECT_DOUBLE_EQ(c.max(), 4.0);
-}
-
-// --- stats::Histogram (fixed-width) ----------------------------------------
-
-TEST(StatsHistogram, BucketsAndOverflowReset)
-{
-    stats::Histogram h(1.0, 4);
-    h.sample(-1.0); // underflow
-    h.sample(0.5);  // bucket 0
-    h.sample(2.5);  // bucket 2
-    h.sample(9.0);  // overflow
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(2), 1u);
-    EXPECT_EQ(h.dist().count(), 4u);
-
-    h.reset();
-    EXPECT_EQ(h.underflow(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-    for (std::uint32_t i = 0; i < h.numBuckets(); ++i)
-        EXPECT_EQ(h.bucketCount(i), 0u);
-    EXPECT_EQ(h.dist().count(), 0u);
-}
-
-// --- stats::Group ----------------------------------------------------------
-
-TEST(StatsGroup, ResetAllAndExport)
-{
-    stats::Scalar s;
-    stats::Distribution d;
-    stats::Group g("unit");
-    g.addScalar("hits", &s);
-    g.addDistribution("lat", &d);
-
-    s += 3;
-    d.sample(2.0);
-
-    MetricsRegistry reg;
-    g.exportTo(reg, {{"worker", "0"}});
-    EXPECT_GT(reg.size(), 0u);
-    std::ostringstream os;
-    reg.writePrometheus(os);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("snap_unit_hits"), std::string::npos);
-    EXPECT_NE(text.find("worker=\"0\""), std::string::npos);
-
-    g.resetAll();
-    EXPECT_EQ(s.value(), 0.0);
-    EXPECT_EQ(d.count(), 0u);
 }
 
 // --- MetricsRegistry exposition escaping -----------------------------------
