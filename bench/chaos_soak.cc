@@ -118,7 +118,9 @@ soakFleetFaults()
     return spec;
 }
 
-/** Build query @p i of the mix (same scheme as the shard bench). */
+/** Build query @p i of the mix: a downward (inheritance) or upward
+ *  (classification) count propagation from a start node, both drawn
+ *  from the query's own requestSeed() chain. */
 Program
 makeQuery(std::uint64_t i, const SemanticNetwork &net,
           RelationType down, RelationType up)

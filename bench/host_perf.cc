@@ -12,21 +12,13 @@
  * The committed BENCH_host_perf.json is the trajectory later changes
  * compare against.
  *
- * The harness also carries the serving engine's steady-state
- * admission check: with the warm pending pool and caller-owned
- * ResponseSlot delivery, ServeEngine::submit() must perform zero
- * heap allocations (a replaced global operator new counts them).
- *
  * Results go to stdout and to BENCH_host_perf.json.
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,37 +29,7 @@
 #include "nlu/corpus.hh"
 #include "nlu/kb_factory.hh"
 #include "nlu/mb_parser.hh"
-#include "serve/engine.hh"
 #include "workload/alpha_beta.hh"
-#include "workload/kb_gen.hh"
-
-// ------------------------------------------------------------------
-// Allocation counter: replace the global allocation functions so the
-// admission benchmark can assert "zero allocations per submit".  The
-// counter only ever increments on the new side; deletes are routed to
-// free() to keep the pairs consistent.
-// ------------------------------------------------------------------
-
-static std::atomic<std::uint64_t> g_allocCount{0};
-
-static void *
-countedAlloc(std::size_t n)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *operator new(std::size_t n) { return countedAlloc(n); }
-void *operator new[](std::size_t n) { return countedAlloc(n); }
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 using namespace snap;
 
@@ -397,62 +359,8 @@ captureFig17Trace(std::uint32_t rounds)
     return trace;
 }
 
-/**
- * Steady-state serving admission: @p n pre-built stateless requests
- * submitted through the ResponseSlot path of a paused engine.  The
- * pending pool is prefilled at construction and every piece of
- * derived per-request state (seed, deadline) is computed into it, so
- * the whole loop must not touch the heap.
- * The engine is started afterwards and every answer verified, so the
- * measured submits are real admissions, not a dry run.
- */
-std::uint64_t
-countAdmissionAllocs(std::size_t n)
-{
-    SemanticNetwork net = makeTreeKb(500, 4);
-    Program prog;
-    RuleId rule = prog.addRule(
-        PropRule::chain(net.relationId("includes")));
-    prog.append(Instruction::searchNode(1, 0, 0.0f));
-    prog.append(Instruction::propagate(0, 1, rule,
-                                       MarkerFunc::Count));
-    prog.append(Instruction::barrier());
-    prog.append(Instruction::collectMarker(1));
-
-    serve::ServeConfig cfg;
-    cfg.numWorkers = 2;
-    cfg.queueCapacity = n;
-    cfg.startPaused = true;
-
-    std::vector<serve::Request> reqs(n);
-    for (serve::Request &r : reqs)
-        r.prog = prog;
-    std::vector<std::unique_ptr<serve::ResponseSlot>> slots;
-    slots.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        slots.push_back(std::make_unique<serve::ResponseSlot>());
-
-    serve::ServeEngine engine(net, cfg);
-
-    std::uint64_t before = g_allocCount.load();
-    for (std::size_t i = 0; i < n; ++i)
-        engine.submit(std::move(reqs[i]), *slots[i]);
-    std::uint64_t allocs = g_allocCount.load() - before;
-
-    engine.start();
-    engine.drain();
-    for (auto &s : slots) {
-        serve::Response resp = s->wait();
-        snap_assert(resp.status == serve::RequestStatus::Ok,
-                    "admission bench query not served");
-    }
-    return allocs;
-}
-
 void
 writeJson(const std::vector<Measured> &rows,
-          std::size_t admission_submits,
-          std::uint64_t admission_allocs,
           const hostprof::Totals &profile)
 {
     FILE *f = std::fopen("BENCH_host_perf.json", "w");
@@ -465,13 +373,9 @@ writeJson(const std::vector<Measured> &rows,
                  "{\n  \"benchmark\": \"host_perf\",\n"
                  "  %s,\n"
                  "  \"hardware_concurrency\": %u,\n"
-                 "  \"admission_submits\": %zu,\n"
-                 "  \"admission_allocs\": %llu,\n"
                  "  \"results\": [\n",
                  bench::jsonEnvelope().c_str(),
-                 std::thread::hardware_concurrency(),
-                 admission_submits,
-                 static_cast<unsigned long long>(admission_allocs));
+                 std::thread::hardware_concurrency());
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Measured &m = rows[i];
         std::fprintf(
@@ -580,23 +484,13 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", table.render().c_str());
 
-    const std::size_t admission_submits = 256;
-    std::uint64_t admission_allocs =
-        countAdmissionAllocs(admission_submits);
-    std::printf("serve admission: %llu heap allocations across %zu "
-                "slot-path submits\n\n",
-                static_cast<unsigned long long>(admission_allocs),
-                admission_submits);
-
     hostprof::Totals prof = profileFig17(fig17_rounds);
     std::printf("fig17 per-phase host time (separate instrumented "
                 "run):\n%s\n",
                 hostprof::format(prof).c_str());
 
-    writeJson(rows, admission_submits, admission_allocs, prof);
+    writeJson(rows, prof);
 
     bench::check("reps agree on sim ticks, digest and events", agree);
-    bench::check("serve admission allocates nothing per submit",
-                 admission_allocs == 0);
     return bench::finish();
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Run every fig/ablation/host_perf/serving/fault/shard/chaos bench
-# and regenerate all BENCH_*.json artifacts at the repo root.
+# Run every fig/ablation/host_perf/fault/chaos bench and regenerate
+# all BENCH_*.json artifacts at the repo root.
 #
 #   bench/run_all.sh [build_dir]       (default: <repo>/build)
 #
@@ -9,8 +9,6 @@
 # the full perf regression sweep.  Benches run from the repo root —
 # the JSON writers use the working directory, which is how the
 # BENCH_*.json files land next to this script's parent.
-# (micro_substrate is excluded: it is a google-benchmark microbench
-# with no gates and no JSON output.)
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -29,9 +27,7 @@ benches=(
     fig21_overhead
     beta_analysis
     host_perf
-    serving
     fault_tolerance
-    shard
     chaos_soak
     ablation_partition
     ablation_queues

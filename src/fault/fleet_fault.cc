@@ -4,9 +4,14 @@
 
 #include "common/logging.hh"
 #include "fault/fault_plan.hh"
+#include "fault/spec_json.hh"
 
 namespace snap
 {
+
+using specjson::jsonFind;
+using specjson::jsonFindU64;
+using specjson::jsonNum;
 
 namespace
 {
@@ -31,59 +36,6 @@ rateOf(const FleetFaultSpec &s, FleetFaultKind k)
       case FleetFaultKind::Delay: return s.delayRate;
       default: return 0.0;
     }
-}
-
-void
-jsonNum(std::ostringstream &os, const char *key, double v, bool comma)
-{
-    os << "  \"" << key << "\": " << formatString("%.17g", v)
-       << (comma ? "," : "") << "\n";
-}
-
-/// Find `"key"` in @p text and parse the number after the colon.
-/// Returns false when the key is absent, sets *bad when present but
-/// malformed.
-bool
-jsonFind(const std::string &text, const char *key, double &out, bool *bad)
-{
-    std::string needle = std::string("\"") + key + "\"";
-    std::size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == ':'))
-        ++pos;
-    char *end = nullptr;
-    double v = std::strtod(text.c_str() + pos, &end);
-    if (end == text.c_str() + pos) {
-        *bad = true;
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-bool
-jsonFindU64(const std::string &text, const char *key,
-            std::uint64_t &out, bool *bad)
-{
-    std::string needle = std::string("\"") + key + "\"";
-    std::size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == ':'))
-        ++pos;
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(text.c_str() + pos, &end, 10);
-    if (end == text.c_str() + pos) {
-        *bad = true;
-        return false;
-    }
-    out = v;
-    return true;
 }
 
 } // namespace

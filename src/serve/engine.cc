@@ -223,12 +223,7 @@ ServeEngine::forceFailHung()
                                     trace::kTidAdmission, "request",
                                     p->req.id);
             }
-            if (p->callback)
-                p->callback(hungResponse(p->req));
-            else if (p->slot)
-                p->slot->deliver(hungResponse(p->req));
-            else
-                p->promise.set_value(hungResponse(p->req));
+            p->callback(hungResponse(p->req));
             noteDone();
             // The Pending record itself stays with the worker; it is
             // recycled if the worker ever finishes, leaked into the
@@ -272,7 +267,6 @@ ServeEngine::acquirePending()
 void
 ServeEngine::releasePending(std::unique_ptr<Pending> p)
 {
-    p->slot = nullptr;
     p->callback = nullptr;
     p->sessionSeq = 0;
     p->hasDeadline = false;
@@ -382,30 +376,13 @@ ServeEngine::admit(Request &&req, std::unique_ptr<Pending> &pending,
 std::future<Response>
 ServeEngine::submit(Request req)
 {
-    auto pending = acquirePending();
-    pending->promise = std::promise<Response>();
-    pending->slot = nullptr;
-    std::future<Response> fut = pending->promise.get_future();
-
-    Response early;
-    if (!admit(std::move(req), pending, early)) {
-        std::promise<Response> p;
-        fut = p.get_future();
-        p.set_value(std::move(early));
-    }
+    // std::function needs a copyable target, so the promise is shared.
+    auto promise = std::make_shared<std::promise<Response>>();
+    std::future<Response> fut = promise->get_future();
+    submit(std::move(req), [promise](Response &&resp) {
+        promise->set_value(std::move(resp));
+    });
     return fut;
-}
-
-void
-ServeEngine::submit(Request req, ResponseSlot &slot)
-{
-    auto pending = acquirePending();
-    pending->slot = &slot;
-    slot.reset();
-
-    Response early;
-    if (!admit(std::move(req), pending, early))
-        slot.deliver(std::move(early));
 }
 
 void
@@ -435,12 +412,7 @@ ServeEngine::deliverResponse(std::unique_ptr<Pending> p,
             trace::hostAsyncEnd(trace::kServe, trace::kTidAdmission,
                                 "request", resp.id);
         }
-        if (p->callback)
-            p->callback(std::move(resp));
-        else if (p->slot)
-            p->slot->deliver(std::move(resp));
-        else
-            p->promise.set_value(std::move(resp));
+        p->callback(std::move(resp));
         noteDone();
     }
     releasePending(std::move(p));

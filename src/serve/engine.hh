@@ -9,7 +9,7 @@
  *     submit() ──► bounded MPMC queue ──► worker 0 ─ SnapMachine #0
  *        │  reject-on-full backpressure   worker 1 ─ SnapMachine #1
  *        │                                   ...        ...
- *        └─► future<Response>  ◄─── completion (promise)
+ *        └─► callback (or future)  ◄─── completion
  *
  * One immutable master KbImage is compiled at construction; every
  * worker gets a replica stamped from it (SnapMachine::loadKb(image)),
@@ -78,7 +78,7 @@ struct ServeConfig
     double defaultTimeoutMs = 0.0;
     /**
      * Construct workers idle: requests only queue until start() is
-     * called.  Gives tests and the load generator a deterministic
+     * called.  Gives tests and benches a deterministic
      * enqueue-then-serve boundary.
      */
     bool startPaused = false;
@@ -169,32 +169,19 @@ class ServeEngine
 
     /**
      * Admission control.  Assigns id/seed, applies the default
-     * deadline, and enqueues.  The returned future resolves with the
-     * response — immediately, with status Rejected, when the queue
-     * is full or the engine is shut down.
-     */
-    std::future<Response> submit(Request req);
-
-    /**
-     * Allocation-free admission: like submit(Request) but the
-     * response is delivered into caller-owned @p slot instead of a
-     * freshly allocated promise/future pair.  With a warm pending
-     * pool, the whole admission path performs no heap allocation
-     * (asserted by the host-perf harness).  @p slot must outlive the
-     * request and serve one request at a time.
-     */
-    void submit(Request req, ResponseSlot &slot);
-
-    /**
-     * Callback admission: @p done is invoked with the response from
-     * whichever thread completes the request (a worker, the shutdown
-     * watchdog, or — on immediate rejection — the submitting thread).
-     * The shard server's delivery mode: its connection writers
-     * serialize responses straight out of the callback instead of
-     * parking a thread per in-flight request.  @p done must not
-     * re-enter the engine.
+     * deadline, and enqueues.  @p done is invoked with the response
+     * from whichever thread completes the request (a worker, the
+     * shutdown watchdog, or — on immediate rejection, status
+     * Rejected, when the queue is full or the engine is shut down —
+     * the submitting thread).  The shard server's delivery mode: its
+     * connection writers serialize responses straight out of the
+     * callback instead of parking a thread per in-flight request.
+     * @p done must not re-enter the engine.
      */
     void submit(Request req, std::function<void(Response &&)> done);
+
+    /** submit() with the response delivered through a future. */
+    std::future<Response> submit(Request req);
 
     /**
      * Epoch hot-swap: replace the master image (and every replica's
@@ -271,10 +258,7 @@ class ServeEngine
     struct Pending
     {
         Request req;
-        std::promise<Response> promise;
-        /** Non-null: deliver through the slot, not the promise. */
-        ResponseSlot *slot = nullptr;
-        /** Non-null: deliver by invoking this (beats slot/promise). */
+        /** Delivers the response (exactly once). */
         std::function<void(Response &&)> callback;
         Clock::time_point enqueuedAt;
         Clock::time_point deadline;

@@ -14,12 +14,9 @@
 #ifndef SNAP_SERVE_REQUEST_HH
 #define SNAP_SERVE_REQUEST_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
-#include "common/logging.hh"
 #include "common/types.hh"
 #include "isa/program.hh"
 #include "runtime/results.hh"
@@ -122,73 +119,6 @@ struct Response
     bool faultDetected = false;
 
     double wallUs() const { return ticksToUs(wallTicks); }
-};
-
-/**
- * In-place completion slot: the zero-allocation alternative to the
- * future returned by ServeEngine::submit(Request).
- *
- * std::promise allocates its shared state on every submission; a
- * caller that instead owns a ResponseSlot (stack or pre-allocated
- * pool) and submits via submit(req, slot) keeps the whole admission
- * path allocation-free — the property the host-perf harness asserts.
- *
- * One outstanding request per slot: submit() arms it, deliver() (the
- * engine) publishes the response, wait() blocks for and consumes it.
- * Reusable for the next request after wait() returns.
- */
-class ResponseSlot
-{
-  public:
-    ResponseSlot() = default;
-    ResponseSlot(const ResponseSlot &) = delete;
-    ResponseSlot &operator=(const ResponseSlot &) = delete;
-
-    /** Arm for one request (engine calls this at submission). */
-    void
-    reset()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ready_ = false;
-    }
-
-    /** Publish the response and wake the waiter. */
-    void
-    deliver(Response &&resp)
-    {
-        // Notify under the lock: once the waiter sees ready_ it may
-        // return and destroy the slot, so the condition variable must
-        // not be touched after the lock is released.
-        std::lock_guard<std::mutex> lock(mu_);
-        snap_assert(!ready_, "ResponseSlot delivered twice");
-        resp_ = std::move(resp);
-        ready_ = true;
-        cv_.notify_all();
-    }
-
-    /** Block until delivered; consumes the response (the slot can be
-     *  reused for the next submission afterwards). */
-    Response
-    wait()
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return ready_; });
-        ready_ = false;
-        return std::move(resp_);
-    }
-
-    bool
-    ready() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return ready_;
-    }
-
-  private:
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    bool ready_ = false;
-    Response resp_;
 };
 
 } // namespace serve

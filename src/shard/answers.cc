@@ -1,14 +1,65 @@
 #include "shard/answers.hh"
 
+#include <fstream>
 #include <ostream>
 
 #include "common/strutil.hh"
 #include "common/logging.hh"
+#include "isa/assembler.hh"
+#include "runtime/validate.hh"
 
 namespace snap
 {
 namespace shard
 {
+
+RequestFile
+loadRequestFile(const std::string &path, SemanticNetwork &net)
+{
+    std::ifstream is(path);
+    if (!is)
+        snap_fatal("cannot open request file '%s'", path.c_str());
+    std::size_t slash = path.find_last_of('/');
+    std::string base = slash == std::string::npos ? std::string(".")
+                                                  : path.substr(0, slash);
+    RequestFile file;
+    std::string line;
+    int lineno = 0;
+    while (std::getline(is, line)) {
+        ++lineno;
+        std::string body = trim(line);
+        if (body.empty() || body[0] == '#')
+            continue;
+        std::vector<std::string> tok = tokenize(body);
+        RequestSpec spec;
+        if (tok.size() == 2 && tok[0] == "query") {
+            spec.progPath = tok[1];
+        } else if (tok.size() == 3 && tok[0] == "session") {
+            spec.sessionId = tok[1];
+            spec.progPath = tok[2];
+        } else {
+            snap_fatal("%s:%d: expected 'query <prog>' or "
+                       "'session <id> <prog>', got '%s'",
+                       path.c_str(), lineno, body.c_str());
+        }
+        if (spec.progPath[0] != '/')
+            spec.progPath = base + "/" + spec.progPath;
+        file.specs.push_back(std::move(spec));
+    }
+    if (file.specs.empty())
+        snap_fatal("request file '%s' holds no requests",
+                   path.c_str());
+
+    for (const RequestSpec &s : file.specs) {
+        if (file.progs.count(s.progPath))
+            continue;
+        Program prog = assembleFile(s.progPath, net);
+        for (const auto &v : validateProgram(prog))
+            snap_warn("%s: %s", s.progPath.c_str(), v.message.c_str());
+        file.progs.emplace(s.progPath, std::move(prog));
+    }
+    return file;
+}
 
 void
 writeAnswer(std::ostream &os, const SemanticNetwork &net,

@@ -1,6 +1,7 @@
 /**
  * @file
- * Canonical answer serialization for serving-equivalence checks.
+ * The request files snapserve and snaprouter read, and the canonical
+ * answers they write for serving-equivalence checks.
  *
  * snapserve --answers-out and snaprouter --answers-out both write
  * this format, so "router + N shards returns the same answers as one
@@ -16,8 +17,11 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <map>
 #include <string>
+#include <vector>
 
+#include "isa/program.hh"
 #include "kb/semantic_network.hh"
 #include "runtime/results.hh"
 #include "serve/request.hh"
@@ -26,6 +30,32 @@ namespace snap
 {
 namespace shard
 {
+
+/** One request-file line. */
+struct RequestSpec
+{
+    /** Empty = stateless. */
+    std::string sessionId;
+    /** Resolved against the request file's directory. */
+    std::string progPath;
+};
+
+/** A request file's requests, in file order, and their programs. */
+struct RequestFile
+{
+    std::vector<RequestSpec> specs;
+    /** Each distinct program, assembled once, keyed by progPath. */
+    std::map<std::string, Program> progs;
+};
+
+/**
+ * Read the request file at @p path (`query <prog>` or
+ * `session <id> <prog>` per line, '#' comments) and assemble each
+ * distinct program once against @p net.  Assembly interns symbols
+ * into @p net, so call this before any other thread uses it.  An
+ * unreadable, malformed or empty file is fatal (exit 1).
+ */
+RequestFile loadRequestFile(const std::string &path, SemanticNetwork &net);
 
 /** Append one request's canonical answer block to @p os.  Node and
  *  relation ids are printed as names so the text is stable across

@@ -142,8 +142,7 @@ ShardRouter::dialShard(std::uint32_t idx, double timeout_ms,
                               protocolVersion);
         return false;
     }
-    if (cfg_.requireUniformImage && fingerprint_ != 0 &&
-        ack.fingerprint != fingerprint_) {
+    if (fingerprint_ != 0 && ack.fingerprint != fingerprint_) {
         closeFd(fd);
         kind = IoErrorKind::BadType;
         detail = formatString(
@@ -204,7 +203,7 @@ ShardRouter::connect(std::string &detail)
     // Warm-backup replication (sessions survive a primary hard-kill)
     // and the monitor (hedged retries + automatic re-dial of down
     // shards) are background threads for the connection's lifetime.
-    if (cfg_.replication >= 2 && cfg_.warmBackups)
+    if (cfg_.replication >= 2)
         replicator_ = std::thread([this] { replicatorMain(); });
     if (cfg_.hedgeDelayMs > 0.0 || cfg_.reconnectMs > 0.0 ||
         cfg_.statsIntervalMs > 0.0)
@@ -344,7 +343,7 @@ ShardRouter::readerMain(std::uint32_t idx)
                     const bool warm =
                         !p->stateless &&
                         resp.status == serve::RequestStatus::Ok &&
-                        cfg_.replication >= 2 && cfg_.warmBackups;
+                        cfg_.replication >= 2;
                     std::string sid =
                         warm ? p->frame.sessionId : std::string();
                     if (p->logHops)

@@ -46,8 +46,9 @@
  * and must positively ack (it has re-stamped its pool by then), then
  * Commit flips the epoch and dispatch resumes.  Every request is
  * served entirely before or entirely after the flip — zero wrong
- * answers and zero drops under live traffic, which the shard bench
- * and CI smoke assert.
+ * answers and zero drops under live traffic, which
+ * ShardFleetTest.EpochHotSwapUnderLoadGivesZeroWrongAnswers and the
+ * CI smoke assert.
  */
 
 #ifndef SNAP_SHARD_ROUTER_HH
@@ -90,19 +91,15 @@ struct RouterConfig
     /** Re-dispatches of a stateless request to the next live shard
      *  after its shard died. */
     std::uint32_t maxRetries = 2;
-    /** Require every shard to report the same .kbimg fingerprint at
-     *  connect (they must serve the same knowledge). */
-    bool requireUniformImage = true;
     /** Owner shards per key range (1 = the pre-replication single
-     *  owner; clamped to the shard count). */
+     *  owner; clamped to the shard count).  At 2 or more, each
+     *  session's backup owner is kept warm by replicating its marker
+     *  state after every completed turn. */
     std::uint32_t replication = 1;
     /** Hedged retry: a stateless request still unanswered after this
      *  many host ms gets a duplicate on the next live replica (first
      *  answer wins).  0 disables hedging. */
     double hedgeDelayMs = 0.0;
-    /** Keep each session's backup owner warm by replicating marker
-     *  state after every completed turn (replication >= 2 only). */
-    bool warmBackups = true;
     /** Background re-dial interval for down shards (a restarted
      *  shard process rejoins automatically).  0 disables. */
     double reconnectMs = 200.0;
@@ -207,8 +204,8 @@ class ShardRouter
 
     /**
      * Re-dial a down shard (shard process restarted): tears down the
-     * old connection, re-handshakes (fingerprint must still match
-     * under requireUniformImage), and resumes dispatch to it.  Also
+     * old connection, re-handshakes (fingerprint must still match),
+     * and resumes dispatch to it.  Also
      * clears the "retired" mark a drain leaves, so a drained shard
      * can be brought back deliberately.
      */

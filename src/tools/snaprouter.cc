@@ -73,7 +73,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -83,9 +82,7 @@
 #include "common/logging.hh"
 #include "common/metrics_registry.hh"
 #include "common/strutil.hh"
-#include "isa/assembler.hh"
 #include "kb/kb_io.hh"
-#include "runtime/validate.hh"
 #include "shard/answers.hh"
 #include "shard/router.hh"
 #include "trace/trace.hh"
@@ -135,57 +132,6 @@ usageError(const char *msg)
 {
     std::fprintf(stderr, "snaprouter: %s\n", msg);
     std::exit(2);
-}
-
-struct RequestSpec
-{
-    std::string sessionId;
-    std::string progPath;
-};
-
-std::string
-dirOf(const std::string &path)
-{
-    std::size_t slash = path.find_last_of('/');
-    return slash == std::string::npos ? std::string(".")
-                                      : path.substr(0, slash);
-}
-
-std::vector<RequestSpec>
-parseRequestFile(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        snap_fatal("cannot open request file '%s'", path.c_str());
-    std::string base = dirOf(path);
-    std::vector<RequestSpec> specs;
-    std::string line;
-    int lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        std::string body = trim(line);
-        if (body.empty() || body[0] == '#')
-            continue;
-        std::vector<std::string> tok = tokenize(body);
-        RequestSpec spec;
-        if (tok.size() == 2 && tok[0] == "query") {
-            spec.progPath = tok[1];
-        } else if (tok.size() == 3 && tok[0] == "session") {
-            spec.sessionId = tok[1];
-            spec.progPath = tok[2];
-        } else {
-            snap_fatal("%s:%d: expected 'query <prog>' or "
-                       "'session <id> <prog>', got '%s'",
-                       path.c_str(), lineno, body.c_str());
-        }
-        if (spec.progPath[0] != '/')
-            spec.progPath = base + "/" + spec.progPath;
-        specs.push_back(std::move(spec));
-    }
-    if (specs.empty())
-        snap_fatal("request file '%s' holds no requests",
-                   path.c_str());
-    return specs;
 }
 
 } // namespace
@@ -370,18 +316,8 @@ main(int argc, char **argv)
         net = loadNetworkFile(kb_path);
     }
 
-    std::vector<RequestSpec> specs = parseRequestFile(req_path);
-    std::map<std::string, Program> progs;
-    for (const RequestSpec &s : specs) {
-        if (progs.count(s.progPath))
-            continue;
-        Program prog = assembleFile(s.progPath, net);
-        auto violations = validateProgram(prog);
-        for (const auto &v : violations)
-            snap_warn("%s: %s", s.progPath.c_str(),
-                      v.message.c_str());
-        progs.emplace(s.progPath, std::move(prog));
-    }
+    shard::RequestFile requests = shard::loadRequestFile(req_path, net);
+    const std::vector<shard::RequestSpec> &specs = requests.specs;
 
     shard::ShardRouter router(cfg);
     std::string detail;
@@ -446,7 +382,7 @@ main(int argc, char **argv)
         }
         shard::RouterRequest req;
         req.sessionId = specs[i].sessionId;
-        req.prog = progs.at(specs[i].progPath);
+        req.prog = requests.progs.at(specs[i].progPath);
         req.timeoutMs = timeout_ms;
         req.rngSeed = base_seed + i;
         router.submit(std::move(req),

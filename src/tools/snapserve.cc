@@ -75,7 +75,6 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -86,10 +85,8 @@
 #include "common/strutil.hh"
 #include "fault/fault_plan.hh"
 #include "trace/trace.hh"
-#include "isa/assembler.hh"
 #include "kb/kb_io.hh"
 #include "runtime/snapshot.hh"
-#include "runtime/validate.hh"
 #include "serve/engine.hh"
 #include "shard/answers.hh"
 #include "shard/shard_server.hh"
@@ -144,61 +141,6 @@ usageError(const char *msg)
 {
     std::fprintf(stderr, "snapserve: %s\n", msg);
     std::exit(2);
-}
-
-/** One parsed request-file line. */
-struct RequestSpec
-{
-    std::string sessionId;  // empty = stateless
-    std::string progPath;
-    int line = 0;
-};
-
-std::string
-dirOf(const std::string &path)
-{
-    std::size_t slash = path.find_last_of('/');
-    return slash == std::string::npos ? std::string(".")
-                                      : path.substr(0, slash);
-}
-
-std::vector<RequestSpec>
-parseRequestFile(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        snap_fatal("cannot open request file '%s'", path.c_str());
-
-    std::string base = dirOf(path);
-    std::vector<RequestSpec> specs;
-    std::string line;
-    int lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        std::string body = trim(line);
-        if (body.empty() || body[0] == '#')
-            continue;
-        std::vector<std::string> tok = tokenize(body);
-        RequestSpec spec;
-        spec.line = lineno;
-        if (tok.size() == 2 && tok[0] == "query") {
-            spec.progPath = tok[1];
-        } else if (tok.size() == 3 && tok[0] == "session") {
-            spec.sessionId = tok[1];
-            spec.progPath = tok[2];
-        } else {
-            snap_fatal("%s:%d: expected 'query <prog>' or "
-                       "'session <id> <prog>', got '%s'",
-                       path.c_str(), lineno, body.c_str());
-        }
-        if (spec.progPath[0] != '/')
-            spec.progPath = base + "/" + spec.progPath;
-        specs.push_back(std::move(spec));
-    }
-    if (specs.empty())
-        snap_fatal("request file '%s' holds no requests",
-                   path.c_str());
-    return specs;
 }
 
 } // namespace
@@ -466,23 +408,12 @@ main(int argc, char **argv)
         return 0;
     }
 
-    std::vector<RequestSpec> specs = parseRequestFile(req_path);
-
     // Assemble each distinct program once, before any worker exists:
     // assembly interns symbols into the (shared) network.
-    std::map<std::string, Program> progs;
-    for (const RequestSpec &s : specs) {
-        if (progs.count(s.progPath))
-            continue;
-        Program prog = assembleFile(s.progPath, net);
-        auto violations = validateProgram(prog);
-        for (const auto &v : violations)
-            snap_warn("%s: %s", s.progPath.c_str(),
-                      v.message.c_str());
-        progs.emplace(s.progPath, std::move(prog));
-    }
+    shard::RequestFile requests = shard::loadRequestFile(req_path, net);
+    const std::vector<shard::RequestSpec> &specs = requests.specs;
     std::printf("parsed %zu request(s), %zu distinct program(s)\n",
-                specs.size(), progs.size());
+                specs.size(), requests.progs.size());
 
     // Optional deterministic fault injection across the replica farm.
     if (!fault_spec_path.empty()) {
@@ -533,10 +464,10 @@ main(int argc, char **argv)
 
     std::vector<std::future<serve::Response>> futures;
     futures.reserve(specs.size());
-    for (const RequestSpec &s : specs) {
+    for (const shard::RequestSpec &s : specs) {
         serve::Request req;
         req.sessionId = s.sessionId;
-        req.prog = progs.at(s.progPath);
+        req.prog = requests.progs.at(s.progPath);
         futures.push_back(engine.submit(std::move(req)));
     }
 
@@ -545,7 +476,7 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < futures.size(); ++i) {
         responses.push_back(futures[i].get());
         const serve::Response &resp = responses.back();
-        const RequestSpec &s = specs[i];
+        const shard::RequestSpec &s = specs[i];
         std::string kind = s.sessionId.empty()
                                ? std::string("query")
                                : "session " + s.sessionId;

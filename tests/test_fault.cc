@@ -92,6 +92,16 @@ TEST(FaultSpec, JsonRoundTrip)
 
     FaultSpec junk;
     EXPECT_FALSE(FaultSpec::fromJson("not json at all", junk));
+
+    // A negative integer is malformed, not wrapped to 2^64 - n, and a
+    // rejected spec leaves the output untouched.
+    EXPECT_FALSE(FaultSpec::fromJson(
+        "{\"watchdog_ticks\": -1, \"icn_delay_ticks\": -5}", back));
+    EXPECT_FALSE(FaultSpec::fromJson("{\"icn_delay_ticks\": -5}", back));
+    EXPECT_FALSE(FaultSpec::fromJson("{\"seed\":\n -2}", back));
+    EXPECT_EQ(back.watchdogTicks, spec.watchdogTicks);
+    EXPECT_EQ(back.icnDelayTicks, spec.icnDelayTicks);
+    EXPECT_EQ(back.seed, spec.seed);
 }
 
 TEST(FaultSpec, MessageFaultsSplitsAggregateRate)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -20,6 +21,7 @@
 #include "common/histogram.hh"
 #include "common/logging.hh"
 #include "common/metrics_registry.hh"
+#include "common/rng.hh"
 #include "fault/fault_plan.hh"
 #include "nlu/corpus.hh"
 #include "nlu/kb_factory.hh"
@@ -303,7 +305,7 @@ TEST(ServeEngine, MatchesDirectExecutionAndIsDeterministic)
         expect.push_back(direct.run(p));
     }
 
-    for (std::uint32_t workers : {1u, 2u, 3u}) {
+    for (std::uint32_t workers : {1u, 2u, 3u, 4u, 8u}) {
         ServeEngine engine(net, smallEngineConfig(workers));
         std::vector<std::future<Response>> futures;
         for (const Program &p : mix) {
@@ -328,6 +330,59 @@ TEST(ServeEngine, MatchesDirectExecutionAndIsDeterministic)
         EXPECT_EQ(m.rejected, 0u);
         EXPECT_EQ(m.totalMs.count(), mix.size());
     }
+}
+
+/** Simulated farm makespan: list-schedule the per-query machine
+ *  times onto @p workers replicas, earliest-free-first, in
+ *  submission order. */
+Tick
+farmMakespan(const std::vector<Tick> &ticks, std::uint32_t workers)
+{
+    std::vector<Tick> freeAt(workers, 0);
+    for (Tick t : ticks)
+        *std::min_element(freeAt.begin(), freeAt.end()) += t;
+    return *std::max_element(freeAt.begin(), freeAt.end());
+}
+
+TEST(ServeEngine, SimulatedCapacityScalesWithWorkers)
+{
+    // Serving capacity is measured in simulated time, so it is
+    // deterministic: the makespan of the modeled W-machine farm over
+    // a fixed mix of inheritance and classification queries.
+    SemanticNetwork net = makeTreeKb(2000, 4);
+    RelationType down = net.relationId("includes");
+    RelationType up = net.relationId("is-a");
+    std::vector<Program> mix;
+    for (std::uint64_t i = 0; i < 48; ++i) {
+        Rng rng(serve::requestSeed(0x5e471ce, i));
+        auto start = static_cast<NodeId>(rng.below(net.numNodes()));
+        mix.push_back(countQuery(start, rng.chance(0.5) ? down : up,
+                                 0.0f));
+    }
+
+    double makespan[2] = {0.0, 0.0};
+    const std::uint32_t pools[2] = {1, 4};
+    for (std::size_t k = 0; k < 2; ++k) {
+        ServeConfig cfg;
+        cfg.numWorkers = pools[k];
+        ServeEngine engine(net, cfg);
+        std::vector<std::future<Response>> futures;
+        for (const Program &p : mix) {
+            Request req;
+            req.prog = p;
+            futures.push_back(engine.submit(std::move(req)));
+        }
+        std::vector<Tick> ticks;
+        for (auto &f : futures) {
+            Response resp = f.get();
+            ASSERT_EQ(resp.status, RequestStatus::Ok);
+            ticks.push_back(resp.wallTicks);
+        }
+        makespan[k] =
+            static_cast<double>(farmMakespan(ticks, pools[k]));
+    }
+    EXPECT_GE(makespan[0] / makespan[1], 3.0)
+        << "simulated capacity must scale >= 3x from 1 to 4 workers";
 }
 
 TEST(ServeEngine, SessionCarriesMarkerState)
@@ -896,48 +951,6 @@ TEST(ServeEngine, SwapImageFlushesTheCache)
                   resultBytes(ref_after.results))
             << "serve " << i;
     }
-}
-
-TEST(ServeEngine, ResponseSlotPathMatchesFuturePath)
-{
-    SemanticNetwork net = makeTreeKb(300, 4);
-    RelationType inc = net.relationId("includes");
-    Program prog = countQuery(0, inc, 0.0f);
-
-    MachineConfig mcfg = smallEngineConfig(1).machine;
-    SnapMachine direct(mcfg);
-    direct.loadKb(net);
-    RunResult ref = direct.run(prog);
-
-    ServeConfig cfg = smallEngineConfig(2);
-    ServeEngine engine(net, cfg);
-
-    serve::ResponseSlot slot;
-    for (int round = 0; round < 3; ++round) {  // slot is reusable
-        Request req;
-        req.prog = prog;
-        engine.submit(std::move(req), slot);
-        Response resp = slot.wait();
-        ASSERT_EQ(resp.status, RequestStatus::Ok);
-        EXPECT_EQ(resp.wallTicks, ref.wallTicks);
-        test::expectSameResults(resp.results, ref.results);
-    }
-
-    // Rejection is delivered through the slot too.
-    ServeConfig tiny = smallEngineConfig(1);
-    tiny.startPaused = true;
-    tiny.queueCapacity = 1;
-    ServeEngine full(net, tiny);
-    serve::ResponseSlot s1, s2;
-    Request r1, r2;
-    r1.prog = prog;
-    r2.prog = prog;
-    full.submit(std::move(r1), s1);
-    full.submit(std::move(r2), s2);
-    Response rejected = s2.wait();
-    EXPECT_EQ(rejected.status, RequestStatus::Rejected);
-    full.start();
-    EXPECT_EQ(s1.wait().status, RequestStatus::Ok);
 }
 
 TEST(RequestSeed, DeterministicAndSpread)

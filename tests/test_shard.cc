@@ -170,6 +170,24 @@ countQuery(NodeId start, RelationType rel)
     return prog;
 }
 
+/** Results and simulated time equal to a solo run's (node order
+ *  aside). */
+bool
+sameAnswer(const shard::ResponseFrame &got, const RunResult &ref)
+{
+    if (got.wallTicks != ref.wallTicks ||
+        got.results.size() != ref.results.size())
+        return false;
+    for (std::size_t i = 0; i < ref.results.size(); ++i) {
+        CollectResult a = got.results[i], b = ref.results[i];
+        a.sortNodes();
+        b.sortNodes();
+        if (a.nodes != b.nodes || a.links != b.links)
+            return false;
+    }
+    return true;
+}
+
 TEST(ShardProtocol, RequestRoundTripPreservesTheProgram)
 {
     shard::RequestFrame in;
@@ -841,6 +859,10 @@ TEST(FleetFault, SpecSerializesAndSplitsTheAggregateRate)
     EXPECT_DOUBLE_EQ(back.delayMs, spec.delayMs);
 
     EXPECT_FALSE(FleetFaultSpec::fromJson("not json at all", back));
+    // A negative seed is malformed, not wrapped to 2^64 - 2.
+    EXPECT_FALSE(FleetFaultSpec::fromJson("{\"seed\": -2}", back));
+    EXPECT_FALSE(FleetFaultSpec::fromJson("{\"seed\":\t\n-2}", back));
+    EXPECT_EQ(back.seed, spec.seed);
 
     // --fleet-fault-rate sugar: the aggregate splits evenly.
     FleetFaultSpec w = FleetFaultSpec::wireFaults(7, 0.2);
@@ -942,49 +964,60 @@ class ShardFleetTest : public ::testing::Test
 
 TEST_F(ShardFleetTest, RouterAnswersMatchDirectExecution)
 {
-    TempPath sock0("fleet0.sock"), sock1("fleet1.sock");
-    TestShard s0(image_file_->path(), "unix:" + sock0.path());
-    TestShard s1(image_file_->path(), "unix:" + sock1.path());
-
-    shard::RouterConfig rcfg;
-    rcfg.shards = {"unix:" + sock0.path(), "unix:" + sock1.path()};
-    ShardRouter router(rcfg);
-    std::string detail;
-    ASSERT_TRUE(router.connect(detail)) << detail;
-    EXPECT_EQ(router.numShards(), 2u);
-    EXPECT_NE(router.fingerprint(), 0u);
-    for (std::uint32_t s = 0; s < 2; ++s) {
-        std::string err;
-        EXPECT_TRUE(router.probeShard(s, err)) << err;
-        EXPECT_TRUE(router.shardHealthy(s));
-    }
-
     RelationType inc = net_.relationId("includes");
     RelationType isa = net_.relationId("is-a");
     std::vector<Program> mix;
-    for (NodeId n = 0; n < 12; ++n)
+    std::vector<RunResult> expect;
+    for (NodeId n = 0; n < 12; ++n) {
         mix.push_back(countQuery(n * 37 % 300, n % 2 ? inc : isa));
-
-    std::vector<shard::ResponseFrame> got(mix.size());
-    std::mutex mu;
-    for (std::size_t i = 0; i < mix.size(); ++i) {
-        shard::RouterRequest req;
-        req.prog = mix[i];
-        router.submit(std::move(req),
-                      [&, i](shard::ResponseFrame &&resp) {
-                          std::lock_guard<std::mutex> lock(mu);
-                          got[i] = std::move(resp);
-                      });
+        expect.push_back(reference(mix.back()));
     }
-    router.drain();
 
-    for (std::size_t i = 0; i < mix.size(); ++i) {
-        ASSERT_EQ(got[i].status, serve::RequestStatus::Ok)
-            << "request " << i;
-        RunResult ref = reference(mix[i]);
-        test::expectSameResults(got[i].results, ref.results);
-        EXPECT_EQ(got[i].wallTicks, ref.wallTicks)
-            << "request " << i;
+    for (std::uint32_t n_shards : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::to_string(n_shards) + " shard(s)");
+        std::vector<std::unique_ptr<TempPath>> socks;
+        std::vector<std::unique_ptr<TestShard>> fleet;
+        shard::RouterConfig rcfg;
+        for (std::uint32_t s = 0; s < n_shards; ++s) {
+            socks.push_back(std::make_unique<TempPath>(
+                "fleet" + std::to_string(n_shards) + "_" +
+                std::to_string(s) + ".sock"));
+            std::string ep = "unix:" + socks.back()->path();
+            fleet.push_back(
+                std::make_unique<TestShard>(image_file_->path(), ep));
+            rcfg.shards.push_back(ep);
+        }
+        ShardRouter router(rcfg);
+        std::string detail;
+        ASSERT_TRUE(router.connect(detail)) << detail;
+        EXPECT_EQ(router.numShards(), n_shards);
+        EXPECT_NE(router.fingerprint(), 0u);
+        for (std::uint32_t s = 0; s < n_shards; ++s) {
+            std::string err;
+            EXPECT_TRUE(router.probeShard(s, err)) << err;
+            EXPECT_TRUE(router.shardHealthy(s));
+        }
+
+        std::vector<shard::ResponseFrame> got(mix.size());
+        std::mutex mu;
+        for (std::size_t i = 0; i < mix.size(); ++i) {
+            shard::RouterRequest req;
+            req.prog = mix[i];
+            router.submit(std::move(req),
+                          [&, i](shard::ResponseFrame &&resp) {
+                              std::lock_guard<std::mutex> lock(mu);
+                              got[i] = std::move(resp);
+                          });
+        }
+        router.drain();
+
+        for (std::size_t i = 0; i < mix.size(); ++i) {
+            ASSERT_EQ(got[i].status, serve::RequestStatus::Ok)
+                << "request " << i;
+            test::expectSameResults(got[i].results, expect[i].results);
+            EXPECT_EQ(got[i].wallTicks, expect[i].wallTicks)
+                << "request " << i;
+        }
     }
 }
 
@@ -1205,6 +1238,15 @@ TEST_F(ShardFleetTest, EpochHotSwapUnderLoadGivesZeroWrongAnswers)
     RelationType inc = net_.relationId("includes");
     Program prog = countQuery(0, inc);
     RunResult ref = reference(prog);
+    // A session's k-th turn answers like the k-th back-to-back run of
+    // the program on one machine.
+    std::vector<RunResult> turn_ref;
+    {
+        SnapMachine straight(shardServeConfig().machine);
+        straight.loadKb(net_);
+        for (int k = 0; k < 3; ++k)
+            turn_ref.push_back(straight.run(prog));
+    }
 
     // Load from a submitter thread while the main thread swaps: the
     // barrier must hold every request to one side of the flip.
@@ -1217,27 +1259,44 @@ TEST_F(ShardFleetTest, EpochHotSwapUnderLoadGivesZeroWrongAnswers)
             router.submit(
                 std::move(req),
                 [&](shard::ResponseFrame &&resp) {
-                    if (resp.status != serve::RequestStatus::Ok) {
+                    if (resp.status != serve::RequestStatus::Ok)
                         ++failed;
-                    } else if (resp.results.size() == 1 &&
-                               resp.results[0].nodes.size() ==
-                                   ref.results[0].nodes.size()) {
+                    else if (sameAnswer(resp, ref))
                         ++ok;
-                    } else {
+                    else
                         ++wrong;
-                    }
                 });
         }
     });
 
+    // Two pinned sessions take a turn before, between and after the
+    // flips; their marker state must carry across both.
+    std::vector<shard::ResponseFrame> turns(6);
+    std::mutex turns_mu;
+    auto sessionTurns = [&](int round) {
+        for (int s = 0; s < 2; ++s) {
+            shard::RouterRequest req;
+            req.sessionId = "swap-s" + std::to_string(s);
+            req.prog = prog;
+            router.submit(std::move(req),
+                          [&, round, s](shard::ResponseFrame &&resp) {
+                              std::lock_guard<std::mutex> lock(turns_mu);
+                              turns[round * 2 + s] = std::move(resp);
+                          });
+        }
+    };
+
     // Let traffic build, then flip the epoch twice under load.
     while (ok.load() < 4)
         std::this_thread::yield();
+    sessionTurns(0);
     std::string err;
     ASSERT_TRUE(router.swapEpoch(gen2.path(), err)) << err;
     EXPECT_EQ(router.epoch(), epoch_before + 1);
+    sessionTurns(1);
     ASSERT_TRUE(router.swapEpoch(image_file_->path(), err)) << err;
     EXPECT_EQ(router.epoch(), epoch_before + 2);
+    sessionTurns(2);
 
     stop = true;
     submitter.join();
@@ -1246,6 +1305,15 @@ TEST_F(ShardFleetTest, EpochHotSwapUnderLoadGivesZeroWrongAnswers)
     EXPECT_EQ(wrong.load(), 0) << "a request straddled the flip";
     EXPECT_EQ(failed.load(), 0) << "the barrier dropped a request";
     EXPECT_GT(ok.load(), 4);
+    for (int round = 0; round < 3; ++round) {
+        for (int s = 0; s < 2; ++s) {
+            const shard::ResponseFrame &t = turns[round * 2 + s];
+            EXPECT_EQ(t.status, serve::RequestStatus::Ok)
+                << "session " << s << " turn " << round;
+            EXPECT_TRUE(sameAnswer(t, turn_ref[round]))
+                << "session " << s << " turn " << round;
+        }
+    }
 
     // A corrupt next generation is refused and serving continues.
     TempPath bad("fleet_bad.kbimg");
