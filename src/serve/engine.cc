@@ -31,7 +31,6 @@ requestStatusName(RequestStatus s)
       case RequestStatus::Rejected: return "rejected";
       case RequestStatus::TimedOut: return "timed-out";
       case RequestStatus::Failed: return "failed";
-      case RequestStatus::Hung: return "hung";
     }
     return "?";
 }
@@ -74,14 +73,6 @@ ServeEngine::ServeEngine(const SemanticNetwork &net,
     cfg_.machine.validate();
     cfg_.faults.validate();
 
-    // Warm pending pool: sized so steady-state admission never
-    // allocates (every queued request plus one in flight per worker).
-    const std::size_t pool_target =
-        cfg_.queueCapacity + cfg_.numWorkers;
-    pool_.reserve(pool_target);
-    for (std::size_t i = 0; i < pool_target; ++i)
-        pool_.push_back(std::make_unique<Pending>());
-
     // Compile once (or adopt the pre-compiled image); stamp
     // bit-identical replicas from the master.
     master_ = image ? std::move(image)
@@ -95,7 +86,6 @@ ServeEngine::ServeEngine(const SemanticNetwork &net,
     }
     machines_.reserve(cfg_.numWorkers);
     health_.assign(cfg_.numWorkers, 0);
-    slots_.reserve(cfg_.numWorkers);
     for (std::uint32_t w = 0; w < cfg_.numWorkers; ++w) {
         // Each replica gets its own trace domain (Perfetto
         // "process"), so the per-machine simulated-time tracks of
@@ -105,7 +95,6 @@ ServeEngine::ServeEngine(const SemanticNetwork &net,
         machines_.push_back(
             std::make_unique<SnapMachine>(worker_cfg));
         machines_.back()->loadKb(*master_);
-        slots_.push_back(std::make_unique<WorkerSlot>());
         if (faulty) {
             // Independent per-replica fault stream: same plan, seed
             // re-mixed with the worker index.
@@ -164,83 +153,9 @@ ServeEngine::shutdown()
         }
     }
     queue_.close();
-    if (cfg_.hungWorkerTimeoutMs > 0.0 && !workers_.empty()) {
-        // Hung-worker watchdog: grant the workers a grace period to
-        // drain, then force-fail whatever is still unfinished so no
-        // client blocks forever behind a wedged worker thread.
-        const Clock::time_point grace =
-            Clock::now() +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double, std::milli>(
-                    cfg_.hungWorkerTimeoutMs));
-        while (workersExited_.load(std::memory_order_acquire) <
-                   workers_.size() &&
-               Clock::now() < grace) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(1));
-        }
-        if (workersExited_.load(std::memory_order_acquire) <
-            workers_.size())
-            forceFailHung();
-    }
     for (std::thread &t : workers_)
         t.join();
     workers_.clear();
-}
-
-/**
- * The shutdown grace period expired with at least one worker still
- * running.  Answer every request registered in flight, and everything
- * left in the queue, with status Hung — exactly once per request (the
- * answered flag arbitrates against a slow worker finishing late).
- * Requests on workers that were merely slow are failed too: past the
- * grace period, "still unfinished" is the definition of hung.  The
- * worker threads themselves are still joined afterwards — the
- * guarantee is that no *client* waits forever, not that a wedged
- * thread is reaped.
- */
-void
-ServeEngine::forceFailHung()
-{
-    auto hungResponse = [](const Request &req) {
-        Response resp;
-        resp.id = req.id;
-        resp.rngSeed = req.rngSeed;
-        resp.status = RequestStatus::Hung;
-        return resp;
-    };
-    for (auto &slot : slots_) {
-        std::lock_guard<std::mutex> lock(slot->mu);
-        for (Pending *p : slot->inflight) {
-            if (p->answered.exchange(true))
-                continue;
-            metrics_.noteHung();
-            if (SNAP_TRACE_ON(trace::kServe)) {
-                trace::hostInstant(trace::kServe,
-                                   trace::kTidAdmission,
-                                   "request.hung");
-                trace::hostAsyncEnd(trace::kServe,
-                                    trace::kTidAdmission, "request",
-                                    p->req.id);
-            }
-            p->callback(hungResponse(p->req));
-            noteDone();
-            // The Pending record itself stays with the worker; it is
-            // recycled if the worker ever finishes, leaked into the
-            // wedged thread otherwise.
-        }
-    }
-    // Whatever is still queued will never be popped by a hung worker;
-    // a live worker racing this drain is harmless (pop hands each
-    // entry to exactly one side).
-    while (auto pending = queue_.pop()) {
-        std::unique_ptr<Pending> p = std::move(*pending);
-        if (!p->req.sessionId.empty())
-            sessions_.cancel(p->req.sessionId, p->sessionSeq);
-        metrics_.noteHung();
-        Response resp = hungResponse(p->req);
-        deliverResponse(std::move(p), std::move(resp));
-    }
 }
 
 std::uint64_t
@@ -250,42 +165,11 @@ ServeEngine::outstandingCount() const
     return outstanding_;
 }
 
-std::unique_ptr<ServeEngine::Pending>
-ServeEngine::acquirePending()
-{
-    {
-        std::lock_guard<std::mutex> lock(poolMu_);
-        if (!pool_.empty()) {
-            auto p = std::move(pool_.back());
-            pool_.pop_back();
-            return p;
-        }
-    }
-    return std::make_unique<Pending>();
-}
-
-void
-ServeEngine::releasePending(std::unique_ptr<Pending> p)
-{
-    p->callback = nullptr;
-    p->sessionSeq = 0;
-    p->hasDeadline = false;
-    p->answered.store(false, std::memory_order_relaxed);
-    p->owner = nullptr;
-    p->traceAdmitNs = 0;
-    // p->req keeps its buffers: the next admission's move-assign
-    // recycles or releases them without allocating here.
-    std::lock_guard<std::mutex> lock(poolMu_);
-    if (pool_.size() < cfg_.queueCapacity + cfg_.numWorkers)
-        pool_.push_back(std::move(p));
-}
-
 /**
  * Shared admission: assign id/seed/deadline, take the session turn,
  * and enqueue — all under admitMu_ so queue order == session order.
  * On reject (@return false) the response is in @p early, the session
- * turn is released, and @p pending has been recycled.  Allocation-free
- * on the admit path: every derived field lands in the pooled Pending.
+ * turn is released, and @p pending still holds the record.
  */
 bool
 ServeEngine::admit(Request &&req, std::unique_ptr<Pending> &pending,
@@ -310,6 +194,8 @@ ServeEngine::admit(Request &&req, std::unique_ptr<Pending> &pending,
     }
 
     const bool sessioned = !req.sessionId.empty();
+    early.id = req.id;
+    early.rngSeed = req.rngSeed;
 
     // Graceful degradation: during a fault storm, shed stateless
     // load at admission so retries of already-admitted work get the
@@ -323,20 +209,12 @@ ServeEngine::admit(Request &&req, std::unique_ptr<Pending> &pending,
             trace::hostInstant(trace::kServe, trace::kTidAdmission,
                                "admit.shed");
         }
-        early.id = req.id;
-        early.rngSeed = req.rngSeed;
         early.status = RequestStatus::Rejected;
-        pending->req = std::move(req);
-        releasePending(std::move(pending));
         return false;
     }
 
     if (sessioned)
         pending->sessionSeq = sessions_.admit(req.sessionId);
-
-    early.id = req.id;
-    early.rngSeed = req.rngSeed;
-
     pending->req = std::move(req);
 
     const std::uint64_t rid = pending->req.id;
@@ -359,14 +237,13 @@ ServeEngine::admit(Request &&req, std::unique_ptr<Pending> &pending,
                                "admit.reject");
         }
         early.status = RequestStatus::Rejected;
-        releasePending(std::move(pending));
         noteDone();
         return false;
     }
     metrics_.noteSubmitted();
     if (SNAP_TRACE_ON(trace::kServe)) {
         // One async-nestable lifecycle per request on the admission
-        // track; closed by deliverResponse (or the hung watchdog).
+        // track; closed by deliverResponse.
         trace::hostAsyncBegin(trace::kServe, trace::kTidAdmission,
                               "request", rid);
     }
@@ -389,72 +266,31 @@ void
 ServeEngine::submit(Request req, std::function<void(Response &&)> done)
 {
     snap_assert(done != nullptr, "submit with a null callback");
-    auto pending = acquirePending();
-    // admit() recycles the record (clearing its callback) on the
-    // reject path, so keep a handle for the early answer.
-    pending->callback = done;
+    auto pending = std::make_unique<Pending>();
+    pending->callback = std::move(done);
 
     Response early;
     if (!admit(std::move(req), pending, early))
-        done(std::move(early));
+        pending->callback(std::move(early));
 }
 
 void
 ServeEngine::deliverResponse(std::unique_ptr<Pending> p,
                              Response &&resp)
 {
-    unregisterInflight(p.get());
-    // Exactly-once: the shutdown watchdog may have already answered
-    // this request Hung while the worker was stuck; in that case the
-    // late result is dropped and only the record is recycled.
-    if (!p->answered.exchange(true)) {
-        if (SNAP_TRACE_ON(trace::kServe)) {
-            trace::hostAsyncEnd(trace::kServe, trace::kTidAdmission,
-                                "request", resp.id);
-        }
-        p->callback(std::move(resp));
-        noteDone();
+    if (SNAP_TRACE_ON(trace::kServe)) {
+        trace::hostAsyncEnd(trace::kServe, trace::kTidAdmission,
+                            "request", resp.id);
     }
-    releasePending(std::move(p));
-}
-
-void
-ServeEngine::registerInflight(std::uint32_t idx, Pending *p)
-{
-    WorkerSlot &slot = *slots_[idx];
-    std::lock_guard<std::mutex> lock(slot.mu);
-    p->owner = &slot;
-    slot.inflight.push_back(p);
-}
-
-void
-ServeEngine::unregisterInflight(Pending *p)
-{
-    WorkerSlot *slot = p->owner;
-    if (!slot)
-        return;
-    // Serializes against the watchdog's force-fail scan: once we are
-    // out of the registry, only this thread can answer the request.
-    std::lock_guard<std::mutex> lock(slot->mu);
-    auto &v = slot->inflight;
-    for (auto it = v.begin(); it != v.end(); ++it) {
-        if (*it == p) {
-            v.erase(it);
-            break;
-        }
-    }
-    p->owner = nullptr;
+    p->callback(std::move(resp));
+    noteDone();
 }
 
 void
 ServeEngine::workerMain(std::uint32_t idx)
 {
-    while (auto pending = queue_.pop()) {
-        std::unique_ptr<Pending> p = std::move(*pending);
-        registerInflight(idx, p.get());
-        serveOne(idx, std::move(p));
-    }
-    workersExited_.fetch_add(1, std::memory_order_release);
+    while (auto pending = queue_.pop())
+        serveOne(idx, std::move(*pending));
 }
 
 void
@@ -527,9 +363,6 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
         }
     }
 
-    if (cfg_.preRunHook)
-        cfg_.preRunHook(idx);
-
     SnapMachine &machine = *machines_.at(idx);
 
     // Execute-with-recovery: re-run (from re-stamped marker state) as
@@ -580,14 +413,6 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
         if (SNAP_TRACE_ON(trace::kServe)) {
             trace::hostInstant(trace::kServe, trace::tidWorker(idx),
                                "retry", attempts, true);
-        }
-        if (cfg_.retryBackoffMs > 0.0) {
-            const std::uint32_t shift =
-                attempts - 1 < 10 ? attempts - 1 : 10;
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(
-                    cfg_.retryBackoffMs *
-                    static_cast<double>(1u << shift)));
         }
     }
     Clock::time_point end = Clock::now();

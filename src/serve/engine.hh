@@ -99,9 +99,6 @@ struct ServeConfig
      * corrupted answer is never returned.
      */
     std::uint32_t maxRetries = 3;
-    /** Host milliseconds slept before retry n (doubled each retry);
-     *  0 = retry immediately. */
-    double retryBackoffMs = 0.0;
     /**
      * Health scoring: a replica whose runs trip fault detection this
      * many times consecutively (no intervening clean run) is
@@ -117,23 +114,6 @@ struct ServeConfig
      * 0 = never shed (default).
      */
     std::uint32_t shedThreshold = 0;
-    /**
-     * Shutdown watchdog: host milliseconds shutdown() waits for the
-     * workers to drain after closing the queue.  If any worker is
-     * still running past the grace period, its in-flight requests
-     * (and everything left queued) are force-failed with status Hung
-     * so no client blocks forever on a wedged worker thread.
-     * 0 = wait indefinitely (default; preserves strict semantics for
-     * well-behaved workloads).
-     */
-    double hungWorkerTimeoutMs = 0.0;
-    /**
-     * Test hook: invoked by worker @p idx in serveOne() between
-     * deadline triage and machine execution.  Lets tests wedge a
-     * worker deterministically (hung-worker watchdog coverage).
-     * Null in production.
-     */
-    std::function<void(std::uint32_t)> preRunHook;
     /**
      * Replica machine configuration.  The performance-collection
      * network defaults off for serving: its record FIFO grows per
@@ -169,13 +149,13 @@ class ServeEngine
 
     /**
      * Admission control.  Assigns id/seed, applies the default
-     * deadline, and enqueues.  @p done is invoked with the response
-     * from whichever thread completes the request (a worker, the
-     * shutdown watchdog, or — on immediate rejection, status
-     * Rejected, when the queue is full or the engine is shut down —
-     * the submitting thread).  The shard server's delivery mode: its
-     * connection writers serialize responses straight out of the
-     * callback instead of parking a thread per in-flight request.
+     * deadline, and enqueues.  @p done is invoked exactly once with
+     * the response, from the worker that served the request or — on
+     * immediate rejection, status Rejected, when the queue is full or
+     * the engine is shut down — from the submitting thread.  The
+     * shard server's delivery mode: its connection writers serialize
+     * responses straight out of the callback instead of parking a
+     * thread per in-flight request.
      * @p done must not re-enter the engine.
      */
     void submit(Request req, std::function<void(Response &&)> done);
@@ -245,16 +225,6 @@ class ServeEngine
   private:
     using Clock = std::chrono::steady_clock;
 
-    struct Pending;
-
-    /** Per-worker registry of requests currently being served, for
-     *  the shutdown watchdog (see forceFailHung). */
-    struct WorkerSlot
-    {
-        std::mutex mu;
-        std::vector<Pending *> inflight;
-    };
-
     struct Pending
     {
         Request req;
@@ -264,15 +234,9 @@ class ServeEngine
         Clock::time_point deadline;
         bool hasDeadline = false;
         std::uint64_t sessionSeq = 0;
-        /** Exactly-once delivery: set by whoever answers first — the
-         *  serving worker or the shutdown watchdog. */
-        std::atomic<bool> answered{false};
         /** Host-ns admission timestamp (trace epoch); 0 when tracing
          *  was off at admission.  Anchors the queue.wait span. */
         std::uint64_t traceAdmitNs = 0;
-        /** Worker registry holding this request (worker-thread
-         *  private; registered/unregistered under owner->mu). */
-        WorkerSlot *owner = nullptr;
     };
 
     void workerMain(std::uint32_t idx);
@@ -280,8 +244,6 @@ class ServeEngine
     bool admit(Request &&req, std::unique_ptr<Pending> &pending,
                Response &early);
     void deliverResponse(std::unique_ptr<Pending> p, Response &&resp);
-    std::unique_ptr<Pending> acquirePending();
-    void releasePending(std::unique_ptr<Pending> p);
     void noteDone();
     std::uint64_t outstandingCount() const;
     /** Fold one run attempt's ExecBreakdown into the engine-wide
@@ -289,17 +251,12 @@ class ServeEngine
     void accumulateRunStats(const ExecBreakdown &stats);
 
     // --- recovery machinery -------------------------------------------
-    void registerInflight(std::uint32_t idx, Pending *p);
-    void unregisterInflight(Pending *p);
     /** Repair, score health, maybe quarantine, bump the storm. */
     void noteReplicaFault(std::uint32_t idx, const FaultReport &r);
     void noteReplicaOk(std::uint32_t idx);
     /** Re-stamp the replica from the master image and re-seed its
      *  fault stream. */
     void quarantineReplica(std::uint32_t idx);
-    /** Shutdown watchdog: force-fail everything in flight or queued
-     *  with status Hung. */
-    void forceFailHung();
 
     ServeConfig cfg_;
     std::unique_ptr<KbImage> master_;
@@ -313,9 +270,6 @@ class ServeEngine
     /** Engine-wide consecutive detected faults (any worker); reset on
      *  any clean run.  Drives admission shedding. */
     std::atomic<std::uint32_t> stormFaults_{0};
-    /** Watchdog bookkeeping. */
-    std::vector<std::unique_ptr<WorkerSlot>> slots_;
-    std::atomic<std::uint32_t> workersExited_{0};
 
     BoundedQueue<std::unique_ptr<Pending>> queue_;
     SessionStore sessions_;
@@ -336,11 +290,6 @@ class ServeEngine
      *  order. */
     std::mutex admitMu_;
     std::uint64_t nextId_ = 0;
-
-    /** Pending-record pool: admissions reuse retired records (and
-     *  their Request buffers) instead of allocating. */
-    std::mutex poolMu_;
-    std::vector<std::unique_ptr<Pending>> pool_;
 
     /** drain() bookkeeping: admitted-but-unanswered requests. */
     mutable std::mutex doneMu_;

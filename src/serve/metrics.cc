@@ -55,8 +55,6 @@ MetricsSnapshot::exportMetrics(MetricsRegistry &reg,
         "Requests answered Ok after >= 1 retry");
     cnt("snap_serve_failed_total", failed,
         "Requests answered Failed (retry budget exhausted)");
-    cnt("snap_serve_hung_total", hung,
-        "Requests force-failed by the shutdown watchdog");
     cnt("snap_serve_shed_total", shed,
         "Stateless requests shed during a fault storm");
     cnt("snap_serve_quarantines_total", quarantines,

@@ -65,8 +65,6 @@ struct MetricsSnapshot
     std::uint64_t recovered = 0;
     /** Requests answered Failed (retry budget exhausted). */
     std::uint64_t failed = 0;
-    /** Requests force-failed Hung by the shutdown watchdog. */
-    std::uint64_t hung = 0;
     /** Stateless requests shed at admission during a fault storm. */
     std::uint64_t shed = 0;
     /** Replica quarantines (re-stamped from the master image). */
@@ -207,14 +205,6 @@ class ServeMetrics
         std::lock_guard<std::mutex> lock(mu_);
         ++m_.failed;
         m_.queueWaitMs.record(queue_ms);
-    }
-
-    /** Shutdown watchdog force-failed a request as Hung. */
-    void
-    noteHung()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++m_.hung;
     }
 
     /** Stateless request shed at admission under a fault storm. */

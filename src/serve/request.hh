@@ -43,13 +43,6 @@ enum class RequestStatus
      * results field is empty.
      */
     Failed,
-    /**
-     * Force-failed by the shutdown watchdog: the request was in
-     * flight on (or queued behind) a worker that never drained
-     * within the hung-worker grace period.  It may or may not have
-     * partially executed; no results are attached.
-     */
-    Hung,
 };
 
 const char *requestStatusName(RequestStatus s);
@@ -64,10 +57,18 @@ const char *requestStatusName(RequestStatus s);
 std::uint64_t requestSeed(std::uint64_t base_seed,
                           std::uint64_t request_id);
 
-/** One query submitted to the engine. */
+/**
+ * One query: the record a client hands to the engine, and the one the
+ * shard wire carries from the router to a replica (shard::RequestFrame
+ * is this type).
+ */
 struct Request
 {
-    /** Assigned by the engine at admission (submission order). */
+    /**
+     * Assigned by the admitting side: on the wire, the router's wire
+     * id (echoed in the response); inside a shard, the engine's own
+     * id, assigned at admission in submission order.
+     */
     std::uint64_t id = 0;
     /** Empty = stateless; otherwise queries with the same id share
      *  marker state and execute in submission order. */
@@ -86,18 +87,24 @@ struct Request
     double timeoutMs = 0.0;
     /** Per-request seed; 0 = derive via requestSeed() at admission. */
     std::uint64_t rngSeed = 0;
-    /** Inbound distributed-trace context (shard mode): the fleet
-     *  trace id and the router attempt span this execution belongs
-     *  to.  0/false outside a sampled fleet request; never affects
-     *  execution, only what the serve spans are stamped with. */
+    /** Distributed-trace context (shard mode): the fleet trace id and
+     *  the router-side span id of the specific attempt (hedged
+     *  duplicates and failover reroutes each get their own), the
+     *  anchor for the shard's cross-process "xrpc" flow arrow.
+     *  0/false outside a sampled fleet request (the wire then carries
+     *  zeros); never affects execution, only what the serve spans
+     *  are stamped with.  The router sets these; it ignores what a
+     *  caller put there. */
     std::uint64_t traceId = 0;
     std::uint64_t traceParent = 0;
     bool traceSampled = false;
 };
 
-/** The engine's answer to one request. */
+/** The engine's answer to one request; also the Response frame
+ *  payload (shard::ResponseFrame is this type). */
 struct Response
 {
+    /** The request's id (the wire id on the wire). */
     std::uint64_t id = 0;
     RequestStatus status = RequestStatus::Ok;
     /** Retrieval results in program order (status Ok only). */

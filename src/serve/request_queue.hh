@@ -10,10 +10,9 @@
  * requests are admitted under one lock, so queue order == submission
  * order == session sequence order).
  *
- * Storage is a fixed ring buffer sized at construction, so the
- * admission path (tryPush) never allocates — a property the serving
- * engine's alloc-free submit depends on.  T must therefore be
- * default-constructible and move-assignable.
+ * Storage is a fixed ring buffer sized at construction, so tryPush
+ * never allocates and the queue's memory is bounded by its capacity.
+ * T must therefore be default-constructible and move-assignable.
  *
  * Header-only template so tests can exercise it on plain ints; the
  * engine instantiates it over move-only pending-request records.
@@ -53,7 +52,7 @@ class BoundedQueue
     /**
      * Admit @p item unless the queue is full or closed.
      * @return true when enqueued; on false @p item is left unmoved,
-     *         so the caller can recycle it (rejection path).
+     *         so the caller still owns it (rejection path).
      */
     bool
     tryPush(T &item)

@@ -335,10 +335,9 @@ encodeRequest(WireWriter &w, const RequestFrame &f)
     w.u64(f.rngSeed);
     encodeProgram(w, f.prog);
     // The trace context, zeroed for an unsampled request.
-    const bool sampled = f.traceFlags != 0;
-    w.u64(sampled ? f.traceId : 0);
-    w.u64(sampled ? f.traceParent : 0);
-    w.u8(f.traceFlags);
+    w.u64(f.traceSampled ? f.traceId : 0);
+    w.u64(f.traceSampled ? f.traceParent : 0);
+    w.u8(f.traceSampled ? 1 : 0);
 }
 
 bool
@@ -352,11 +351,13 @@ decodeRequest(WireReader &r, RequestFrame &f)
         return false;
     f.traceId = r.u64();
     f.traceParent = r.u64();
-    f.traceFlags = r.u8();
-    // An unsampled context is all zeros; the encoder never emits
-    // anything else.
-    if (f.traceFlags == 0 && (f.traceId != 0 || f.traceParent != 0))
+    const std::uint8_t flags = r.u8();
+    // The flags byte is the sampled bit alone, and an unsampled
+    // context is all zeros; the encoder never emits anything else.
+    if (flags > 1 ||
+        (flags == 0 && (f.traceId != 0 || f.traceParent != 0)))
         return false;
+    f.traceSampled = flags != 0;
     return r.done();
 }
 
@@ -403,7 +404,7 @@ decodeResponse(WireReader &r, ResponseFrame &f)
     f.retries = body.u32();
     f.faultDetected = body.u8() != 0;
     if (body.failed() ||
-        status > static_cast<std::uint8_t>(serve::RequestStatus::Hung))
+        status > static_cast<std::uint8_t>(serve::RequestStatus::Failed))
         return false;
     f.status = static_cast<serve::RequestStatus>(status);
     return decodeResults(body, f.results) && body.done();

@@ -59,8 +59,13 @@ using snap::WireWriter;
  *  v5: no optional tails: every Request carries the 17-byte trace
  *  context (all zeros when not sampled) and every HelloAck its
  *  trace clock; a payload of any other length is rejected.
+ *  v6: the Hung response status (4) is gone.  A v5 shard may still
+ *  send it and a v6 decoder rejects any status past Failed, so the
+ *  two must not talk.  A Request's trace flags byte must be 0 or 1
+ *  (the sampled bit).  Request and Response bytes are otherwise
+ *  those of v5.
  *  A peer of another version is refused at Hello. */
-constexpr std::uint32_t protocolVersion = 5;
+constexpr std::uint32_t protocolVersion = 6;
 
 /** Hard cap on one frame's payload (a serialized Program or
  *  ResultSet is well under this; the cap bounds a hostile peer). */
@@ -134,39 +139,15 @@ struct HelloAckFrame
     std::uint64_t traceClockNs = 0;
 };
 
-/** One query on the wire.  The id is router-assigned and opaque to
- *  the shard; it is echoed verbatim in the response. */
-struct RequestFrame
-{
-    std::uint64_t id = 0;
-    std::string sessionId;
-    double timeoutMs = 0.0;
-    std::uint64_t rngSeed = 0;
-    Program prog;
-    /** Distributed-trace context, always encoded (all zeros when
-     *  traceFlags == 0).  traceParent is the router-side span id
-     *  of the specific attempt (hedged duplicates and failover
-     *  reroutes each get their own), the anchor for the shard's
-     *  cross-process "xrpc" flow arrow. */
-    std::uint64_t traceId = 0;
-    std::uint64_t traceParent = 0;
-    /** Bit 0: head-based sampling decision (sampled). */
-    std::uint8_t traceFlags = 0;
-};
+/** One query on the wire: the engine's own request record.  The id
+ *  is router-assigned and opaque to the shard; it is echoed verbatim
+ *  in the response.  The trace context is always encoded, all zeros
+ *  when not sampled, and traceSampled travels as a flags byte. */
+using RequestFrame = serve::Request;
 
-struct ResponseFrame
-{
-    std::uint64_t id = 0;
-    serve::RequestStatus status = serve::RequestStatus::Ok;
-    ResultSet results;
-    Tick wallTicks = 0;
-    std::uint64_t rngSeed = 0;
-    double queueMs = 0.0;
-    double serviceMs = 0.0;
-    std::uint32_t worker = 0;
-    std::uint32_t retries = 0;
-    bool faultDetected = false;
-};
+/** The query's answer on the wire: the engine's own response record,
+ *  carrying the router's wire id. */
+using ResponseFrame = serve::Response;
 
 struct HealthFrame
 {

@@ -855,11 +855,11 @@ ShardRouter::submit(RouterRequest req, ResponseFn done)
 {
     snap_assert(done != nullptr, "submit with a null callback");
     auto p = std::make_shared<PendingRoute>();
+    p->frame = std::move(req);
     p->frame.id = nextId_.fetch_add(1, std::memory_order_relaxed);
-    p->frame.sessionId = std::move(req.sessionId);
-    p->frame.timeoutMs = req.timeoutMs;
-    p->frame.rngSeed = req.rngSeed;
-    p->frame.prog = std::move(req.prog);
+    p->frame.traceId = 0;
+    p->frame.traceParent = 0;
+    p->frame.traceSampled = false;
     p->stateless = p->frame.sessionId.empty();
     p->routeKey = p->stateless ? p->frame.prog.contentHash()
                                : fnv1a64(p->frame.sessionId);
@@ -876,7 +876,7 @@ ShardRouter::submit(RouterRequest req, ResponseFn done)
         p->sampled = (p->traceId % 10000u) < threshold;
         if (p->sampled) {
             p->frame.traceId = p->traceId;
-            p->frame.traceFlags = 1;
+            p->frame.traceSampled = true;
         }
     }
     p->logHops = p->sampled || cfg_.slowQueryMs >= 0.0;

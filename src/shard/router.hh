@@ -147,14 +147,10 @@ struct SlowQuery
     std::vector<RouterHop> hops;
 };
 
-/** One query handed to the router (ids are assigned internally). */
-struct RouterRequest
-{
-    std::string sessionId;
-    Program prog;
-    double timeoutMs = 0.0;
-    std::uint64_t rngSeed = 0;
-};
+/** One query handed to the router: the wire's request record.  The
+ *  router assigns the id and the trace context itself and ignores
+ *  what the caller put there. */
+using RouterRequest = RequestFrame;
 
 class ShardRouter
 {

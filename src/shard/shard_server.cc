@@ -294,18 +294,11 @@ ShardServer::handleFrame(int fd, std::uint32_t conn,
 
 void
 ShardServer::handleRequest(int fd, std::uint32_t conn,
-                           std::mutex &write_mu, RequestFrame &&frame)
+                           std::mutex &write_mu, serve::Request &&req)
 {
-    serve::Request req;
-    req.sessionId = std::move(frame.sessionId);
-    req.prog = std::move(frame.prog);
-    req.timeoutMs = frame.timeoutMs;
-    req.rngSeed = frame.rngSeed;
-    req.traceId = frame.traceId;
-    req.traceParent = frame.traceParent;
-    req.traceSampled = (frame.traceFlags & 1u) != 0;
-
-    const std::uint64_t wire_id = frame.id;
+    // The engine re-ids the request at admission; the response goes
+    // back under the router's wire id.
+    const std::uint64_t wire_id = req.id;
     // Cross-process join point: the "rpc.serve" span covers receipt
     // to response-ready, and the 'f' half of the router's "xrpc"
     // flow arrow lands on it, keyed by the attempt's span id — each
@@ -329,19 +322,9 @@ ShardServer::handleRequest(int fd, std::uint32_t conn,
                                    "rpc.serve", recv_ns, done_ns,
                                    trace_id);
             }
-            ResponseFrame out;
-            out.id = wire_id;
-            out.status = resp.status;
-            out.results = std::move(resp.results);
-            out.wallTicks = resp.wallTicks;
-            out.rngSeed = resp.rngSeed;
-            out.queueMs = resp.queueMs;
-            out.serviceMs = resp.serviceMs;
-            out.worker = resp.worker;
-            out.retries = resp.retries;
-            out.faultDetected = resp.faultDetected;
+            resp.id = wire_id;
             WireWriter w;
-            encodeResponse(w, out);
+            encodeResponse(w, resp);
             writeResponseWithFaults(fd, write_mu, wire_id, w.take());
         });
 }

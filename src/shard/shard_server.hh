@@ -102,7 +102,7 @@ class ShardServer
                      FrameType type,
                      const std::vector<std::uint8_t> &payload);
     void handleRequest(int fd, std::uint32_t conn,
-                       std::mutex &write_mu, RequestFrame &&frame);
+                       std::mutex &write_mu, serve::Request &&req);
     void writeResponseWithFaults(int fd, std::mutex &write_mu,
                                  std::uint64_t wire_id,
                                  std::vector<std::uint8_t> bytes);

@@ -8,7 +8,7 @@
  *                         "host:port"); repeat per shard
  *     --vnodes N          virtual ring points per shard (default 64)
  *     --window N          max in-flight requests per shard
- *                         (default 64)
+ *                         (1..2^32-1, default 64)
  *     --retries N         stateless re-dispatches after a shard
  *                         death (default 2)
  *     --timeout-ms X      per-request queue deadline on the shard
@@ -70,6 +70,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -177,8 +178,8 @@ main(int argc, char **argv)
             cfg.vnodes = static_cast<std::uint32_t>(n);
         } else if (arg == "--window") {
             long long n;
-            if (!parseInt(next(), n) || n < 1)
-                usageError("--window must be >= 1");
+            if (!parseInt(next(), n) || n < 1 || n > UINT32_MAX)
+                usageError("--window must be 1..4294967295");
             cfg.maxInflightPerShard = static_cast<std::uint32_t>(n);
         } else if (arg == "--retries") {
             long long n;
@@ -216,7 +217,8 @@ main(int argc, char **argv)
             long long k, n;
             if (at == std::string::npos || at == 0 ||
                 !parseInt(spec.substr(0, at), k) ||
-                !parseInt(spec.substr(at + 1), n) || k < 0 || n < 0)
+                !parseInt(spec.substr(at + 1), n) || k < 0 ||
+                k > UINT32_MAX || n < 0)
                 usageError("--drain must be K@N (drain shard K "
                            "after N submits)");
             drains.emplace_back(static_cast<std::size_t>(n),

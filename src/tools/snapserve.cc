@@ -6,7 +6,8 @@
  *   snapserve <kb.snapkb|kb.kbimg> <requests.txt> [options]
  *   snapserve <kb.snapkb|kb.kbimg> --listen <endpoint> [options]
  *     --workers N           worker replicas (default 2)
- *     --queue N             admission queue capacity (default 256)
+ *     --queue N             admission queue capacity (1..2^20,
+ *                           default 256)
  *     --timeout-ms X        default per-request queue deadline
  *     --clusters N          replica array size (1..32, default 16)
  *     --partition seq|rr|sem  allocation strategy (default sem)
@@ -29,11 +30,11 @@
  *     --fault-rate X        inject ICN message faults at rate X
  *     --fault-spec FILE     load a full fault plan from JSON
  *     --max-retries N       re-executions after a detected fault
- *     --retry-backoff X     base host ms between retries (doubling)
  *     --quarantine N        consecutive faults before a replica is
  *                           quarantined and re-stamped (0 = never)
  *     --shed-threshold N    engine-wide consecutive faults before
  *                           stateless load is shed (0 = never)
+ *                           (both counts 0..2^32-1)
  *     --listen ENDPOINT     shard mode: serve the shard wire protocol
  *                           on "unix:/path" or "host:port" until a
  *                           Shutdown frame arrives (no request file;
@@ -72,6 +73,7 @@
  * snapsh, and snapkb-gen.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -105,8 +107,8 @@ usage()
         "       snapserve <kb.snapkb|kb.kbimg> --listen <endpoint> "
         "[options]\n"
         "  --workers N            worker replicas (default 2)\n"
-        "  --queue N              admission queue capacity "
-        "(default 256)\n"
+        "  --queue N              admission queue capacity, "
+        "1..2^20 (default 256)\n"
         "  --timeout-ms X         default queue deadline, host ms\n"
         "  --clusters N           replica array size (1..32)\n"
         "  --partition seq|rr|sem allocation (default sem)\n"
@@ -122,7 +124,6 @@ usage()
         "  --fault-rate X         ICN message-fault rate (0..1)\n"
         "  --fault-spec FILE      full fault plan from JSON\n"
         "  --max-retries N        retries after a detected fault\n"
-        "  --retry-backoff X      base retry backoff, host ms\n"
         "  --quarantine N         replica quarantine threshold\n"
         "  --shed-threshold N     fault-storm shedding threshold\n"
         "  --listen ENDPOINT      shard mode (unix:/path or "
@@ -194,8 +195,8 @@ main(int argc, char **argv)
             cfg.numWorkers = static_cast<std::uint32_t>(n);
         } else if (arg == "--queue") {
             long long n;
-            if (!parseInt(next(), n) || n < 1)
-                usageError("--queue must be >= 1");
+            if (!parseInt(next(), n) || n < 1 || n > (1ll << 20))
+                usageError("--queue must be 1..1048576");
             cfg.queueCapacity = static_cast<std::size_t>(n);
         } else if (arg == "--timeout-ms") {
             double x;
@@ -242,20 +243,15 @@ main(int argc, char **argv)
             if (!parseInt(next(), n) || n < 0 || n > 100)
                 usageError("--max-retries must be 0..100");
             cfg.maxRetries = static_cast<std::uint32_t>(n);
-        } else if (arg == "--retry-backoff") {
-            double x;
-            if (!parseDouble(next(), x) || x < 0)
-                usageError("--retry-backoff must be >= 0");
-            cfg.retryBackoffMs = x;
         } else if (arg == "--quarantine") {
             long long n;
-            if (!parseInt(next(), n) || n < 0)
-                usageError("--quarantine must be >= 0");
+            if (!parseInt(next(), n) || n < 0 || n > UINT32_MAX)
+                usageError("--quarantine must be 0..4294967295");
             cfg.quarantineThreshold = static_cast<std::uint32_t>(n);
         } else if (arg == "--shed-threshold") {
             long long n;
-            if (!parseInt(next(), n) || n < 0)
-                usageError("--shed-threshold must be >= 0");
+            if (!parseInt(next(), n) || n < 0 || n > UINT32_MAX)
+                usageError("--shed-threshold must be 0..4294967295");
             cfg.shedThreshold = static_cast<std::uint32_t>(n);
         } else if (arg == "--metrics") {
             metrics_path = next();

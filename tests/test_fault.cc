@@ -4,16 +4,13 @@
  * serving layer's recovery machinery: spec round-trips, rate-zero
  * bit-identity, seed reproducibility, detection soundness (no
  * corrupted answer survives), wedge repair, and the engine's
- * retry / quarantine / shed / hung-worker-watchdog policies and
- * answer-cache admission under faults.
+ * retry / quarantine / shed policies and answer-cache admission
+ * under faults.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <future>
-#include <thread>
 #include <vector>
 
 #include "arch/machine.hh"
@@ -565,61 +562,6 @@ TEST(ServeFaults, RunsWithInjectedFaultsNeverEnterTheAnswerCache)
     EXPECT_EQ(m.answerCache.misses, static_cast<std::uint64_t>(kRepeats));
     EXPECT_EQ(m.answerCache.hits, 0u);
     EXPECT_EQ(m.answerCache.admitted, 0u);
-}
-
-// --- hung-worker watchdog (satellite: shutdown hardening) ---------------
-
-TEST(ServeFaults, ShutdownWatchdogForceFailsHungWorker)
-{
-    SemanticNetwork net = makeTreeKb(120, 3);
-    RelationType inc = net.relationId("includes");
-    Program q = countQuery(0, inc);
-
-    std::atomic<bool> release{false};
-    std::atomic<int> hooked{0};
-
-    ServeConfig cfg;
-    cfg.numWorkers = 1;
-    cfg.machine.numClusters = 4;
-    cfg.hungWorkerTimeoutMs = 50.0;
-    cfg.preRunHook = [&](std::uint32_t) {
-        // Wedge the worker on its first request only.
-        if (hooked.fetch_add(1) == 0) {
-            while (!release.load(std::memory_order_acquire))
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-        }
-    };
-    ServeEngine engine(net, cfg);
-
-    Request a;
-    a.prog = q;
-    std::future<Response> fa = engine.submit(std::move(a));
-    // Wait until the worker is actually wedged inside the hook so
-    // the second request is guaranteed to still be queued.
-    while (hooked.load() == 0)
-        std::this_thread::yield();
-    Request b;
-    b.prog = q;
-    std::future<Response> fb = engine.submit(std::move(b));
-
-    // Un-wedge the worker *after* the watchdog grace period so
-    // shutdown() can join it once the clients have their answers.
-    std::thread releaser([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(300));
-        release.store(true, std::memory_order_release);
-    });
-    engine.shutdown();
-    releaser.join();
-
-    Response ra = fa.get();
-    Response rb = fb.get();
-    EXPECT_EQ(ra.status, RequestStatus::Hung)
-        << "the in-flight request on the wedged worker";
-    EXPECT_EQ(rb.status, RequestStatus::Hung)
-        << "the request stranded behind it in the queue";
-    serve::MetricsSnapshot m = engine.metricsSnapshot();
-    EXPECT_EQ(m.hung, 2u);
 }
 
 } // namespace

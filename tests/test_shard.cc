@@ -433,7 +433,7 @@ TEST(ShardProtocol, TraceContextRoundTripsAndOldLengthsAreRejected)
     in.prog = countQuery(1, 0);
     in.traceId = 0xabcdef0123456789ull;
     in.traceParent = 0x1111222233334444ull;
-    in.traceFlags = 1;
+    in.traceSampled = true;
     WireWriter w;
     shard::encodeRequest(w, in);
     {
@@ -442,7 +442,7 @@ TEST(ShardProtocol, TraceContextRoundTripsAndOldLengthsAreRejected)
         ASSERT_TRUE(shard::decodeRequest(r, out));
         EXPECT_EQ(out.traceId, in.traceId);
         EXPECT_EQ(out.traceParent, in.traceParent);
-        EXPECT_EQ(out.traceFlags, 1u);
+        EXPECT_TRUE(out.traceSampled);
     }
 
     // Every-byte-offset fuzz over the traced encoding: no cut
@@ -460,7 +460,7 @@ TEST(ShardProtocol, TraceContextRoundTripsAndOldLengthsAreRejected)
     // Unsampled requests carry the context too, all zeros: the same
     // length as a sampled one, whatever the frame's id fields hold.
     shard::RequestFrame off = in;
-    off.traceFlags = 0;
+    off.traceSampled = false;
     WireWriter ow;
     shard::encodeRequest(ow, off);
     EXPECT_EQ(ow.bytes().size(), w.bytes().size());
@@ -470,7 +470,7 @@ TEST(ShardProtocol, TraceContextRoundTripsAndOldLengthsAreRejected)
         ASSERT_TRUE(shard::decodeRequest(r, out));
         EXPECT_EQ(out.traceId, 0u);
         EXPECT_EQ(out.traceParent, 0u);
-        EXPECT_EQ(out.traceFlags, 0u);
+        EXPECT_FALSE(out.traceSampled);
         EXPECT_EQ(out.sessionId, in.sessionId);
     }
 
@@ -482,6 +482,13 @@ TEST(ShardProtocol, TraceContextRoundTripsAndOldLengthsAreRejected)
     WireReader fr(forged.data(), forged.size());
     shard::RequestFrame fout;
     EXPECT_FALSE(shard::decodeRequest(fr, fout));
+
+    // The flags byte is the sampled bit alone: any other bit set is
+    // malformed, not silently read as "sampled".
+    forged[forged.size() - 1] = 2;
+    WireReader fr2(forged.data(), forged.size());
+    shard::RequestFrame fout2;
+    EXPECT_FALSE(shard::decodeRequest(fr2, fout2));
 
     // HelloAck's trace clock round-trips; the old v2 length without
     // it is rejected.
@@ -503,6 +510,71 @@ TEST(ShardProtocol, TraceContextRoundTripsAndOldLengthsAreRejected)
         shard::HelloAckFrame out;
         EXPECT_FALSE(shard::decodeHelloAck(r, out));
     }
+}
+
+/** An encoding's length and FNV-1a64 equal pinned constants. */
+void
+expectPinned(const WireWriter &w, std::size_t len, std::uint64_t hash,
+             const char *what)
+{
+    EXPECT_EQ(w.size(), len) << what;
+    EXPECT_EQ(fnv1a64(w.bytes().data(), w.size()), hash) << what;
+}
+
+TEST(ShardProtocol, RequestAndResponseBytesArePinned)
+{
+    // Any change to these bytes is a wire change and needs a protocol
+    // version bump: the constants are v5's encodings, which v6 keeps.
+    shard::RequestFrame sampled;
+    sampled.id = 0x0102030405060708ull;
+    sampled.sessionId = "pin-session";
+    sampled.timeoutMs = 37.25;
+    sampled.rngSeed = 0xdeadbeefcafef00dull;
+    sampled.prog = countQuery(5, 3);
+    sampled.traceId = 0x1111222233334444ull;
+    sampled.traceParent = 0x5555666677778888ull;
+    sampled.traceSampled = true;
+    WireWriter a;
+    shard::encodeRequest(a, sampled);
+    expectPinned(a, 204, 0xb395da001fbbd2c7ull, "sampled request");
+
+    // Unsampled: the ids the record holds are not sent.
+    shard::RequestFrame plain;
+    plain.id = 9;
+    plain.prog = countQuery(2, 1);
+    plain.traceId = 0xabcdefull;
+    plain.traceParent = 0x123456ull;
+    WireWriter b;
+    shard::encodeRequest(b, plain);
+    expectPinned(b, 193, 0x00104da862cb9d66ull, "unsampled request");
+
+    shard::ResponseFrame resp;
+    resp.id = 0x0a0b0c0d0e0f1011ull;
+    resp.status = serve::RequestStatus::Failed;
+    resp.wallTicks = 987654321;
+    resp.rngSeed = 0x0123456789abcdefull;
+    resp.queueMs = 1.75;
+    resp.serviceMs = 12.5;
+    resp.worker = 3;
+    resp.retries = 2;
+    resp.faultDetected = true;
+    CollectResult r0;
+    r0.op = Opcode::CollectMarker;
+    r0.marker = 1;
+    r0.color = 2;
+    r0.rel = 7;
+    r0.nodes.push_back(CollectedNode{11, 2.5f, 3});
+    r0.nodes.push_back(CollectedNode{12, -0.5f, invalidNode});
+    r0.links.push_back(CollectedLink{1, 2, 3, 0.75f});
+    resp.results.push_back(r0);
+    CollectResult r1;
+    r1.op = Opcode::CollectMarker;
+    r1.marker = 4;
+    r1.nodes.push_back(CollectedNode{40, 1.0f, 40});
+    resp.results.push_back(r1);
+    WireWriter c;
+    shard::encodeResponse(c, resp);
+    expectPinned(c, 138, 0x5dc321ef21348415ull, "response");
 }
 
 TEST(ShardProtocol, StatsFramesRoundTripAndRejectTruncation)
@@ -660,6 +732,27 @@ TEST(ShardProtocol, ResponseChecksumCatchesEveryByteFlip)
     WireReader r(unchecked.data(), unchecked.size());
     shard::ResponseFrame out;
     EXPECT_FALSE(shard::decodeResponse(r, out));
+
+    // A status byte past Failed (4 was a v5 peer's Hung) is rejected
+    // even under a valid checksum; Failed itself decodes.
+    auto withStatus = [&](std::uint8_t status) {
+        std::vector<std::uint8_t> frame = unchecked;
+        frame[8] = status;   // after the u64 id
+        WireWriter sum;
+        sum.u64(fnv1a64(frame.data(), frame.size()));
+        frame.insert(frame.end(), sum.bytes().begin(), sum.bytes().end());
+        return frame;
+    };
+    const std::vector<std::uint8_t> failed = withStatus(
+        static_cast<std::uint8_t>(serve::RequestStatus::Failed));
+    WireReader fr(failed.data(), failed.size());
+    shard::ResponseFrame fout;
+    ASSERT_TRUE(shard::decodeResponse(fr, fout));
+    EXPECT_EQ(fout.status, serve::RequestStatus::Failed);
+    const std::vector<std::uint8_t> past = withStatus(4);
+    WireReader pr(past.data(), past.size());
+    shard::ResponseFrame pout;
+    EXPECT_FALSE(shard::decodeResponse(pr, pout));
 }
 
 TEST(ShardProtocol, HugeResultCountIsRejectedWithoutAllocating)
@@ -794,6 +887,29 @@ TEST(ShardEndpoint, TypedErrorsDistinguishFailureModes)
     EXPECT_EQ(kind, IoErrorKind::BadType) << detail;
     ::close(sp[0]);
     ::close(sp[1]);
+}
+
+TEST(ShardEndpoint, ParseAcceptsTcpAndRejectsBadHostsAndPorts)
+{
+    shard::Endpoint ep;
+    std::string detail;
+    ASSERT_TRUE(shard::parseEndpoint("127.0.0.1:7070", ep, detail))
+        << detail;
+    EXPECT_EQ(ep.kind, shard::Endpoint::Kind::Tcp);
+    EXPECT_EQ(ep.host, "127.0.0.1");
+    EXPECT_EQ(ep.port, 7070u);
+    EXPECT_EQ(ep.toString(), "127.0.0.1:7070");
+    ASSERT_TRUE(shard::parseEndpoint("localhost:65535", ep, detail))
+        << detail;
+    EXPECT_EQ(ep.port, 65535u);
+
+    for (const char *bad :
+         {"127.0.0.1:0", "127.0.0.1:65536", "shard-host:7070",
+          "127.0.0.1:70x", "127.0.0.1:", ":7070", "no-port", "unix:"}) {
+        detail.clear();
+        EXPECT_FALSE(shard::parseEndpoint(bad, ep, detail)) << bad;
+        EXPECT_FALSE(detail.empty()) << bad;
+    }
 }
 
 // --- fleet fault plans ---------------------------------------------------
@@ -1018,6 +1134,83 @@ TEST_F(ShardFleetTest, RouterAnswersMatchDirectExecution)
             EXPECT_EQ(got[i].wallTicks, expect[i].wallTicks)
                 << "request " << i;
         }
+    }
+}
+
+TEST_F(ShardFleetTest, TcpEndpointAnswersMatchDirectExecution)
+{
+    // Serve on a loopback port, moving on when one is taken.  The
+    // start is spread by pid so concurrent test runs rarely collide.
+    KbImageFile kb;
+    std::unique_ptr<ShardServer> server;
+    std::string ep, detail;
+    const int base = 20000 + static_cast<int>(::getpid() % 20000);
+    for (int port = base; port < base + 64 && !server; ++port) {
+        ASSERT_EQ(loadKbImageFile(image_file_->path(), kb, detail),
+                  KbImgStatus::Ok)
+            << detail;
+        shard::ShardServerConfig cfg;
+        cfg.listen = ep = "127.0.0.1:" + std::to_string(port);
+        cfg.serve = shardServeConfig();
+        server = std::make_unique<ShardServer>(std::move(kb), cfg);
+        if (!server->bind(detail))
+            server.reset();
+    }
+    ASSERT_TRUE(server) << "no free loopback port: " << detail;
+    std::thread runner([&] { server->run(); });
+    // Stops the shard after the router below is gone, as TestShard
+    // does, and on an early return too.
+    struct StopOnExit
+    {
+        ShardServer &server;
+        std::thread &runner;
+        ~StopOnExit()
+        {
+            server.stop();
+            runner.join();
+        }
+    } stop_on_exit{*server, runner};
+
+    shard::RouterConfig rcfg;
+    rcfg.shards = {ep};
+    ShardRouter router(rcfg);
+    ASSERT_TRUE(router.connect(detail)) << detail;
+
+    // One stateless request and two turns of one session; a session's
+    // k-th turn answers like the k-th back-to-back run of the program.
+    RelationType inc = net_.relationId("includes");
+    const Program stateless = countQuery(17, inc);
+    const Program turn = countQuery(3, inc);
+    std::vector<RunResult> expect{reference(stateless)};
+    {
+        SnapMachine straight(shardServeConfig().machine);
+        straight.loadKb(net_);
+        for (int k = 0; k < 2; ++k)
+            expect.push_back(straight.run(turn));
+    }
+    std::vector<shard::ResponseFrame> got(expect.size());
+    std::mutex mu;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        shard::RouterRequest req;
+        if (i == 0) {
+            req.prog = stateless;
+        } else {
+            req.sessionId = "tcp-session";
+            req.prog = turn;
+        }
+        router.submit(std::move(req),
+                      [&, i](shard::ResponseFrame &&resp) {
+                          std::lock_guard<std::mutex> lock(mu);
+                          got[i] = std::move(resp);
+                      });
+        router.drain();
+    }
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].status, serve::RequestStatus::Ok)
+            << "request " << i;
+        test::expectSameResults(got[i].results, expect[i].results);
+        EXPECT_EQ(got[i].wallTicks, expect[i].wallTicks)
+            << "request " << i;
     }
 }
 
