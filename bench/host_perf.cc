@@ -6,8 +6,7 @@
  * one measures *host* time — how fast the event kernel, marker
  * kernels, and frontier bookkeeping chew through events.  Each
  * workload (fig16 α-propagation, fig17 β-overlap, table4 sentence
- * parse, and a replay of fig17's event-schedule trace through a bare
- * queue) reports absolute events/s as the best of five reps; every
+ * parse) reports absolute events/s as the best of five reps; every
  * rep must agree on simulated time, results digest, and event count.
  * The committed BENCH_host_perf.json is the trajectory later changes
  * compare against.
@@ -242,123 +241,6 @@ runTable4()
     return m;
 }
 
-/**
- * Replay a recorded event-schedule trace through a bare queue.
- *
- * The driver reproduces the workload's exact arrival pattern: it
- * seeds the queue with the trace's pre-run schedules, then each fired
- * event issues as many follow-on schedules as the original event did,
- * using the original tick deltas.  This isolates the event kernel —
- * schedule, pop, dispatch, and one-shot reclamation — from the rest
- * of the machine model.
- */
-struct TraceReplayer
-{
-    EventQueue eq;
-    const Tick *delta;
-    const Tick *deltaEnd;
-    const std::uint32_t *fanout;
-    const std::uint32_t *fanoutEnd;
-
-    explicit TraceReplayer(const ScheduleTrace &t)
-        : delta(t.deltas.data()),
-          deltaEnd(delta + t.deltas.size()),
-          fanout(t.fanout.data()),
-          fanoutEnd(fanout + t.fanout.size())
-    {}
-
-    void
-    fire()
-    {
-        std::uint32_t n = fanout != fanoutEnd ? *fanout++ : 0;
-        for (std::uint32_t i = 0; i < n; ++i)
-            scheduleNext();
-    }
-
-    void
-    scheduleNext()
-    {
-        if (delta == deltaEnd)
-            return;
-        Tick when = eq.curTick() + *delta++;
-        eq.scheduleCallback(when, [this] { fire(); });
-    }
-
-    void
-    rewind(const ScheduleTrace &t)
-    {
-        delta = t.deltas.data();
-        deltaEnd = delta + t.deltas.size();
-        fanout = t.fanout.data();
-        fanoutEnd = fanout + t.fanout.size();
-    }
-};
-
-Measured
-replayOnce(const ScheduleTrace &trace)
-{
-    TraceReplayer r(trace);
-
-    // Warm-up pass, untimed: bucket vectors, pool chunks, and the
-    // allocator arena reach steady-state capacity (resetBucket clears
-    // entries but keeps capacity).  The timed pass then measures
-    // kernel throughput rather than first-run allocation, which
-    // otherwise dominates short traces.  Tick deltas are relative, so
-    // the second pass continues from the warmed queue's current tick.
-    for (std::uint32_t i = 0; i < trace.preRun; ++i)
-        r.scheduleNext();
-    r.eq.run();
-    const std::uint64_t warm_events = r.eq.eventsProcessed();
-
-    r.rewind(trace);
-    for (std::uint32_t i = 0; i < trace.preRun; ++i)
-        r.scheduleNext();
-
-    double t0 = now();
-    r.eq.run();
-    double t1 = now();
-
-    Measured m;
-    m.workload = "fig17-queue-replay";
-    m.simTicks = r.eq.curTick();
-    m.events = r.eq.eventsProcessed() - warm_events;
-    m.digest = m.events;  // replay has no result set
-    m.seconds = t1 - t0;
-    return m;
-}
-
-/** Capture the fig17 workload's event-schedule trace. */
-ScheduleTrace
-captureFig17Trace(std::uint32_t rounds)
-{
-    ScheduleTrace trace;
-    Workload w = makeBetaWorkload(8, 8, 8, 2, true, 11);
-    for (std::uint32_t round = 0; round < rounds; ++round) {
-        for (std::uint32_t j = 0; j < 8; ++j) {
-            w.prog.append(Instruction::searchRelation(
-                w.net.relation("hop" + std::to_string(j)),
-                static_cast<MarkerId>(2 * j), 1.0f));
-        }
-        for (std::uint32_t j = 0; j < 8; ++j) {
-            w.prog.append(Instruction::propagate(
-                static_cast<MarkerId>(2 * j),
-                static_cast<MarkerId>(2 * j + 1),
-                static_cast<RuleId>(j), MarkerFunc::AddWeight));
-        }
-        w.prog.append(Instruction::barrier());
-    }
-
-    MachineConfig cfg = MachineConfig::paperSetup();
-    cfg.partition = PartitionStrategy::RoundRobin;
-    cfg.maxNodesPerCluster = capacity::maxNodes;
-    SnapMachine machine(cfg);
-    machine.loadKb(w.net);
-    machine.recordEventTrace(&trace);
-    machine.run(w.prog);
-    machine.recordEventTrace(nullptr);
-    return trace;
-}
-
 void
 writeJson(const std::vector<Measured> &rows,
           const hostprof::Totals &profile)
@@ -413,14 +295,9 @@ main(int argc, char **argv)
     // fig17 is the headline workload; run it long enough to time.
     std::uint32_t fig17_rounds = 8;
     bool profile_only = false;
-    bool replay_only = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--profile") == 0) {
             profile_only = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--replay") == 0) {
-            replay_only = true;
             continue;
         }
         char *end = nullptr;
@@ -428,21 +305,10 @@ main(int argc, char **argv)
         if (end == argv[i] || *end != '\0' || v == 0) {
             std::fprintf(stderr,
                          "usage: host_perf [fig17_rounds >= 1] "
-                         "[--profile] [--replay]\n");
+                         "[--profile]\n");
             return 2;
         }
         fig17_rounds = static_cast<std::uint32_t>(v);
-    }
-
-    if (replay_only) {
-        // Replay-only mode: just the event-kernel microbench, for
-        // iterating on queue internals without the full bench.
-        ScheduleTrace t = captureFig17Trace(fig17_rounds);
-        bool agree = true;
-        Measured r = bestOf(agree, [&] { return replayOnce(t); });
-        std::printf("fig17 queue replay: %.2fM ev/s%s\n",
-                    r.eps() / 1e6, agree ? "" : " (reps DIVERGED)");
-        return agree ? 0 : 1;
     }
 
     if (profile_only) {
@@ -460,18 +326,12 @@ main(int argc, char **argv)
         "host-only measurement: simulated results are fixed by the "
         "machine goldens, events/sec is the trajectory");
 
-    // The queue replay goes first, before the machine workloads
-    // fragment the heap.
     bool agree = true;
-    ScheduleTrace trace = captureFig17Trace(fig17_rounds);
-    Measured replay = bestOf(agree, [&] { return replayOnce(trace); });
-
     std::vector<Measured> rows;
     rows.push_back(bestOf(agree, [] { return runFig16(); }));
     rows.push_back(
         bestOf(agree, [&] { return runFig17(fig17_rounds); }));
     rows.push_back(bestOf(agree, [] { return runTable4(); }));
-    rows.push_back(replay);
 
     TextTable table;
     table.header({"workload", "events", "host s", "events/s",

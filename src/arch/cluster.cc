@@ -35,8 +35,7 @@ traceCatStop(std::uint32_t pid, InstrCategory cat, Tick now)
 
 Cluster::Cluster(MachineContext &ctx, ClusterId id,
                  std::uint32_t num_mus, std::uint32_t pe_base)
-    : ClockedObject(ctx.eq, formatString("cluster%u", id),
-                    ctx.cfg->arrayClockPeriod),
+    : ClockedObject(ctx.eq, ctx.cfg->arrayClockPeriod),
       ctx_(ctx),
       id_(id),
       peBase_(pe_base),

@@ -7,8 +7,7 @@ namespace snap
 {
 
 Controller::Controller(MachineContext &ctx, std::uint32_t num_clusters)
-    : ClockedObject(ctx.eq, "controller",
-                    ctx.cfg->controllerClockPeriod),
+    : ClockedObject(ctx.eq, ctx.cfg->controllerClockPeriod),
       ctx_(ctx),
       t_(ctx.cfg->t),
       numClusters_(num_clusters),

@@ -130,10 +130,6 @@ class SnapMachine
     /** Host-side event count (perf harness instrumentation). */
     std::uint64_t eventsProcessed() const { return eq_.eventsProcessed(); }
 
-    /** Record the event-schedule trace of subsequent runs into
-     *  @p trace (perf harness instrumentation; nullptr stops). */
-    void recordEventTrace(ScheduleTrace *trace) { eq_.recordTrace(trace); }
-
     /** Push the component statistics ("integrated measurement
      *  system", §II-B: ICN traffic, perf net, sync tree, per-cluster
      *  queues) into the unified MetricsRegistry; `labels` (e.g.

@@ -3,9 +3,9 @@
  * Per-phase host-time profiler for the machine loop.
  *
  * bench/host_perf --profile uses this to answer "where do the host
- * cycles go?" — the event-queue microbench win disappearing on full
- * machine runs meant the bottleneck had moved into the components, and
- * per-phase attribution is the only honest way to chase it.
+ * cycles go?" on whole machine runs: the event queue, the dispatch
+ * shell and each machine component get their own share, so a change
+ * is judged by the phase it moves, not by a microbench of one part.
  *
  * Design constraints:
  *  - Always compiled in, off by default.  When off, a probe costs one

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <sys/socket.h>
 #include <thread>
 #include <utility>
@@ -690,27 +691,38 @@ ShardRouter::stampAttempt(PendingRoute &p, WireWriter &w)
     return span_id;
 }
 
-/** One attempt's bytes are on the wire: record the hop for the
- *  slow-query log and start the cross-process "xrpc" flow the shard's
- *  serve span will terminate. */
+/** Record one attempt's hop for the slow-query log before its bytes
+ *  go out: the shard can answer before the write returns, and the
+ *  reader's noteDelivered must find the hop. */
 void
-ShardRouter::noteAttemptSent(PendingRoute &p, std::uint32_t shard,
-                             const char *kind, std::uint64_t span_id,
-                             std::uint64_t sent_ns)
+ShardRouter::beginAttempt(PendingRoute &p, const RouterHop &hop)
 {
-    {
+    std::lock_guard<std::mutex> lock(p.hopMu);
+    p.hops.push_back(hop);
+}
+
+/** The attempt's write returned: on success start the cross-process
+ *  "xrpc" flow the shard's serve span will terminate; on failure
+ *  forget the hop (nothing was sent). */
+void
+ShardRouter::endAttempt(PendingRoute &p, const RouterHop &hop,
+                        bool written)
+{
+    if (!written) {
         std::lock_guard<std::mutex> lock(p.hopMu);
-        RouterHop hop;
-        hop.shard = shard;
-        hop.kind = kind;
-        hop.sentNs = sent_ns;
-        hop.spanId = span_id;
-        p.hops.push_back(hop);
+        for (auto it = p.hops.rbegin(); it != p.hops.rend(); ++it) {
+            if (it->shard == hop.shard && it->sentNs == hop.sentNs &&
+                it->spanId == hop.spanId) {
+                p.hops.erase(std::next(it).base());
+                break;
+            }
+        }
+        return;
     }
     if (p.sampled && SNAP_TRACE_ON(trace::kServe)) {
         trace::hostFlowStartNamed(trace::kServe,
-                                  trace::tidShardLink(shard), "xrpc",
-                                  span_id, sent_ns);
+                                  trace::tidShardLink(hop.shard),
+                                  "xrpc", hop.spanId, hop.sentNs);
     }
 }
 
@@ -810,18 +822,20 @@ ShardRouter::dispatch(PendingPtr p)
             p->copies.fetch_add(1, std::memory_order_relaxed);
             p->sentAt = Clock::now();
         }
-        const std::uint64_t sent_ns =
-            p->logHops ? trace::hostNowNs() : 0;
+        const RouterHop hop{idx, kind,
+                            p->logHops ? trace::hostNowNs() : 0,
+                            span_id};
+        if (p->logHops)
+            beginAttempt(*p, hop);
         bool ok;
         {
             std::lock_guard<std::mutex> wlock(shard.writeMu);
             ok = writeFrame(shard.fd, FrameType::Request, w.bytes());
         }
-        if (ok) {
-            if (p->logHops)
-                noteAttemptSent(*p, idx, kind, span_id, sent_ns);
+        if (p->logHops)
+            endAttempt(*p, hop, ok);
+        if (ok)
             return;
-        }
         // Broken pipe: reclaim our entry (if shardDown has not
         // already) and decide retry vs fail ourselves.
         {
@@ -1432,12 +1446,17 @@ ShardRouter::hedgeOne(std::uint32_t cur, const PendingPtr &p)
             return;
         p->copies.fetch_add(1, std::memory_order_relaxed);
     }
-    const std::uint64_t sent_ns = p->logHops ? trace::hostNowNs() : 0;
+    const RouterHop hop{target, "hedge",
+                        p->logHops ? trace::hostNowNs() : 0, span_id};
+    if (p->logHops)
+        beginAttempt(*p, hop);
     bool ok;
     {
         std::lock_guard<std::mutex> wlock(t.writeMu);
         ok = writeFrame(t.fd, FrameType::Request, w.bytes());
     }
+    if (p->logHops)
+        endAttempt(*p, hop, ok);
     if (!ok) {
         // The hedge target broke; the original copy still stands.
         std::lock_guard<std::mutex> lock(t.mu);
@@ -1448,8 +1467,6 @@ ShardRouter::hedgeOne(std::uint32_t cur, const PendingPtr &p)
         }
         return;
     }
-    if (p->logHops)
-        noteAttemptSent(*p, target, "hedge", span_id, sent_ns);
     {
         std::lock_guard<std::mutex> lock(doneMu_);
         ++hedged_;

@@ -413,11 +413,11 @@ class ShardRouter
     /** Stamp a fresh per-attempt span id into the frame (under
      *  hopMu) and encode it; @return the span id (0 unsampled). */
     std::uint64_t stampAttempt(PendingRoute &p, WireWriter &w);
-    /** Record the hop + emit the cross-process "xrpc" flow start
-     *  after a successful write of one attempt. */
-    void noteAttemptSent(PendingRoute &p, std::uint32_t shard,
-                         const char *kind, std::uint64_t span_id,
-                         std::uint64_t sent_ns);
+    /** Record an attempt's hop before its write; after the write,
+     *  emit the "xrpc" flow start or, when it failed, drop the hop. */
+    void beginAttempt(PendingRoute &p, const RouterHop &hop);
+    void endAttempt(PendingRoute &p, const RouterHop &hop,
+                    bool written);
     /** Attempt-span emission + slow-query recording at delivery. */
     void noteDelivered(PendingRoute &p, std::uint32_t shard,
                        std::uint64_t done_ns);

@@ -2,16 +2,14 @@
  * @file
  * Base classes for simulated hardware components.
  *
- * SimObject gives every component a hierarchical name and access to
- * the shared event queue.  ClockedObject adds a clock domain so
- * components express delays in their own cycles (the SNAP-1 array runs
- * at 25 MHz while the controller runs at 32 MHz).
+ * SimObject gives every component access to the shared event queue.
+ * ClockedObject adds a clock domain so components express delays in
+ * their own cycles (the SNAP-1 array runs at 25 MHz while the
+ * controller runs at 32 MHz).
  */
 
 #ifndef SNAP_SIM_SIM_OBJECT_HH
 #define SNAP_SIM_SIM_OBJECT_HH
-
-#include <string>
 
 #include "common/types.hh"
 #include "sim/event_queue.hh"
@@ -19,15 +17,13 @@
 namespace snap
 {
 
-/** Base class for every named simulated component. */
+/** Base class for every simulated component. */
 class SimObject
 {
   public:
-    SimObject(EventQueue *eq, std::string name)
-        : eq_(eq), name_(std::move(name))
+    explicit SimObject(EventQueue *eq) : eq_(eq)
     {
-        snap_assert(eq != nullptr, "SimObject '%s' without queue",
-                    name_.c_str());
+        snap_assert(eq != nullptr, "SimObject without queue");
     }
 
     virtual ~SimObject() = default;
@@ -35,8 +31,6 @@ class SimObject
     SimObject(const SimObject &) = delete;
     SimObject &operator=(const SimObject &) = delete;
 
-    const std::string &name() const { return name_; }
-    EventQueue *eventQueue() const { return eq_; }
     Tick curTick() const { return eq_->curTick(); }
 
     /** Schedule @p ev at an absolute tick. */
@@ -51,7 +45,6 @@ class SimObject
 
   private:
     EventQueue *eq_;
-    std::string name_;
 };
 
 /** A SimObject with an associated clock. */
@@ -62,30 +55,16 @@ class ClockedObject : public SimObject
      * @param period_ps clock period in ticks (ps); e.g. 40000 for
      *        the 25 MHz array DSPs, 31250 for the 32 MHz controller.
      */
-    ClockedObject(EventQueue *eq, std::string name, Tick period_ps)
-        : SimObject(eq, std::move(name)), period_(period_ps)
+    ClockedObject(EventQueue *eq, Tick period_ps)
+        : SimObject(eq), period_(period_ps)
     {
         snap_assert(period_ps > 0, "zero clock period");
     }
-
-    Tick clockPeriod() const { return period_; }
 
     /** Convert a cycle count to ticks. */
     Tick cyclesToTicks(std::uint64_t cycles) const
     {
         return cycles * period_;
-    }
-
-    /**
-     * The next clock edge at or after `curTick() + cycles * period`.
-     * Aligns to the clock grid, modeling synchronous devices.
-     */
-    Tick
-    clockEdge(std::uint64_t cycles = 0) const
-    {
-        Tick now = curTick();
-        Tick aligned = ((now + period_ - 1) / period_) * period_;
-        return aligned + cycles * period_;
     }
 
   private:

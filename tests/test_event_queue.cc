@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
 #include <string>
 #include <utility>
@@ -20,13 +21,34 @@ namespace snap
 namespace
 {
 
+/** Test-owned one-shot events: at() schedules a fresh wrapper that
+ *  lives as long as the helper (a deque never moves its elements,
+ *  so a firing event may schedule more). */
+class OneShots
+{
+  public:
+    explicit OneShots(EventQueue &eq) : eq_(eq) {}
+
+    void
+    at(Tick when, std::function<void()> fn)
+    {
+        eq_.schedule(&events_.emplace_back(std::move(fn), "oneshot"),
+                     when);
+    }
+
+  private:
+    EventQueue &eq_;
+    std::deque<EventFunctionWrapper> events_;
+};
+
 TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue eq;
+    OneShots shots(eq);
     std::vector<int> order;
-    eq.scheduleCallback(30, [&] { order.push_back(3); });
-    eq.scheduleCallback(10, [&] { order.push_back(1); });
-    eq.scheduleCallback(20, [&] { order.push_back(2); });
+    shots.at(30, [&] { order.push_back(3); });
+    shots.at(10, [&] { order.push_back(1); });
+    shots.at(20, [&] { order.push_back(2); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.curTick(), 30u);
@@ -36,9 +58,10 @@ TEST(EventQueue, FiresInTimeOrder)
 TEST(EventQueue, SameTickFifo)
 {
     EventQueue eq;
+    OneShots shots(eq);
     std::vector<int> order;
     for (int i = 0; i < 10; ++i)
-        eq.scheduleCallback(5, [&, i] { order.push_back(i); });
+        shots.at(5, [&, i] { order.push_back(i); });
     eq.run();
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(order[i], i);
@@ -47,12 +70,13 @@ TEST(EventQueue, SameTickFifo)
 TEST(EventQueue, EventsScheduleEvents)
 {
     EventQueue eq;
+    OneShots shots(eq);
     int fired = 0;
     std::function<void()> chain = [&] {
         if (++fired < 5)
-            eq.scheduleCallback(eq.curTick() + 7, chain);
+            shots.at(eq.curTick() + 7, chain);
     };
-    eq.scheduleCallback(0, chain);
+    shots.at(0, chain);
     eq.run();
     EXPECT_EQ(fired, 5);
     EXPECT_EQ(eq.curTick(), 28u);
@@ -83,16 +107,42 @@ TEST(EventQueue, RescheduleMoves)
     EXPECT_EQ(fired_at, 50u);
 }
 
-TEST(EventQueue, RunUntilStopsAtHorizon)
+TEST(EventQueue, RunBeforeStopsAtHorizon)
 {
     EventQueue eq;
+    OneShots shots(eq);
     std::vector<Tick> fired;
     for (Tick t : {5u, 10u, 15u, 20u})
-        eq.scheduleCallback(t, [&, t] { fired.push_back(t); });
-    eq.runUntil(12);
+        shots.at(t, [&, t] { fired.push_back(t); });
+    EXPECT_EQ(eq.nextEventTick(), 5u);
+    // Events at exactly the limit stay pending.
+    EXPECT_EQ(eq.runBefore(15), 2u);
     EXPECT_EQ(fired, (std::vector<Tick>{5, 10}));
+    EXPECT_EQ(eq.curTick(), 10u);
+    EXPECT_EQ(eq.nextEventTick(), 15u);
     eq.run();
     EXPECT_EQ(fired.size(), 4u);
+    EXPECT_EQ(eq.nextEventTick(), maxTick);
+}
+
+TEST(EventQueue, ClearPendingDropsWithoutFiring)
+{
+    EventQueue eq;
+    int fired = 0;
+    EventFunctionWrapper a([&] { ++fired; }, "a");
+    EventFunctionWrapper b([&] { ++fired; }, "b");
+    eq.schedule(&a, 10);
+    eq.schedule(&b, Tick{1} << 40);
+    eq.clearPending();
+    EXPECT_TRUE(eq.empty());
+    EXPECT_FALSE(a.scheduled());
+    EXPECT_FALSE(b.scheduled());
+    EXPECT_EQ(eq.run(), 0u);
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(eq.curTick(), 0u);
+    eq.schedule(&a, 5);  // reusable afterwards
+    eq.run();
+    EXPECT_EQ(fired, 1);
 }
 
 TEST(EventQueue, MemberEventReuse)
@@ -109,31 +159,33 @@ TEST(EventQueue, MemberEventReuse)
 
 TEST(EventQueue, FarFutureEventsFire)
 {
-    // Deltas past the near-bucket span route through the overflow
-    // heap and must interleave correctly with near events.
+    // Ticks 2^35 and 2^40 (tens of simulated milliseconds and more)
+    // interleave correctly with near events.
     EventQueue eq;
+    OneShots shots(eq);
     std::vector<int> order;
-    eq.scheduleCallback(Tick{1} << 35, [&] { order.push_back(2); });
-    eq.scheduleCallback(10, [&] { order.push_back(1); });
-    eq.scheduleCallback(Tick{1} << 40, [&] { order.push_back(3); });
+    shots.at(Tick{1} << 35, [&] { order.push_back(2); });
+    shots.at(10, [&] { order.push_back(1); });
+    shots.at(Tick{1} << 40, [&] { order.push_back(3); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.curTick(), Tick{1} << 40);
 }
 
-TEST(EventQueue, RescheduleAcrossNearFarBoundary)
+TEST(EventQueue, RescheduleNearToFarAndBack)
 {
     EventQueue eq;
+    OneShots shots(eq);
     Tick fired_at = 0;
     EventFunctionWrapper ev([&] { fired_at = eq.curTick(); }, "far");
-    eq.schedule(&ev, 10);                // near ring
-    eq.reschedule(&ev, Tick{1} << 35);   // overflow heap
-    eq.scheduleCallback(100, [] {});     // stale ring entry is pruned
+    eq.schedule(&ev, 10);
+    eq.reschedule(&ev, Tick{1} << 35);
+    shots.at(100, [] {});
     eq.run();
     EXPECT_EQ(fired_at, Tick{1} << 35);
 
     eq.schedule(&ev, eq.curTick() + (Tick{1} << 35));
-    eq.reschedule(&ev, eq.curTick() + 5);  // overflow back to ring
+    eq.reschedule(&ev, eq.curTick() + 5);
     eq.run();
     EXPECT_EQ(fired_at, (Tick{1} << 35) + 5);
 }
@@ -141,73 +193,109 @@ TEST(EventQueue, RescheduleAcrossNearFarBoundary)
 TEST(EventQueue, DescheduleFarFutureCancels)
 {
     EventQueue eq;
+    OneShots shots(eq);
     bool fired = false;
     EventFunctionWrapper ev([&] { fired = true; }, "cancel-far");
     eq.schedule(&ev, Tick{1} << 40);
     eq.deschedule(&ev);
-    eq.scheduleCallback(10, [] {});
+    shots.at(10, [] {});
     eq.run();
     EXPECT_FALSE(fired);
     EXPECT_EQ(eq.numScheduled(), 0u);
 }
 
-TEST(EventQueue, CallbackPoolReachesSteadyState)
-{
-    // After warm-up, scheduleCallback must recycle pooled events
-    // instead of allocating: zero per-event heap allocations in
-    // steady state.
-    EventQueue eq;
-    const int burst = 32;
-    int fired = 0;
-    auto round = [&] {
-        for (int i = 0; i < burst; ++i)
-            eq.scheduleCallback(eq.curTick() + 1 + i, [&] { ++fired; });
-        eq.run();
-    };
-    for (int r = 0; r < 3; ++r)
-        round();
-    std::uint64_t allocated = eq.callbackPoolAllocated();
-    EXPECT_GT(allocated, 0u);
-    EXPECT_LE(allocated, static_cast<std::uint64_t>(burst));
-
-    for (int r = 0; r < 50; ++r)
-        round();
-    EXPECT_EQ(eq.callbackPoolAllocated(), allocated);
-    EXPECT_GT(eq.callbackPoolReused(), 0u);
-    EXPECT_EQ(eq.callbackPoolFree(), allocated);
-    EXPECT_EQ(fired, 53 * burst);
-}
-
-/** Self-expanding random storm over every queue path (same tick,
- *  near ring, mid ring, overflow heap), checked against direct
- *  oracles: events fire at their scheduled tick, strictly increasing
- *  in (when, scheduling order), and every scheduled id fires exactly
- *  once. */
+/** Self-expanding random storm (same tick, near, mid and far-future
+ *  delays) checked against direct oracles.  One-shots pile up while
+ *  a fixed set of member events is rescheduled earlier and later and
+ *  descheduled at random, so removals hit every depth of the queue.
+ *  Every schedule call takes the next stamp, which is the queue's
+ *  FIFO tie-break; an event superseded by a reschedule or a
+ *  deschedule is cancelled.  Events fire at their scheduled tick, in
+ *  strictly increasing (when, stamp) order, and every stamp that was
+ *  not cancelled fires exactly once. */
 TEST(EventQueue, RandomStormFiresInOrderExactlyOnce)
 {
     EventQueue eq;
+    OneShots shots(eq);
     Rng rng(987);
-    // Ids are handed out in scheduling order, so they are the
-    // queue's FIFO tie-break.
-    std::vector<Tick> due;
-    std::vector<std::pair<Tick, int>> log;
+    std::vector<Tick> due;  // by stamp
+    std::vector<bool> cancelled;
+    std::vector<std::pair<Tick, std::size_t>> log;
     const std::size_t total = 3000;
 
-    std::function<void()> spawnSome = [&] {
+    auto randomDelay = [&]() -> Tick {
+        switch (rng.below(4)) {
+          case 0: return 0;                          // same tick
+          case 1: return rng.below(1000);            // near
+          case 2: return rng.below(1u << 20);        // mid
+          default: return (Tick{1} << 30) + rng.below(1u << 30);
+        }
+    };
+    auto stamp = [&](Tick when) {
+        due.push_back(when);
+        cancelled.push_back(false);
+        return due.size() - 1;
+    };
+
+    /** A member's tick once descheduled: firing then fails. */
+    constexpr Tick descheduledAt = maxTick;
+    struct Member
+    {
+        Tick due = descheduledAt;
+        std::size_t stamp = 0;
+    };
+    const std::size_t numMembers = 16;
+    std::vector<Member> members(numMembers);
+    std::deque<EventFunctionWrapper> memberEvents;
+    std::size_t earlier = 0, later = 0, descheduled = 0;
+    std::size_t memberFires = 0;
+
+    std::function<void()> spawnSome;
+    auto touchMember = [&] {
+        const std::size_t k = rng.below(numMembers);
+        Member &m = members[k];
+        EventFunctionWrapper &ev = memberEvents[k];
+        if (ev.scheduled() && rng.below(3) == 0) {
+            eq.deschedule(&ev);
+            cancelled[m.stamp] = true;
+            m.due = descheduledAt;
+            ++descheduled;
+            return;
+        }
+        const Tick when = eq.curTick() + randomDelay();
+        if (ev.scheduled()) {
+            cancelled[m.stamp] = true;
+            ++(when < m.due ? earlier : later);
+        }
+        eq.reschedule(&ev, when);
+        m.due = when;
+        m.stamp = stamp(when);
+    };
+    for (std::size_t k = 0; k < numMembers; ++k) {
+        memberEvents.emplace_back(
+            [&, k] {
+                Member &m = members[k];
+                EXPECT_NE(m.due, descheduledAt)
+                    << "member " << k << " fired after a deschedule";
+                EXPECT_EQ(eq.curTick(), m.due) << "member " << k;
+                log.emplace_back(eq.curTick(), m.stamp);
+                m.due = descheduledAt;
+                ++memberFires;
+                spawnSome();
+            },
+            "member");
+    }
+
+    spawnSome = [&] {
         int fanout = static_cast<int>(rng.below(4));
         for (int i = 0; i < fanout && due.size() < total; ++i) {
-            Tick delta;
-            switch (rng.below(4)) {
-              case 0: delta = 0; break;                    // same tick
-              case 1: delta = rng.below(1000); break;      // near
-              case 2: delta = rng.below(1u << 20); break;  // mid ring
-              default:                                     // overflow
-                delta = (Tick{1} << 30) + rng.below(1u << 30);
-                break;
+            if (rng.below(3) == 0) {
+                touchMember();
+                continue;
             }
-            const int id = static_cast<int>(due.size());
-            due.push_back(eq.curTick() + delta);
-            eq.scheduleCallback(due.back(), [&, id] {
+            const Tick when = eq.curTick() + randomDelay();
+            const std::size_t id = stamp(when);
+            shots.at(when, [&, id] {
                 log.emplace_back(eq.curTick(), id);
                 spawnSome();
             });
@@ -219,28 +307,34 @@ TEST(EventQueue, RandomStormFiresInOrderExactlyOnce)
     eq.run();
 
     ASSERT_EQ(due.size(), total);
-    ASSERT_EQ(log.size(), due.size());
+    EXPECT_GT(earlier, 0u);
+    EXPECT_GT(later, 0u);
+    EXPECT_GT(descheduled, 0u);
+    EXPECT_GT(memberFires, 0u);
     std::vector<bool> fired(due.size(), false);
     for (std::size_t k = 0; k < log.size(); ++k) {
         const auto [when, id] = log[k];
-        EXPECT_EQ(when, due[id]) << "id " << id;
-        EXPECT_FALSE(fired[id]) << "id " << id << " fired twice";
+        EXPECT_EQ(when, due[id]) << "stamp " << id;
+        EXPECT_FALSE(cancelled[id]) << "stamp " << id << " cancelled";
+        EXPECT_FALSE(fired[id]) << "stamp " << id << " fired twice";
         fired[id] = true;
         if (k > 0) {
             EXPECT_LT(log[k - 1], log[k]) << "fire " << k;
         }
     }
+    for (std::size_t id = 0; id < due.size(); ++id)
+        EXPECT_EQ(fired[id], !cancelled[id]) << "stamp " << id;
 }
 
 /** A wire-class event fires ahead of a normal event at the same tick
- *  even when the normal one was scheduled first: both on the near
- *  ring, both on the overflow heap, and with the normal event on the
- *  heap and the wire event on the ring. */
+ *  even when the normal one was scheduled first: near, far in the
+ *  future, and scheduled just before a far tick. */
 TEST(EventQueue, WireClassFiresBeforeEarlierSameTickEvents)
 {
     const Tick far = Tick{1} << 35;
     auto order = [](Tick normal_at, Tick wire_at, Tick wire_from) {
         EventQueue eq;
+        OneShots shots(eq);
         std::vector<std::string> fired;
         EventFunctionWrapper normal([&] { fired.push_back("normal"); },
                                     "normal");
@@ -248,27 +342,24 @@ TEST(EventQueue, WireClassFiresBeforeEarlierSameTickEvents)
                                   "wire");
         wire.setWireClass();
         eq.schedule(&normal, normal_at);
-        eq.scheduleCallback(normal_at, [&] {
-            fired.push_back("callback");
-        });
-        // Schedule the wire event from tick wire_from, so its delta
-        // picks the ring or the heap.
-        eq.scheduleCallback(wire_from, [&] {
-            eq.schedule(&wire, wire_at);
-        });
+        shots.at(normal_at, [&] { fired.push_back("callback"); });
+        // Schedule the wire event from tick wire_from, after both
+        // normal events.
+        shots.at(wire_from, [&] { eq.schedule(&wire, wire_at); });
         eq.run();
         return fired;
     };
     const std::vector<std::string> want{"wire", "normal", "callback"};
-    EXPECT_EQ(order(100, 100, 0), want);              // ring, ring
-    EXPECT_EQ(order(far, far, 0), want);              // heap, heap
-    EXPECT_EQ(order(far, far, far - 100), want);      // heap, ring
+    EXPECT_EQ(order(100, 100, 0), want);
+    EXPECT_EQ(order(far, far, 0), want);
+    EXPECT_EQ(order(far, far, far - 100), want);
 }
 
 TEST(EventQueueDeath, PastSchedulingPanics)
 {
     EventQueue eq;
-    eq.scheduleCallback(100, [] {});
+    OneShots shots(eq);
+    shots.at(100, [] {});
     eq.run();
     EventFunctionWrapper ev([] {}, "late");
     EXPECT_DEATH(eq.schedule(&ev, 50), "in the past");
@@ -283,28 +374,11 @@ TEST(EventQueueDeath, DoubleSchedulePanics)
     eq.deschedule(&ev);
 }
 
-TEST(ClockedObject, EdgesAlignToGrid)
-{
-    EventQueue eq;
-    ClockedObject obj(&eq, "dsp", 40000);  // 40 ns
-
-    // At t=0, the aligned edge is t=0.
-    EXPECT_EQ(obj.clockEdge(0), 0u);
-    EXPECT_EQ(obj.clockEdge(2), 80000u);
-    EXPECT_EQ(obj.cyclesToTicks(25), 1000000u);  // 25 cycles = 1 us
-
-    // Advance to an unaligned instant.
-    eq.scheduleCallback(55555, [] {});
-    eq.run();
-    EXPECT_EQ(obj.clockEdge(0), 80000u);  // next 40 ns edge
-    EXPECT_EQ(obj.clockEdge(1), 120000u);
-}
-
 TEST(ClockedObject, ControllerAndArrayPeriods)
 {
     EventQueue eq;
-    ClockedObject array(&eq, "pe", 40000);
-    ClockedObject ctrl(&eq, "scp", 31250);
+    ClockedObject array(&eq, 40000);
+    ClockedObject ctrl(&eq, 31250);
     // 25 MHz and 32 MHz: 1 us worth of cycles.
     EXPECT_EQ(array.cyclesToTicks(25), ticksPerUs);
     EXPECT_EQ(ctrl.cyclesToTicks(32), ticksPerUs);
