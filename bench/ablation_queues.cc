@@ -9,11 +9,12 @@
  * much sender blocking costs — the design argument for the
  * multiport memories' "large buffering capacity".
  *
- * "Mailbox depth" (cfg.t.icnMailboxDepth) is realized as the credit
- * capacity of each ICN link in the retimed wire model: a sender
- * holds one credit per free slot of the neighbor's port memory and
- * blocks at zero, which reproduces the same burst-absorption
- * behaviour the physical mailboxes gave the prototype.
+ * "Mailbox depth" (cfg.t.icnMailboxDepth) is the capacity of each
+ * ICN link's queue region in the neighbor's port memory: the sender
+ * sees how many slots are free (a slot the receiver pops frees one
+ * wire lag later) and blocks at zero, which reproduces the
+ * burst-absorption behaviour the physical mailboxes gave the
+ * prototype.
  */
 
 #include "arch/machine.hh"

@@ -9,7 +9,9 @@
  * parse) reports absolute events/s as the best of five reps; every
  * rep must agree on simulated time, results digest, and event count.
  * The committed BENCH_host_perf.json is the trajectory later changes
- * compare against.
+ * compare against.  A separate instrumented run of fig17 and of
+ * table4 (the parse that serving runs) gives each a per-phase
+ * host-time profile; --profile prints only those.
  *
  * Results go to stdout and to BENCH_host_perf.json.
  */
@@ -160,18 +162,25 @@ runFig17(std::uint32_t rounds)
     return m;
 }
 
-/** One profiled fig17 run: per-phase host-time self-attribution via
- *  the hostprof probes.  Separate from the timed rows — the probes
- *  read the clock twice per scope, which costs a few percent on the
- *  hottest phases. */
-hostprof::Totals
-profileFig17(std::uint32_t rounds)
+/** Per-phase host-time self-attribution of one workload run. */
+struct Profile
+{
+    std::string workload;
+    hostprof::Totals totals;
+};
+
+/** One profiled run of @p fn via the hostprof probes.  Separate from
+ *  the timed rows — the probes read the clock twice per scope, which
+ *  costs a few percent on the hottest phases. */
+template <typename Fn>
+Profile
+profile(const char *workload, Fn &&fn)
 {
     hostprof::setEnabled(true);
     hostprof::resetThread();
-    runFig17(rounds);
+    fn();
     hostprof::setEnabled(false);
-    return hostprof::snapshot();
+    return Profile{workload, hostprof::snapshot()};
 }
 
 /** Fig. 16-style workload: one wide α≈450 PROPAGATE + retrieval. */
@@ -241,9 +250,18 @@ runTable4()
     return m;
 }
 
+/** The profiled workloads: fig17, the β=8 stress, and table4, the
+ *  sentence parse that serving runs. */
+std::vector<Profile>
+profileAll(std::uint32_t fig17_rounds)
+{
+    return {profile("fig17", [&] { runFig17(fig17_rounds); }),
+            profile("table4", [] { runTable4(); })};
+}
+
 void
 writeJson(const std::vector<Measured> &rows,
-          const hostprof::Totals &profile)
+          const std::vector<Profile> &profiles)
 {
     FILE *f = std::fopen("BENCH_host_perf.json", "w");
     if (!f) {
@@ -270,19 +288,25 @@ writeJson(const std::vector<Measured> &rows,
             m.eps(), static_cast<unsigned long long>(m.simTicks),
             i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"profile\": {\"workload\": \"fig17\", "
-                    "\"phases\": [\n");
-    for (std::size_t i = 0; i < hostprof::numPhases; ++i) {
-        std::fprintf(
-            f,
-            "    {\"phase\": \"%s\", \"self_ns\": %llu, "
-            "\"hits\": %llu}%s\n",
-            hostprof::phaseName(static_cast<hostprof::Phase>(i)),
-            static_cast<unsigned long long>(profile.ns[i]),
-            static_cast<unsigned long long>(profile.hits[i]),
-            i + 1 < hostprof::numPhases ? "," : "");
+    std::fprintf(f, "  ],\n  \"profile\": [\n");
+    for (std::size_t p = 0; p < profiles.size(); ++p) {
+        const hostprof::Totals &t = profiles[p].totals;
+        std::fprintf(f, "    {\"workload\": \"%s\", \"phases\": [\n",
+                     profiles[p].workload.c_str());
+        for (std::size_t i = 0; i < hostprof::numPhases; ++i) {
+            std::fprintf(
+                f,
+                "      {\"phase\": \"%s\", \"self_ns\": %llu, "
+                "\"hits\": %llu}%s\n",
+                hostprof::phaseName(static_cast<hostprof::Phase>(i)),
+                static_cast<unsigned long long>(t.ns[i]),
+                static_cast<unsigned long long>(t.hits[i]),
+                i + 1 < hostprof::numPhases ? "," : "");
+        }
+        std::fprintf(f, "    ]}%s\n",
+                     p + 1 < profiles.size() ? "," : "");
     }
-    std::fprintf(f, "  ]}\n}\n");
+    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     std::printf("wrote BENCH_host_perf.json\n");
 }
@@ -312,12 +336,14 @@ main(int argc, char **argv)
     }
 
     if (profile_only) {
-        // Profile-only mode: one instrumented fig17 run, the
-        // per-phase self-time table, and nothing else.  For chasing
-        // hot-loop regressions without waiting on the full bench.
-        hostprof::Totals prof = profileFig17(fig17_rounds);
-        std::printf("fig17 (rounds=%u) per-phase host time:\n%s",
-                    fig17_rounds, hostprof::format(prof).c_str());
+        // Profile-only mode: one instrumented run per profiled
+        // workload, the per-phase self-time tables, and nothing else.
+        // For chasing hot-loop regressions without waiting on the
+        // full bench.
+        for (const Profile &p : profileAll(fig17_rounds))
+            std::printf("%s per-phase host time:\n%s\n",
+                        p.workload.c_str(),
+                        hostprof::format(p.totals).c_str());
         return 0;
     }
 
@@ -344,12 +370,14 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", table.render().c_str());
 
-    hostprof::Totals prof = profileFig17(fig17_rounds);
-    std::printf("fig17 per-phase host time (separate instrumented "
-                "run):\n%s\n",
-                hostprof::format(prof).c_str());
+    const std::vector<Profile> profiles = profileAll(fig17_rounds);
+    for (const Profile &p : profiles)
+        std::printf("%s per-phase host time (separate instrumented "
+                    "run):\n%s\n",
+                    p.workload.c_str(),
+                    hostprof::format(p.totals).c_str());
 
-    writeJson(rows, prof);
+    writeJson(rows, profiles);
 
     bench::check("reps agree on sim ticks, digest and events", agree);
     return bench::finish();

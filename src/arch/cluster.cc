@@ -66,8 +66,7 @@ Cluster::Cluster(MachineContext &ctx, ClusterId id,
 
     // Sender-side flow control: every outgoing link starts with the
     // neighbor's full port-memory capacity.
-    for (auto &perDim : credits_)
-        perDim.fill(t_.icnMailboxDepth);
+    credits_.fill(t_.icnMailboxDepth);
 }
 
 // ---------------------------------------------------------------------------
@@ -77,25 +76,40 @@ Cluster::Cluster(MachineContext &ctx, ClusterId id,
 void
 Cluster::applyDeliverable(Deliverable &&d)
 {
-    switch (d.kind) {
-      case WireKind::IcnMsg:
-        dimInbox_[d.dim].push_back(std::move(d.msg));
-        kickCu();
-        break;
-      case WireKind::IcnCredit:
-        ++credits_[d.dim][d.nbField];
-        kickCu();
-        break;
-      case WireKind::Instr:
-        enqueueInstr(d.qi);
-        break;
-      case WireKind::BarrierRelease:
+    snap_assert(d.kind == WireKind::IcnMsg,
+                "cluster %u: bad deliverable kind %u", id_,
+                static_cast<unsigned>(d.kind));
+    dimInbox_[d.dim].push_back(std::move(d.msg));
+    kickCu();
+}
+
+void
+Cluster::wake()
+{
+    // The CU stalled on a full neighbor port memory.  Take this
+    // tick's releases one at a time, each followed by a CU step: a
+    // step that still finds a source blocked counts it again and
+    // re-arms the wake at this tick for the next release.
+    Release r;
+    if (!ctx_.wire->takeRelease(id_, r))
+        return;
+    ++credits_[r.slot];
+    kickCu();
+}
+
+void
+Cluster::releaseRecorded()
+{
+    awaitSlotRelease();
+}
+
+void
+Cluster::landBroadcast(const Broadcast &b)
+{
+    if (b.barrierRelease)
         releaseBarrier();
-        break;
-      default:
-        snap_panic("cluster %u: bad deliverable kind %u", id_,
-                   static_cast<unsigned>(d.kind));
-    }
+    else
+        enqueueInstr(b.qi);
 }
 
 void
@@ -103,7 +117,7 @@ Cluster::enqueueInstr(const QueuedInstr &qi)
 {
     snap_assert(!instrQueue_.full(),
                 "broadcast into full instruction queue (cluster %u); "
-                "controller must respect its credit count", id_);
+                "the SCP must wait for a free slot", id_);
     instrQueue_.push(qi);
     updateIdle();
     kickPu();
@@ -182,19 +196,8 @@ Cluster::kickPu()
     if (puBusy_ || puStalled_ || atBarrier_ || instrQueue_.empty())
         return;
     pendingInstr_ = instrQueue_.pop();
-
-    // Return the freed instruction-queue slot to the SCP as a
-    // credit; the broadcast bus carries it back in one wire lag.
-    {
-        Deliverable d;
-        d.kind = WireKind::InstrCredit;
-        d.when = curTick() + ctx_.wire->lag();
-        d.receiver = ctx_.cfg->numClusters;
-        d.sender = id_;
-        d.senderSeq = nextWireSeq();
-        d.cluster = id_;
-        ctx_.wire->send(std::move(d));
-    }
+    // The SCP sees the freed slot one wire lag later.
+    ctx_.wire->release(ctx_.cfg->numClusters, id_, id_);
 
     puBusy_ = true;
     InstrCategory cat = pendingInstr_.instr.category();
@@ -1057,7 +1060,6 @@ Cluster::finishMu(std::uint32_t i)
             d.receiver = ctx_.cfg->numClusters;
             d.sender = id_;
             d.senderSeq = nextWireSeq();
-            d.cluster = id_;
             d.collectSeq = task.seq;
             d.collect = std::move(it->second);
             collects_.erase(it);
@@ -1102,19 +1104,18 @@ Cluster::popInbox(std::uint32_t dim)
 {
     ActivationMessage msg = dimInbox_[dim].front();
     dimInbox_[dim].pop_front();
-    // The freed port-memory slot flows back to whichever cluster
-    // last drove this link, one wire lag later.
-    Deliverable d;
-    d.kind = WireKind::IcnCredit;
-    d.when = curTick() + ctx_.wire->lag();
-    d.receiver = msg.lastHop;
-    d.sender = id_;
-    d.senderSeq = nextWireSeq();
-    d.dim = static_cast<std::uint8_t>(dim);
-    d.nbField =
-        static_cast<std::uint8_t>(HypercubeIcn::field(id_, dim));
-    ctx_.wire->send(std::move(d));
+    // Whichever cluster last drove this link sees the freed
+    // port-memory slot one wire lag later.
+    ctx_.wire->release(msg.lastHop, id_, linkSlot(dim, id_));
     return msg;
+}
+
+void
+Cluster::awaitSlotRelease()
+{
+    const std::deque<Release> &pending = ctx_.wire->releases(id_);
+    ctx_.wire->wait(id_, pending.empty() ? maxTick
+                                         : pending.front().when);
 }
 
 void
@@ -1136,13 +1137,15 @@ void
 Cluster::cuStep()
 {
     snap_assert(!cuBusy_, "cuStep while busy");
-    // Common no-op: a unit finished or a credit returned with no
-    // traffic pending anywhere.  Bail before the profiling scope and
-    // the round-robin scan.
+    // Common no-op: a unit finished or a slot freed with no traffic
+    // pending anywhere.  Bail before the profiling scope and the
+    // round-robin scan.
     if (activationOut_.empty() && dimInbox_[0].empty() &&
         dimInbox_[1].empty() && dimInbox_[2].empty())
         return;
     hostprof::Scope hp(hostprof::Phase::Icn);
+    ctx_.wire->foldReleases(
+        id_, [this](const Release &r) { ++credits_[r.slot]; });
 
     // Round-robin over four sources: the outgoing activation queue
     // and the three dimension inboxes.
@@ -1155,11 +1158,10 @@ Cluster::cuStep()
                 continue;
             const ActivationMessage &head = activationOut_.front();
             auto [dim, nb] = ctx_.icn->nextHop(id_, head.destCluster);
-            auto &credit =
-                credits_[dim][HypercubeIcn::field(nb, dim)];
+            auto &credit = credits_[linkSlot(dim, nb)];
             if (credit == 0) {
-                // The neighbor's port memory is full; the credit
-                // returning after its CU pops will kick us.
+                // The neighbor's port memory is full; a slot release
+                // after its CU pops wakes us.
                 ++icnDelta_.blockedSends;
                 continue;
             }
@@ -1306,7 +1308,7 @@ Cluster::cuStep()
 
         // Relay toward the destination.
         auto [ndim, nb] = ctx_.icn->nextHop(id_, head.destCluster);
-        auto &credit = credits_[ndim][HypercubeIcn::field(nb, ndim)];
+        auto &credit = credits_[linkSlot(ndim, nb)];
         if (credit == 0) {
             ++icnDelta_.blockedSends;
             continue;
@@ -1334,7 +1336,8 @@ Cluster::cuStep()
         updateIdle();
         return;
     }
-    // Nothing serviceable.
+    // Every non-empty source is blocked on a full port memory.
+    awaitSlotRelease();
 }
 
 void

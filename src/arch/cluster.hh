@@ -21,8 +21,13 @@
  * Isolation contract: a cluster mutates only its own state (and the
  * machine's queue/stats/sync-tree through MachineContext).  Every
  * interaction with another cluster or the controller goes through
- * the Wire as a latency-stamped Deliverable — incoming ones arrive
- * via applyDeliverable().
+ * the Wire (arch/wire.hh): ICN messages and collect buffers as
+ * latency-stamped Deliverables (incoming ones arrive via
+ * applyDeliverable()), SCP broadcasts via landBroadcast(), and freed
+ * queue slots as releases.  A CU pop releases the slot to the
+ * neighbor that sent the message, a PU pop to the SCP; each frees
+ * one wire lag later.  The CU reads its links' occupancy when it
+ * steps; only a CU stalled on a full neighbor schedules a wake.
  */
 
 #ifndef SNAP_ARCH_CLUSTER_HH
@@ -109,7 +114,7 @@ struct WorkItem
 /**
  * One cluster of the processing array.
  */
-class Cluster : public ClockedObject
+class Cluster : public ClockedObject, public WireEndpoint
 {
   public:
     Cluster(MachineContext &ctx, ClusterId id, std::uint32_t num_mus,
@@ -121,10 +126,16 @@ class Cluster : public ClockedObject
         return static_cast<std::uint32_t>(mus_.size());
     }
 
-    // --- wire interface -----------------------------------------------------
+    // --- wire endpoint ------------------------------------------------------
 
-    /** Apply one arrived deliverable (wire pump callback). */
-    void applyDeliverable(Deliverable &&d);
+    /** An ICN message arrived in a dimension inbox. */
+    void applyDeliverable(Deliverable &&d) override;
+    /** The stalled CU's wake: take one due slot release, then step. */
+    void wake() override;
+    /** A slot release was recorded while the CU stalls. */
+    void releaseRecorded() override;
+    /** An instruction or a barrier release landed. */
+    void landBroadcast(const Broadcast &b) override;
 
     // --- unit wakeups ------------------------------------------------------
 
@@ -265,9 +276,20 @@ class Cluster : public ClockedObject
     void cuStep();
     void finishCu();
 
-    /** Pop the head of dimension inbox @p dim and return the
-     *  flow-control credit to the cluster that sent it. */
+    /** Pop the head of dimension inbox @p dim; the slot frees for
+     *  the cluster that sent it one wire lag later. */
     ActivationMessage popInbox(std::uint32_t dim);
+
+    /** The CU stalled: wake at the earliest pending slot release,
+     *  or at the next one recorded. */
+    void awaitSlotRelease();
+
+    /** Index into credits_ of the link toward @p nb along @p dim. */
+    static std::uint32_t
+    linkSlot(std::uint32_t dim, ClusterId nb)
+    {
+        return dim * 4 + HypercubeIcn::field(nb, dim);
+    }
 
     /** Stage a message on the wire toward neighbor @p nb along
      *  @p dim, arriving after @p latency. */
@@ -302,14 +324,15 @@ class Cluster : public ClockedObject
     std::size_t arrivalsHigh_ = 0;
     ClusterArbiter arbiter_;
 
-    // ICN receive/flow-control state (owned by this cluster; the old
-    // shared mailbox array is gone).  dimInbox_ is the unbounded
-    // in-flight view of the neighbor-facing port memory; the finite
-    // icnMailboxDepth capacity is enforced sender-side by credits_:
-    // credits_[dim][field] counts free slots in the neighbor whose
-    // address field along dim is `field`.
+    // ICN receive/flow-control state (owned by this cluster).
+    // dimInbox_ is the unbounded in-flight view of the
+    // neighbor-facing port memory; the finite icnMailboxDepth
+    // capacity is enforced sender-side by credits_:
+    // credits_[linkSlot(dim, nb)] counts the free slots this cluster
+    // sees in neighbor nb's port memory.  A slot the neighbor pops
+    // comes back through Wire::foldReleases.
     std::array<std::deque<ActivationMessage>, numIcnDims> dimInbox_;
-    std::array<std::array<std::uint32_t, 4>, numIcnDims> credits_;
+    std::array<std::uint32_t, numIcnDims * 4> credits_;
 
     /** Last idle value pushed into the sync tree, or -1 when
      *  unknown (fresh cluster / after resetForRun).  localIdle() is

@@ -253,8 +253,8 @@ struct MachineConfig
                            c, mus(c));
         }
         // The wire lag, min(broadcast time, ICN hop transfer time),
-        // times every credit return and spaces the fault watchdog's
-        // check grid; both terms must be positive.
+        // times every queue-slot release and spaces the fault
+        // watchdog's check grid; both terms must be positive.
         if (t.instrWords == 0 || t.busCyclesPerWord == 0 ||
             controllerClockPeriod == 0)
             snap_fatal("broadcast time must be positive");

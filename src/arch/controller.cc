@@ -1,5 +1,7 @@
 #include "arch/controller.hh"
 
+#include <algorithm>
+
 #include "arch/wire.hh"
 #include "trace/trace.hh"
 
@@ -11,7 +13,7 @@ Controller::Controller(MachineContext &ctx, std::uint32_t num_clusters)
       ctx_(ctx),
       t_(ctx.cfg->t),
       numClusters_(num_clusters),
-      instrCredits_(num_clusters, ctx.cfg->t.instrQueueDepth),
+      instrFree_(num_clusters, ctx.cfg->t.instrQueueDepth),
       collectParts_(num_clusters),
       collectHave_(num_clusters, false)
 {
@@ -48,15 +50,15 @@ Controller::startProgram(const Program &prog)
     if (prog.size() > 0xffff)
         snap_fatal("program of %zu instructions exceeds the 16-bit "
                    "sequence space", prog.size());
-    for (std::uint32_t cr : instrCredits_)
-        snap_assert(cr == t_.instrQueueDepth,
-                    "startProgram with %u instr credits outstanding",
-                    t_.instrQueueDepth - cr);
+    foldFreedSlots();
+    for (std::uint32_t free : instrFree_)
+        snap_assert(free == t_.instrQueueDepth,
+                    "startProgram with %u instruction-queue slots "
+                    "occupied", t_.instrQueueDepth - free);
     prog_ = &prog;
     instrIdx_ = 0;
     phase_ = Phase::Issue;
     programStart_ = curTick();
-    waitingForSpace_ = false;
     epochStartMsgs_ = 0;
     pendingEpochMsgs_ = 0;
     results_.clear();
@@ -64,12 +66,43 @@ Controller::startProgram(const Program &prog)
 }
 
 void
-Controller::sendToCluster(ClusterId c, Deliverable &&d)
+Controller::slotFreed(const Release &r)
 {
-    d.receiver = c;
-    d.sender = numClusters_;
-    d.senderSeq = wireSeq_++;
-    ctx_.wire->send(std::move(d));
+    snap_assert(instrFree_[r.sender] < t_.instrQueueDepth,
+                "stray instruction-queue release from cluster %u",
+                r.sender);
+    ++instrFree_[r.sender];
+}
+
+void
+Controller::foldFreedSlots()
+{
+    ctx_.wire->foldReleases(
+        numClusters_, [this](const Release &r) { slotFreed(r); });
+}
+
+void
+Controller::awaitQueueSpace()
+{
+    // Releases come in time order, so the wake is the first pending
+    // release of the full queue that frees last.  A full queue whose
+    // PU has not popped yet has none: the wake waits for its pop.
+    const std::deque<Release> &pending =
+        ctx_.wire->releases(numClusters_);
+    Tick at = 0;
+    for (ClusterId c = 0; c < numClusters_; ++c) {
+        if (instrFree_[c] != 0)
+            continue;
+        auto it = std::find_if(
+            pending.begin(), pending.end(),
+            [c](const Release &r) { return r.sender == c; });
+        if (it == pending.end()) {
+            at = maxTick;
+            break;
+        }
+        at = std::max(at, it->when);
+    }
+    ctx_.wire->wait(numClusters_, at);
 }
 
 void
@@ -99,13 +132,11 @@ Controller::kickScp()
     }
 
     // Global-bus backpressure: every cluster must have queue space.
-    // Credits track the queues exactly (one returns per PU pop), so
-    // "any cluster out of credits" == "some queue full".
-    for (std::uint32_t cr : instrCredits_) {
-        if (cr == 0) {
-            waitingForSpace_ = true;
-            return;
-        }
+    foldFreedSlots();
+    if (std::find(instrFree_.begin(), instrFree_.end(), 0u) !=
+        instrFree_.end()) {
+        awaitQueueSpace();
+        return;
     }
 
     // The broadcast occupies the bus for the full word burst; the
@@ -115,14 +146,11 @@ Controller::kickScp()
     phase_ = Phase::Broadcasting;
     Tick dur = broadcastTicks();
     ctx_.stats->broadcastTicks += dur;
-    for (ClusterId c = 0; c < numClusters_; ++c) {
-        --instrCredits_[c];
-        Deliverable d;
-        d.kind = WireKind::Instr;
-        d.when = curTick() + dur;
-        d.qi = QueuedInstr{instr, seq};
-        sendToCluster(c, std::move(d));
-    }
+    for (std::uint32_t &free : instrFree_)
+        --free;
+    Broadcast b;
+    b.qi = QueuedInstr{instr, seq};
+    ctx_.wire->broadcast(curTick() + dur, b);
     scheduleRel(scpEvent_.get(), dur);
 }
 
@@ -197,12 +225,9 @@ Controller::detectionDone()
     phase_ = Phase::BarrierRelease;
     Tick dur = broadcastTicks();
     ctx_.stats->syncTicks += dur;
-    for (ClusterId c = 0; c < numClusters_; ++c) {
-        Deliverable d;
-        d.kind = WireKind::BarrierRelease;
-        d.when = curTick() + dur;
-        sendToCluster(c, std::move(d));
-    }
+    Broadcast b;
+    b.barrierRelease = true;
+    ctx_.wire->broadcast(curTick() + dur, b);
     scheduleRel(scpEvent_.get(), dur);
 }
 
@@ -305,37 +330,43 @@ Controller::collectReadDone()
 void
 Controller::applyDeliverable(Deliverable &&d)
 {
-    switch (d.kind) {
-      case WireKind::InstrCredit:
-        snap_assert(d.cluster < numClusters_ &&
-                        instrCredits_[d.cluster] < t_.instrQueueDepth,
-                    "stray instr credit from cluster %u", d.cluster);
-        ++instrCredits_[d.cluster];
-        if (waitingForSpace_ && phase_ == Phase::Issue) {
-            waitingForSpace_ = false;
-            kickScp();
-        }
-        break;
-      case WireKind::CollectReady:
-        snap_assert(phase_ == Phase::CollectWait ||
-                        phase_ == Phase::CollectRead,
-                    "collect part outside a collect");
-        snap_assert(d.collectSeq == collectSeq_,
-                    "collect part seq %u vs %u", d.collectSeq,
-                    collectSeq_);
-        snap_assert(d.cluster < numClusters_ &&
-                        !collectHave_[d.cluster],
-                    "duplicate collect part from cluster %u",
-                    d.cluster);
-        collectParts_[d.cluster] = std::move(d.collect);
-        collectHave_[d.cluster] = true;
-        if (phase_ == Phase::CollectWait)
-            collectAdvance();
-        break;
-      default:
-        snap_panic("controller: bad deliverable kind %u",
-                   static_cast<unsigned>(d.kind));
-    }
+    snap_assert(d.kind == WireKind::CollectReady,
+                "controller: bad deliverable kind %u",
+                static_cast<unsigned>(d.kind));
+    snap_assert(phase_ == Phase::CollectWait ||
+                    phase_ == Phase::CollectRead,
+                "collect part outside a collect");
+    snap_assert(d.collectSeq == collectSeq_, "collect part seq %u vs %u",
+                d.collectSeq, collectSeq_);
+    snap_assert(d.sender < numClusters_ && !collectHave_[d.sender],
+                "duplicate collect part from cluster %u", d.sender);
+    collectParts_[d.sender] = std::move(d.collect);
+    collectHave_[d.sender] = true;
+    if (phase_ == Phase::CollectWait)
+        collectAdvance();
+}
+
+void
+Controller::wake()
+{
+    // This tick's releases are hidden from foldFreedSlots while the
+    // wake runs; take them all, then retry the issue.
+    Release r;
+    while (ctx_.wire->takeRelease(numClusters_, r))
+        slotFreed(r);
+    kickScp();
+}
+
+void
+Controller::releaseRecorded()
+{
+    awaitQueueSpace();
+}
+
+void
+Controller::landBroadcast(const Broadcast &)
+{
+    snap_panic("controller: a broadcast landed on the SCP");
 }
 
 void

@@ -10,10 +10,13 @@
  * (AND-tree + tiered counter scan) and serial result collection from
  * each cluster's dual-port memory — the COLLECT overhead of Fig. 21.
  *
- * The controller is a wire endpoint like the clusters: broadcasts and
- * barrier releases leave as Deliverables timed with the broadcast-bus
- * latency, and the array talks back the same way (instruction-queue
- * credits, collect buffers).  The controller never touches cluster
+ * The controller is a wire endpoint like the clusters: instruction
+ * broadcasts and barrier releases leave as Wire broadcasts timed
+ * with the broadcast-bus latency, and collect buffers come back as
+ * deliverables.  The SCP sees each cluster's instruction-queue
+ * occupancy: a PU pop frees its slot one wire lag later.  When a
+ * queue is full the SCP waits, with one wake at the tick the last
+ * full queue frees a slot.  The controller never touches cluster
  * state directly.  Barrier completion and quiescence are *predicates
  * over the sync tree*: the machine forwards the tree's transition
  * callbacks here with the exact mutation tick t*, and the detection
@@ -35,7 +38,7 @@
 namespace snap
 {
 
-class Controller : public ClockedObject
+class Controller : public ClockedObject, public WireEndpoint
 {
   public:
     Controller(MachineContext &ctx, std::uint32_t num_clusters);
@@ -50,8 +53,14 @@ class Controller : public ClockedObject
 
     ResultSet takeResults() { return std::move(results_); }
 
-    // --- wire endpoint (InstrCredit / CollectReady) ----------------------
-    void applyDeliverable(Deliverable &&d);
+    // --- wire endpoint ---------------------------------------------------
+    /** A collect buffer arrived. */
+    void applyDeliverable(Deliverable &&d) override;
+    /** The last full instruction queue freed a slot. */
+    void wake() override;
+    /** A PU popped while the SCP waits for queue space. */
+    void releaseRecorded() override;
+    void landBroadcast(const Broadcast &b) override;
 
     // --- sync predicates, reported by the machine ------------------------
 
@@ -88,7 +97,13 @@ class Controller : public ClockedObject
     void collectAdvance();
     void collectReadDone();
     void finishProgram(Tick when);
-    void sendToCluster(ClusterId c, Deliverable &&d);
+    /** Cluster r.sender's instruction queue freed a slot. */
+    void slotFreed(const Release &r);
+    /** Fold the instruction-queue slots freed by now. */
+    void foldFreedSlots();
+    /** Some queue is full: wait until every full queue has freed a
+     *  slot (the wake is armed once each has a release pending). */
+    void awaitQueueSpace();
 
     Tick ctrlCy(std::uint64_t cycles) const
     {
@@ -117,12 +132,10 @@ class Controller : public ClockedObject
     Phase phase_ = Phase::Idle;
     Tick programStart_ = 0;
     Tick finishTick_ = 0;
-    bool waitingForSpace_ = false;
 
-    /** Outstanding instruction-queue slots per cluster (the global
-     *  bus stalls while any cluster is out of credits). */
-    std::vector<std::uint32_t> instrCredits_;
-    std::uint64_t wireSeq_ = 0;
+    /** Free instruction-queue slots per cluster as the SCP sees them
+     *  (the global bus stalls while any queue is full). */
+    std::vector<std::uint32_t> instrFree_;
 
     // Collect state: parts stream in over the wire and are consumed
     // in cluster order.

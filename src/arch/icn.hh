@@ -14,11 +14,11 @@
  *
  * This class is the static topology (routing, field arithmetic,
  * transfer time) plus the machine-lifetime traffic statistics.  The
- * dynamic state — per-dimension receive queues, sender-side
- * flow-control credits sized by icnMailboxDepth, and the in-flight
- * messages themselves — lives in the clusters and the Wire layer
- * (arch/wire.hh), so every piece of mutable ICN state has exactly
- * one owning cluster.
+ * dynamic state — per-dimension receive queues, each sender's view
+ * of its neighbors' free slots (icnMailboxDepth each), the slot
+ * releases and the in-flight messages themselves — lives in the
+ * clusters and the Wire layer (arch/wire.hh), so every piece of
+ * mutable ICN state has exactly one owner.
  */
 
 #ifndef SNAP_ARCH_ICN_HH
@@ -82,7 +82,7 @@ class HypercubeIcn
     std::uint64_t relays = 0;           ///< intermediate-hop handlings
     stats::Distribution hopDist;        ///< hops per delivered message
     stats::Distribution latency;        ///< end-to-end ticks per message
-    std::uint64_t blockedSends = 0;     ///< sends stalled on zero credit
+    std::uint64_t blockedSends = 0;     ///< sends stalled on a full link
     std::uint64_t messagesDropped = 0;  ///< injected link-fault losses
 
   private:

@@ -72,7 +72,8 @@ SnapMachine::wireArray()
     ctx_.image = image_.get();
     ctx_.icn = icn_.get();
     ctx_.sync = sync_.get();
-    ctx_.perf = perf_.get();
+    // Units skip their PerfNet calls outright when the network is off.
+    ctx_.perf = cfg_.perfNetEnabled ? perf_.get() : nullptr;
     ctx_.stats = &stats_;
     ctx_.wire = wire_.get();
     ctx_.faults = faults_.get();
@@ -85,18 +86,12 @@ SnapMachine::wireArray()
     for (ClusterId c = 0; c < cfg_.numClusters; ++c) {
         clusters_.push_back(std::make_unique<Cluster>(
             ctx_, c, cfg_.mus(c), pe_base));
-        Cluster *cl = clusters_.back().get();
-        wire_->bindEndpoint(c, [cl](Deliverable &&d) {
-            cl->applyDeliverable(std::move(d));
-        });
+        wire_->bindEndpoint(c, clusters_.back().get());
         pe_base += 2 + cfg_.mus(c);
     }
     controller_ =
         std::make_unique<Controller>(ctx_, cfg_.numClusters);
-    Controller *ctl = controller_.get();
-    wire_->bindEndpoint(cfg_.numClusters, [ctl](Deliverable &&d) {
-        ctl->applyDeliverable(std::move(d));
-    });
+    wire_->bindEndpoint(cfg_.numClusters, controller_.get());
 
     // Barrier completion and quiescence are reported synchronously at
     // the completing sync-tree mutation.
@@ -271,21 +266,27 @@ SnapMachine::runWatched(Tick start)
     Tick boundary = start;
     for (;;) {
         // Done when nothing is pending but never-fired scheduled
-        // faults: the program finished and drained its trailing
-        // credits, or it wedged with the array idle.
+        // faults and no slot release is still ahead: the program
+        // finished and its trailing releases retired, or it wedged
+        // with the array idle.
         std::size_t armed = 0;
         for (const auto &ev : faultEvents_)
             armed += ev->scheduled() ? 1 : 0;
-        if (eq_.numScheduled() == armed)
+        if (eq_.numScheduled() == armed &&
+            wire_->nextRelease() == maxTick)
             break;
         if (budget != 0 && boundary - start > budget) {
             faults_->tally().watchdogFired = true;
             break;
         }
-        // Jumping to the earliest pending event skips idle stretches,
-        // e.g. the wait for a far-future armed fault.
-        boundary = eq_.nextEventTick() + lag;
+        // Jumping to the earliest pending event or release skips
+        // idle stretches, e.g. the wait for a far-future armed fault.
+        // A release counts as a point in time like an event: the
+        // clock reaches the latest one the step retires.
+        boundary =
+            std::min(eq_.nextEventTick(), wire_->nextRelease()) + lag;
         eq_.runBefore(boundary);
+        eq_.advanceTo(wire_->retireBefore(boundary));
     }
     return controller_->finished();
 }
@@ -340,6 +341,9 @@ SnapMachine::run(const Program &prog)
     bool completed;
     if (!faulty) {
         eq_.run();
+        // The run ends once its last slot release is due, so the next
+        // run starts where the releases leave the clock.
+        eq_.advanceTo(wire_->retireBefore(maxTick));
         completed = true;
         snap_assert(controller_->finished(),
                     "event queue drained but the program did not "
@@ -366,8 +370,8 @@ SnapMachine::run(const Program &prog)
     }
 
     // Simulated wall time ends at the controller's finish tick; the
-    // trailing credit deliverables that drain afterwards are wire
-    // bookkeeping, not program execution.
+    // slot releases still due afterwards are queue bookkeeping, not
+    // program execution.
     stats_.wallTicks =
         (completed ? controller_->finishTick() : now()) - start;
 

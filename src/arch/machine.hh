@@ -11,9 +11,10 @@
  * The machine owns one event queue, one sync tree, one statistics
  * breakdown, and one perf net, shared by every cluster and the
  * controller through MachineContext; all cross-endpoint interaction
- * rides the Wire (arch/wire.hh) as latency-stamped deliverables.  A
- * fault-free run drains the queue; a fault run steps it through the
- * watchdog's check grid (runWatched).
+ * rides the Wire (arch/wire.hh): latency-stamped deliverables,
+ * broadcasts, and queue-slot releases.  A fault-free run drains the
+ * queue; a fault run steps it through the watchdog's check grid
+ * (runWatched).
  */
 
 #ifndef SNAP_ARCH_MACHINE_HH
@@ -191,10 +192,14 @@ class SnapMachine
 
     /**
      * Fault-run event loop: step the queue through a check grid of
-     * boundary = next pending tick + wireLag(), stop once only armed
-     * faults remain, and abort (watchdog) once boundary - start
-     * exceeds the plan's watchdogTicks.  The abort tick decides both
-     * the partial run and every later fault draw.
+     * boundary = min(next pending event, next unretired slot release)
+     * + wireLag(), stop once only armed faults remain and every
+     * release has retired, and abort (watchdog) once boundary - start
+     * exceeds the plan's watchdogTicks.  Each step retires the
+     * releases due before its boundary, and the clock reaches the
+     * later of the last fired event and the last retired release: an
+     * aborted run's wall ends there.  The abort tick decides both the
+     * partial run and every later fault draw.
      * @return true when the program completed.
      */
     bool runWatched(Tick start);

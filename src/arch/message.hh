@@ -78,8 +78,8 @@ struct ActivationMessage
     std::uint8_t hops = 0;
     /** Tiered synchronization level this message was counted at. */
     std::uint8_t syncLevel = 0;
-    /** Cluster that put the message on its current link (for the
-     *  receiver's flow-control credit return). */
+    /** Cluster that put the message on its current link: the
+     *  receiver's pop frees a slot in that cluster's view. */
     ClusterId lastHop = 0;
 };
 

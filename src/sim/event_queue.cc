@@ -103,6 +103,18 @@ EventQueue::fireNext()
 }
 
 void
+EventQueue::advanceTo(Tick t)
+{
+    if (t <= curTick_)
+        return;
+    snap_assert(heap_.empty() || t <= heap_.front().when,
+                "advanceTo(%llu) past a pending event at %llu",
+                static_cast<unsigned long long>(t),
+                static_cast<unsigned long long>(heap_.front().when));
+    curTick_ = t;
+}
+
+void
 EventQueue::clearPending()
 {
     for (const Entry &e : heap_)

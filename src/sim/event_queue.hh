@@ -135,6 +135,14 @@ class EventQueue
      */
     std::uint64_t runBefore(Tick limit);
 
+    /**
+     * Move simulated time forward to @p t without firing anything (a
+     * no-op when @p t is not later).  No pending event may lie before
+     * @p t.  The machine's slot releases are points in simulated time
+     * that are not events; this is how the clock reaches them.
+     */
+    void advanceTo(Tick t);
+
     /** Tick of the earliest pending event (maxTick when empty). */
     Tick
     nextEventTick() const

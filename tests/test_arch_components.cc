@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "arch/icn.hh"
 #include "arch/kb_image.hh"
 #include "arch/multiport_mem.hh"
@@ -86,56 +91,218 @@ TEST(HypercubeIcnTest, TransferTimeIs640ns)
 
 // --- wire --------------------------------------------------------------------
 
+/** A wire endpoint that logs what reaches it, in order.  While it
+ *  waits it behaves like a stalled CU: each wake takes one release
+ *  and waits again while more are pending. */
+struct Probe : WireEndpoint
+{
+    Wire *wire = nullptr;
+    std::uint32_t id = 0;
+    std::vector<std::string> log;
+
+    void
+    applyDeliverable(Deliverable &&d) override
+    {
+        log.push_back(
+            std::string(d.kind == WireKind::IcnMsg ? "msg" : "collect") +
+            " s" + std::to_string(d.sender) + " #" +
+            std::to_string(d.senderSeq));
+    }
+
+    void
+    wake() override
+    {
+        Release r;
+        if (!wire->takeRelease(id, r))
+            return;
+        log.push_back("take s" + std::to_string(r.sender) + " @" +
+                      std::to_string(r.when));
+        rearm();
+    }
+
+    void releaseRecorded() override { rearm(); }
+
+    void
+    landBroadcast(const Broadcast &) override
+    {
+        log.push_back("bcast");
+    }
+
+    /** Wait for the earliest pending release, or the next one. */
+    void
+    rearm()
+    {
+        const auto &pending = wire->releases(id);
+        if (!pending.empty())
+            wire->wait(id, pending.front().when);
+    }
+
+    /** How many releases foldReleases hands over right now. */
+    std::size_t
+    foldCount()
+    {
+        std::size_t n = 0;
+        wire->foldReleases(id, [&](const Release &) { ++n; });
+        return n;
+    }
+};
+
+/** Endpoints 0..n-2 probe clusters, endpoint n-1 the controller. */
+struct WireRig
+{
+    EventQueue eq;
+    Wire wire;
+    std::vector<Probe> probes;
+
+    WireRig(std::uint32_t n, Tick lag) : wire(eq, n, lag), probes(n)
+    {
+        for (std::uint32_t ep = 0; ep < n; ++ep) {
+            probes[ep].wire = &wire;
+            probes[ep].id = ep;
+            wire.bindEndpoint(ep, &probes[ep]);
+        }
+    }
+
+    void
+    stage(WireKind k, std::uint32_t receiver, std::uint32_t sender,
+          std::uint64_t seq, Tick when)
+    {
+        Deliverable d;
+        d.when = when;
+        d.kind = k;
+        d.receiver = receiver;
+        d.sender = sender;
+        d.senderSeq = seq;
+        wire.send(std::move(d));
+    }
+
+    /** Run @p fn as a normal event at @p when. */
+    void
+    at(Tick when, std::function<void()> fn)
+    {
+        auto ev = std::make_unique<EventFunctionWrapper>(std::move(fn),
+                                                         "test.at");
+        eq.schedule(ev.get(), when);
+        events.push_back(std::move(ev));
+    }
+
+    std::vector<std::unique_ptr<EventFunctionWrapper>> events;
+};
+
 /** Same-tick deliverables apply in the canonical (kind, sender,
  *  senderSeq) order no matter what order they were staged in. */
 TEST(WireTest, SameTickAppliesInCanonicalOrder)
 {
-    EventQueue eq;
-    Wire wire(eq, 2, 1000);
-
-    struct Applied
-    {
-        WireKind kind;
-        std::uint32_t sender;
-        std::uint64_t seq;
-    };
-    std::vector<Applied> applied;
-    wire.bindEndpoint(0, [&](Deliverable &&d) {
-        applied.push_back(Applied{d.kind, d.sender, d.senderSeq});
-    });
-    wire.bindEndpoint(1, [](Deliverable &&) {});
-
-    auto stage = [&](WireKind k, std::uint32_t sender,
-                     std::uint64_t seq) {
-        Deliverable d;
-        d.when = 5000;
-        d.kind = k;
-        d.receiver = 0;
-        d.sender = sender;
-        d.senderSeq = seq;
-        wire.send(std::move(d));
-    };
+    WireRig rig(2, 1000);
     // Scrambled staging order.
-    stage(WireKind::Instr, 1, 7);
-    stage(WireKind::IcnMsg, 1, 9);
-    stage(WireKind::IcnMsg, 0, 2);
-    stage(WireKind::IcnCredit, 0, 1);
-    stage(WireKind::IcnMsg, 0, 1);
+    rig.stage(WireKind::CollectReady, 1, 1, 7, 5000);
+    rig.stage(WireKind::IcnMsg, 1, 1, 9, 5000);
+    rig.stage(WireKind::CollectReady, 1, 0, 3, 5000);
+    rig.stage(WireKind::IcnMsg, 1, 0, 2, 5000);
+    rig.stage(WireKind::IcnMsg, 1, 0, 1, 5000);
 
-    EXPECT_FALSE(wire.empty());
-    eq.run();
-    EXPECT_TRUE(wire.empty());
+    EXPECT_FALSE(rig.wire.empty());
+    rig.eq.run();
+    EXPECT_TRUE(rig.wire.empty());
 
-    ASSERT_EQ(applied.size(), 5u);
-    EXPECT_EQ(applied[0].kind, WireKind::IcnMsg);    // sender 0 seq 1
-    EXPECT_EQ(applied[0].seq, 1u);
-    EXPECT_EQ(applied[1].kind, WireKind::IcnMsg);    // sender 0 seq 2
-    EXPECT_EQ(applied[1].seq, 2u);
-    EXPECT_EQ(applied[2].sender, 1u);                // sender 1 next
-    EXPECT_EQ(applied[2].kind, WireKind::IcnMsg);
-    EXPECT_EQ(applied[3].kind, WireKind::IcnCredit); // kinds in order
-    EXPECT_EQ(applied[4].kind, WireKind::Instr);
-    EXPECT_EQ(eq.curTick(), 5000u);
+    EXPECT_EQ(rig.probes[1].log,
+              (std::vector<std::string>{"msg s0 #1", "msg s0 #2",
+                                        "msg s1 #9", "collect s0 #3",
+                                        "collect s1 #7"}));
+    EXPECT_EQ(rig.eq.curTick(), 5000u);
+    EXPECT_EQ(rig.eq.eventsProcessed(), 1u);  // one pump firing
+}
+
+/** A broadcast is one event: each cluster takes its same-tick
+ *  arrivals first, then the broadcast, and its pump moves off the
+ *  tick.  The controller (last endpoint) receives no broadcast. */
+TEST(WireTest, BroadcastLandsAfterSameTickArrivalsOnEachCluster)
+{
+    WireRig rig(3, 1000);
+    Broadcast b;
+    b.qi.seq = 4;
+    // The broadcast is scheduled first, so it fires ahead of the
+    // clusters' pumps at the same tick.
+    rig.wire.broadcast(5000, b);
+    rig.stage(WireKind::IcnMsg, 1, 0, 1, 5000);
+    rig.stage(WireKind::IcnMsg, 0, 1, 1, 5000);
+    rig.stage(WireKind::IcnMsg, 0, 1, 2, 6000);
+
+    rig.eq.run();
+    EXPECT_EQ(rig.probes[0].log,
+              (std::vector<std::string>{"msg s1 #1", "bcast",
+                                        "msg s1 #2"}));
+    EXPECT_EQ(rig.probes[1].log,
+              (std::vector<std::string>{"msg s0 #1", "bcast"}));
+    EXPECT_TRUE(rig.probes[2].log.empty());
+    // The broadcast at 5000 and cluster 0's pump at 6000.
+    EXPECT_EQ(rig.eq.eventsProcessed(), 2u);
+    EXPECT_TRUE(rig.wire.empty());
+}
+
+/** A release due at T is hidden from foldReleases while T's IcnMsg
+ *  arrivals apply, and visible once they have: to the same pump's
+ *  CollectReady arrivals and to normal events at T. */
+TEST(WireTest, ReleaseDueNowHiddenWhileArrivalsApply)
+{
+    WireRig rig(2, 1000);
+    struct Seen : Probe
+    {
+        std::vector<std::size_t> visible;
+        void
+        applyDeliverable(Deliverable &&d) override
+        {
+            visible.push_back(foldCount());
+            Probe::applyDeliverable(std::move(d));
+        }
+    } seen;
+    seen.wire = &rig.wire;
+    seen.id = 0;
+    rig.wire.bindEndpoint(0, &seen);
+
+    // Endpoint 1 pops one of endpoint 0's slots at 4000 and another
+    // at 4500: they free at 5000 and 5500.
+    rig.at(4000, [&] { rig.wire.release(0, 1, 3); });
+    rig.at(4500, [&] { rig.wire.release(0, 1, 3); });
+    rig.stage(WireKind::IcnMsg, 0, 1, 1, 5000);
+    rig.stage(WireKind::CollectReady, 0, 1, 2, 5000);
+    std::size_t at_5000 = 99, at_5499 = 99, at_5500 = 99;
+    rig.at(5000, [&] { at_5000 = seen.foldCount(); });
+    rig.at(5499, [&] { at_5499 = seen.foldCount(); });
+    rig.at(5500, [&] { at_5500 = seen.foldCount(); });
+
+    EXPECT_EQ(rig.wire.nextRelease(), maxTick);
+    rig.eq.run();
+    // The IcnMsg saw nothing, the CollectReady the 5000 release.
+    EXPECT_EQ(seen.visible, (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(at_5000, 0u);  // already folded
+    EXPECT_EQ(at_5499, 0u);
+    EXPECT_EQ(at_5500, 1u);
+    EXPECT_EQ(rig.wire.retireBefore(maxTick), 5500u);
+}
+
+/** An endpoint waiting with nothing pending is woken at the first
+ *  release recorded; at a wake tick it takes the releases one at a
+ *  time in sender order, and it is woken once per release tick. */
+TEST(WireTest, WaitingEndpointTakesReleasesOneAtATimeInSenderOrder)
+{
+    WireRig rig(4, 1000);
+    Probe &p = rig.probes[0];
+    rig.at(100, [&] { rig.wire.wait(0, maxTick); });
+    // Three pops free slots at 2000 (senders 2 then 1) and 2500.
+    rig.at(1000, [&] { rig.wire.release(0, 2, 0); });
+    rig.at(1000, [&] { rig.wire.release(0, 1, 0); });
+    rig.at(1500, [&] { rig.wire.release(0, 3, 0); });
+    rig.stage(WireKind::IcnMsg, 0, 1, 1, 2000);
+
+    rig.eq.run();
+    EXPECT_EQ(p.log, (std::vector<std::string>{
+                         "msg s1 #1", "take s1 @2000",
+                         "take s2 @2000", "take s3 @2500"}));
+    // Four test events, then pumps at 2000 and 2500 only.
+    EXPECT_EQ(rig.eq.eventsProcessed(), 6u);
+    EXPECT_TRUE(rig.wire.releases(0).empty());
+    EXPECT_EQ(rig.wire.retireBefore(maxTick), 2500u);
 }
 
 // --- multiport memory -----------------------------------------------------------

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the discrete-event kernel: ordering, same-tick FIFO,
- * deschedule/reschedule, horizons, and clocked objects.
+ * deschedule/reschedule, horizons, clock advance, and clocked
+ * objects.
  */
 
 #include <gtest/gtest.h>
@@ -120,6 +121,12 @@ TEST(EventQueue, RunBeforeStopsAtHorizon)
     EXPECT_EQ(fired, (std::vector<Tick>{5, 10}));
     EXPECT_EQ(eq.curTick(), 10u);
     EXPECT_EQ(eq.nextEventTick(), 15u);
+    // The clock can move up to the next event without firing it, and
+    // never moves back.
+    eq.advanceTo(15);
+    eq.advanceTo(12);
+    EXPECT_EQ(eq.curTick(), 15u);
+    EXPECT_EQ(fired.size(), 2u);
     eq.run();
     EXPECT_EQ(fired.size(), 4u);
     EXPECT_EQ(eq.nextEventTick(), maxTick);
@@ -363,6 +370,15 @@ TEST(EventQueueDeath, PastSchedulingPanics)
     eq.run();
     EventFunctionWrapper ev([] {}, "late");
     EXPECT_DEATH(eq.schedule(&ev, 50), "in the past");
+}
+
+TEST(EventQueueDeath, AdvancePastPendingEventPanics)
+{
+    EventQueue eq;
+    EventFunctionWrapper ev([] {}, "pending");
+    eq.schedule(&ev, 10);
+    EXPECT_DEATH(eq.advanceTo(11), "past a pending event");
+    eq.deschedule(&ev);
 }
 
 TEST(EventQueueDeath, DoubleSchedulePanics)

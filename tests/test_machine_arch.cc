@@ -160,6 +160,10 @@ TEST(MachineArch, TinyQueuesBlockButStayCorrect)
     // the sending MU blocked until the CU drained it.
     ClusterId hub = machine.image().place(0).cluster;
     EXPECT_EQ(machine.cluster(hub).activationOutHighWater(), 2u);
+    // The stall path's timing: the wall and how often a CU found its
+    // next hop's port memory full, pinned exactly.
+    EXPECT_EQ(run.wallTicks, 210287500ull);
+    EXPECT_EQ(machine.icn().blockedSends, 21ull);
 
     ReferenceInterpreter golden(net_golden);
     ResultSet gres = golden.run(prog);
@@ -196,7 +200,8 @@ TEST(MachineArch, ExtremeContentionMatchesGolden)
     prog.append(Instruction::collectMarker(1));
 
     RunResult run = machine.run(prog);
-    EXPECT_GT(machine.icn().blockedSends, 0u);
+    EXPECT_EQ(run.wallTicks, 5744447500ull);
+    EXPECT_EQ(machine.icn().blockedSends, 3267ull);
 
     ReferenceInterpreter golden(net_golden);
     ResultSet gres = golden.run(prog);
@@ -375,20 +380,34 @@ TEST(MachineArch, InstructionQueueBackpressure)
 {
     // A long stream of fast instructions with a tiny queue: the SCP
     // must stall rather than overrun, and everything still executes.
-    SemanticNetwork net = makeChainKb(256);
-    MachineConfig cfg = cfgWith(2);
-    cfg.t.instrQueueDepth = 2;
-    SnapMachine machine(cfg);
-    machine.loadKb(net);
+    // The wall pins when the stalled SCP resumes: one wire lag after
+    // the last full queue's PU pops.
+    struct Case
+    {
+        std::uint32_t clusters;
+        std::uint32_t depth;
+        Tick wall;
+    };
+    const Case cases[] = {{2, 2, 817257500}, {16, 1, 768227500}};
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message() << c.clusters
+                                        << " clusters, depth " << c.depth);
+        SemanticNetwork net = makeChainKb(256);
+        MachineConfig cfg = cfgWith(c.clusters);
+        cfg.t.instrQueueDepth = c.depth;
+        SnapMachine machine(cfg);
+        machine.loadKb(net);
 
-    Program prog;
-    for (int i = 0; i < 50; ++i)
-        prog.append(Instruction::setMarker(64, 0.0f));
-    prog.append(Instruction::collectMarker(64));
-    RunResult run = machine.run(prog);
-    EXPECT_EQ(run.results[0].nodes.size(), 256u);
-    EXPECT_EQ(run.stats.opcodeCounts[static_cast<std::size_t>(
-                  Opcode::SetMarker)], 50u);
+        Program prog;
+        for (int i = 0; i < 50; ++i)
+            prog.append(Instruction::setMarker(64, 0.0f));
+        prog.append(Instruction::collectMarker(64));
+        RunResult run = machine.run(prog);
+        EXPECT_EQ(run.results[0].nodes.size(), 256u);
+        EXPECT_EQ(run.stats.opcodeCounts[static_cast<std::size_t>(
+                      Opcode::SetMarker)], 50u);
+        EXPECT_EQ(run.wallTicks, c.wall);
+    }
 }
 
 } // namespace

@@ -567,6 +567,43 @@ TEST(MachineGolden, FaultRunsSeededRegression)
                    "wall 494667500 res ee6aa85c9d66970d inj "
                    "0/0/0/0/0/0/0/0 flag 10010"));
 
+    // A 100 us watchdog over the same sweep: most runs abort, and an
+    // aborted run's wall is where the watchdog's check grid stopped
+    // it — the grid steps to the next pending event or slot release.
+    const Pair sweep100us[] = {
+        {"wall 100327500 res cbf29ce484222325 inj 0/0/0/0/0/0/0/0 flag 11100",
+         "wall 99647500 res cbf29ce484222325 inj 1/0/0/0/0/0/1/0 flag 11100"},
+        {"wall 100327500 res cbf29ce484222325 inj 0/1/0/0/0/0/0/0 flag 11100",
+         "wall 100167500 res cbf29ce484222325 inj 1/0/0/0/0/0/0/0 flag 11100"},
+        {"wall 100327500 res cbf29ce484222325 inj 0/0/1/0/0/1/1/0 flag 11100",
+         "wall 100727500 res cbf29ce484222325 inj 0/1/0/0/1/0/0/0 flag 11100"},
+        {"wall 100327500 res cbf29ce484222325 inj 0/0/0/0/1/0/1/0 flag 11100",
+         "wall 100607500 res cbf29ce484222325 inj 1/0/0/0/0/0/0/0 flag 11100"},
+        {"wall 100327500 res cbf29ce484222325 inj 0/3/0/0/0/1/0/0 flag 11100",
+         "wall 99647500 res cbf29ce484222325 inj 0/0/0/0/0/0/0/1 flag 11100"},
+        {"wall 100327500 res cbf29ce484222325 inj 0/0/0/0/0/1/1/0 flag 11100",
+         "wall 100727500 res cbf29ce484222325 inj 0/0/0/0/0/0/0/0 flag 11100"},
+        {"wall 100327500 res cbf29ce484222325 inj 0/1/0/0/0/1/0/0 flag 11100",
+         "wall 100727500 res cbf29ce484222325 inj 1/0/0/0/0/0/0/0 flag 11100"},
+        {"wall 100327500 res cbf29ce484222325 inj 1/1/0/0/0/0/0/0 flag 11100",
+         "wall 99647500 res cbf29ce484222325 inj 0/0/0/0/0/0/0/0 flag 11100"},
+        {"wall 100327500 res cbf29ce484222325 inj 0/0/0/0/0/0/0/0 flag 11100",
+         "wall 100727500 res cbf29ce484222325 inj 0/0/0/0/0/0/0/0 flag 11100"},
+        {"wall 101167500 res cbf29ce484222325 inj 0/0/0/0/1/0/0/1 flag 11100",
+         "wall 99947500 res cbf29ce484222325 inj 0/1/0/0/1/0/0/0 flag 11100"},
+        {"wall 100327500 res cbf29ce484222325 inj 1/0/0/0/0/1/0/0 flag 11100",
+         "wall 99647500 res cbf29ce484222325 inj 1/0/0/0/0/0/0/0 flag 11100"},
+        {"wall 100327500 res cbf29ce484222325 inj 1/1/0/0/0/0/0/0 flag 11100",
+         "wall 99647500 res cbf29ce484222325 inj 1/0/0/0/0/1/1/0 flag 11100"},
+    };
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE("100 us watchdog, fault seed " +
+                     std::to_string(seed));
+        FaultSpec spec = sweepSpec(seed);
+        spec.watchdogTicks = 100'000'000;
+        EXPECT_EQ(runFaultPair(w, spec), sweep100us[seed - 1]);
+    }
+
     // A 200 us watchdog: the first run wedges before the budget runs
     // out, the second trips the watchdog mid-run.
     FaultSpec watchdog = sweepSpec(3);
