@@ -47,7 +47,7 @@ Controller::startProgram(const Program &prog)
 {
     snap_assert(phase_ == Phase::Idle || phase_ == Phase::Done,
                 "startProgram while running");
-    if (prog.size() > 0xffff)
+    if (prog.size() > capacity::maxInstructions)
         snap_fatal("program of %zu instructions exceeds the 16-bit "
                    "sequence space", prog.size());
     foldFreedSlots();

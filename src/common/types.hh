@@ -93,6 +93,9 @@ constexpr std::uint32_t numMarkers = numComplexMarkers + numBinaryMarkers;
 constexpr std::uint32_t wordBits = 32;
 /** Maximum clusters in the array. */
 constexpr std::uint32_t maxClusters = 32;
+/** Instructions per program: the controller's 16-bit sequence
+ *  space. */
+constexpr std::uint32_t maxInstructions = 0xffff;
 
 } // namespace capacity
 

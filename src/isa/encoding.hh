@@ -1,29 +1,35 @@
 /**
  * @file
- * Binary instruction encoding.
+ * The program codec: the one byte form of a Program.
  *
  * "Application programs are written and compiled on the host ...  To
  * avoid a bottleneck with the VME bus, the object code for an entire
  * application is downloaded to the controller before execution"
- * (paper §II-A).  Each SNAP instruction broadcasts as a fixed block
- * of 32-bit words over the global bus (`TimingParams::instrWords`,
- * default 8).
+ * (paper §II-A).  Here the router downloads a program to a shard in
+ * these bytes (shard Request frames), and the answer cache keys a
+ * program by them.  The simulated broadcast cost of an instruction is
+ * TimingParams::instrWords, not the length of these bytes.
  *
- * Word layout (little-endian fields within words):
+ * Canonical form, little-endian, rules first so that a PROPAGATE's
+ * rule token can be checked as it is read:
  *
- *   w0  [ 7:0]  opcode          [15:8]  m1
- *       [23:16] m2              [31:24] m3
- *   w1  [15:0]  rel             [31:16] rel2
- *   w2  [ 7:0]  color           [15:8]  rule token
- *       [23:16] func            [31:24] combine op | scalar op
- *   w3  node id
- *   w4  end-node id
- *   w5  value / weight (IEEE-754 float bits)
- *   w6  scalar-func immediate (IEEE-754 float bits)
- *   w7  reserved (zero)
+ *   u32 rule count
+ *     per rule:    u32 maxSteps, u32 segment count,
+ *       per segment: u8 star (0|1), u32 relation count, u16 relations
+ *   u32 instruction count
+ *     per instruction: u8 opcode, u16 operand mask, then each operand
+ *                      whose mask bit is set, in operandValues order
  *
- * Encoding is lossless for every instruction the assembler can
- * produce; decode(encode(i)) == i is property-tested.
+ * An operand's mask bit is set exactly when it differs from its
+ * Instruction{} default, so a typical instruction is a few bytes.
+ * Rule names are not encoded: they do not affect execution.
+ *
+ * The decoder is total over untrusted bytes (typed false, never a
+ * crash or a fatal): counts go through WireReader::count and are
+ * capped before anything is allocated, every operand is range
+ * checked, and non-canonical bytes (unknown or redundant mask bits, a
+ * star byte other than 0/1) are rejected.  So on any accepted input,
+ * decoding and re-encoding gives back the same bytes.
  */
 
 #ifndef SNAP_ISA_ENCODING_HH
@@ -31,42 +37,35 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
+#include "common/wire_format.hh"
 #include "isa/instruction.hh"
 #include "isa/program.hh"
 
 namespace snap
 {
 
-/** Words per encoded instruction (matches the broadcast cost). */
-constexpr std::size_t instrEncodingWords = 8;
-
-using EncodedInstr = std::array<std::uint32_t, instrEncodingWords>;
-
-/** Encode one instruction into its object-code block. */
-EncodedInstr encodeInstruction(const Instruction &instr);
+/** Operands of an instruction, in canonical order. */
+constexpr std::size_t numOperands = 14;
 
 /**
- * Decode an object-code block.  Malformed opcodes are a fatal (user)
- * error — corrupt object code.
+ * @p in's operands in canonical order: node, endNode, rel, rel2,
+ * color, m1, m2, m3, value, rule, func, comb, sfunc.op, sfunc.imm.
+ * Floats are their IEEE-754 bit patterns (so 0.0f and -0.0f differ).
+ * Program::contentHash folds exactly these values.
  */
-Instruction decodeInstruction(const EncodedInstr &words);
+std::array<std::uint32_t, numOperands>
+operandValues(const Instruction &in);
+
+/** Append the canonical bytes of @p prog. */
+void encodeProgram(WireWriter &w, const Program &prog);
 
 /**
- * Encode a whole program's instruction stream (the application
- * object code downloaded to the controller).  The rule table is
- * downloaded separately at compile time (§III-B) and is not part of
- * the stream.
+ * Decode one program into @p out (replacing its contents).
+ * @return false on truncated, out-of-range or non-canonical bytes;
+ * @p out is then unspecified.
  */
-std::vector<std::uint32_t> encodeProgram(const Program &prog);
-
-/**
- * Decode an instruction stream back into a program that shares
- * @p rules (tokens are preserved).
- */
-Program decodeProgram(const std::vector<std::uint32_t> &words,
-                      const RuleTable &rules);
+bool decodeProgram(WireReader &r, Program &out);
 
 } // namespace snap
 

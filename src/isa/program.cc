@@ -1,7 +1,8 @@
 #include "isa/program.hh"
 
-#include <cstring>
 #include <sstream>
+
+#include "isa/encoding.hh"
 
 namespace snap
 {
@@ -16,14 +17,6 @@ fnv1a(std::uint64_t h, std::uint64_t v)
     return h * 0x100000001b3ull;
 }
 
-inline std::uint64_t
-floatBits(float f)
-{
-    std::uint32_t u;
-    std::memcpy(&u, &f, sizeof(u));
-    return u;
-}
-
 } // namespace
 
 std::uint64_t
@@ -32,20 +25,8 @@ Program::contentHash() const
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (const Instruction &i : instrs_) {
         h = fnv1a(h, static_cast<std::uint64_t>(i.op));
-        h = fnv1a(h, i.node);
-        h = fnv1a(h, i.endNode);
-        h = fnv1a(h, i.rel);
-        h = fnv1a(h, i.rel2);
-        h = fnv1a(h, i.color);
-        h = fnv1a(h, i.m1);
-        h = fnv1a(h, i.m2);
-        h = fnv1a(h, i.m3);
-        h = fnv1a(h, floatBits(i.value));
-        h = fnv1a(h, i.rule);
-        h = fnv1a(h, static_cast<std::uint64_t>(i.func));
-        h = fnv1a(h, static_cast<std::uint64_t>(i.comb));
-        h = fnv1a(h, static_cast<std::uint64_t>(i.sfunc.op));
-        h = fnv1a(h, floatBits(i.sfunc.imm));
+        for (std::uint32_t v : operandValues(i))
+            h = fnv1a(h, v);
     }
     for (std::uint32_t r = 0; r < rules_.size(); ++r) {
         const PropRule &rule = rules_.rule(static_cast<RuleId>(r));

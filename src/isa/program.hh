@@ -49,6 +49,9 @@ class Program
         instrs_.push_back(instr);
     }
 
+    /** Room for @p n instructions (a decoder that knows the count). */
+    void reserve(std::size_t n) { instrs_.reserve(n); }
+
     std::size_t size() const { return instrs_.size(); }
     bool empty() const { return instrs_.empty(); }
 
@@ -76,12 +79,14 @@ class Program
 
     /**
      * Content digest over the instruction stream and rule table
-     * (FNV-1a; rule names excluded — they do not affect execution).
-     * The router places stateless requests by it, so repeats of a
-     * query meet on one shard, and the answer cache uses it to pick
-     * a bucket.  A 64-bit digest can collide, so equal hashes alone
-     * never prove equal programs: the cache compares canonical
-     * program bytes (serve/answer_cache.hh).  Allocation-free.
+     * (FNV-1a over each opcode and its operandValues, then each
+     * rule's step bound and segments; rule names excluded — they do
+     * not affect execution).  The router places stateless requests
+     * by it, so repeats of a query meet on one shard, and the answer
+     * cache uses it to pick a bucket.  A 64-bit digest can collide,
+     * so equal hashes alone never prove equal programs: the cache
+     * compares the program's codec bytes (isa/encoding.hh).
+     * Allocation-free.
      */
     std::uint64_t contentHash() const;
 

@@ -1,10 +1,10 @@
 #include "serve/answer_cache.hh"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 #include <iterator>
 #include <utility>
+
+#include "isa/encoding.hh"
 
 namespace snap
 {
@@ -28,32 +28,6 @@ filterSlot(std::uint64_t hash)
     return static_cast<std::size_t>((hash * 0x9e3779b97f4a7c15ull) >> 52);
 }
 
-/** Operand fields keyed per instruction, and the width of each. */
-constexpr int kFields = 14;
-constexpr int kFieldWidth[kFields] = {4, 4, 2, 2, 1, 1, 1,
-                                      1, 4, 1, 1, 1, 1, 4};
-
-std::uint32_t
-floatBits(float f)
-{
-    std::uint32_t u;
-    std::memcpy(&u, &f, sizeof(u));
-    return u;
-}
-
-/** The operand fields in contentHash order, floats as bit patterns
- *  (so 0.0f and -0.0f differ, as in the hash). */
-std::array<std::uint64_t, kFields>
-operandFields(const Instruction &in)
-{
-    return {in.node, in.endNode, in.rel, in.rel2, in.color, in.m1,
-            in.m2, in.m3, floatBits(in.value), in.rule,
-            static_cast<std::uint64_t>(in.func),
-            static_cast<std::uint64_t>(in.comb),
-            static_cast<std::uint64_t>(in.sfunc.op),
-            floatBits(in.sfunc.imm)};
-}
-
 std::size_t
 answerBytes(const ResultSet &results)
 {
@@ -75,44 +49,9 @@ AnswerCache::AnswerCache(std::size_t budget_bytes)
 AnswerCache::Key
 AnswerCache::keyOf(const Program &prog, std::uint64_t hash)
 {
-    Key key;
-    key.hash = hash;
-    auto put = [&key](std::uint64_t v, int bytes) {
-        for (int i = 0; i < bytes; ++i)
-            key.bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
-    static const std::array<std::uint64_t, kFields> kDefaults =
-        operandFields(Instruction{});
-    const auto &instrs = prog.instructions();
-    put(instrs.size(), 4);
-    for (const Instruction &in : instrs) {
-        // The opcode, one mask bit per field that differs from its
-        // default, then those fields.
-        const std::array<std::uint64_t, kFields> fields = operandFields(in);
-        std::uint32_t mask = 0;
-        for (int f = 0; f < kFields; ++f)
-            if (fields[f] != kDefaults[f])
-                mask |= 1u << f;
-        put(static_cast<std::uint64_t>(in.op), 1);
-        put(mask, 2);
-        for (int f = 0; f < kFields; ++f)
-            if (mask & (1u << f))
-                put(fields[f], kFieldWidth[f]);
-    }
-    const RuleTable &rules = prog.rules();
-    put(rules.size(), 4);
-    for (std::uint32_t r = 0; r < rules.size(); ++r) {
-        const PropRule &rule = rules.rule(static_cast<RuleId>(r));
-        put(rule.maxSteps, 4);
-        put(rule.segments.size(), 4);
-        for (const RuleSegment &seg : rule.segments) {
-            put(seg.star ? 1 : 0, 1);
-            put(seg.rels.size(), 4);
-            for (RelationType rel : seg.rels)
-                put(rel, 2);
-        }
-    }
-    return key;
+    WireWriter w;
+    encodeProgram(w, prog);
+    return Key{hash, w.take()};
 }
 
 AnswerCache::Lru::iterator

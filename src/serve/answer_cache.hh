@@ -9,13 +9,13 @@
  * engine keeps the answers it has already produced for the current
  * image here and hands them back without running a replica.
  *
- * Exactness: a hit requires the stored canonical program bytes to
- * equal the request's.  The bytes cover every field
- * Program::contentHash covers (floats by bit pattern, rule names
- * excluded), and the encoding is injective, so equal bytes mean equal
- * programs; the 64-bit hash only picks the bucket.  Neither an
- * accidental collision nor a crafted program can return another
- * program's answer.  What may be stored is the caller's contract: the
+ * Exactness: a hit requires the stored program bytes to equal the
+ * request's.  The bytes are the program codec's (isa/encoding.hh),
+ * which cover every field Program::contentHash covers (floats by bit
+ * pattern, rule names excluded) and are injective, so equal bytes
+ * mean equal programs; the 64-bit hash only picks the bucket.
+ * Neither an accidental collision nor a crafted program can return
+ * another program's answer.  What may be stored is the caller's contract: the
  * engine inserts only Ok runs in which no fault was injected, and
  * clears the cache whenever the image changes.
  *
@@ -79,12 +79,8 @@ class AnswerCache
     AnswerCache(const AnswerCache &) = delete;
     AnswerCache &operator=(const AnswerCache &) = delete;
 
-    /**
-     * Canonical bytes of @p prog under bucket @p hash.  Per
-     * instruction: the opcode, a mask of the operand fields that
-     * differ from their defaults, then those fields; per rule: the
-     * step bound and the segments.  About 1.2 KB for a sentence parse.
-     */
+    /** @p prog's key under bucket @p hash: its program codec bytes
+     *  (encodeProgram), about 1.2 KB for a sentence parse. */
     static Key keyOf(const Program &prog, std::uint64_t hash);
 
     /** On a hit, copy the stored answer into @p results /

@@ -21,6 +21,36 @@ msBetween(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+/** True when every node id that @p prog makes the machine place (or
+ *  the reference interpreter index) is below @p num_nodes. */
+bool
+nodesWithin(const Program &prog, std::uint32_t num_nodes)
+{
+    for (const Instruction &in : prog.instructions()) {
+        switch (in.op) {
+          case Opcode::Create:
+            if (in.endNode >= num_nodes)
+                return false;
+            [[fallthrough]];
+          case Opcode::Delete:
+          case Opcode::SetColor:
+          case Opcode::SetWeight:
+          case Opcode::SearchNode:
+            if (in.node >= num_nodes)
+                return false;
+            break;
+          case Opcode::MarkerCreate:
+          case Opcode::MarkerDelete:
+            if (in.endNode >= num_nodes)
+                return false;
+            break;
+          default:
+            break;
+        }
+    }
+    return true;
+}
+
 } // namespace
 
 const char *
@@ -339,6 +369,24 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
         return;
     }
 
+    // A program that names a node outside the image is answered
+    // Failed before anything sees it: the machine's placement would
+    // assert on it.  The worker reads master_ here as quarantine
+    // does; swapImage keeps the node count.
+    if (!nodesWithin(req.prog, master_->numNodes())) {
+        if (sessioned)
+            sessions_.cancel(req.sessionId, p->sessionSeq);
+        SNAP_LOG_EVERY_N(Warn, 64,
+                         "serve: request %llu names a node outside "
+                         "the %u-node image; answered failed",
+                         static_cast<unsigned long long>(req.id),
+                         master_->numNodes());
+        metrics_.noteFailed(queue_ms);
+        resp.status = RequestStatus::Failed;
+        deliverResponse(std::move(p), std::move(resp));
+        return;
+    }
+
     // A stateless pure program is looked up before any replica runs:
     // a hit is the answer of an earlier clean run of the same program
     // against this image, results and wallTicks alike.
@@ -518,6 +566,32 @@ ServeEngine::quarantineReplica(std::uint32_t idx)
     }
 }
 
+bool
+ServeEngine::checkImage(const SemanticNetwork &net, const KbImage &image,
+                        std::string &err) const
+{
+    if (image.numClusters() != cfg_.machine.numClusters) {
+        err = formatString("new image has %u clusters but the pool "
+                           "was stamped for %u",
+                           image.numClusters(),
+                           cfg_.machine.numClusters);
+        return false;
+    }
+    if (image.numNodes() != master_->numNodes()) {
+        err = formatString("new image holds %u nodes but the serving "
+                           "image holds %u (sessions and wire node "
+                           "ids are sized by it)",
+                           image.numNodes(), master_->numNodes());
+        return false;
+    }
+    if (image.numNodes() != net.numNodes()) {
+        err = formatString("new image holds %u nodes but its network "
+                           "has %u", image.numNodes(), net.numNodes());
+        return false;
+    }
+    return true;
+}
+
 /**
  * Epoch hot-swap.  Admissions are blocked (admitMu_ held) while
  * everything already admitted drains, so no request ever runs half on
@@ -532,25 +606,8 @@ ServeEngine::swapImage(const SemanticNetwork &net,
                        std::unique_ptr<KbImage> image, std::string &err)
 {
     snap_assert(image != nullptr, "swapImage(null)");
-    if (image->numClusters() != cfg_.machine.numClusters) {
-        err = formatString("new image has %u clusters but the pool "
-                           "was stamped for %u",
-                           image->numClusters(),
-                           cfg_.machine.numClusters);
+    if (!checkImage(net, *image, err))
         return false;
-    }
-    if (image->numNodes() != master_->numNodes()) {
-        err = formatString("new image holds %u nodes but the serving "
-                           "image holds %u (sessions and wire node "
-                           "ids are sized by it)",
-                           image->numNodes(), master_->numNodes());
-        return false;
-    }
-    if (image->numNodes() != net.numNodes()) {
-        err = formatString("new image holds %u nodes but its network "
-                           "has %u", image->numNodes(), net.numNodes());
-        return false;
-    }
 
     std::lock_guard<std::mutex> admit_lock(admitMu_);
     drain();

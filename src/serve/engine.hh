@@ -31,11 +31,19 @@
  * bit-identical to running it again.  Sessions never use the cache,
  * and a hot-swap clears it.
  *
+ * Untrusted programs: a program that names a node outside the
+ * serving image (the node of CREATE, DELETE, SET-COLOR, SET-WEIGHT or
+ * SEARCH-NODE, the end node of CREATE, MARKER-CREATE or
+ * MARKER-DELETE) is answered Failed without running, retrying or
+ * reaching the integrity shadow.  Everything else the machine could
+ * not run — opcodes, markers, rule tokens and sizes out of range —
+ * the program codec (isa/encoding.hh) rejects before a program from
+ * the wire reaches the engine.
+ *
  * Non-goals in this layer: running programs with structural KB edits
  * (CREATE/DELETE) outside a session is undefined — edits would make
- * one replica diverge from the others.  Programs are assumed
- * assembled and validated on the submission side; a malformed
- * program is a fatal user error, as everywhere else in the tree.
+ * one replica diverge from the others.  Barrier discipline
+ * (runtime/validate) is the submitter's concern.
  */
 
 #ifndef SNAP_SERVE_ENGINE_HH
@@ -178,6 +186,11 @@ class ServeEngine
      */
     bool swapImage(const SemanticNetwork &net,
                    std::unique_ptr<KbImage> image, std::string &err);
+
+    /** swapImage's checks alone: would @p image, compiled from
+     *  @p net, be accepted?  @return false with @p err set. */
+    bool checkImage(const SemanticNetwork &net, const KbImage &image,
+                    std::string &err) const;
 
     /** Launch the workers of a startPaused engine (idempotent). */
     void start();

@@ -30,120 +30,6 @@ frameTypeName(FrameType t)
     return "?";
 }
 
-// --- program ------------------------------------------------------------
-
-void
-encodeProgram(WireWriter &w, const Program &prog)
-{
-    const RuleTable &rules = prog.rules();
-    w.u32(rules.size());
-    for (std::uint32_t i = 0; i < rules.size(); ++i) {
-        const PropRule &rule = rules.rule(static_cast<RuleId>(i));
-        w.str(rule.name);
-        w.u32(rule.maxSteps);
-        w.u32(static_cast<std::uint32_t>(rule.segments.size()));
-        for (const RuleSegment &seg : rule.segments) {
-            w.u8(seg.star ? 1 : 0);
-            w.u32(static_cast<std::uint32_t>(seg.rels.size()));
-            for (RelationType rel : seg.rels)
-                w.u16(rel);
-        }
-    }
-    const auto &instrs = prog.instructions();
-    w.u32(static_cast<std::uint32_t>(instrs.size()));
-    for (const Instruction &in : instrs) {
-        w.u8(static_cast<std::uint8_t>(in.op));
-        w.u32(in.node);
-        w.u32(in.endNode);
-        w.u16(in.rel);
-        w.u16(in.rel2);
-        w.u8(in.color);
-        w.u8(in.m1);
-        w.u8(in.m2);
-        w.u8(in.m3);
-        w.f32(in.value);
-        w.u8(in.rule);
-        w.u8(static_cast<std::uint8_t>(in.func));
-        w.u8(static_cast<std::uint8_t>(in.comb));
-        w.u8(static_cast<std::uint8_t>(in.sfunc.op));
-        w.f32(in.sfunc.imm);
-    }
-}
-
-bool
-decodeProgram(WireReader &r, Program &out)
-{
-    // Minimum element sizes: a rule is a name length, its step bound
-    // and a segment count; a segment a star flag and a relation
-    // count; an instruction 29 fixed bytes.
-    const std::uint32_t num_rules = r.count(12);
-    if (r.failed() || num_rules > maxRules)
-        return false;
-    for (std::uint32_t i = 0; i < num_rules; ++i) {
-        PropRule rule;
-        rule.name = r.str();
-        rule.maxSteps = r.u32();
-        const std::uint32_t num_segs = r.count(5);
-        if (r.failed() || num_segs > 255)
-            return false;
-        rule.segments.reserve(num_segs);
-        for (std::uint32_t s = 0; s < num_segs; ++s) {
-            RuleSegment seg;
-            seg.star = r.u8() != 0;
-            const std::uint32_t num_rels = r.count(2);
-            if (r.failed() || num_rels > capacity::numRelationTypes)
-                return false;
-            seg.rels.reserve(num_rels);
-            for (std::uint32_t k = 0; k < num_rels; ++k)
-                seg.rels.push_back(r.u16());
-            rule.segments.push_back(std::move(seg));
-        }
-        if (r.failed())
-            return false;
-        out.addRule(std::move(rule));
-    }
-    const std::uint32_t num_instrs = r.count(29);
-    if (r.failed())
-        return false;
-    for (std::uint32_t i = 0; i < num_instrs; ++i) {
-        Instruction in;
-        const std::uint8_t op = r.u8();
-        in.node = r.u32();
-        in.endNode = r.u32();
-        in.rel = r.u16();
-        in.rel2 = r.u16();
-        in.color = r.u8();
-        in.m1 = r.u8();
-        in.m2 = r.u8();
-        in.m3 = r.u8();
-        in.value = r.f32();
-        in.rule = r.u8();
-        const std::uint8_t func = r.u8();
-        const std::uint8_t comb = r.u8();
-        const std::uint8_t sfunc_op = r.u8();
-        in.sfunc.imm = r.f32();
-        if (r.failed() ||
-            op >= static_cast<std::uint8_t>(Opcode::NumOpcodes) ||
-            func >= static_cast<std::uint8_t>(MarkerFunc::NumFuncs) ||
-            comb > static_cast<std::uint8_t>(CombineOp::Diff) ||
-            sfunc_op >
-                static_cast<std::uint8_t>(ScalarFunc::Op::ThresholdLt) ||
-            in.m1 >= capacity::numMarkers ||
-            in.m2 >= capacity::numMarkers ||
-            in.m3 >= capacity::numMarkers)
-            return false;
-        in.op = static_cast<Opcode>(op);
-        in.func = static_cast<MarkerFunc>(func);
-        in.comb = static_cast<CombineOp>(comb);
-        in.sfunc.op = static_cast<ScalarFunc::Op>(sfunc_op);
-        // A PROPAGATE must name a rule that the stream carried.
-        if (in.op == Opcode::Propagate && in.rule >= num_rules)
-            return false;
-        out.append(in);
-    }
-    return !r.failed();
-}
-
 // --- results ------------------------------------------------------------
 
 void

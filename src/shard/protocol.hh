@@ -28,6 +28,7 @@
 
 #include "common/metrics_registry.hh"
 #include "common/wire_format.hh"
+#include "isa/encoding.hh"
 #include "isa/program.hh"
 #include "runtime/marker_store.hh"
 #include "runtime/results.hh"
@@ -64,8 +65,15 @@ using snap::WireWriter;
  *  two must not talk.  A Request's trace flags byte must be 0 or 1
  *  (the sampled bit).  Request and Response bytes are otherwise
  *  those of v5.
+ *  v7: a Request's program travels in the program codec
+ *  (isa/encoding.hh): rules first, without names, then per
+ *  instruction an operand mask and only the operands that differ
+ *  from their defaults — about 1.2 KB for a sentence parse against
+ *  5.8 KB in v6's fixed 29-byte instructions.  Prepare only stages
+ *  the new image; Commit swaps it in.  Every other frame's bytes
+ *  are those of v6.
  *  A peer of another version is refused at Hello. */
-constexpr std::uint32_t protocolVersion = 6;
+constexpr std::uint32_t protocolVersion = 7;
 
 /** Hard cap on one frame's payload (a serialized Program or
  *  ResultSet is well under this; the cap bounds a hostile peer). */
@@ -86,13 +94,16 @@ enum class FrameType : std::uint8_t
     Health = 5,
     /** Shard -> router: probe answer + current epoch/fingerprint. */
     HealthAck = 6,
-    /** Router -> shard: load .kbimg, swap once drained, then ack. */
+    /** Router -> shard: load and validate a .kbimg and stage it;
+     *  the serving image is untouched. */
     Prepare = 7,
-    /** Shard -> router: swap outcome (ok or typed detail). */
+    /** Shard -> router: staging outcome (ok or typed detail). */
     PrepareAck = 8,
-    /** Router -> shard: the epoch is now live everywhere. */
+    /** Router -> shard: every shard staged the epoch; swap the
+     *  staged image in (drain, re-stamp) and serve it. */
     Commit = 9,
-    /** Shard -> router: commit acknowledged. */
+    /** Shard -> router: the epoch the shard now serves (the
+     *  commit's epoch unless nothing was staged for it). */
     CommitAck = 10,
     /** Router -> shard: drain and exit. */
     Shutdown = 11,
@@ -225,12 +236,8 @@ struct StatsSnapshotFrame
     std::vector<MetricsRegistry::Sample> samples;
 };
 
-// --- program / results codecs (shared by request and response) ----------
-
-void encodeProgram(WireWriter &w, const Program &prog);
-/** @return false on malformed bytes (reader poisoned or operands out
- *  of range). */
-bool decodeProgram(WireReader &r, Program &out);
+// --- results codec ------------------------------------------------------
+// (A Request's program travels in the program codec, isa/encoding.)
 
 void encodeResults(WireWriter &w, const ResultSet &results);
 bool decodeResults(WireReader &r, ResultSet &out);

@@ -30,6 +30,16 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+/** True when @p ack is a @p want frame that @p decode accepts into
+ *  @p out. */
+template <typename Ack, typename Frame, typename Decode>
+bool
+decodeAck(const Ack &ack, FrameType want, Decode decode, Frame &out)
+{
+    WireReader r(ack.payload);
+    return ack.type == want && decode(r, out);
+}
+
 } // namespace
 
 ShardRouter::ShardRouter(RouterConfig cfg)
@@ -358,64 +368,19 @@ ShardRouter::readerMain(std::uint32_t idx)
             }
             break;
           }
-          case FrameType::HealthAck: {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (decodeHealthAck(r, shard.healthAck)) {
-                shard.controlType = FrameType::HealthAck;
-                shard.controlReady = true;
-                shard.controlCv.notify_all();
-            }
-            break;
-          }
-          case FrameType::PrepareAck: {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (decodePrepareAck(r, shard.prepareAck)) {
-                shard.controlType = FrameType::PrepareAck;
-                shard.controlReady = true;
-                shard.controlCv.notify_all();
-            }
-            break;
-          }
-          case FrameType::CommitAck: {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (decodeEpoch(r, shard.commitAck)) {
-                shard.controlType = FrameType::CommitAck;
-                shard.controlReady = true;
-                shard.controlCv.notify_all();
-            }
-            break;
-          }
-          case FrameType::SessionState: {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (decodeSessionState(r, numNodes_,
-                                   shard.sessionState)) {
-                shard.controlType = FrameType::SessionState;
-                shard.controlReady = true;
-                shard.controlCv.notify_all();
-            }
-            break;
-          }
-          case FrameType::SessionPushAck: {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (decodeSessionPushAck(r, shard.pushAck)) {
-                shard.controlType = FrameType::SessionPushAck;
-                shard.controlReady = true;
-                shard.controlCv.notify_all();
-            }
-            break;
-          }
+          case FrameType::HealthAck:
+          case FrameType::PrepareAck:
+          case FrameType::CommitAck:
+          case FrameType::SessionState:
+          case FrameType::SessionPushAck:
           case FrameType::StatsSnapshot: {
-            // Decode into a fresh frame: a pull replaces the previous
-            // snapshot, it never appends to it.
-            StatsSnapshotFrame snap;
-            const bool ok = decodeStatsSnapshot(r, snap);
+            // A control op's answer: the op that is waiting decodes
+            // it and checks it is the answer it asked for.
             std::lock_guard<std::mutex> lock(shard.mu);
-            if (ok) {
-                shard.statsAck = std::move(snap);
-                shard.controlType = FrameType::StatsSnapshot;
-                shard.controlReady = true;
-                shard.controlCv.notify_all();
-            }
+            shard.controlAck.type = type;
+            shard.controlAck.payload = std::move(payload);
+            shard.controlReady = true;
+            shard.controlCv.notify_all();
             break;
           }
           default:
@@ -908,6 +873,13 @@ ShardRouter::submit(RouterRequest req, ResponseFn done)
         std::lock_guard<std::mutex> lock(doneMu_);
         ++outstanding_;
     }
+    // Every shard's decoder refuses a program longer than the
+    // controller's sequence space by cutting the connection, so it is
+    // answered here instead of downing (and rerouting over) the fleet.
+    if (p->frame.prog.size() > capacity::maxInstructions) {
+        failRequest(p);
+        return;
+    }
     dispatch(std::move(p));
 }
 
@@ -934,7 +906,7 @@ ShardRouter::drain()
 bool
 ShardRouter::sendControl(std::uint32_t idx, FrameType type,
                          const std::vector<std::uint8_t> &payload,
-                         double timeout_ms)
+                         double timeout_ms, ControlAck &ack)
 {
     Shard &shard = *shards_[idx];
     {
@@ -954,7 +926,10 @@ ShardRouter::sendControl(std::uint32_t idx, FrameType type,
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::duration<double, std::milli>(timeout_ms)),
         [&] { return shard.controlReady || !shard.up; });
-    return got && shard.controlReady;
+    if (!got || !shard.controlReady)
+        return false;
+    ack = std::move(shard.controlAck);
+    return true;
 }
 
 bool
@@ -962,14 +937,24 @@ ShardRouter::probeShard(std::uint32_t idx, std::string &err)
 {
     snap_assert(idx < shards_.size(), "probe of shard %u of %zu", idx,
                 shards_.size());
+    HealthAckFrame ack;
+    return probe(idx, ack, err);
+}
+
+bool
+ShardRouter::probe(std::uint32_t idx, HealthAckFrame &ack,
+                   std::string &err)
+{
     Shard &shard = *shards_[idx];
     std::lock_guard<std::mutex> op(shard.controlOpMu);
-    HealthFrame probe;
-    probe.nonce = nextId_.fetch_add(1, std::memory_order_relaxed) |
-                  (1ull << 63);
+    HealthFrame health;
+    health.nonce = nextId_.fetch_add(1, std::memory_order_relaxed) |
+                   (1ull << 63);
     WireWriter w;
-    encodeHealth(w, probe);
-    if (!sendControl(idx, FrameType::Health, w.bytes(), 5000.0)) {
+    encodeHealth(w, health);
+    ControlAck reply;
+    if (!sendControl(idx, FrameType::Health, w.bytes(), 5000.0,
+                     reply)) {
         err = formatString("shard %u did not answer the health probe",
                            idx);
         if (shardHealthy(idx)) {
@@ -983,9 +968,10 @@ ShardRouter::probeShard(std::uint32_t idx, std::string &err)
         }
         return false;
     }
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.healthAck.nonce != probe.nonce) {
-        err = formatString("shard %u echoed a stale nonce", idx);
+    if (!decodeAck(reply, FrameType::HealthAck, decodeHealthAck, ack) ||
+        ack.nonce != health.nonce) {
+        err = formatString("shard %u answered the health probe with "
+                           "a wrong or stale ack", idx);
         return false;
     }
     err.clear();
@@ -1008,21 +994,24 @@ ShardRouter::pullShardStats(std::uint32_t idx,
                  (1ull << 62);
     WireWriter w;
     encodeStatsPull(w, pull);
-    if (!sendControl(idx, FrameType::StatsPull, w.bytes(), 5000.0)) {
+    ControlAck reply;
+    if (!sendControl(idx, FrameType::StatsPull, w.bytes(), 5000.0,
+                     reply)) {
         err = formatString("shard %u did not answer the stats pull",
                            idx);
         return false;
     }
-    {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        if (shard.controlType != FrameType::StatsSnapshot ||
-            shard.statsAck.nonce != pull.nonce) {
-            err = formatString("shard %u answered the wrong stats "
-                               "pull", idx);
-            return false;
-        }
-        out = shard.statsAck;
+    // Decode into a fresh frame: a pull replaces the previous
+    // snapshot, it never appends to it.
+    StatsSnapshotFrame snap;
+    if (!decodeAck(reply, FrameType::StatsSnapshot, decodeStatsSnapshot,
+                   snap) ||
+        snap.nonce != pull.nonce) {
+        err = formatString("shard %u answered the wrong stats pull",
+                           idx);
+        return false;
     }
+    out = std::move(snap);
     {
         std::lock_guard<std::mutex> lock(statsMu_);
         lastStats_[idx] = out;
@@ -1108,20 +1097,22 @@ ShardRouter::pullSession(std::uint32_t idx, const std::string &sid,
     pull.sessionId = sid;
     WireWriter w;
     encodeSessionPull(w, pull);
-    if (!sendControl(idx, FrameType::SessionPull, w.bytes(),
-                     30000.0)) {
+    ControlAck reply;
+    if (!sendControl(idx, FrameType::SessionPull, w.bytes(), 30000.0,
+                     reply)) {
         err = formatString("shard %u did not answer the session pull",
                            idx);
         return false;
     }
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.controlType != FrameType::SessionState ||
-        shard.sessionState.sessionId != sid) {
+    const auto decode = [this](WireReader &r, SessionStateFrame &f) {
+        return decodeSessionState(r, numNodes_, f);
+    };
+    if (!decodeAck(reply, FrameType::SessionState, decode, out) ||
+        out.sessionId != sid) {
         err = formatString("shard %u answered the wrong session pull",
                            idx);
         return false;
     }
-    out = shard.sessionState;
     err.clear();
     return true;
 }
@@ -1138,22 +1129,24 @@ ShardRouter::pushSession(std::uint32_t idx, const std::string &sid,
     push.markers = markers;
     WireWriter w;
     encodeSessionPush(w, push);
-    if (!sendControl(idx, FrameType::SessionPush, w.bytes(),
-                     30000.0)) {
+    ControlAck reply;
+    if (!sendControl(idx, FrameType::SessionPush, w.bytes(), 30000.0,
+                     reply)) {
         err = formatString("shard %u did not answer the session push",
                            idx);
         return false;
     }
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.controlType != FrameType::SessionPushAck ||
-        shard.pushAck.sessionId != sid) {
+    SessionPushAckFrame ack;
+    if (!decodeAck(reply, FrameType::SessionPushAck,
+                   decodeSessionPushAck, ack) ||
+        ack.sessionId != sid) {
         err = formatString("shard %u answered the wrong session push",
                            idx);
         return false;
     }
-    if (!shard.pushAck.ok) {
+    if (!ack.ok) {
         err = formatString("shard %u refused the session push: %s",
-                           idx, shard.pushAck.detail.c_str());
+                           idx, ack.detail.c_str());
         return false;
     }
     err.clear();
@@ -1582,12 +1575,11 @@ ShardRouter::swapEpoch(const std::string &image_path, std::string &err)
 
     const std::uint64_t next_epoch = epoch_ + 1;
     bool all_ok = true;
-    std::uint64_t new_fp = 0;
     err.clear();
 
-    // Prepare: every live shard loads + validates + re-stamps, and
-    // must positively ack before anyone flips.
-    for (std::uint32_t i = 0; i < shards_.size(); ++i) {
+    // Prepare: every live shard loads, validates and stages the
+    // image, and must positively ack before any shard flips.
+    for (std::uint32_t i = 0; i < shards_.size() && all_ok; ++i) {
         if (!shardHealthy(i))
             continue;
         PrepareFrame prep;
@@ -1596,25 +1588,30 @@ ShardRouter::swapEpoch(const std::string &image_path, std::string &err)
         WireWriter w;
         encodePrepare(w, prep);
         std::lock_guard<std::mutex> op(shards_[i]->controlOpMu);
-        // Re-stamping a replica pool is seconds of work at most;
-        // minutes means the shard is wedged.
-        if (!sendControl(i, FrameType::Prepare, w.bytes(),
-                         120000.0)) {
+        ControlAck reply;
+        PrepareAckFrame ack;
+        // Loading an image is seconds of work at most; minutes means
+        // the shard is wedged.
+        if (!sendControl(i, FrameType::Prepare, w.bytes(), 120000.0,
+                         reply)) {
             err = formatString("shard %u did not ack prepare", i);
             all_ok = false;
-            break;
-        }
-        std::lock_guard<std::mutex> lock(shards_[i]->mu);
-        if (!shards_[i]->prepareAck.ok) {
-            err = formatString(
-                "shard %u refused the new image: %s", i,
-                shards_[i]->prepareAck.detail.c_str());
+        } else if (!decodeAck(reply, FrameType::PrepareAck,
+                              decodePrepareAck, ack) ||
+                   ack.epoch != next_epoch) {
+            err = formatString("shard %u answered the prepare with a "
+                               "wrong ack", i);
             all_ok = false;
-            break;
+        } else if (!ack.ok) {
+            err = formatString("shard %u refused the new image: %s", i,
+                               ack.detail.c_str());
+            all_ok = false;
         }
     }
 
     if (all_ok) {
+        // Commit: each shard swaps its staged image in — it drains
+        // and re-stamps its pool, so the Prepare's deadline applies.
         EpochFrame commit;
         commit.epoch = next_epoch;
         WireWriter w;
@@ -1623,26 +1620,53 @@ ShardRouter::swapEpoch(const std::string &image_path, std::string &err)
             if (!shardHealthy(i))
                 continue;
             std::lock_guard<std::mutex> op(shards_[i]->controlOpMu);
-            if (!sendControl(i, FrameType::Commit, w.bytes(),
-                             30000.0)) {
-                // The shard re-stamped but its commit-ack was lost;
-                // its advertised epoch lags until the next probe.
-                snap_warn("router: shard %u did not ack commit", i);
-            }
+            ControlAck reply;
+            EpochFrame ack;
+            if (!sendControl(i, FrameType::Commit, w.bytes(), 120000.0,
+                             reply) ||
+                !decodeAck(reply, FrameType::CommitAck, decodeEpoch,
+                           ack) ||
+                ack.epoch != next_epoch)
+                snap_warn("router: shard %u did not ack the commit of "
+                          "epoch %llu", i,
+                          static_cast<unsigned long long>(next_epoch));
         }
-        epoch_ = next_epoch;
-        // Fingerprints converged to the new image; refresh ours from
-        // any live shard's next health ack lazily — or proactively:
+
+        // A lost ack does not undo a commit, so the probes decide:
+        // the fleet serves the image of any shard now on the new
+        // epoch, else the old one.  A shard on any other image (or
+        // that cannot say) is downed; the re-dialer's handshake keeps
+        // it out until it serves the fleet's fingerprint.
+        std::vector<std::uint64_t> served(shards_.size(), 0);
+        bool moved = false;
+        std::uint64_t target = fingerprint_;
         for (std::uint32_t i = 0; i < shards_.size(); ++i) {
+            HealthAckFrame ack;
             std::string probe_err;
-            if (shardHealthy(i) && probeShard(i, probe_err)) {
-                std::lock_guard<std::mutex> lock(shards_[i]->mu);
-                new_fp = shards_[i]->healthAck.fingerprint;
-                break;
+            if (!shardHealthy(i) || !probe(i, ack, probe_err))
+                continue;
+            served[i] = ack.fingerprint;
+            if (ack.epoch == next_epoch && !moved) {
+                moved = true;
+                target = ack.fingerprint;
             }
         }
-        if (new_fp != 0)
-            fingerprint_ = new_fp;
+        for (std::uint32_t i = 0; i < shards_.size(); ++i) {
+            if (!shardHealthy(i) || served[i] == target)
+                continue;
+            snap_warn("router: shard %u does not serve the fleet's "
+                      "image; downing it", i);
+            shards_[i]->lastError.store(IoErrorKind::BadType,
+                                        std::memory_order_release);
+            shardDown(i);
+        }
+        fingerprint_ = target;
+        if (moved) {
+            epoch_ = next_epoch;
+        } else {
+            err = "no shard committed the new image";
+            all_ok = false;
+        }
     }
 
     {

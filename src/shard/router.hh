@@ -43,8 +43,13 @@
  *
  * Epoch hot-swap (swapEpoch) is a coordinated barrier: new dispatch
  * pauses, all windows drain, every shard gets Prepare(epoch, path)
- * and must positively ack (it has re-stamped its pool by then), then
- * Commit flips the epoch and dispatch resumes.  Every request is
+ * and must positively ack (it has loaded, validated and staged the
+ * image; nothing has flipped yet), then Commit makes each shard
+ * re-stamp its pool from the staged image, and dispatch resumes.  A
+ * refusal anywhere means no Commit is sent, so the fleet never
+ * serves two images; after the commits every live shard is probed
+ * (a lost Commit ack does not undo a commit) and one not serving the
+ * image of a shard on the new epoch is downed.  Every request is
  * served entirely before or entirely after the flip — zero wrong
  * answers and zero drops under live traffic, which
  * ShardFleetTest.EpochHotSwapUnderLoadGivesZeroWrongAnswers and the
@@ -181,8 +186,11 @@ class ShardRouter
     /**
      * Coordinated-barrier hot-swap to the .kbimg at @p image_path.
      * Pauses dispatch, drains every shard, Prepares all (each shard
-     * re-stamps and acks), Commits, resumes.  @return false with
-     * @p err if any shard refuses; dispatch resumes either way.
+     * loads, validates and stages the image), Commits (each shard
+     * re-stamps from it), probes, resumes.  @return false with @p err
+     * if any shard refuses the Prepare (no shard flipped) or no shard
+     * reports the new epoch after the commits (every live shard is on
+     * the old image); dispatch resumes either way.
      */
     bool swapEpoch(const std::string &image_path, std::string &err);
 
@@ -310,6 +318,13 @@ class ShardRouter
     };
     using PendingPtr = std::shared_ptr<PendingRoute>;
 
+    /** A control frame's answer as it came off the wire. */
+    struct ControlAck
+    {
+        FrameType type = FrameType::HealthAck;
+        std::vector<std::uint8_t> payload;
+    };
+
     /** One shard connection + its reader thread and window. */
     struct Shard
     {
@@ -339,16 +354,11 @@ class ShardRouter
          *  from the control thread and the replicator at once. */
         std::mutex controlOpMu;
 
-        /** One outstanding control op at a time; acks land here. */
+        /** One outstanding control op at a time; its ack lands here
+         *  undecoded, and the op checks and decodes it. */
         std::condition_variable controlCv;
         bool controlReady = false;
-        HealthAckFrame healthAck;
-        PrepareAckFrame prepareAck;
-        EpochFrame commitAck;
-        SessionStateFrame sessionState;
-        SessionPushAckFrame pushAck;
-        StatsSnapshotFrame statsAck;
-        FrameType controlType = FrameType::Health;
+        ControlAck controlAck;
 
         /** Shard clock minus router clock at handshake (see
          *  shardClockOffsetNs). */
@@ -391,9 +401,16 @@ class ShardRouter
     void dispatch(PendingPtr p);
     void failRequest(const PendingPtr &p);
     void noteDone();
+    /** Send one control frame and wait up to @p timeout_ms for the
+     *  shard's answer.  @return false when the shard is down or
+     *  silent; otherwise the answer is in @p ack, for the caller to
+     *  check and decode (call under the shard's controlOpMu). */
     bool sendControl(std::uint32_t idx, FrameType type,
                      const std::vector<std::uint8_t> &payload,
-                     double timeout_ms);
+                     double timeout_ms, ControlAck &ack);
+    /** Health probe of shard @p idx; a timeout downs it. */
+    bool probe(std::uint32_t idx, HealthAckFrame &ack,
+               std::string &err);
     /** Dial + handshake shard @p idx (no reader thread started). */
     bool dialShard(std::uint32_t idx, double timeout_ms,
                    std::string &detail, IoErrorKind &kind);

@@ -217,9 +217,10 @@ ShardServer::handleFrame(int fd, std::uint32_t conn,
         EpochFrame commit;
         if (!decodeEpoch(r, commit))
             return false;
-        epoch_.store(commit.epoch, std::memory_order_release);
+        EpochFrame ack;
+        ack.epoch = commitStaged(commit.epoch);
         WireWriter w;
-        encodeEpoch(w, commit);
+        encodeEpoch(w, ack);
         return reply(FrameType::CommitAck, w);
       }
       case FrameType::SessionPull: {
@@ -404,34 +405,27 @@ ShardServer::handlePrepare(int fd, std::mutex &write_mu,
     PrepareAckFrame ack;
     ack.epoch = prep.epoch;
 
-    // One swap at a time; the engine's own admission gate handles
-    // concurrency with request traffic.
     std::lock_guard<std::mutex> swap_lock(swapMu_);
+    // A new Prepare replaces whatever an abandoned swap left staged.
+    staged_.reset();
 
-    KbImageFile next;
+    auto next = std::make_unique<KbImageFile>();
     std::string detail;
-    KbImgStatus status = loadKbImageFile(prep.imagePath, next, detail);
+    KbImgStatus status = loadKbImageFile(prep.imagePath, *next, detail);
     if (status != KbImgStatus::Ok) {
         // Typed rejection: the old image keeps serving.
-        ack.ok = false;
         ack.detail = formatString("%s: %s", kbImgStatusName(status),
                                   detail.c_str());
-    } else {
-        std::uint64_t fp = next.fingerprint;
-        std::string err;
-        if (engine_->swapImage(next.net, std::move(next.image), err)) {
-            net_ = std::move(next.net);
-            fingerprint_.store(fp, std::memory_order_release);
-            ack.ok = true;
-            snap_inform("shard: prepared epoch %llu from '%s' "
-                        "(fingerprint %016llx)",
-                        static_cast<unsigned long long>(prep.epoch),
-                        prep.imagePath.c_str(),
-                        static_cast<unsigned long long>(fp));
-        } else {
-            ack.ok = false;
-            ack.detail = err;
-        }
+    } else if (engine_->checkImage(next->net, *next->image,
+                                   ack.detail)) {
+        ack.ok = true;
+        snap_inform("shard: staged epoch %llu from '%s' "
+                    "(fingerprint %016llx)",
+                    static_cast<unsigned long long>(prep.epoch),
+                    prep.imagePath.c_str(),
+                    static_cast<unsigned long long>(next->fingerprint));
+        staged_ = std::move(next);
+        stagedEpoch_ = prep.epoch;
     }
     if (!ack.ok) {
         snap_warn("shard: prepare(%llu, '%s') refused: %s",
@@ -444,6 +438,35 @@ ShardServer::handlePrepare(int fd, std::mutex &write_mu,
     std::lock_guard<std::mutex> lock(write_mu);
     if (!writeFrame(fd, FrameType::PrepareAck, w.bytes()))
         snap_warn("shard: prepare-ack write failed");
+}
+
+std::uint64_t
+ShardServer::commitStaged(std::uint64_t epoch)
+{
+    std::lock_guard<std::mutex> swap_lock(swapMu_);
+    if (!staged_ || stagedEpoch_ != epoch) {
+        snap_warn("shard: commit(%llu) with no image staged for it",
+                  static_cast<unsigned long long>(epoch));
+        return this->epoch();
+    }
+    std::unique_ptr<KbImageFile> next = std::move(staged_);
+    std::string err;
+    // The engine's admission gate orders the swap against request
+    // traffic.  checkImage passed at Prepare and only a Commit changes
+    // the serving image, so a refusal here is not expected; it keeps
+    // the old image.
+    if (!engine_->swapImage(next->net, std::move(next->image), err)) {
+        snap_warn("shard: commit(%llu) refused: %s",
+                  static_cast<unsigned long long>(epoch), err.c_str());
+        return this->epoch();
+    }
+    net_ = std::move(next->net);
+    fingerprint_.store(next->fingerprint, std::memory_order_release);
+    epoch_.store(epoch, std::memory_order_release);
+    snap_inform("shard: committed epoch %llu (fingerprint %016llx)",
+                static_cast<unsigned long long>(epoch),
+                static_cast<unsigned long long>(fingerprint()));
+    return epoch;
 }
 
 } // namespace shard

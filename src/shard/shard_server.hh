@@ -12,12 +12,16 @@
  * answers behind it.
  *
  * Epoch hot-swap: a Prepare frame names a .kbimg generation; the
- * server bulk-loads and validates it (typed rejection on a corrupt
- * file — the old image keeps serving), then ServeEngine::swapImage
- * drains in-flight work and re-stamps every replica.  The positive
- * PrepareAck is the router's barrier token; Commit flips the
- * advertised epoch.  Sessions survive the swap (marker state is
- * keyed by global node ids and the node count is checked).
+ * server bulk-loads it, validates it against the serving image
+ * (ServeEngine::checkImage; typed rejection on a corrupt or
+ * mismatched file) and stages it — the old image keeps serving.  The
+ * positive PrepareAck is the router's barrier token.  The Commit of
+ * the same epoch swaps the staged image in (ServeEngine::swapImage
+ * drains in-flight work and re-stamps every replica) and flips the
+ * advertised fingerprint and epoch, so a swap the router abandons
+ * after a refusal elsewhere never flips this shard.  Sessions survive
+ * the swap (marker state is keyed by global node ids and the node
+ * count is checked).
  */
 
 #ifndef SNAP_SHARD_SHARD_SERVER_HH
@@ -108,6 +112,9 @@ class ShardServer
                                  std::vector<std::uint8_t> bytes);
     void handlePrepare(int fd, std::mutex &write_mu,
                        const PrepareFrame &frame);
+    /** Swap in the image staged for @p epoch.  @return the epoch now
+     *  served (unchanged when nothing was staged for it). */
+    std::uint64_t commitStaged(std::uint64_t epoch);
 
     ShardServerConfig cfg_;
     Endpoint endpoint_;
@@ -118,8 +125,12 @@ class ShardServer
     std::unique_ptr<FleetFaultPlan> fleetPlan_;
     std::atomic<std::uint64_t> epoch_{0};
     std::atomic<std::uint64_t> fingerprint_{0};
-    /** Serializes Prepare handling (one swap at a time). */
+    /** Serializes Prepare and Commit handling (one swap at a
+     *  time); guards the staged image. */
     std::mutex swapMu_;
+    /** The image the last accepted Prepare staged, and its epoch. */
+    std::unique_ptr<KbImageFile> staged_;
+    std::uint64_t stagedEpoch_ = 0;
 
     std::atomic<bool> stopping_{false};
     std::mutex connMu_;

@@ -8,10 +8,7 @@
  *   snapkb-gen chain <length> [options]
  *
  * Options:
- *   --out FILE       write to FILE instead of stdout.  tree, random,
- *                    and chain stream the text incrementally (O(1)
- *                    memory), so million-node KBs never materialize a
- *                    SemanticNetwork.
+ *   --out FILE       write to FILE instead of stdout
  *   --pack           write a binary .kbimg snapshot instead of text:
  *                    the KB is compiled (partitioned + relation
  *                    tables) and serialized via arch/kb_image_io.
@@ -22,7 +19,9 @@
  *
  * The linguistic generator builds the paper's Fig. 1 layering
  * (lexical layer, syntactic/semantic constraints, concept sequences
- * with the 75/15/5/5 budget).
+ * with the 75/15/5/5 budget).  Every kind builds its network in
+ * memory, so a KB over capacity::maxNodes (32,768) nodes is a user
+ * error: no tool could load it.
  *
  * Exit status: 0 on success, 1 on user error (bad parameter values —
  * the snap_fatal path), 2 on a command-line usage error.  This
@@ -32,7 +31,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -45,7 +43,6 @@
 #include "kb/kb_io.hh"
 #include "nlu/kb_factory.hh"
 #include "workload/kb_gen.hh"
-#include "workload/kb_stream.hh"
 
 using namespace snap;
 
@@ -63,8 +60,7 @@ usage()
         "[options]\n"
         "       snapkb-gen chain <length> [options]\n"
         "options:\n"
-        "  --out FILE        write to FILE (tree/random/chain "
-        "stream incrementally)\n"
+        "  --out FILE        write to FILE\n"
         "  --pack            write a binary .kbimg snapshot "
         "(requires --out)\n"
         "  --clusters N      (--pack) clusters 1..32 (default 16)\n"
@@ -170,49 +166,23 @@ main(int argc, char **argv)
         usage();
     std::string kind = argv[1];
 
-    // Streaming text output: only meaningful without --pack (packing
-    // needs the compiled form, which needs the network in memory).
-    std::ofstream stream_file;
-    std::ostream *stream_os = nullptr;
-    if (!opt.pack) {
-        if (opt.outPath.empty()) {
-            stream_os = &std::cout;
-        } else {
-            stream_file.open(opt.outPath);
-            if (!stream_file)
-                snap_fatal("cannot open '%s' for writing",
-                           opt.outPath.c_str());
-            stream_os = &stream_file;
-        }
-    }
-
     if (kind == "tree") {
-        auto nodes = static_cast<std::uint64_t>(
-            argInt(argc, argv, 2, 0));
-        auto branching = static_cast<std::uint32_t>(
-            argInt(argc, argv, 3, 4));
-        if (stream_os)
-            streamTreeKb(nodes, branching, *stream_os);
-        else
-            emitNetwork(makeTreeKb(static_cast<std::uint32_t>(nodes),
-                                   branching),
-                        opt);
+        emitNetwork(makeTreeKb(static_cast<std::uint32_t>(
+                                   argInt(argc, argv, 2, 0)),
+                               static_cast<std::uint32_t>(
+                                   argInt(argc, argv, 3, 4))),
+                    opt);
     } else if (kind == "random") {
         if (argc < 5)
             usage();
-        auto nodes = static_cast<std::uint64_t>(
+        auto nodes = static_cast<std::uint32_t>(
             argInt(argc, argv, 2, 0));
         double fanout = std::atof(argv[3]);
         auto rels = static_cast<std::uint32_t>(
             argInt(argc, argv, 4, 2));
         auto seed = static_cast<std::uint64_t>(
             argInt(argc, argv, 5, 42));
-        if (stream_os)
-            streamRandomKb(nodes, fanout, rels, seed, *stream_os);
-        else
-            emitNetwork(makeRandomKb(static_cast<std::uint32_t>(nodes),
-                                     fanout, rels, seed),
-                        opt);
+        emitNetwork(makeRandomKb(nodes, fanout, rels, seed), opt);
     } else if (kind == "linguistic") {
         LinguisticKbParams params;
         params.nonlexicalNodes = static_cast<std::uint32_t>(
@@ -222,26 +192,13 @@ main(int argc, char **argv)
         params.seed = static_cast<std::uint64_t>(
             argInt(argc, argv, 4, 42));
         LinguisticKb kb(params);
-        if (stream_os)
-            saveNetwork(kb.net(), *stream_os);
-        else
-            emitNetwork(kb.net(), opt);
+        emitNetwork(kb.net(), opt);
     } else if (kind == "chain") {
-        auto length = static_cast<std::uint64_t>(
-            argInt(argc, argv, 2, 0));
-        if (stream_os)
-            streamChainKb(length, *stream_os);
-        else
-            emitNetwork(makeChainKb(static_cast<std::uint32_t>(length)),
-                        opt);
+        emitNetwork(makeChainKb(static_cast<std::uint32_t>(
+                        argInt(argc, argv, 2, 0))),
+                    opt);
     } else {
         usage();
-    }
-
-    if (stream_file.is_open()) {
-        stream_file.close();
-        if (!stream_file)
-            snap_fatal("write error on '%s'", opt.outPath.c_str());
     }
     return 0;
 }

@@ -424,6 +424,55 @@ TEST(ServeEngine, SessionCarriesMarkerState)
     EXPECT_GT(engine.sessionMarkers("parse-1").count(1), 0u);
 }
 
+TEST(ServeEngine, ProgramNamingANodeOutsideTheImageIsFailedUnrun)
+{
+    SemanticNetwork net = makeTreeKb(300, 4);
+    const RelationType inc = net.relationId("includes");
+    const NodeId past = net.numNodes();
+
+    // Every node operand the machine places or the reference
+    // interpreter indexes, one past the image's last node.
+    std::vector<Instruction> hostile = {
+        Instruction::create(past, inc, 1.0f, 0),
+        Instruction::create(0, inc, 1.0f, past),
+        Instruction::del(past, inc, 0),
+        Instruction::setColor(past, 1),
+        Instruction::setWeight(past, inc, 0, 1.0f),
+        Instruction::searchNode(past, 0, 0.0f),
+        Instruction::markerCreate(0, inc, past, inc),
+        Instruction::markerDelete(0, inc, past, inc),
+    };
+    // Fault-armed, so every replica has an integrity shadow: neither
+    // the replica nor the shadow may see these programs.
+    ServeConfig cfg = smallEngineConfig(2);
+    cfg.faults = FaultSpec::messageFaults(3, 0.001);
+    ServeEngine engine(net, cfg);
+    for (const Instruction &in : hostile) {
+        for (const char *sid : {"", "s"}) {
+            Request req;
+            req.sessionId = sid;
+            req.prog.append(in);
+            Response resp = engine.submit(std::move(req)).get();
+            EXPECT_EQ(resp.status, RequestStatus::Failed)
+                << in.toString();
+            EXPECT_EQ(resp.retries, 0u);
+            EXPECT_FALSE(resp.faultDetected);
+        }
+    }
+    // The refused turns gave their slots up: the session's next turn
+    // runs, and so do in-range edits and searches.
+    Request turn;
+    turn.sessionId = "s";
+    turn.prog.append(Instruction::setColor(past - 1, 1));
+    turn.prog.append(Instruction::searchNode(past - 1, 0, 0.0f));
+    turn.prog.append(Instruction::collectMarker(0));
+    Response resp = engine.submit(std::move(turn)).get();
+    ASSERT_EQ(resp.status, RequestStatus::Ok);
+    ASSERT_EQ(resp.results.size(), 1u);
+    EXPECT_EQ(resp.results[0].nodes.size(), 1u);
+    EXPECT_EQ(engine.metricsSnapshot().failed, 2 * hostile.size());
+}
+
 TEST(ServeEngine, SessionRequestsExecuteInSubmissionOrder)
 {
     SemanticNetwork net = makeTreeKb(64, 4);

@@ -524,7 +524,9 @@ expectPinned(const WireWriter &w, std::size_t len, std::uint64_t hash,
 TEST(ShardProtocol, RequestAndResponseBytesArePinned)
 {
     // Any change to these bytes is a wire change and needs a protocol
-    // version bump: the constants are v5's encodings, which v6 keeps.
+    // version bump.  The Request constants are v7's encodings (the
+    // program codec); the Response constant is v5's, which v6 and v7
+    // keep.
     shard::RequestFrame sampled;
     sampled.id = 0x0102030405060708ull;
     sampled.sessionId = "pin-session";
@@ -536,7 +538,7 @@ TEST(ShardProtocol, RequestAndResponseBytesArePinned)
     sampled.traceSampled = true;
     WireWriter a;
     shard::encodeRequest(a, sampled);
-    expectPinned(a, 204, 0xb395da001fbbd2c7ull, "sampled request");
+    expectPinned(a, 98, 0xf84f18e280648b08ull, "sampled request");
 
     // Unsampled: the ids the record holds are not sent.
     shard::RequestFrame plain;
@@ -546,7 +548,7 @@ TEST(ShardProtocol, RequestAndResponseBytesArePinned)
     plain.traceParent = 0x123456ull;
     WireWriter b;
     shard::encodeRequest(b, plain);
-    expectPinned(b, 193, 0x00104da862cb9d66ull, "unsampled request");
+    expectPinned(b, 87, 0xb4b38520f389d69full, "unsampled request");
 
     shard::ResponseFrame resp;
     resp.id = 0x0a0b0c0d0e0f1011ull;
@@ -1679,6 +1681,174 @@ TEST_F(ShardFleetTest, ByzantineCorruptionIsNeverServed)
         << "a corrupting shard is compromised, not trusted again";
 }
 
+// --- hostile requests ---------------------------------------------------
+
+/** A hand-driven connection to a shard, past the Hello handshake. */
+struct RawConnection
+{
+    int fd = -1;
+
+    explicit RawConnection(const std::string &endpoint)
+    {
+        shard::Endpoint ep;
+        std::string detail;
+        EXPECT_TRUE(shard::parseEndpoint(endpoint, ep, detail))
+            << detail;
+        fd = shard::connectEndpoint(ep, 5000.0, detail);
+        EXPECT_GE(fd, 0) << detail;
+        WireWriter w;
+        shard::encodeHello(w, shard::HelloFrame{});
+        EXPECT_TRUE(shard::writeFrame(fd, FrameType::Hello, w.bytes()));
+        FrameType type;
+        std::vector<std::uint8_t> payload;
+        EXPECT_TRUE(shard::readFrame(fd, type, payload, detail))
+            << detail;
+        EXPECT_EQ(type, FrameType::HelloAck);
+    }
+
+    ~RawConnection() { shard::closeFd(fd); }
+
+    /** Send one Request payload.  @return false when the shard closes
+     *  the connection instead of answering. */
+    bool
+    request(const std::vector<std::uint8_t> &payload,
+            shard::ResponseFrame &resp)
+    {
+        std::string detail;
+        FrameType type;
+        std::vector<std::uint8_t> bytes;
+        resp = shard::ResponseFrame{};
+        if (!shard::writeFrame(fd, FrameType::Request, payload) ||
+            !shard::readFrame(fd, type, bytes, detail))
+            return false;
+        WireReader r(bytes);
+        return type == FrameType::Response &&
+               shard::decodeResponse(r, resp);
+    }
+};
+
+std::vector<std::uint8_t>
+requestBytes(const Program &prog)
+{
+    shard::RequestFrame req;
+    req.id = 31;
+    req.prog = prog;
+    WireWriter w;
+    shard::encodeRequest(w, req);
+    return w.take();
+}
+
+/** A Request payload carrying raw program codec bytes @p prog: the
+ *  encoding of a request with an empty program (8 zero bytes just
+ *  before the 17-byte trace context), with those 8 bytes replaced. */
+std::vector<std::uint8_t>
+requestCarrying(const std::vector<std::uint8_t> &prog)
+{
+    std::vector<std::uint8_t> bytes = requestBytes(Program());
+    const auto at = static_cast<std::ptrdiff_t>(bytes.size() - 17 - 8);
+    bytes.erase(bytes.begin() + at, bytes.begin() + at + 8);
+    bytes.insert(bytes.begin() + at, prog.begin(), prog.end());
+    return bytes;
+}
+
+TEST_F(ShardFleetTest, HostileRequestsAreRejectedAndTheShardKeepsServing)
+{
+    TempPath sock0("hostile0.sock");
+    const std::string ep = "unix:" + sock0.path();
+    TestShard s0(image_file_->path(), ep);
+    const RelationType inc = net_.relationId("includes");
+
+    // Program bytes the codec refuses: the shard drops the connection
+    // (a peer that sends them is broken) and lives on.
+    auto rule_bytes = [](std::uint32_t max_steps,
+                         std::uint32_t segments) {
+        WireWriter w;
+        w.u32(1);  // one rule
+        w.u32(max_steps);
+        w.u32(segments);
+        for (std::uint32_t s = 0; s < segments; ++s) {
+            w.u8(1);
+            w.u32(1);
+            w.u16(1);
+        }
+        w.u32(1);  // one instruction: PROPAGATE m0 -> m0 by rule 0
+        w.u8(static_cast<std::uint8_t>(Opcode::Propagate));
+        w.u16(0);
+        return w.take();
+    };
+    Program too_long;
+    for (std::uint32_t i = 0; i < 70000; ++i)
+        too_long.append(Instruction::barrier());
+    const std::vector<std::vector<std::uint8_t>> refused = {
+        requestCarrying(rule_bytes(64, 0)),  // a rule with no segments
+        requestCarrying(rule_bytes(0, 1)),   // maxSteps 0
+        requestBytes(too_long),  // past the 16-bit sequence space
+    };
+    for (std::size_t i = 0; i < refused.size(); ++i) {
+        RawConnection conn(ep);
+        shard::ResponseFrame resp;
+        EXPECT_FALSE(conn.request(refused[i], resp))
+            << "hostile request " << i << " was answered";
+    }
+
+    // The well-formed twin of the hostile rule bytes is served.
+    RawConnection conn(ep);
+    shard::ResponseFrame resp;
+    ASSERT_TRUE(conn.request(requestCarrying(rule_bytes(64, 1)), resp));
+    EXPECT_EQ(resp.status, serve::RequestStatus::Ok);
+
+    // A program naming a node outside the image decodes; the engine
+    // answers it Failed without running it, on the same connection.
+    ASSERT_TRUE(conn.request(requestBytes(countQuery(99999, inc)), resp));
+    EXPECT_EQ(resp.id, 31u);
+    EXPECT_EQ(resp.status, serve::RequestStatus::Failed);
+    EXPECT_EQ(resp.retries, 0u);
+    EXPECT_TRUE(resp.results.empty());
+
+    // The shard keeps serving, on this connection and a new one.
+    const Program valid = countQuery(3, inc);
+    ASSERT_TRUE(conn.request(requestBytes(valid), resp));
+    EXPECT_EQ(resp.status, serve::RequestStatus::Ok);
+    EXPECT_TRUE(sameAnswer(resp, reference(valid)));
+    RawConnection fresh(ep);
+    ASSERT_TRUE(fresh.request(requestBytes(valid), resp));
+    EXPECT_EQ(resp.status, serve::RequestStatus::Ok);
+    EXPECT_TRUE(sameAnswer(resp, reference(valid)));
+}
+
+TEST_F(ShardFleetTest, RouterFailsAnOverlongProgramWithoutDowningAShard)
+{
+    TempPath sock0("long0.sock"), sock1("long1.sock");
+    TestShard s0(image_file_->path(), "unix:" + sock0.path());
+    TestShard s1(image_file_->path(), "unix:" + sock1.path());
+
+    shard::RouterConfig rcfg;
+    rcfg.shards = {"unix:" + sock0.path(), "unix:" + sock1.path()};
+    rcfg.reconnectMs = 0.0; // a downed shard stays down: assertable
+    ShardRouter router(rcfg);
+    std::string detail;
+    ASSERT_TRUE(router.connect(detail)) << detail;
+
+    // Past the controller's sequence space: every shard's decoder
+    // would refuse it by cutting the connection.
+    shard::RouterRequest too_long;
+    for (std::uint32_t i = 0; i < 70000; ++i)
+        too_long.prog.append(Instruction::barrier());
+    shard::ResponseFrame resp =
+        submitAndWait(router, std::move(too_long));
+    EXPECT_EQ(resp.status, serve::RequestStatus::Failed);
+    EXPECT_TRUE(router.shardHealthy(0));
+    EXPECT_TRUE(router.shardHealthy(1));
+    EXPECT_EQ(router.rerouteCount(), 0u);
+
+    const Program valid = countQuery(3, net_.relationId("includes"));
+    shard::RouterRequest req;
+    req.prog = valid;
+    resp = submitAndWait(router, std::move(req));
+    ASSERT_EQ(resp.status, serve::RequestStatus::Ok);
+    EXPECT_TRUE(sameAnswer(resp, reference(valid)));
+}
+
 TEST_F(ShardFleetTest, ConnectRefusedIsTypedAtConnect)
 {
     TempPath sock0("ref0.sock");
@@ -1768,6 +1938,193 @@ TEST_F(ShardFleetTest, ProbeTimeoutOnAWedgedShardIsTypedAndDownsIt)
     EXPECT_NE(err.find("health probe"), std::string::npos) << err;
     EXPECT_FALSE(router.shardHealthy(0));
     EXPECT_EQ(router.shardLastError(0), IoErrorKind::Timeout);
+}
+
+/** A fake shard that completes the Hello handshake as the twin of a
+ *  real shard (its fingerprint, node and cluster counts) and answers
+ *  health probes.  With @p commit_fp 0 it refuses every Prepare.
+ *  Otherwise it accepts the Prepare, commits to @p commit_fp, but
+ *  answers the Commit with a stale epoch, as if the ack were lost;
+ *  its probes then report the new epoch and @p commit_fp. */
+struct SwapFakeShard
+{
+    int listenFd = -1;
+    int connFd = -1;
+    std::thread runner;
+
+    SwapFakeShard(const shard::Endpoint &ep, ShardServer &twin,
+                  std::uint64_t commit_fp = 0)
+    {
+        shard::HelloAckFrame hello;
+        hello.fingerprint = twin.fingerprint();
+        hello.numNodes = twin.engine().sharedImage().numNodes();
+        hello.numClusters = twin.engine().sharedImage().numClusters();
+        std::string detail;
+        listenFd = shard::listenEndpoint(ep, detail);
+        EXPECT_GE(listenFd, 0) << detail;
+        runner = std::thread([this, hello, commit_fp] {
+            std::string err;
+            connFd = shard::acceptConnection(listenFd, err);
+            shard::HealthAckFrame serving;
+            serving.fingerprint = hello.fingerprint;
+            FrameType type;
+            std::vector<std::uint8_t> payload;
+            while (connFd >= 0 &&
+                   shard::readFrame(connFd, type, payload, err)) {
+                WireReader r(payload);
+                WireWriter w;
+                if (type == FrameType::Hello) {
+                    shard::encodeHelloAck(w, hello);
+                    shard::writeFrame(connFd, FrameType::HelloAck,
+                                      w.bytes());
+                } else if (type == FrameType::Health) {
+                    shard::HealthFrame probe;
+                    shard::decodeHealth(r, probe);
+                    serving.nonce = probe.nonce;
+                    shard::encodeHealthAck(w, serving);
+                    shard::writeFrame(connFd, FrameType::HealthAck,
+                                      w.bytes());
+                } else if (type == FrameType::Prepare) {
+                    shard::PrepareFrame prep;
+                    shard::decodePrepare(r, prep);
+                    shard::PrepareAckFrame ack;
+                    ack.epoch = prep.epoch;
+                    ack.ok = commit_fp != 0;
+                    if (!ack.ok)
+                        ack.detail = "cannot open the image";
+                    shard::encodePrepareAck(w, ack);
+                    shard::writeFrame(connFd, FrameType::PrepareAck,
+                                      w.bytes());
+                } else if (type == FrameType::Commit) {
+                    shard::EpochFrame commit;
+                    shard::decodeEpoch(r, commit);
+                    shard::EpochFrame stale;
+                    stale.epoch = serving.epoch;
+                    serving.epoch = commit.epoch;
+                    serving.fingerprint = commit_fp;
+                    shard::encodeEpoch(w, stale);
+                    shard::writeFrame(connFd, FrameType::CommitAck,
+                                      w.bytes());
+                }
+            }
+        });
+    }
+
+    ~SwapFakeShard()
+    {
+        if (connFd >= 0)
+            ::shutdown(connFd, SHUT_RDWR);
+        ::shutdown(listenFd, SHUT_RDWR);
+        runner.join();
+        shard::closeFd(listenFd);
+        shard::closeFd(connFd);
+    }
+};
+
+TEST_F(ShardFleetTest, RefusedPrepareLeavesEveryShardOnTheOldImage)
+{
+    // The next generation: as many nodes and clusters, other links,
+    // so it validates and answers differently.
+    SemanticNetwork next = makeTreeKb(300, 2);
+    TempPath gen2("refused_gen2.kbimg");
+    {
+        serve::ServeConfig scfg = shardServeConfig();
+        KbImage image(next, scfg.machine);
+        saveKbImageFile(next, image, scfg.machine.partition,
+                        gen2.path());
+    }
+
+    TempPath sock0("refuse0.sock"), sock1("refuse1.sock");
+    TestShard s0(image_file_->path(), "unix:" + sock0.path());
+    shard::Endpoint ep1;
+    std::string detail;
+    ASSERT_TRUE(
+        shard::parseEndpoint("unix:" + sock1.path(), ep1, detail))
+        << detail;
+    SwapFakeShard s1(ep1, *s0.server);
+
+    shard::RouterConfig rcfg;
+    rcfg.shards = {"unix:" + sock0.path(), "unix:" + sock1.path()};
+    rcfg.reconnectMs = 0.0;
+    ShardRouter router(rcfg);
+    ASSERT_TRUE(router.connect(detail)) << detail;
+    const std::uint64_t fp_before = s0.server->fingerprint();
+
+    // A query shard 0 owns whose answer tells the images apart.
+    HashRing ring(2, rcfg.vnodes);
+    Program prog;
+    RunResult old_ref;
+    {
+        SnapMachine on_next(shardServeConfig().machine);
+        on_next.loadKb(next);
+        for (const Program &p : programsOwnedBy(ring, 0, net_, 8)) {
+            on_next.image().resetMarkers();
+            old_ref = reference(p);
+            shard::ResponseFrame as_next;
+            RunResult r = on_next.run(p);
+            as_next.results = r.results;
+            as_next.wallTicks = r.wallTicks;
+            if (!sameAnswer(as_next, old_ref)) {
+                prog = p;
+                break;
+            }
+        }
+    }
+    ASSERT_FALSE(prog.empty()) << "no query tells the images apart";
+
+    std::string err;
+    EXPECT_FALSE(router.swapEpoch(gen2.path(), err));
+    EXPECT_NE(err.find("refused"), std::string::npos) << err;
+    EXPECT_EQ(s0.server->fingerprint(), fp_before)
+        << "shard 0 flipped although shard 1 refused";
+
+    shard::RouterRequest req;
+    req.prog = prog;
+    shard::ResponseFrame resp = submitAndWait(router, std::move(req));
+    ASSERT_EQ(resp.status, serve::RequestStatus::Ok);
+    EXPECT_TRUE(sameAnswer(resp, old_ref))
+        << "shard 0 answered from the refused image";
+}
+
+TEST_F(ShardFleetTest, ALostCommitAckStillMovesTheRouterToTheNewImage)
+{
+    SemanticNetwork next = makeTreeKb(300, 2);
+    TempPath gen2("lostack_gen2.kbimg");
+    {
+        serve::ServeConfig scfg = shardServeConfig();
+        KbImage image(next, scfg.machine);
+        saveKbImageFile(next, image, scfg.machine.partition,
+                        gen2.path());
+    }
+    KbImageFile staged;
+    std::string detail;
+    ASSERT_EQ(loadKbImageFile(gen2.path(), staged, detail),
+              KbImgStatus::Ok)
+        << detail;
+
+    // The only shard commits but its ack comes back stale: the probe,
+    // not the ack, says which image the fleet serves.
+    TempPath sock0("lostack0.sock"), sock1("lostack1.sock");
+    TestShard twin(image_file_->path(), "unix:" + sock0.path());
+    shard::Endpoint ep1;
+    ASSERT_TRUE(
+        shard::parseEndpoint("unix:" + sock1.path(), ep1, detail))
+        << detail;
+    SwapFakeShard fake(ep1, *twin.server, staged.fingerprint);
+
+    shard::RouterConfig rcfg;
+    rcfg.shards = {"unix:" + sock1.path()};
+    rcfg.reconnectMs = 0.0;
+    ShardRouter router(rcfg);
+    ASSERT_TRUE(router.connect(detail)) << detail;
+    const std::uint64_t epoch_before = router.epoch();
+    ASSERT_NE(router.fingerprint(), staged.fingerprint);
+
+    std::string err;
+    EXPECT_TRUE(router.swapEpoch(gen2.path(), err)) << err;
+    EXPECT_EQ(router.fingerprint(), staged.fingerprint);
+    EXPECT_EQ(router.epoch(), epoch_before + 1);
+    EXPECT_TRUE(router.shardHealthy(0));
 }
 
 // --- session continuity across failover and drain ------------------------

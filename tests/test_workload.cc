@@ -5,15 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "arch/machine.hh"
-#include "kb/kb_io.hh"
 #include "runtime/reference.hh"
 #include "runtime/validate.hh"
 #include "workload/alpha_beta.hh"
 #include "workload/kb_gen.hh"
-#include "workload/kb_stream.hh"
 
 namespace snap
 {
@@ -157,50 +153,6 @@ TEST(BetaWorkloadDeath, MarkerBudgetEnforced)
 {
     EXPECT_DEATH(makeBetaWorkload(4, 40, 2, 1, true, 1),
                  "marker budget");
-}
-
-// --- streaming generators ----------------------------------------------
-
-TEST(KbStream, TreeMatchesInMemoryGeneratorByteForByte)
-{
-    for (std::uint32_t n : {1u, 2u, 5u, 300u, 1000u}) {
-        std::ostringstream mem, stream;
-        saveNetwork(makeTreeKb(n, 4), mem);
-        streamTreeKb(n, 4, stream);
-        EXPECT_EQ(stream.str(), mem.str()) << "tree " << n;
-    }
-    std::ostringstream mem, stream;
-    saveNetwork(makeTreeKb(77, 3), mem);
-    streamTreeKb(77, 3, stream);
-    EXPECT_EQ(stream.str(), mem.str());
-}
-
-TEST(KbStream, RandomMatchesInMemoryGeneratorByteForByte)
-{
-    for (std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
-        std::ostringstream mem, stream;
-        saveNetwork(makeRandomKb(400, 5.5, 3, seed), mem);
-        streamRandomKb(400, 5.5, 3, seed, stream);
-        EXPECT_EQ(stream.str(), mem.str()) << "seed " << seed;
-    }
-}
-
-TEST(KbStream, ChainMatchesInMemoryGeneratorByteForByte)
-{
-    std::ostringstream mem, stream;
-    saveNetwork(makeChainKb(250), mem);
-    streamChainKb(250, stream);
-    EXPECT_EQ(stream.str(), mem.str());
-}
-
-TEST(KbStream, StreamedTextLoadsBack)
-{
-    std::ostringstream os;
-    streamTreeKb(120, 4, os);
-    std::istringstream is(os.str());
-    SemanticNetwork net = loadNetwork(is);
-    EXPECT_EQ(net.numNodes(), 120u);
-    EXPECT_EQ(net.numLinks(), 2u * 119u);
 }
 
 } // namespace
