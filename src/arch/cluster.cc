@@ -47,13 +47,7 @@ Cluster::Cluster(MachineContext &ctx, ClusterId id,
       arbiter_(0x5eed0000ull + id)
 {
     puEvent_ = std::make_unique<EventFunctionWrapper>(
-        [this] {
-            if (puDispatching_)
-                puFinishDispatch();
-            else
-                puFinishDecode();
-        },
-        formatString("cluster%u.pu", id));
+        [this] { puFinish(); }, formatString("cluster%u.pu", id));
     cuEvent_ = std::make_unique<EventFunctionWrapper>(
         [this] { finishCu(); }, formatString("cluster%u.cu", id));
 
@@ -199,31 +193,39 @@ Cluster::kickPu()
     // The SCP sees the freed slot one wire lag later.
     ctx_.wire->release(ctx_.cfg->numClusters, id_, id_);
 
+    // Decode, then, on a cluster that acts on the instruction, enqueue
+    // its task into the marker processing memory (point-to-point
+    // control over the multiport memory).  Nothing outside the PU sees
+    // the boundary between the two stages, so they are one occupancy:
+    // busy time is charged and the decode record stamped here.
+    const Instruction &instr = pendingInstr_.instr;
+    const Tick decode = cy(t_.puDecodeCycles);
+    Tick dur = decode;
+    if (instr.op != Opcode::Barrier && participates(instr))
+        dur += cy(t_.puDispatchCycles);
+
     puBusy_ = true;
-    InstrCategory cat = pendingInstr_.instr.category();
+    InstrCategory cat = instr.category();
     if (ctx_.stats->categoryTimer.start(cat, curTick()) &&
         SNAP_TRACE_ON(trace::kInstr))
         traceCatStart(ctx_.tracePid, cat, curTick());
-
-    Tick dur = cy(t_.puDecodeCycles);
     ctx_.stats->categoryBusy[static_cast<std::size_t>(cat)] += dur;
     ctx_.stats->puBusyTicks += dur;
+    if (ctx_.perf)
+        ctx_.perf->emit(peBase_, curTick() + decode,
+                        PerfEvent::InstrDecoded, pendingInstr_.seq);
     scheduleRel(puEvent_.get(), dur);
     updateIdle();
 }
 
 void
-Cluster::puFinishDecode()
+Cluster::puFinish()
 {
     const Instruction &instr = pendingInstr_.instr;
     InstrCategory cat = instr.category();
     if (ctx_.stats->categoryTimer.stop(cat, curTick()) &&
         SNAP_TRACE_ON(trace::kInstr))
         traceCatStop(ctx_.tracePid, cat, curTick());
-    if (ctx_.perf)
-        ctx_.perf->emit(peBase_, curTick(), PerfEvent::InstrDecoded,
-                        pendingInstr_.seq);
-
     puBusy_ = false;
 
     if (instr.op == Opcode::Barrier) {
@@ -237,36 +239,7 @@ Cluster::puFinishDecode()
         return;
     }
 
-    if (!participates(instr)) {
-        kickPu();
-        updateIdle();
-        return;
-    }
-
-    // Second phase: enqueue the task into the marker processing
-    // memory (point-to-point control over the multiport memory).
-    puBusy_ = true;
-    puDispatching_ = true;
-    Tick dur = cy(t_.puDispatchCycles);
-    if (ctx_.stats->categoryTimer.start(cat, curTick()) &&
-        SNAP_TRACE_ON(trace::kInstr))
-        traceCatStart(ctx_.tracePid, cat, curTick());
-    ctx_.stats->categoryBusy[static_cast<std::size_t>(cat)] += dur;
-    ctx_.stats->puBusyTicks += dur;
-    scheduleRel(puEvent_.get(), dur);
-}
-
-void
-Cluster::puFinishDispatch()
-{
-    InstrCategory cat = pendingInstr_.instr.category();
-    if (ctx_.stats->categoryTimer.stop(cat, curTick()) &&
-        SNAP_TRACE_ON(trace::kInstr))
-        traceCatStop(ctx_.tracePid, cat, curTick());
-    puDispatching_ = false;
-    puBusy_ = false;
-
-    if (!tryDispatch()) {
+    if (participates(instr) && !tryDispatch()) {
         puStalled_ = true;
         updateIdle();
         return;

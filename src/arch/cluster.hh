@@ -205,8 +205,11 @@ class Cluster : public ClockedObject, public WireEndpoint
     void releaseBarrier();
 
     // --- PU -----------------------------------------------------------------
-    void puFinishDecode();
-    void puFinishDispatch();
+    /** End of the PU's occupancy: park at a BARRIER; otherwise
+     *  dispatch the decoded task if this cluster acts on it (stalling
+     *  on a full marker processing memory) and pop the next
+     *  instruction. */
+    void puFinish();
     /** Try to enqueue the decoded task; true on success. */
     bool tryDispatch();
     /** Does this cluster act on @p instr at all? */
@@ -346,9 +349,6 @@ class Cluster : public ClockedObject, public WireEndpoint
     bool puBusy_ = false;
     bool puStalled_ = false;
     bool atBarrier_ = false;
-    /** Second PU phase: enqueueing the decoded task into the marker
-     *  processing memory. */
-    bool puDispatching_ = false;
     QueuedInstr pendingInstr_;
     std::unique_ptr<EventFunctionWrapper> puEvent_;
 

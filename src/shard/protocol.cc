@@ -1,5 +1,7 @@
 #include "shard/protocol.hh"
 
+#include <array>
+
 namespace snap
 {
 namespace shard
@@ -60,6 +62,7 @@ encodeResults(WireWriter &w, const ResultSet &results)
 bool
 decodeResults(WireReader &r, ResultSet &out)
 {
+    out.clear();
     // A result is >= 13 bytes (op, marker, color, rel, and the two
     // list counts), a node 12 and a link 14.
     const std::uint32_t count = r.count(13);
@@ -111,27 +114,26 @@ decodeResults(WireReader &r, ResultSet &out)
 void
 encodeMarkers(WireWriter &w, const MarkerStore &m)
 {
+    std::array<std::uint32_t, capacity::numMarkers> counts{};
     std::uint8_t num_planes = 0;
-    for (std::uint32_t mk = 0; mk < capacity::numMarkers; ++mk)
-        if (m.count(static_cast<MarkerId>(mk)) > 0)
-            ++num_planes;
+    for (std::uint32_t mk = 0; mk < capacity::numMarkers; ++mk) {
+        counts[mk] = m.count(static_cast<MarkerId>(mk));
+        num_planes += counts[mk] > 0 ? 1 : 0;
+    }
     w.u8(num_planes);
     for (std::uint32_t mk = 0; mk < capacity::numMarkers; ++mk) {
-        const MarkerId marker = static_cast<MarkerId>(mk);
-        const std::uint32_t count = m.count(marker);
-        if (count == 0)
+        if (counts[mk] == 0)
             continue;
+        const MarkerId marker = static_cast<MarkerId>(mk);
         w.u8(static_cast<std::uint8_t>(mk));
-        w.u32(count);
-        for (std::uint32_t n = 0; n < m.numNodes(); ++n) {
-            if (!m.test(marker, n))
-                continue;
+        w.u32(counts[mk]);
+        m.bits(marker).forEachSet([&](std::uint32_t n) {
             w.u32(n);
             if (isComplexMarker(marker)) {
                 w.f32(m.value(marker, n));
                 w.u32(m.origin(marker, n));
             }
-        }
+        });
     }
 }
 
@@ -398,6 +400,7 @@ bool
 decodeSessionState(WireReader &r, std::uint32_t expect_nodes,
                    SessionStateFrame &f)
 {
+    f.markers = MarkerStore(0);
     f.sessionId = r.str(4096);
     f.found = r.u8() != 0;
     f.numNodes = r.u32();
@@ -486,6 +489,7 @@ encodeStatsSnapshot(WireWriter &w, const StatsSnapshotFrame &f)
 bool
 decodeStatsSnapshot(WireReader &r, StatsSnapshotFrame &f)
 {
+    f.samples.clear();
     f.nonce = r.u64();
     // A sample is >= 19 bytes (two empty strings, kind, label count,
     // value).

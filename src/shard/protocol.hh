@@ -240,6 +240,7 @@ struct StatsSnapshotFrame
 // (A Request's program travels in the program codec, isa/encoding.)
 
 void encodeResults(WireWriter &w, const ResultSet &results);
+/** Replaces @p out with the decoded results. */
 bool decodeResults(WireReader &r, ResultSet &out);
 
 /** Sparse marker-state codec (session checkpoints): per non-empty
@@ -251,6 +252,9 @@ void encodeMarkers(WireWriter &w, const MarkerStore &m);
 bool decodeMarkers(WireReader &r, MarkerStore &out);
 
 // --- frame payload codecs ----------------------------------------------
+// A decoder sets every field the wire carries, replacing lists rather
+// than appending to them, so one frame can be reused across reads;
+// after a false return the frame is unspecified.
 
 void encodeHello(WireWriter &w, const HelloFrame &f);
 bool decodeHello(WireReader &r, HelloFrame &f);

@@ -1001,17 +1001,13 @@ ShardRouter::pullShardStats(std::uint32_t idx,
                            idx);
         return false;
     }
-    // Decode into a fresh frame: a pull replaces the previous
-    // snapshot, it never appends to it.
-    StatsSnapshotFrame snap;
     if (!decodeAck(reply, FrameType::StatsSnapshot, decodeStatsSnapshot,
-                   snap) ||
-        snap.nonce != pull.nonce) {
+                   out) ||
+        out.nonce != pull.nonce) {
         err = formatString("shard %u answered the wrong stats pull",
                            idx);
         return false;
     }
-    out = std::move(snap);
     {
         std::lock_guard<std::mutex> lock(statsMu_);
         lastStats_[idx] = out;

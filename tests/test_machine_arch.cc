@@ -370,10 +370,54 @@ TEST(MachineArch, TaskQueueBackpressureStallsPu)
     }
     prog.append(Instruction::collectMarker(5));
 
+    const std::uint64_t before = machine.eventsProcessed();
     RunResult run = machine.run(prog);
     ReferenceInterpreter golden(net_golden);
     ResultSet gres = golden.run(prog);
     test::expectSameResults(run.results, gres);
+    EXPECT_EQ(run.wallTicks, 2735337500u);
+    // One PU event per instruction: every instruction here is
+    // dispatched on both clusters, and the two-phase PU spent an
+    // event of its own on each dispatch.
+    constexpr std::uint64_t kTwoPhaseEvents = 332;
+    const std::uint64_t dispatches = prog.size() * 2;
+    EXPECT_EQ(machine.eventsProcessed() - before,
+              kTwoPhaseEvents - dispatches);
+}
+
+TEST(MachineArch, PuSpendsOneEventPerInstruction)
+{
+    // The PU decodes every broadcast instruction and dispatches a task
+    // only on the clusters that act on it.  Decode and dispatch are
+    // one timed occupancy, so the PU's event count is one per
+    // instruction per cluster whatever it does; the timing and the
+    // results are those of the two-phase PU, which spent a second
+    // event on every dispatch.
+    constexpr std::uint32_t kClusters = 16;
+    SemanticNetwork net_machine = makeChainKb(64);
+    SemanticNetwork net_golden = makeChainKb(64);
+    SnapMachine machine(cfgWith(kClusters));
+    machine.loadKb(net_machine);
+
+    Program prog;
+    prog.append(Instruction::setMarker(0, 1.0f));          // all 16
+    prog.append(Instruction::searchNode(5, 1, 0.5f));      // owner only
+    prog.append(Instruction::andMarker(0, 1, 2));          // all 16
+    prog.append(Instruction::barrier());                   // none
+    prog.append(Instruction::collectMarker(2));            // all 16
+    const std::uint64_t dispatches = 3 * kClusters + 1;
+
+    const std::uint64_t before = machine.eventsProcessed();
+    RunResult run = machine.run(prog);
+    ReferenceInterpreter golden(net_golden);
+    test::expectSameResults(run.results, golden.run(prog));
+    ASSERT_EQ(run.results.size(), 1u);
+    EXPECT_EQ(run.results[0].nodes.size(), 1u);
+    EXPECT_EQ(run.wallTicks, 108567500u);
+    EXPECT_EQ(run.stats.puBusyTicks, 878400000u);
+    constexpr std::uint64_t kTwoPhaseEvents = 210;
+    EXPECT_EQ(machine.eventsProcessed() - before,
+              kTwoPhaseEvents - dispatches);
 }
 
 TEST(MachineArch, InstructionQueueBackpressure)

@@ -654,6 +654,11 @@ TEST(ShardProtocol, SessionFramesRoundTripTheMarkerState)
     marks.setBit(1, 0);
     marks.setBit(1, 127);
     marks.set(3, 64, -1.5f, 12);
+    marks.set(63, 31, 2.25f, 40);
+    marks.set(63, 32, -0.0f, invalidNode);
+    for (NodeId n : {0u, 5u, 31u, 32u, 63u, 64u, 100u, 127u})
+        marks.setBit(100, n);
+    marks.setBit(127, 77);
 
     shard::SessionPullFrame pull;
     pull.sessionId = "alice";
@@ -675,12 +680,23 @@ TEST(ShardProtocol, SessionFramesRoundTripTheMarkerState)
     shard::SessionStateFrame st_out;
     ASSERT_TRUE(shard::decodeSessionState(r2, kNodes, st_out));
     EXPECT_TRUE(st_out.found);
-    for (NodeId n = 0; n < kNodes; ++n) {
-        EXPECT_EQ(st_out.markers.test(1, n), marks.test(1, n));
-        EXPECT_EQ(st_out.markers.test(3, n), marks.test(3, n));
+    for (MarkerId m = 0; m < capacity::numMarkers; ++m) {
+        for (NodeId n = 0; n < kNodes; ++n) {
+            EXPECT_EQ(st_out.markers.test(m, n), marks.test(m, n));
+            if (marks.test(m, n)) {
+                EXPECT_EQ(st_out.markers.value(m, n), marks.value(m, n));
+                EXPECT_EQ(st_out.markers.origin(m, n),
+                          marks.origin(m, n));
+            }
+        }
     }
     EXPECT_FLOAT_EQ(st_out.markers.value(3, 64), -1.5f);
     EXPECT_EQ(st_out.markers.origin(3, 64), 12u);
+    EXPECT_FLOAT_EQ(st_out.markers.value(63, 31), 2.25f);
+    EXPECT_EQ(st_out.markers.origin(63, 31), 40u);
+    // The checkpoint's bytes: plane by plane in marker order, nodes
+    // ascending, values and origins for complex planes only.
+    expectPinned(w2, 136, 0x4f217e8cfca5d434ull, "session state");
 
     // A checkpoint for a *different* node count must be rejected —
     // the session codecs are keyed to one KB generation's size.
@@ -699,6 +715,80 @@ TEST(ShardProtocol, SessionFramesRoundTripTheMarkerState)
     ASSERT_TRUE(shard::decodeSessionPushAck(r4, ack_out));
     EXPECT_FALSE(ack_out.ok);
     EXPECT_EQ(ack_out.detail, ack.detail);
+}
+
+TEST(ShardProtocol, DecodingIntoAReusedFrameReplacesIt)
+{
+    // A decoder's output is the frame it decoded, whatever the frame
+    // held before: a reader that reuses one frame per connection must
+    // never hand out the previous frame's results.
+    shard::ResponseFrame resp;
+    const auto decodeResponseWith = [&resp](std::size_t num_results) {
+        shard::ResponseFrame in;
+        in.id = num_results;
+        for (std::size_t i = 0; i < num_results; ++i) {
+            CollectResult cr;
+            cr.op = Opcode::CollectMarker;
+            cr.marker = static_cast<MarkerId>(i);
+            cr.nodes.push_back(
+                CollectedNode{static_cast<NodeId>(i), 1.0f, 0});
+            in.results.push_back(cr);
+        }
+        WireWriter w;
+        shard::encodeResponse(w, in);
+        WireReader r(w.bytes().data(), w.bytes().size());
+        return shard::decodeResponse(r, resp);
+    };
+    ASSERT_TRUE(decodeResponseWith(1));
+    ASSERT_TRUE(decodeResponseWith(2));
+    ASSERT_GE(resp.results.size(), 2u);
+    EXPECT_EQ(resp.results.size(), 2u);
+    EXPECT_EQ(resp.results[0].marker, 0u);
+    EXPECT_EQ(resp.results[1].marker, 1u);
+
+    shard::StatsSnapshotFrame stats;
+    const auto decodeStatsWith = [&stats](std::size_t num_samples) {
+        MetricsRegistry reg;
+        for (std::size_t i = 0; i < num_samples; ++i)
+            reg.gauge(formatString("snap_sample_%zu", i),
+                      static_cast<double>(i), "");
+        shard::StatsSnapshotFrame in;
+        in.nonce = num_samples;
+        in.samples = reg.samples();
+        WireWriter w;
+        shard::encodeStatsSnapshot(w, in);
+        WireReader r(w.bytes().data(), w.bytes().size());
+        return shard::decodeStatsSnapshot(r, stats);
+    };
+    ASSERT_TRUE(decodeStatsWith(3));
+    ASSERT_TRUE(decodeStatsWith(1));
+    ASSERT_FALSE(stats.samples.empty());
+    EXPECT_EQ(stats.samples.size(), 1u);
+    EXPECT_EQ(stats.samples[0].name, "snap_sample_0");
+
+    // A session the shard does not hold carries no markers.
+    constexpr std::uint32_t kNodes = 64;
+    shard::SessionStateFrame state;
+    const auto decodeStateWith = [&state](bool found) {
+        shard::SessionStateFrame in;
+        in.sessionId = "bob";
+        in.found = found;
+        in.numNodes = kNodes;
+        in.markers = MarkerStore(kNodes);
+        if (found)
+            in.markers.setBit(70, 9);
+        WireWriter w;
+        shard::encodeSessionState(w, in);
+        WireReader r(w.bytes().data(), w.bytes().size());
+        return shard::decodeSessionState(r, kNodes, state);
+    };
+    ASSERT_TRUE(decodeStateWith(true));
+    EXPECT_TRUE(state.markers.test(70, 9));
+    ASSERT_TRUE(decodeStateWith(false));
+    EXPECT_FALSE(state.found);
+    for (MarkerId m = 0; m < capacity::numMarkers; ++m)
+        EXPECT_EQ(state.markers.count(m), 0u)
+            << "marker " << static_cast<int>(m);
 }
 
 TEST(ShardProtocol, ResponseChecksumCatchesEveryByteFlip)
