@@ -15,14 +15,27 @@
  * pattern, rule names excluded) and are injective, so equal bytes
  * mean equal programs; the 64-bit hash only picks the bucket.
  * Neither an accidental collision nor a crafted program can return
- * another program's answer.  What may be stored is the caller's contract: the
- * engine inserts only Ok runs in which no fault was injected, and
- * clears the cache whenever the image changes.
+ * another program's answer.  A program is encoded only when a stored
+ * entry shares its hash or it is admitted, so a miss on a hash the
+ * cache does not hold costs no encode.  What may be stored is the
+ * caller's contract: the engine inserts only Ok runs in which no
+ * fault was injected, and clears the cache whenever the image
+ * changes.
  *
- * Admission and eviction: a program is admitted on its second clean
- * run — a direct-mapped filter of content hashes remembers first
- * sightings, so a stream that never repeats admits nothing.  Entries
- * are evicted least-recently-used under one byte budget.
+ * Admission (TinyLFU: Einziger, Friedman & Manes, ACM TOS 2017):
+ *  - a direct-mapped filter of content hashes, the doorkeeper,
+ *    remembers first sightings, so a program is offered for admission
+ *    on its second clean run and a stream that never repeats admits
+ *    nothing;
+ *  - a count-min sketch (4 rows of kSketchSlots saturating 4-bit
+ *    counters, one byte each) estimates how often each hash was
+ *    looked up lately; every counter halves after each kSketchSlots
+ *    lookups;
+ *  - while the budget has room the newcomer is admitted; otherwise it
+ *    must be estimated strictly more frequent than every
+ *    least-recently-used entry it would evict, or it is refused and
+ *    nothing is evicted.  Ties keep the incumbent, so a scan of
+ *    programs seen twice cannot flush a hot set.
  *
  * Thread-safe: one mutex guards everything; a hit copies the answer
  * out under it.
@@ -54,15 +67,9 @@ class AnswerCache
     static constexpr std::size_t kBudgetBytes = 512 * 1024;
     /** Slots of the first-sighting filter. */
     static constexpr std::size_t kFilterSlots = 4096;
-
-    /** A program's cache identity: the bucket hash (the engine passes
-     *  Program::contentHash) and the canonical bytes a hit must
-     *  match. */
-    struct Key
-    {
-        std::uint64_t hash = 0;
-        std::vector<std::uint8_t> bytes;
-    };
+    /** Counters per sketch row, and the lookups after which every
+     *  counter halves. */
+    static constexpr std::size_t kSketchSlots = 4096;
 
     struct Stats
     {
@@ -70,6 +77,9 @@ class AnswerCache
         std::uint64_t misses = 0;
         std::uint64_t admitted = 0;
         std::uint64_t evictions = 0;
+        /** Newcomers refused because an entry they would evict was
+         *  at least as frequent (first sightings are not counted). */
+        std::uint64_t rejected = 0;
         std::size_t bytes = 0;
         std::size_t entries = 0;
     };
@@ -79,25 +89,26 @@ class AnswerCache
     AnswerCache(const AnswerCache &) = delete;
     AnswerCache &operator=(const AnswerCache &) = delete;
 
-    /** @p prog's key under bucket @p hash: its program codec bytes
-     *  (encodeProgram), about 1.2 KB for a sentence parse. */
-    static Key keyOf(const Program &prog, std::uint64_t hash);
-
-    /** On a hit, copy the stored answer into @p results /
-     *  @p wall_ticks and return true; a miss returns false.  Either
-     *  way the outcome is counted. */
-    bool lookup(const Key &key, ResultSet &results, Tick &wall_ticks);
+    /** Look @p prog up under bucket @p hash (the engine passes
+     *  Program::contentHash).  On a hit, copy the stored answer into
+     *  @p results / @p wall_ticks and return true; a miss returns
+     *  false.  Either way the outcome is counted and the lookup is
+     *  recorded in the frequency sketch. */
+    bool lookup(const Program &prog, std::uint64_t hash,
+                ResultSet &results, Tick &wall_ticks);
 
     /**
-     * Offer a clean run's answer.  The first offer of a hash only
-     * marks it in the filter; a later one admits the entry, evicting
-     * least-recently-used entries to stay within the budget.  An
+     * Offer a clean run's answer to @p prog (the caller looked it up
+     * first).  The first offer of a hash only marks it in the filter;
+     * a later one admits the entry if it fits the free budget or
+     * out-counts every least-recently-used entry it would evict.  An
      * answer larger than the whole budget is never stored.
      */
-    void insert(Key key, const ResultSet &results, Tick wall_ticks);
+    void insert(const Program &prog, std::uint64_t hash,
+                const ResultSet &results, Tick wall_ticks);
 
-    /** Drop every entry and the filter (the image changed).  The
-     *  counters keep running. */
+    /** Drop every entry, the filter and the sketch (the image
+     *  changed).  The counters keep running. */
     void clear();
 
     Stats stats() const;
@@ -105,15 +116,27 @@ class AnswerCache
   private:
     struct Entry
     {
-        Key key;
+        std::uint64_t hash = 0;
+        /** The program's codec bytes: a hit must match them. */
+        std::vector<std::uint8_t> program;
         ResultSet results;
         Tick wallTicks = 0;
+        /** What the entry is charged against the budget. */
         std::size_t bytes = 0;
     };
     using Lru = std::list<Entry>;
 
-    /** The entry holding @p key, or lru_.end(). */
-    Lru::iterator find(const Key &key);
+    /** The entry holding @p prog, or lru_.end().  @p bytes receives
+     *  @p prog's codec bytes if an entry shares @p hash (it stays
+     *  empty otherwise). */
+    Lru::iterator find(const Program &prog, std::uint64_t hash,
+                       std::vector<std::uint8_t> &bytes);
+    /** Whether @p cost more bytes for @p hash fit the budget and
+     *  out-count the entries that would be evicted; a refusal by
+     *  frequency is counted. */
+    bool admits(std::uint64_t hash, std::size_t cost);
+    void record(std::uint64_t hash);
+    unsigned estimate(std::uint64_t hash) const;
     void evictOldest();
 
     const std::size_t budget_;
@@ -123,6 +146,11 @@ class AnswerCache
     std::unordered_multimap<std::uint64_t, Lru::iterator> index_;
     /** Hash of the last clean run seen per slot. */
     std::vector<std::uint64_t> filter_;
+    /** The sketch's rows of kSketchSlots counters, one after the
+     *  other (empty until the first lookup). */
+    std::vector<std::uint8_t> sketch_;
+    /** Lookups recorded since the counters last halved. */
+    std::size_t samples_ = 0;
     Stats stats_;
 };
 

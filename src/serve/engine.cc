@@ -391,12 +391,12 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
     // a hit is the answer of an earlier clean run of the same program
     // against this image, results and wallTicks alike.
     const bool cacheable = !sessioned && programIsPure(req.prog);
-    AnswerCache::Key key;
+    const std::uint64_t hash = cacheable ? req.prog.contentHash() : 0;
     if (cacheable) {
         const std::uint64_t lookup_ns =
             SNAP_TRACE_ON(trace::kServe) ? trace::hostNowNs() : 0;
-        key = AnswerCache::keyOf(req.prog, req.prog.contentHash());
-        if (cache_.lookup(key, resp.results, resp.wallTicks)) {
+        if (cache_.lookup(req.prog, hash, resp.results,
+                          resp.wallTicks)) {
             if (lookup_ns != 0) {
                 trace::hostSpan(trace::kServe, trace::tidWorker(idx),
                                 "cache.hit", lookup_ns,
@@ -489,7 +489,7 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
     // Inserted before delivery, so swapImage's drain also waits for
     // it and no old-image answer lands after the flush.
     if (cacheable && run.fault.injected() == 0)
-        cache_.insert(std::move(key), run.results, run.wallTicks);
+        cache_.insert(req.prog, hash, run.results, run.wallTicks);
 
     resp.status = RequestStatus::Ok;
     resp.results = std::move(run.results);

@@ -70,6 +70,8 @@ MetricsSnapshot::exportMetrics(MetricsRegistry &reg,
     cnt("snap_serve_answer_cache_evictions_total",
         answerCache.evictions,
         "Answers evicted least-recently-used under the byte budget");
+    cnt("snap_serve_answer_cache_rejected_total", answerCache.rejected,
+        "Admissions refused: an entry to evict was as frequent");
     gau("snap_serve_answer_cache_bytes",
         static_cast<double>(answerCache.bytes),
         "Bytes held by the answer cache");

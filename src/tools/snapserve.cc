@@ -534,12 +534,16 @@ main(int argc, char **argv)
                 ticksToUs(m.simMakespanTicks()));
     if (m.answerCache.hits + m.answerCache.misses > 0) {
         std::printf("answer cache: %llu hits, %llu misses, %llu "
-                    "admitted\n",
+                    "admitted, %llu evicted, %llu rejected\n",
                     static_cast<unsigned long long>(m.answerCache.hits),
                     static_cast<unsigned long long>(
                         m.answerCache.misses),
                     static_cast<unsigned long long>(
-                        m.answerCache.admitted));
+                        m.answerCache.admitted),
+                    static_cast<unsigned long long>(
+                        m.answerCache.evictions),
+                    static_cast<unsigned long long>(
+                        m.answerCache.rejected));
     }
     if (cfg.faults.any()) {
         std::printf("robustness: %llu faults detected, %llu "

@@ -23,6 +23,7 @@
 #include "common/metrics_registry.hh"
 #include "common/rng.hh"
 #include "fault/fault_plan.hh"
+#include "isa/encoding.hh"
 #include "nlu/corpus.hh"
 #include "nlu/kb_factory.hh"
 #include "nlu/mb_parser.hh"
@@ -677,13 +678,51 @@ answerOf(std::uint32_t nodes, float value)
     return ResultSet{r};
 }
 
-/** Offer @p key's answer twice: the second offer admits it. */
+/** @p prog's program codec bytes: what a hit must match. */
+std::vector<std::uint8_t>
+codecBytes(const Program &prog)
+{
+    WireWriter w;
+    encodeProgram(w, prog);
+    return w.take();
+}
+
+/** Offer @p prog's answer twice under bucket @p hash: the second
+ *  offer admits it while the budget has room. */
 void
-admit(AnswerCache &cache, const AnswerCache::Key &key,
+admit(AnswerCache &cache, const Program &prog, std::uint64_t hash,
       const ResultSet &answer, Tick wall)
 {
-    cache.insert(key, answer, wall);
-    cache.insert(key, answer, wall);
+    cache.insert(prog, hash, answer, wall);
+    cache.insert(prog, hash, answer, wall);
+}
+
+/** Whether @p cache holds @p prog (the lookup counts as a sighting). */
+bool
+holds(AnswerCache &cache, const Program &prog)
+{
+    ResultSet out;
+    Tick wall = 0;
+    return cache.lookup(prog, prog.contentHash(), out, wall);
+}
+
+/** One request as ServeEngine::serveOne handles it: a lookup, and on
+ *  a miss the offer of the run's answer. */
+void
+lookupThenOffer(AnswerCache &cache, const Program &prog,
+                const ResultSet &answer, Tick wall)
+{
+    if (!holds(cache, prog))
+        cache.insert(prog, prog.contentHash(), answer, wall);
+}
+
+/** Budget bytes one admitted @p prog / @p answer entry takes. */
+std::size_t
+entryBytes(const Program &prog, const ResultSet &answer)
+{
+    AnswerCache probe;
+    admit(probe, prog, prog.contentHash(), answer, 1);
+    return probe.stats().bytes;
 }
 
 TEST(AnswerCache, SameHashDifferentBytesNeverCrossHit)
@@ -693,22 +732,20 @@ TEST(AnswerCache, SameHashDifferentBytesNeverCrossHit)
     // Force both programs into one bucket, as a hash collision (or a
     // program crafted to collide) would.
     const std::uint64_t h = a.contentHash();
-    AnswerCache::Key ka = AnswerCache::keyOf(a, h);
-    AnswerCache::Key kb = AnswerCache::keyOf(b, h);
-    ASSERT_NE(ka.bytes, kb.bytes);
+    ASSERT_NE(codecBytes(a), codecBytes(b));
 
     AnswerCache cache;
-    admit(cache, ka, answerOf(3, 1.0f), 111);
+    admit(cache, a, h, answerOf(3, 1.0f), 111);
     ResultSet out;
     Tick wall = 0;
-    EXPECT_FALSE(cache.lookup(kb, out, wall))
+    EXPECT_FALSE(cache.lookup(b, h, out, wall))
         << "a colliding program must not see another's answer";
 
-    admit(cache, kb, answerOf(5, 2.0f), 222);
-    ASSERT_TRUE(cache.lookup(ka, out, wall));
+    admit(cache, b, h, answerOf(5, 2.0f), 222);
+    ASSERT_TRUE(cache.lookup(a, h, out, wall));
     EXPECT_EQ(wall, 111u);
     EXPECT_EQ(out[0].nodes.size(), 3u);
-    ASSERT_TRUE(cache.lookup(kb, out, wall));
+    ASSERT_TRUE(cache.lookup(b, h, out, wall));
     EXPECT_EQ(wall, 222u);
     EXPECT_EQ(out[0].nodes.size(), 5u);
     EXPECT_EQ(cache.stats().entries, 2u);
@@ -750,93 +787,207 @@ TEST(AnswerCache, EveryFieldIsPartOfTheKey)
         renamed.append(Instruction::collectMarker(1));
     }
 
-    auto key = [](const Program &p) {
-        return AnswerCache::keyOf(p, p.contentHash());
-    };
     AnswerCache cache;
-    admit(cache, key(base), answerOf(2, 1.0f), 10);
+    auto put = [&](const Program &p, const ResultSet &answer, Tick wall) {
+        admit(cache, p, p.contentHash(), answer, wall);
+    };
+    put(base, answerOf(2, 1.0f), 10);
     ResultSet out;
     Tick wall = 0;
     for (const Program *p : {&neg_zero, &steps}) {
-        EXPECT_NE(key(*p).bytes, key(base).bytes);
+        EXPECT_NE(codecBytes(*p), codecBytes(base));
         EXPECT_NE(p->contentHash(), base.contentHash());
-        EXPECT_FALSE(cache.lookup(key(*p), out, wall));
+        EXPECT_FALSE(cache.lookup(*p, p->contentHash(), out, wall));
     }
-    EXPECT_EQ(key(renamed).bytes, key(base).bytes);
-    EXPECT_TRUE(cache.lookup(key(renamed), out, wall));
+    EXPECT_EQ(codecBytes(renamed), codecBytes(base));
+    EXPECT_TRUE(cache.lookup(renamed, renamed.contentHash(), out, wall));
 
-    admit(cache, key(neg_zero), answerOf(2, 2.0f), 20);
-    admit(cache, key(steps), answerOf(2, 3.0f), 30);
+    put(neg_zero, answerOf(2, 2.0f), 20);
+    put(steps, answerOf(2, 3.0f), 30);
     EXPECT_EQ(cache.stats().entries, 3u);
-    ASSERT_TRUE(cache.lookup(key(steps), out, wall));
+    ASSERT_TRUE(cache.lookup(steps, steps.contentHash(), out, wall));
     EXPECT_EQ(wall, 30u);
 }
 
 TEST(AnswerCache, SecondCleanRunAdmits)
 {
     Program p = countQuery(0, 1, 0.0f);
-    AnswerCache::Key k = AnswerCache::keyOf(p, p.contentHash());
+    const std::uint64_t h = p.contentHash();
     AnswerCache cache;
     ResultSet out;
     Tick wall = 0;
-    cache.insert(k, answerOf(1, 1.0f), 5);
-    EXPECT_FALSE(cache.lookup(k, out, wall)) << "first sighting only";
+    cache.insert(p, h, answerOf(1, 1.0f), 5);
+    EXPECT_FALSE(cache.lookup(p, h, out, wall)) << "first sighting only";
     EXPECT_EQ(cache.stats().admitted, 0u);
-    cache.insert(k, answerOf(1, 1.0f), 5);
-    EXPECT_TRUE(cache.lookup(k, out, wall));
+    cache.insert(p, h, answerOf(1, 1.0f), 5);
+    EXPECT_TRUE(cache.lookup(p, h, out, wall));
     EXPECT_EQ(cache.stats().admitted, 1u);
-    cache.insert(k, answerOf(1, 1.0f), 5);
+    cache.insert(p, h, answerOf(1, 1.0f), 5);
     EXPECT_EQ(cache.stats().entries, 1u) << "no duplicate entries";
 
     cache.clear();
-    EXPECT_FALSE(cache.lookup(k, out, wall));
+    EXPECT_FALSE(cache.lookup(p, h, out, wall));
     EXPECT_EQ(cache.stats().bytes, 0u);
-    cache.insert(k, answerOf(1, 1.0f), 5);
+    cache.insert(p, h, answerOf(1, 1.0f), 5);
     EXPECT_EQ(cache.stats().entries, 0u)
         << "clear() forgets first sightings too";
 }
 
 TEST(AnswerCache, LruEvictionStaysWithinTheByteBudget)
 {
-    std::vector<AnswerCache::Key> keys;
-    for (NodeId n = 0; n < 4; ++n) {
-        Program p = countQuery(n, 1, 0.0f);
-        keys.push_back(AnswerCache::keyOf(p, p.contentHash()));
-    }
+    std::vector<Program> progs;
+    for (NodeId n = 0; n < 4; ++n)
+        progs.push_back(countQuery(n, 1, 0.0f));
     const ResultSet answer = answerOf(16, 1.0f);
-    std::size_t entry_bytes = 0;
-    {
-        AnswerCache probe;
-        admit(probe, keys[0], answer, 1);
-        entry_bytes = probe.stats().bytes;
-    }
+    const std::size_t entry_bytes = entryBytes(progs[0], answer);
     ASSERT_GT(entry_bytes, 0u);
 
-    // Room for three entries of this size.
+    // Room for three entries of this size.  Each program is served
+    // as the engine serves it, a lookup before each offer, and is
+    // admitted on its second run while there is room.
     AnswerCache cache(3 * entry_bytes + entry_bytes / 2);
-    admit(cache, keys[0], answer, 1);
-    admit(cache, keys[1], answer, 1);
-    admit(cache, keys[2], answer, 1);
+    for (int i = 0; i < 3; ++i) {
+        lookupThenOffer(cache, progs[i], answer, 1);
+        lookupThenOffer(cache, progs[i], answer, 1);
+    }
     EXPECT_EQ(cache.stats().bytes, 3 * entry_bytes);
-    ResultSet out;
-    Tick wall = 0;
-    ASSERT_TRUE(cache.lookup(keys[0], out, wall));  // 1 is now oldest
-    admit(cache, keys[3], answer, 1);
+    ASSERT_TRUE(holds(cache, progs[0]));  // 1 is now oldest
+    // Program 3 needs room.  On its second run it ties program 1 (two
+    // lookups each) and is refused; on its third it out-counts it.
+    lookupThenOffer(cache, progs[3], answer, 1);
+    lookupThenOffer(cache, progs[3], answer, 1);
+    EXPECT_EQ(cache.stats().rejected, 1u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    lookupThenOffer(cache, progs[3], answer, 1);
     AnswerCache::Stats st = cache.stats();
     EXPECT_EQ(st.evictions, 1u);
     EXPECT_EQ(st.entries, 3u);
     EXPECT_LE(st.bytes, 3 * entry_bytes + entry_bytes / 2);
-    EXPECT_FALSE(cache.lookup(keys[1], out, wall))
+    EXPECT_FALSE(holds(cache, progs[1]))
         << "the least recently used entry is the one evicted";
-    EXPECT_TRUE(cache.lookup(keys[0], out, wall));
-    EXPECT_TRUE(cache.lookup(keys[2], out, wall));
-    EXPECT_TRUE(cache.lookup(keys[3], out, wall));
+    EXPECT_TRUE(holds(cache, progs[0]));
+    EXPECT_TRUE(holds(cache, progs[2]));
+    EXPECT_TRUE(holds(cache, progs[3]));
 
-    // An answer bigger than the whole budget is never stored.
+    // An answer bigger than the whole budget is never stored, and is
+    // not a refusal by frequency.
     AnswerCache tiny(entry_bytes / 2);
-    admit(tiny, keys[0], answer, 1);
+    lookupThenOffer(tiny, progs[0], answer, 1);
+    lookupThenOffer(tiny, progs[0], answer, 1);
     EXPECT_EQ(tiny.stats().admitted, 0u);
     EXPECT_EQ(tiny.stats().bytes, 0u);
+    EXPECT_EQ(tiny.stats().rejected, 0u);
+}
+
+TEST(AnswerCache, ScanDoesNotFlushAHotSet)
+{
+    std::vector<Program> hot, scan;
+    for (NodeId n = 0; n < 4; ++n)
+        hot.push_back(countQuery(n, 1, 0.0f));
+    for (NodeId n = 100; n < 120; ++n)
+        scan.push_back(countQuery(n, 1, 0.0f));
+    const ResultSet answer = answerOf(16, 1.0f);
+    const std::size_t entry_bytes = entryBytes(hot[0], answer);
+
+    // Room for the hot set alone, which is looked up five times.
+    AnswerCache cache(4 * entry_bytes + entry_bytes / 2);
+    for (int round = 0; round < 5; ++round)
+        for (const Program &p : hot)
+            lookupThenOffer(cache, p, answer, 1);
+    ASSERT_EQ(cache.stats().entries, hot.size());
+
+    // Each scanned program runs twice, so it passes the doorkeeper,
+    // but two sightings do not out-count a hot entry.
+    for (const Program &p : scan) {
+        lookupThenOffer(cache, p, answer, 2);
+        lookupThenOffer(cache, p, answer, 2);
+    }
+    AnswerCache::Stats st = cache.stats();
+    EXPECT_EQ(st.evictions, 0u);
+    EXPECT_EQ(st.rejected, scan.size());
+    for (const Program &p : hot)
+        EXPECT_TRUE(holds(cache, p)) << "the scan flushed a hot entry";
+}
+
+TEST(AnswerCache, TiesKeepTheIncumbent)
+{
+    const Program incumbent = countQuery(0, 1, 0.0f);
+    const Program newcomer = countQuery(1, 1, 0.0f);
+    const ResultSet answer = answerOf(16, 1.0f);
+    const std::size_t entry_bytes = entryBytes(incumbent, answer);
+
+    // Room for one entry.  The incumbent misses twice (admitted on
+    // the second run) and then hits: three lookups.
+    AnswerCache cache(entry_bytes + entry_bytes / 2);
+    for (int i = 0; i < 3; ++i)
+        lookupThenOffer(cache, incumbent, answer, 1);
+    ASSERT_EQ(cache.stats().admitted, 1u);
+
+    lookupThenOffer(cache, newcomer, answer, 2);  // first sighting
+    lookupThenOffer(cache, newcomer, answer, 2);  // 2 < 3 lookups
+    EXPECT_EQ(cache.stats().rejected, 1u);
+    lookupThenOffer(cache, newcomer, answer, 2);  // 3 = 3: a tie
+    AnswerCache::Stats st = cache.stats();
+    EXPECT_EQ(st.rejected, 2u) << "a tie must keep the incumbent";
+    EXPECT_EQ(st.evictions, 0u);
+    EXPECT_EQ(st.admitted, 1u);
+
+    lookupThenOffer(cache, newcomer, answer, 2);  // 4 > 3
+    st = cache.stats();
+    EXPECT_EQ(st.rejected, 2u);
+    EXPECT_EQ(st.evictions, 1u);
+    EXPECT_EQ(st.admitted, 2u);
+    EXPECT_TRUE(holds(cache, newcomer));
+    EXPECT_FALSE(holds(cache, incumbent));
+}
+
+TEST(AnswerCache, SeededZipfReplay)
+{
+    // A fixed-seed Zipf(1) stream over 256 programs through a cache
+    // with room for 16 answers, each request served as the engine
+    // serves it.  Every hit must return the answer stored for its
+    // program (its wall time is the program's rank).
+    constexpr std::size_t kPrograms = 256;
+    constexpr int kRequests = 20000;
+    std::vector<Program> progs;
+    std::vector<double> cdf;
+    double acc = 0.0;
+    for (std::size_t k = 0; k < kPrograms; ++k) {
+        progs.push_back(countQuery(static_cast<NodeId>(k), 1, 0.0f));
+        acc += 1.0 / static_cast<double>(k + 1);
+        cdf.push_back(acc);
+    }
+    const ResultSet answer = answerOf(16, 1.0f);
+    const std::size_t entry_bytes = entryBytes(progs[1], answer);
+    AnswerCache cache(16 * entry_bytes + entry_bytes / 2);
+    Rng rng(2024);
+    for (int i = 0; i < kRequests; ++i) {
+        const std::size_t rank = std::min<std::size_t>(
+            static_cast<std::size_t>(
+                std::upper_bound(cdf.begin(), cdf.end(),
+                                 rng.uniform() * cdf.back()) -
+                cdf.begin()),
+            kPrograms - 1);
+        const Program &p = progs[rank];
+        ResultSet out;
+        Tick wall = 0;
+        if (cache.lookup(p, p.contentHash(), out, wall)) {
+            ASSERT_EQ(wall, rank) << "request " << i;
+            continue;
+        }
+        cache.insert(p, p.contentHash(), answer, rank);
+    }
+    const AnswerCache::Stats st = cache.stats();
+    EXPECT_EQ(st.hits + st.misses, static_cast<std::uint64_t>(kRequests));
+    EXPECT_EQ(st.hits, 10736u);
+    EXPECT_EQ(st.admitted, 130u);
+    EXPECT_EQ(st.evictions, 114u);
+    EXPECT_EQ(st.rejected, 8809u);
+    EXPECT_EQ(st.entries, 16u);
+    // Admission on second sighting with LRU eviction alone (the
+    // cache before its frequency sketch) hit 7826 times on this
+    // stream, with 11833 evictions.
+    EXPECT_GT(st.hits, 7826u);
 }
 
 /** Canonical wire bytes of a result set: "byte-identical" made
