@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/metrics_registry.hh"
+
 namespace snap
 {
 namespace hostprof
@@ -111,6 +113,18 @@ format(const Totals &t)
         out += line;
     }
     return out;
+}
+
+void
+exportMetrics(const Totals &t, MetricsRegistry &reg)
+{
+    for (std::size_t i = 0; i < numPhases; ++i) {
+        const char *phase = phaseName(static_cast<Phase>(i));
+        reg.counter("snap_host_phase_ns_total",
+                    static_cast<double>(t.ns[i]),
+                    "Host self-time per phase of the profiled run (ns)",
+                    {{"phase", phase}});
+    }
 }
 
 } // namespace hostprof

@@ -26,6 +26,9 @@
 
 namespace snap
 {
+
+class MetricsRegistry;
+
 namespace hostprof
 {
 
@@ -78,6 +81,10 @@ Totals snapshot();
 
 /** Formatted table of @p t (phase, self-ns, hits, share). */
 std::string format(const Totals &t);
+
+/** Export @p t as snap_host_phase_ns_total{phase="queue"|...}, one
+ *  counter sample of self-time nanoseconds per phase. */
+void exportMetrics(const Totals &t, MetricsRegistry &reg);
 
 namespace detail
 {

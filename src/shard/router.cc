@@ -1573,8 +1573,29 @@ ShardRouter::swapEpoch(const std::string &image_path, std::string &err)
     bool all_ok = true;
     err.clear();
 
+    // Send Commit(epoch) to shard i and check that the ack names it.
+    // Swapping an image in drains and re-stamps the pool, so the
+    // Prepare's deadline applies.
+    auto commit = [&](std::uint32_t i, std::uint64_t epoch) {
+        EpochFrame frame;
+        frame.epoch = epoch;
+        WireWriter w;
+        encodeEpoch(w, frame);
+        std::lock_guard<std::mutex> op(shards_[i]->controlOpMu);
+        ControlAck reply;
+        EpochFrame ack;
+        if (!sendControl(i, FrameType::Commit, w.bytes(), 120000.0,
+                         reply) ||
+            !decodeAck(reply, FrameType::CommitAck, decodeEpoch, ack) ||
+            ack.epoch != epoch)
+            snap_warn("router: shard %u did not ack the commit of "
+                      "epoch %llu", i,
+                      static_cast<unsigned long long>(epoch));
+    };
+
     // Prepare: every live shard loads, validates and stages the
     // image, and must positively ack before any shard flips.
+    std::vector<std::uint32_t> staged;
     for (std::uint32_t i = 0; i < shards_.size() && all_ok; ++i) {
         if (!shardHealthy(i))
             continue;
@@ -1602,31 +1623,22 @@ ShardRouter::swapEpoch(const std::string &image_path, std::string &err)
             err = formatString("shard %u refused the new image: %s", i,
                                ack.detail.c_str());
             all_ok = false;
+        } else {
+            staged.push_back(i);
         }
     }
 
-    if (all_ok) {
-        // Commit: each shard swaps its staged image in — it drains
-        // and re-stamps its pool, so the Prepare's deadline applies.
-        EpochFrame commit;
-        commit.epoch = next_epoch;
-        WireWriter w;
-        encodeEpoch(w, commit);
-        for (std::uint32_t i = 0; i < shards_.size(); ++i) {
-            if (!shardHealthy(i))
-                continue;
-            std::lock_guard<std::mutex> op(shards_[i]->controlOpMu);
-            ControlAck reply;
-            EpochFrame ack;
-            if (!sendControl(i, FrameType::Commit, w.bytes(), 120000.0,
-                             reply) ||
-                !decodeAck(reply, FrameType::CommitAck, decodeEpoch,
-                           ack) ||
-                ack.epoch != next_epoch)
-                snap_warn("router: shard %u did not ack the commit of "
-                          "epoch %llu", i,
-                          static_cast<unsigned long long>(next_epoch));
-        }
+    if (!all_ok) {
+        // Abandoned: a Commit of the epoch the fleet stays on makes
+        // every shard that staged the image drop it.
+        for (std::uint32_t i : staged)
+            if (shardHealthy(i))
+                commit(i, epoch_);
+    } else {
+        // Commit: each shard swaps its staged image in.
+        for (std::uint32_t i = 0; i < shards_.size(); ++i)
+            if (shardHealthy(i))
+                commit(i, next_epoch);
 
         // A lost ack does not undo a commit, so the probes decide:
         // the fleet serves the image of any shard now on the new

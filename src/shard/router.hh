@@ -46,8 +46,10 @@
  * and must positively ack (it has loaded, validated and staged the
  * image; nothing has flipped yet), then Commit makes each shard
  * re-stamp its pool from the staged image, and dispatch resumes.  A
- * refusal anywhere means no Commit is sent, so the fleet never
- * serves two images; after the commits every live shard is probed
+ * refusal anywhere means no Commit of the new epoch is sent, so the
+ * fleet never serves two images (each shard that staged the image
+ * gets a Commit of the current epoch, which drops it); after the
+ * commits every live shard is probed
  * (a lost Commit ack does not undo a commit) and one not serving the
  * image of a shard on the new epoch is downed.  Every request is
  * served entirely before or entirely after the flip — zero wrong
@@ -188,7 +190,8 @@ class ShardRouter
      * Pauses dispatch, drains every shard, Prepares all (each shard
      * loads, validates and stages the image), Commits (each shard
      * re-stamps from it), probes, resumes.  @return false with @p err
-     * if any shard refuses the Prepare (no shard flipped) or no shard
+     * if any shard refuses the Prepare (no shard flipped; those that
+     * staged the image are told to drop it) or no shard
      * reports the new epoch after the commits (every live shard is on
      * the old image); dispatch resumes either way.
      */

@@ -441,12 +441,29 @@ ShardServer::handlePrepare(int fd, std::mutex &write_mu,
 }
 
 std::uint64_t
+ShardServer::stagedEpoch() const
+{
+    std::lock_guard<std::mutex> swap_lock(swapMu_);
+    return staged_ ? stagedEpoch_ : 0;
+}
+
+std::uint64_t
 ShardServer::commitStaged(std::uint64_t epoch)
 {
     std::lock_guard<std::mutex> swap_lock(swapMu_);
     if (!staged_ || stagedEpoch_ != epoch) {
-        snap_warn("shard: commit(%llu) with no image staged for it",
-                  static_cast<unsigned long long>(epoch));
+        // A Commit of any other epoch abandons the staged swap: the
+        // router sends Commit(current epoch) after a refused Prepare.
+        if (staged_) {
+            snap_inform("shard: commit(%llu) drops the image staged "
+                        "for epoch %llu",
+                        static_cast<unsigned long long>(epoch),
+                        static_cast<unsigned long long>(stagedEpoch_));
+            staged_.reset();
+        } else if (epoch != this->epoch()) {
+            snap_warn("shard: commit(%llu) with no image staged for it",
+                      static_cast<unsigned long long>(epoch));
+        }
         return this->epoch();
     }
     std::unique_ptr<KbImageFile> next = std::move(staged_);

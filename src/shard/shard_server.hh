@@ -19,7 +19,9 @@
  * the same epoch swaps the staged image in (ServeEngine::swapImage
  * drains in-flight work and re-stamps every replica) and flips the
  * advertised fingerprint and epoch, so a swap the router abandons
- * after a refusal elsewhere never flips this shard.  Sessions survive
+ * after a refusal elsewhere never flips this shard; the router then
+ * sends a Commit of the epoch it stays on, and a Commit of any epoch
+ * but the staged one drops the staged image.  Sessions survive
  * the swap (marker state is keyed by global node ids and the node
  * count is checked).
  */
@@ -92,6 +94,9 @@ class ShardServer
         return fingerprint_.load(std::memory_order_acquire);
     }
 
+    /** Epoch of the image a Prepare left staged; 0 when none. */
+    std::uint64_t stagedEpoch() const;
+
     serve::ServeEngine &engine() { return *engine_; }
 
     /** Live fleet fault schedule, or nullptr when none is armed. */
@@ -112,8 +117,9 @@ class ShardServer
                                  std::vector<std::uint8_t> bytes);
     void handlePrepare(int fd, std::mutex &write_mu,
                        const PrepareFrame &frame);
-    /** Swap in the image staged for @p epoch.  @return the epoch now
-     *  served (unchanged when nothing was staged for it). */
+    /** Swap in the image staged for @p epoch, or drop an image
+     *  staged for another epoch.  @return the epoch now served
+     *  (unchanged when nothing was staged for @p epoch). */
     std::uint64_t commitStaged(std::uint64_t epoch);
 
     ShardServerConfig cfg_;
@@ -127,7 +133,7 @@ class ShardServer
     std::atomic<std::uint64_t> fingerprint_{0};
     /** Serializes Prepare and Commit handling (one swap at a
      *  time); guards the staged image. */
-    std::mutex swapMu_;
+    mutable std::mutex swapMu_;
     /** The image the last accepted Prepare staged, and its epoch. */
     std::unique_ptr<KbImageFile> staged_;
     std::uint64_t stagedEpoch_ = 0;

@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "common/host_prof.hh"
 
 namespace snap
@@ -29,11 +31,26 @@ EventQueue::schedule(Event *event, Tick when)
     // The wire/normal class rides in the sequence number's top bit
     // (wire = 0), so wire-class events order ahead of every same-tick
     // normal event without widening the key.
+    const Entry e{when,
+                  nextSeq_++ | (event->wireClass_ ? 0 : normalClassBit),
+                  event};
     event->when_ = when;
-    const std::uint64_t seq =
-        nextSeq_++ | (event->wireClass_ ? 0 : normalClassBit);
-    heap_.push_back(Entry{when, seq, event});
-    siftUp(heap_.size() - 1, heap_.back());
+    event->seq_ = e.seq;
+
+    if (head_ >= compactFrom && 2 * head_ >= run_.size()) {
+        run_.erase(run_.begin(),
+                   run_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+    }
+    // A new event is usually among the latest: scan back from the
+    // tail to the first entry that fires before it.
+    std::size_t i = run_.size();
+    while (i != head_ && e.before(run_[i - 1]))
+        --i;
+    if (i == head_ && head_ != 0)
+        run_[--head_] = e;  // ahead of every pending event: reuse a slot
+    else
+        run_.insert(run_.begin() + static_cast<std::ptrdiff_t>(i), e);
 }
 
 void
@@ -42,7 +59,15 @@ EventQueue::deschedule(Event *event)
     snap_assert(event != nullptr && event->scheduled(),
                 "descheduling an unscheduled event");
     hostprof::Scope hp(hostprof::Phase::Queue);
-    removeAt(event->heapIdx_);
+    const Entry key{event->when_, event->seq_, event};
+    const auto it = std::lower_bound(
+        run_.begin() + static_cast<std::ptrdiff_t>(head_), run_.end(),
+        key, [](const Entry &a, const Entry &b) { return a.before(b); });
+    snap_assert(it != run_.end() && it->event == event,
+                "event '%s' missing from the queue",
+                event->name().c_str());
+    run_.erase(it);
+    event->seq_ = Event::notQueued;
 }
 
 void
@@ -55,45 +80,15 @@ EventQueue::reschedule(Event *event, Tick when)
 }
 
 void
-EventQueue::siftUp(std::size_t i, Entry e)
-{
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 2;
-        if (!e.before(heap_[parent]))
-            break;
-        place(i, heap_[parent]);
-        i = parent;
-    }
-    place(i, e);
-}
-
-void
-EventQueue::removeAt(std::size_t i)
-{
-    heap_[i].event->heapIdx_ = Event::notQueued;
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (i == n)
-        return;
-    // Walk the hole down to a leaf along the smaller children, then
-    // sift the last entry up from there: one compare per level on
-    // the way down, and the last entry (usually among the latest)
-    // rarely climbs far.
-    for (std::size_t child; (child = 2 * i + 1) < n; i = child) {
-        if (child + 1 < n && heap_[child + 1].before(heap_[child]))
-            ++child;
-        place(i, heap_[child]);
-    }
-    siftUp(i, last);
-}
-
-void
 EventQueue::fireNext()
 {
     hostprof::Scope hpq(hostprof::Phase::Queue);
-    const Entry head = heap_.front();
-    removeAt(0);
+    const Entry head = run_[head_];
+    if (++head_ == run_.size()) {
+        run_.clear();
+        head_ = 0;
+    }
+    head.event->seq_ = Event::notQueued;
     snap_assert(head.when >= curTick_, "time went backwards");
     curTick_ = head.when;
     ++processed_;
@@ -107,26 +102,27 @@ EventQueue::advanceTo(Tick t)
 {
     if (t <= curTick_)
         return;
-    snap_assert(heap_.empty() || t <= heap_.front().when,
+    snap_assert(empty() || t <= run_[head_].when,
                 "advanceTo(%llu) past a pending event at %llu",
                 static_cast<unsigned long long>(t),
-                static_cast<unsigned long long>(heap_.front().when));
+                static_cast<unsigned long long>(run_[head_].when));
     curTick_ = t;
 }
 
 void
 EventQueue::clearPending()
 {
-    for (const Entry &e : heap_)
-        e.event->heapIdx_ = Event::notQueued;
-    heap_.clear();
+    for (std::size_t i = head_; i < run_.size(); ++i)
+        run_[i].event->seq_ = Event::notQueued;
+    run_.clear();
+    head_ = 0;
 }
 
 std::uint64_t
 EventQueue::run()
 {
     std::uint64_t fired = 0;
-    for (; !heap_.empty(); ++fired)
+    for (; !empty(); ++fired)
         fireNext();
     return fired;
 }
@@ -135,7 +131,7 @@ std::uint64_t
 EventQueue::runBefore(Tick limit)
 {
     std::uint64_t fired = 0;
-    for (; !heap_.empty() && heap_.front().when < limit; ++fired)
+    for (; !empty() && run_[head_].when < limit; ++fired)
         fireNext();
     return fired;
 }

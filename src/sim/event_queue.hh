@@ -7,11 +7,14 @@
  * fire in FIFO scheduling order (a monotonically increasing sequence
  * number breaks ties) so simulations are fully deterministic.
  *
- * Storage is one indexed binary min-heap over the (when, seq) key.
- * Each scheduled event knows its heap slot, so deschedule removes it
- * in place and the heap only ever holds live events.  Firing order is
- * a strict total order on (when, seq), so it is exact by
- * construction.
+ * Storage is one vector of (when, seq, event) entries kept sorted
+ * from a head index.  A pop reads the head entry and steps the index;
+ * a schedule scans back from the tail to its place and inserts there
+ * (the machine's queue holds about 16 entries, and most schedules
+ * land a few entries from the tail); a deschedule finds its entry by
+ * binary search on the event's own (when, seq).  Nothing in an event
+ * moves with its entry.  Firing order is a strict total order on
+ * (when, seq), so it is exact by construction.
  */
 
 #ifndef SNAP_SIM_EVENT_QUEUE_HH
@@ -49,7 +52,7 @@ class Event
     virtual void process() = 0;
 
     /** True while the event sits in a queue. */
-    bool scheduled() const { return heapIdx_ != notQueued; }
+    bool scheduled() const { return seq_ != notQueued; }
 
     /** Tick the event is scheduled for (valid while scheduled). */
     Tick when() const { return when_; }
@@ -70,12 +73,13 @@ class Event
   private:
     friend class EventQueue;
 
-    static constexpr std::size_t notQueued = ~std::size_t{0};
+    static constexpr std::uint64_t notQueued = ~std::uint64_t{0};
 
     std::string name_;
     Tick when_ = 0;
-    /** Slot in the queue's heap; notQueued while unscheduled. */
-    std::size_t heapIdx_ = notQueued;
+    /** The queue's sequence key (class bit included); notQueued while
+     *  unscheduled.  (when_, seq_) finds the event's entry. */
+    std::uint64_t seq_ = notQueued;
     /** Fires ahead of same-tick normal events (see setWireClass). */
     bool wireClass_ = false;
 };
@@ -118,10 +122,10 @@ class EventQueue
     void reschedule(Event *event, Tick when);
 
     /** True when no events remain. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return head_ == run_.size(); }
 
     /** Number of scheduled events. */
-    std::size_t numScheduled() const { return heap_.size(); }
+    std::size_t numScheduled() const { return run_.size() - head_; }
 
     /** Run until the queue drains.  @return events processed. */
     std::uint64_t run();
@@ -147,7 +151,7 @@ class EventQueue
     Tick
     nextEventTick() const
     {
-        return heap_.empty() ? maxTick : heap_.front().when;
+        return empty() ? maxTick : run_[head_].when;
     }
 
     /**
@@ -162,8 +166,8 @@ class EventQueue
     std::uint64_t eventsProcessed() const { return processed_; }
 
   private:
-    /** Heap entry: the sort key sits beside the event pointer so
-     *  sifting compares without touching the events. */
+    /** Queue entry: the sort key sits beside the event pointer so
+     *  the scans compare without touching the events. */
     struct Entry
     {
         Tick when;
@@ -180,24 +184,21 @@ class EventQueue
     /** Event-class bit folded into the (when, seq) sort key: clear
      *  for wire-class events, set for normal ones, so wire events
      *  sort first within a tick and FIFO order holds within each
-     *  class.  nextSeq_ can never reach bit 63. */
+     *  class.  nextSeq_ (one per schedule) stays far below
+     *  2^63 - 1, so no key equals Event::notQueued. */
     static constexpr std::uint64_t normalClassBit = 1ull << 63;
 
-    /** Write @p e into slot @p i and tell its event where it is. */
-    void
-    place(std::size_t i, const Entry &e)
-    {
-        heap_[i] = e;
-        e.event->heapIdx_ = i;
-    }
+    /** The consumed prefix is erased once the head index reaches
+     *  this and at least half the vector. */
+    static constexpr std::size_t compactFrom = 64;
 
-    void siftUp(std::size_t i, Entry e);
-    /** Remove the entry at slot @p i and unschedule its event. */
-    void removeAt(std::size_t i);
     /** Pop the earliest event and fire it.  Pre: !empty(). */
     void fireNext();
 
-    std::vector<Entry> heap_;
+    /** Pending entries are run_[head_, size()), sorted by (when, seq);
+     *  the slots before head_ are consumed. */
+    std::vector<Entry> run_;
+    std::size_t head_ = 0;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t processed_ = 0;

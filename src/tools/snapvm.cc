@@ -21,6 +21,10 @@
  *                           all; see docs/observability.md)
  *     --metrics-out FILE    export the unified metrics registry
  *     --metrics-format F    json|prometheus (default json)
+ *     --profile             time the run's host phases (queue,
+ *                           dispatch, ...) and add them to the
+ *                           exported metrics as
+ *                           snap_host_phase_ns_total{phase=...}
  *
  * Exit status: 0 on success, 1 on user error (bad input files or
  * configuration, and runs rejected by fault detection), 2 on a
@@ -36,6 +40,7 @@
 #include <string>
 
 #include "arch/machine.hh"
+#include "common/host_prof.hh"
 #include "common/logging.hh"
 #include "common/metrics_registry.hh"
 #include "common/strutil.hh"
@@ -69,7 +74,8 @@ usage()
         "  --trace-categories L   trace category list (default all)\n"
         "  --metrics-out FILE     export the unified metrics "
         "registry\n"
-        "  --metrics-format F     json|prometheus (default json)\n");
+        "  --metrics-format F     json|prometheus (default json)\n"
+        "  --profile              export per-phase host time\n");
     std::exit(2);
 }
 
@@ -104,6 +110,7 @@ main(int argc, char **argv)
     std::string trace_categories = "all";
     std::string metrics_out;
     std::string metrics_format = "json";
+    bool profile = false;
 
     for (int i = 3; i < argc; ++i) {
         std::string arg = argv[i];
@@ -152,6 +159,8 @@ main(int argc, char **argv)
             stats = true;
         } else if (arg == "--disasm") {
             disasm = true;
+        } else if (arg == "--profile") {
+            profile = true;
         } else if (arg == "--perf-csv") {
             perf_csv = next();
         } else if (arg == "--trace-out") {
@@ -252,7 +261,21 @@ main(int argc, char **argv)
                              flow_id, run_ns);
         trace::armFlow(flow_id);
     }
+    if (profile) {
+        hostprof::setEnabled(true);
+        hostprof::resetThread();
+    }
     RunResult run = machine.run(prog);
+    hostprof::Totals phases;
+    if (profile) {
+        hostprof::setEnabled(false);
+        phases = hostprof::snapshot();
+    }
+    // Every registry snapvm renders carries the profile when asked.
+    auto exportProfile = [&](MetricsRegistry &reg) {
+        if (profile)
+            hostprof::exportMetrics(phases, reg);
+    };
     if (flow_id != 0) {
         trace::hostSpan(trace::kMachine, trace::kTidAdmission, "run",
                         run_ns, trace::hostNowNs());
@@ -312,6 +335,7 @@ main(int argc, char **argv)
         std::printf("\n%s", run.stats.summary().c_str());
         MetricsRegistry reg;
         machine.exportMetrics(reg);
+        exportProfile(reg);
         std::ostringstream os;
         reg.writePrometheus(os);
         std::printf("\n%s", os.str().c_str());
@@ -346,6 +370,7 @@ main(int argc, char **argv)
         MetricsRegistry reg;
         run.stats.exportMetrics(reg);
         machine.exportMetrics(reg);
+        exportProfile(reg);
         std::ofstream os(metrics_out);
         if (!os)
             snap_fatal("cannot open '%s' for writing",

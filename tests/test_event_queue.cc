@@ -95,6 +95,28 @@ TEST(EventQueue, DescheduleCancels)
     eq.run();
     EXPECT_FALSE(fired);
     EXPECT_EQ(eq.numScheduled(), 0u);
+
+    // Five events share tick 10, one sits at 20 just before a
+    // far-future event: cancel the middle, the last and the first of
+    // the tick, and the one before the far event.  Exactly those go,
+    // and the rest fire in scheduling order.
+    std::vector<int> order;
+    std::deque<EventFunctionWrapper> evs;
+    const Tick at[] = {10, 10, 10, 10, 10, 20, Tick{1} << 40};
+    for (int i = 0; i < 7; ++i) {
+        eq.schedule(&evs.emplace_back([&, i] { order.push_back(i); },
+                                      "shared"),
+                    at[i]);
+    }
+    for (int i : {2, 4, 0, 5}) {
+        eq.deschedule(&evs[i]);
+        EXPECT_FALSE(evs[i].scheduled()) << "event " << i;
+    }
+    EXPECT_EQ(eq.numScheduled(), 3u);
+    for (int i : {1, 3, 6})
+        EXPECT_TRUE(evs[i].scheduled()) << "event " << i;
+    EXPECT_EQ(eq.run(), 3u);
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 6}));
 }
 
 TEST(EventQueue, RescheduleMoves)
@@ -134,22 +156,36 @@ TEST(EventQueue, RunBeforeStopsAtHorizon)
 
 TEST(EventQueue, ClearPendingDropsWithoutFiring)
 {
+    // Clear after runBefore consumed the head of the queue, so the
+    // run's head index is past its first slot.
     EventQueue eq;
-    int fired = 0;
-    EventFunctionWrapper a([&] { ++fired; }, "a");
-    EventFunctionWrapper b([&] { ++fired; }, "b");
+    std::vector<std::string> fired;
+    EventFunctionWrapper early([&] { fired.push_back("early"); },
+                               "early");
+    EventFunctionWrapper a([&] { fired.push_back("a"); }, "a");
+    EventFunctionWrapper b([&] { fired.push_back("b"); }, "b");
+    eq.schedule(&early, 5);
     eq.schedule(&a, 10);
     eq.schedule(&b, Tick{1} << 40);
+    EXPECT_EQ(eq.runBefore(10), 1u);
     eq.clearPending();
-    EXPECT_TRUE(eq.empty());
+    ASSERT_TRUE(eq.empty());
+    ASSERT_EQ(eq.numScheduled(), 0u);
+    EXPECT_EQ(eq.nextEventTick(), maxTick);
+    EXPECT_FALSE(early.scheduled());
     EXPECT_FALSE(a.scheduled());
     EXPECT_FALSE(b.scheduled());
     EXPECT_EQ(eq.run(), 0u);
-    EXPECT_EQ(fired, 0);
-    EXPECT_EQ(eq.curTick(), 0u);
-    eq.schedule(&a, 5);  // reusable afterwards
-    eq.run();
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(fired, (std::vector<std::string>{"early"}));
+    EXPECT_EQ(eq.curTick(), 5u);  // time does not move
+    // Every event is reusable afterwards, and the next schedule fires.
+    eq.schedule(&b, 9);
+    eq.schedule(&a, 6);
+    eq.schedule(&early, 9);
+    EXPECT_EQ(eq.nextEventTick(), 6u);
+    EXPECT_EQ(eq.run(), 3u);
+    EXPECT_EQ(fired,
+              (std::vector<std::string>{"early", "a", "b", "early"}));
 }
 
 TEST(EventQueue, MemberEventReuse)
@@ -214,7 +250,9 @@ TEST(EventQueue, DescheduleFarFutureCancels)
 /** Self-expanding random storm (same tick, near, mid and far-future
  *  delays) checked against direct oracles.  One-shots pile up while
  *  a fixed set of member events is rescheduled earlier and later and
- *  descheduled at random, so removals hit every depth of the queue.
+ *  descheduled at random, so inserts and removals land at the head,
+ *  in the middle and at the tail of the sorted run, and the run
+ *  compacts its consumed prefix and reuses the slots before its head.
  *  Every schedule call takes the next stamp, which is the queue's
  *  FIFO tie-break; an event superseded by a reschedule or a
  *  deschedule is cancelled.  Events fire at their scheduled tick, in

@@ -2167,6 +2167,8 @@ TEST_F(ShardFleetTest, RefusedPrepareLeavesEveryShardOnTheOldImage)
     EXPECT_NE(err.find("refused"), std::string::npos) << err;
     EXPECT_EQ(s0.server->fingerprint(), fp_before)
         << "shard 0 flipped although shard 1 refused";
+    EXPECT_EQ(s0.server->stagedEpoch(), 0u)
+        << "shard 0 still holds the abandoned image";
 
     shard::RouterRequest req;
     req.prog = prog;
