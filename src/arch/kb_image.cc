@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "runtime/snapshot.hh"
-
 namespace snap
 {
 
@@ -162,24 +160,6 @@ KbImage::flatten() const
         }
     }
     return flat;
-}
-
-void
-KbImage::saveMarkers(std::ostream &os) const
-{
-    MarkerStore flat = flatten();
-    snap::saveMarkers(flat, os);
-}
-
-void
-KbImage::loadMarkers(std::istream &is)
-{
-    MarkerStore flat = snap::loadMarkers(is);
-    if (flat.numNodes() != numNodes()) {
-        snap_fatal("snapshot holds %u nodes but the loaded knowledge "
-                   "base has %u", flat.numNodes(), numNodes());
-    }
-    restoreMarkers(flat);
 }
 
 void

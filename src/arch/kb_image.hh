@@ -16,7 +16,6 @@
 #define SNAP_ARCH_KB_IMAGE_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -183,20 +182,14 @@ class KbImage
      *  node ids (for equivalence checks against the golden model). */
     MarkerStore flatten() const;
 
-    /** Checkpoint the distributed marker tables (global node ids;
-     *  restorable under any partitioning). */
-    void saveMarkers(std::ostream &os) const;
-
-    /** Restore a checkpoint; the node count must match. */
-    void loadMarkers(std::istream &is);
-
     /** Clear every marker plane in every cluster (fresh-query
      *  state). */
     void resetMarkers();
 
     /** Install flat marker state @p flat (global node ids) into the
-     *  distributed tables; the node count must match.  The in-memory
-     *  counterpart of loadMarkers(). */
+     *  distributed tables; the node count must match.  With
+     *  flatten(), this checkpoints and restores a session under any
+     *  partitioning (runtime/snapshot holds the byte form). */
     void restoreMarkers(const MarkerStore &flat);
 
   private:

@@ -247,15 +247,20 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
                 std::string &detail)
 {
     // Bulk read: the whole file in one gulp; every parse below walks
-    // in-memory bytes.
+    // in-memory bytes.  istream::read turns a read error (a
+    // directory, EIO) into badbit; an istreambuf_iterator would let
+    // it escape as an exception.
     std::ifstream is(path, std::ios::binary);
     if (!is) {
         detail = "cannot open '" + path + "'";
         return KbImgStatus::IoError;
     }
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(is)),
-        std::istreambuf_iterator<char>());
+    std::vector<std::uint8_t> bytes;
+    char chunk[4096];
+    do {
+        is.read(chunk, sizeof(chunk));
+        bytes.insert(bytes.end(), chunk, chunk + is.gcount());
+    } while (is);
     if (is.bad()) {
         detail = "read error on '" + path + "'";
         return KbImgStatus::IoError;
@@ -282,8 +287,8 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
                               "machine", endian, kEndianTag);
         return KbImgStatus::BadEndian;
     }
-    if (nsect < kNumSections) {
-        detail = formatString("%u sections (need %u)", nsect,
+    if (nsect != kNumSections) {
+        detail = formatString("%u sections (expected %u)", nsect,
                               kNumSections);
         return KbImgStatus::BadSection;
     }
@@ -296,6 +301,9 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
         return KbImgStatus::Truncated;
     }
 
+    // The whole table is checked before any section is hashed: seven
+    // distinct known ids, so every section is present exactly once
+    // and no table can make the loader hash one range twice.
     Section sect[kNumSections];
     std::uint64_t fingerprint = 0xcbf29ce484222325ull;
     WireReader table(bytes.data() + kHeaderBytes,
@@ -306,6 +314,14 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
         const std::uint64_t off = table.u64();
         const std::uint64_t size = table.u64();
         const std::uint64_t sum = table.u64();
+        if (id < 1 || id > kNumSections) {
+            detail = formatString("unknown section %u", id);
+            return KbImgStatus::BadSection;
+        }
+        if (sect[id - 1].present) {
+            detail = formatString("duplicate section %u", id);
+            return KbImgStatus::BadSection;
+        }
         if (off > bytes.size() || size > bytes.size() - off) {
             detail = formatString("section %u [%llu, +%llu) runs "
                                   "past the %zu-byte file", id,
@@ -314,25 +330,14 @@ loadKbImageFile(const std::string &path, KbImageFile &out,
                                   bytes.size());
             return KbImgStatus::Truncated;
         }
-        if (fnv1a64(bytes.data() + off, size) != sum) {
-            detail = formatString("section %u checksum mismatch", id);
-            return KbImgStatus::ChecksumMismatch;
-        }
-        // Unknown section ids are skipped (forward-compatible
-        // extension point); known ids must appear exactly once.
-        if (id >= 1 && id <= kNumSections) {
-            if (sect[id - 1].present) {
-                detail = formatString("duplicate section %u", id);
-                return KbImgStatus::BadSection;
-            }
-            sect[id - 1] = Section{off, size, sum, true};
-        }
+        sect[id - 1] = Section{off, size, sum, true};
         fingerprint = fnv1a64(&sum, sizeof(sum), fingerprint);
     }
-    for (std::uint32_t i = 0; i < kNumSections; ++i) {
-        if (!sect[i].present) {
-            detail = formatString("missing section %u", i + 1);
-            return KbImgStatus::BadSection;
+    for (std::uint32_t id = 1; id <= kNumSections; ++id) {
+        const Section &s = sect[id - 1];
+        if (fnv1a64(bytes.data() + s.offset, s.size) != s.checksum) {
+            detail = formatString("section %u checksum mismatch", id);
+            return KbImgStatus::ChecksumMismatch;
         }
     }
 

@@ -14,6 +14,13 @@
  *    phase's time excludes the phases it calls into.
  *  - Thread-safe by construction: all counters are thread_local and
  *    snapshot() reads the calling thread's view.
+ *
+ * What it cannot see: each probe scope costs two TSC reads and a scope
+ * push, about as much as one event-queue schedule or pop, and that
+ * cost lands in the phase it times.  So the `queue` and `dispatch`
+ * shares are upper bounds.  On table4 the probe profile put the queue
+ * at 28.8% of host time, while SIGPROF PC sampling of 300 served
+ * parses put it at 18.5%.
  */
 
 #ifndef SNAP_COMMON_HOST_PROF_HH

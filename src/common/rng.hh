@@ -20,6 +20,22 @@
 namespace snap
 {
 
+/**
+ * SplitMix64: the output of one step from state @p x, a
+ * full-avalanche 64-bit mix.  The repo-wide seeding and hashing
+ * primitive (generator seeds, request seeds, trace ids, hash-ring
+ * points, sketch and frontier-map slots).  Inline because the
+ * frontier map hashes every admit on the DES hot path.
+ */
+inline std::uint64_t
+splitmix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
 /** xoshiro256** pseudo-random generator with explicit seeding. */
 class Rng
 {
@@ -27,13 +43,9 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x5eed5eed5eed5eedull)
     {
         // SplitMix64 seeding, per the xoshiro reference code.
-        std::uint64_t x = seed;
         for (auto &word : s_) {
-            x += 0x9e3779b97f4a7c15ull;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            word = z ^ (z >> 31);
+            word = splitmix64(seed);
+            seed += 0x9e3779b97f4a7c15ull;
         }
     }
 

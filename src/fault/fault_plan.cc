@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "fault/spec_json.hh"
 #include "isa/program.hh"
 #include "runtime/marker_store.hh"
@@ -368,15 +369,6 @@ FaultPlan::bumpGeneration()
 }
 
 // --- helpers ---------------------------------------------------------
-
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 bool
 markersEquivalent(const MarkerStore &a, const MarkerStore &b)

@@ -211,9 +211,6 @@ class FaultPlan
 
 // --- helpers shared by machine integrity checking and tests ----------
 
-/// SplitMix64 — the repo-wide seeding primitive.
-std::uint64_t splitmix64(std::uint64_t x);
-
 /// Exact semantic equality of two marker stores (bit planes, and value
 /// and origin of every set bit on complex markers).
 bool markersEquivalent(const MarkerStore &a, const MarkerStore &b);

@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "fault/fault_plan.hh"
+#include "common/rng.hh"
 #include "fault/spec_json.hh"
 
 namespace snap

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.hh"
 #include "runtime/propagate.hh"
 
 namespace snap
@@ -76,22 +77,12 @@ class FrontierMap
         std::vector<PropLabel> labels;
     };
 
-    static std::uint64_t
-    mix(std::uint64_t x)
-    {
-        // splitmix64 finalizer: full-avalanche spread of the packed
-        // (prop, node, state) key bits.
-        x += 0x9e3779b97f4a7c15ull;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        return x ^ (x >> 31);
-    }
-
     Slot *
     probe(std::uint64_t key)
     {
         const std::size_t mask = slots_.size() - 1;
-        std::size_t i = static_cast<std::size_t>(mix(key)) & mask;
+        // splitmix64 spreads the packed (prop, node, state) key bits.
+        std::size_t i = static_cast<std::size_t>(splitmix64(key)) & mask;
         for (;;) {
             Slot &s = slots_[i];
             if (s.epoch != epoch_ || s.key == key)

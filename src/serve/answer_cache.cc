@@ -4,7 +4,7 @@
 #include <iterator>
 #include <utility>
 
-#include "fault/fault_plan.hh"
+#include "common/rng.hh"
 #include "isa/encoding.hh"
 
 namespace snap

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "trace/trace.hh"
 
 namespace snap
@@ -70,10 +71,7 @@ requestSeed(std::uint64_t base_seed, std::uint64_t request_id)
 {
     // One splitmix64 step over the combined word: well-mixed,
     // platform-independent, and trivially replayable.
-    std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ull * (request_id + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    return splitmix64(base_seed + 0x9e3779b97f4a7c15ull * request_id);
 }
 
 ServeEngine::ServeEngine(const SemanticNetwork &net, ServeConfig cfg)

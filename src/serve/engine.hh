@@ -217,7 +217,7 @@ class ServeEngine
     void exportMetrics(MetricsRegistry &reg) const;
 
     /** Marker state of session @p id (checkpoint via
-     *  runtime/snapshot's saveMarkers). */
+     *  runtime/snapshot's saveMarkersFile). */
     MarkerStore sessionMarkers(const std::string &id) const;
     std::vector<std::string> sessionIds() const;
 

@@ -8,7 +8,7 @@
  * programs, host-driven resolution loops).  State is kept in the
  * runtime/snapshot layer's currency: a flat MarkerStore over global
  * node ids, so a session is partition-independent and can be served
- * by any replica (and checkpointed to disk with saveMarkers()).
+ * by any replica (and checkpointed to disk with saveMarkersFile()).
  *
  * Ordering protocol: submitters call admit() (under the engine's
  * admission lock) to draw a per-session sequence number; the worker

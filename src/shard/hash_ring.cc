@@ -3,27 +3,12 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 namespace snap
 {
 namespace shard
 {
-
-namespace
-{
-
-/** splitmix64: the point hash must scatter (shard, vnode) pairs
- *  uniformly even though the inputs are tiny consecutive integers. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-} // namespace
 
 HashRing::HashRing(std::uint32_t num_shards, std::uint32_t vnodes)
     : numShards_(num_shards)
@@ -33,8 +18,10 @@ HashRing::HashRing(std::uint32_t num_shards, std::uint32_t vnodes)
     points_.reserve(static_cast<std::size_t>(num_shards) * vnodes);
     for (std::uint32_t s = 0; s < num_shards; ++s) {
         for (std::uint32_t v = 0; v < vnodes; ++v) {
+            // splitmix64 scatters (shard, vnode) pairs uniformly even
+            // though they are tiny consecutive integers.
             const std::uint64_t h =
-                mix64((static_cast<std::uint64_t>(s) << 32) | v);
+                splitmix64((static_cast<std::uint64_t>(s) << 32) | v);
             points_.push_back(Point{h, s});
         }
     }
@@ -51,7 +38,7 @@ HashRing::HashRing(std::uint32_t num_shards, std::uint32_t vnodes)
 std::uint32_t
 HashRing::owner(std::uint64_t key) const
 {
-    const std::uint64_t h = mix64(key);
+    const std::uint64_t h = splitmix64(key);
     auto it = std::lower_bound(
         points_.begin(), points_.end(), h,
         [](const Point &p, std::uint64_t v) { return p.hash < v; });
@@ -64,7 +51,7 @@ std::uint32_t
 HashRing::ownerSkipping(std::uint64_t key,
                         const std::vector<bool> &down) const
 {
-    const std::uint64_t h = mix64(key);
+    const std::uint64_t h = splitmix64(key);
     auto start = std::lower_bound(
         points_.begin(), points_.end(), h,
         [](const Point &p, std::uint64_t v) { return p.hash < v; });
@@ -88,7 +75,7 @@ HashRing::owners(std::uint64_t key, std::uint32_t r) const
     const std::uint32_t want = std::min(r, numShards_);
     std::vector<std::uint32_t> out;
     out.reserve(want);
-    const std::uint64_t h = mix64(key);
+    const std::uint64_t h = splitmix64(key);
     auto start = std::lower_bound(
         points_.begin(), points_.end(), h,
         [](const Point &p, std::uint64_t v) { return p.hash < v; });

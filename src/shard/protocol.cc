@@ -1,6 +1,6 @@
 #include "shard/protocol.hh"
 
-#include <array>
+#include "runtime/snapshot.hh"
 
 namespace snap
 {
@@ -105,73 +105,6 @@ decodeResults(WireReader &r, ResultSet &out)
         if (r.failed())
             return false;
         out.push_back(std::move(cr));
-    }
-    return !r.failed();
-}
-
-// --- markers (session checkpoints) --------------------------------------
-
-void
-encodeMarkers(WireWriter &w, const MarkerStore &m)
-{
-    std::array<std::uint32_t, capacity::numMarkers> counts{};
-    std::uint8_t num_planes = 0;
-    for (std::uint32_t mk = 0; mk < capacity::numMarkers; ++mk) {
-        counts[mk] = m.count(static_cast<MarkerId>(mk));
-        num_planes += counts[mk] > 0 ? 1 : 0;
-    }
-    w.u8(num_planes);
-    for (std::uint32_t mk = 0; mk < capacity::numMarkers; ++mk) {
-        if (counts[mk] == 0)
-            continue;
-        const MarkerId marker = static_cast<MarkerId>(mk);
-        w.u8(static_cast<std::uint8_t>(mk));
-        w.u32(counts[mk]);
-        m.bits(marker).forEachSet([&](std::uint32_t n) {
-            w.u32(n);
-            if (isComplexMarker(marker)) {
-                w.f32(m.value(marker, n));
-                w.u32(m.origin(marker, n));
-            }
-        });
-    }
-}
-
-bool
-decodeMarkers(WireReader &r, MarkerStore &out)
-{
-    const std::uint32_t num_planes = r.u8();
-    if (r.failed() || num_planes > capacity::numMarkers)
-        return false;
-    int prev_plane = -1;
-    for (std::uint32_t p = 0; p < num_planes; ++p) {
-        const std::uint8_t mk = r.u8();
-        if (r.failed() || mk >= capacity::numMarkers ||
-            static_cast<int>(mk) <= prev_plane)
-            return false;
-        prev_plane = mk;
-        const MarkerId marker = static_cast<MarkerId>(mk);
-        const std::uint32_t count =
-            r.count(isComplexMarker(marker) ? 12 : 4);
-        if (r.failed() || count > out.numNodes())
-            return false;
-        std::uint32_t prev_node = 0;
-        for (std::uint32_t k = 0; k < count; ++k) {
-            const std::uint32_t node = r.u32();
-            if (r.failed() || node >= out.numNodes() ||
-                (k > 0 && node <= prev_node))
-                return false;
-            prev_node = node;
-            if (isComplexMarker(marker)) {
-                const float value = r.f32();
-                const std::uint32_t origin = r.u32();
-                if (r.failed())
-                    return false;
-                out.set(marker, node, value, origin);
-            } else {
-                out.setBit(marker, node);
-            }
-        }
     }
     return !r.failed();
 }

@@ -237,19 +237,12 @@ struct StatsSnapshotFrame
 };
 
 // --- results codec ------------------------------------------------------
-// (A Request's program travels in the program codec, isa/encoding.)
+// (A Request's program travels in the program codec, isa/encoding, and
+// a session's marker state in the marker-state codec, runtime/snapshot.)
 
 void encodeResults(WireWriter &w, const ResultSet &results);
 /** Replaces @p out with the decoded results. */
 bool decodeResults(WireReader &r, ResultSet &out);
-
-/** Sparse marker-state codec (session checkpoints): per non-empty
- *  plane the marker id, a node count, and ascending node ids (complex
- *  markers carry value + origin per node). */
-void encodeMarkers(WireWriter &w, const MarkerStore &m);
-/** @p out must be pre-sized to the expected node count; decode
- *  rejects out-of-range nodes and non-ascending plane/node order. */
-bool decodeMarkers(WireReader &r, MarkerStore &out);
 
 // --- frame payload codecs ----------------------------------------------
 // A decoder sets every field the wire carries, replacing lists rather

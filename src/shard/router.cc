@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "trace/trace.hh"
 
 namespace snap
@@ -17,18 +18,6 @@ namespace shard
 
 namespace
 {
-
-/** splitmix64 finalizer: the deterministic trace-id / span-id mixer.
- *  Keyed on the wire id (and attempt ordinal), so a replayed run
- *  samples the same requests and stamps the same span ids. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /** True when @p ack is a @p want frame that @p decode accepts into
  *  @p out. */
@@ -301,6 +290,13 @@ ShardRouter::slowQueries() const
 {
     std::lock_guard<std::mutex> lock(slowMu_);
     return std::vector<SlowQuery>(slowLog_.begin(), slowLog_.end());
+}
+
+std::uint64_t
+ShardRouter::slowQueryCount() const
+{
+    std::lock_guard<std::mutex> lock(slowMu_);
+    return slowLogged_;
 }
 
 void
@@ -650,7 +646,9 @@ ShardRouter::stampAttempt(PendingRoute &p, WireWriter &w)
     }
     std::lock_guard<std::mutex> lock(p.hopMu);
     const std::uint32_t seq = p.attemptSeq++;
-    const std::uint64_t span_id = mix64(p.traceId ^ (seq + 1));
+    // Keyed on the trace id and attempt ordinal, so a replayed run
+    // stamps the same span ids.
+    const std::uint64_t span_id = splitmix64(p.traceId ^ (seq + 1));
     p.frame.traceParent = span_id;
     encodeRequest(w, p.frame);
     return span_id;
@@ -734,6 +732,7 @@ ShardRouter::noteDelivered(PendingRoute &p, std::uint32_t shard,
     q.hedged = p.hedged.load(std::memory_order_relaxed);
     q.hops = std::move(hops);
     std::lock_guard<std::mutex> lock(slowMu_);
+    ++slowLogged_;
     slowLog_.push_back(std::move(q));
     if (slowLog_.size() > maxSlowQueries)
         slowLog_.pop_front();
@@ -849,7 +848,7 @@ ShardRouter::submit(RouterRequest req, ResponseFn done)
     // duplicates, failover reroutes, and post-migration turns all
     // share the one trace id chosen now.
     if (cfg_.traceSample > 0.0) {
-        p->traceId = mix64(p->frame.id);
+        p->traceId = splitmix64(p->frame.id);
         const auto threshold = static_cast<std::uint64_t>(
             cfg_.traceSample * 10000.0 + 0.5);
         p->sampled = (p->traceId % 10000u) < threshold;
@@ -1061,13 +1060,9 @@ ShardRouter::exportFleetMetrics(MetricsRegistry &reg) const
     reg.gauge("snap_router_shards_total",
               static_cast<double>(shards_.size()),
               "Shard endpoints configured");
-    {
-        std::lock_guard<std::mutex> lock(slowMu_);
-        reg.counter("snap_router_slow_queries_total",
-                    static_cast<double>(slowLog_.size()),
-                    "Requests recorded in the slow-query log "
-                    "(bounded window)");
-    }
+    reg.counter("snap_router_slow_queries_total",
+                static_cast<double>(slowQueryCount()),
+                "Requests recorded in the slow-query log");
 
     // Every cached shard snapshot, re-emitted with a shard label —
     // the aggregated fleet view one scrape sees.

@@ -280,6 +280,9 @@ class ShardRouter
     /** Snapshot of the slow-query log (slowQueryMs >= 0; bounded to
      *  the most recent maxSlowQueries records). */
     std::vector<SlowQuery> slowQueries() const;
+    /** Requests ever recorded in the slow-query log, including those
+     *  the bounded window has since dropped. */
+    std::uint64_t slowQueryCount() const;
 
     static constexpr std::size_t maxSlowQueries = 1024;
 
@@ -496,9 +499,11 @@ class ShardRouter
     std::vector<StatsSnapshotFrame> lastStats_;
     Clock::time_point lastStatsPull_{};
 
-    /** Bounded slow-query log (cfg_.slowQueryMs >= 0). */
+    /** Bounded slow-query log (cfg_.slowQueryMs >= 0) and the count
+     *  of every record it ever took. */
     mutable std::mutex slowMu_;
     std::deque<SlowQuery> slowLog_;
+    std::uint64_t slowLogged_ = 0;
 
     std::atomic<bool> closing_{false};
 };

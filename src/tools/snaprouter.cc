@@ -474,9 +474,9 @@ main(int argc, char **argv)
     }
 
     if (cfg.slowQueryMs >= 0.0) {
-        const std::vector<shard::SlowQuery> slow =
-            router.slowQueries();
         if (!slow_log_path.empty()) {
+            const std::vector<shard::SlowQuery> slow =
+                router.slowQueries();
             auto esc = [](const std::string &s) {
                 std::string out;
                 for (char c : s) {
@@ -524,9 +524,11 @@ main(int argc, char **argv)
             std::printf("wrote %zu slow-query record(s) to %s\n",
                         slow.size(), slow_log_path.c_str());
         } else {
-            std::printf("slow-query log: %zu request(s) took >= "
+            std::printf("slow-query log: %llu request(s) took >= "
                         "%.1f ms\n",
-                        slow.size(), cfg.slowQueryMs);
+                        static_cast<unsigned long long>(
+                            router.slowQueryCount()),
+                        cfg.slowQueryMs);
         }
     }
 

@@ -24,7 +24,9 @@
  *     --trace-categories L  comma list of trace categories (default
  *                           all; see docs/observability.md)
  *     --sessions-out DIR    checkpoint final session marker state to
- *                           DIR/<session>.snapmarkers
+ *                           DIR/<session>.snapmarkers (the
+ *                           runtime/snapshot checkpoint file; snapsh
+ *                           .load reads it)
  *     --quiet               suppress per-request result listings
  *     --fault-seed N        seed for deterministic fault injection
  *     --fault-rate X        inject ICN message faults at rate X
@@ -579,7 +581,9 @@ main(int argc, char **argv)
         for (const std::string &sid : engine.sessionIds()) {
             std::string path =
                 sessions_dir + "/" + sid + ".snapmarkers";
-            saveMarkersFile(engine.sessionMarkers(sid), path);
+            std::string err;
+            if (!saveMarkersFile(engine.sessionMarkers(sid), path, err))
+                snap_fatal("%s", err.c_str());
             std::printf("checkpointed session %s to %s\n",
                         sid.c_str(), path.c_str());
         }

@@ -20,6 +20,13 @@
  *   .help              this list
  *   .quit              exit
  *
+ * A checkpoint is runtime/snapshot's checkpoint file, the marker-state
+ * codec that the shard wire's session frames also carry; `snapserve
+ * --sessions-out` writes one per session.  To inspect one, .load it
+ * and ask .markers.  .load refuses a missing, malformed or truncated
+ * file, or one from a KB of another size, with a message and keeps
+ * the current marker state.
+ *
  * Exit status: 0 on success, 1 on user error (bad input files or
  * values — the snap_fatal path), 2 on a command-line usage error.
  * This convention is shared by snapvm, snapkb-gen, and snapserve.
@@ -27,7 +34,6 @@
 
 #include <cstdio>
 #include <unistd.h>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -38,6 +44,7 @@
 #include "common/strutil.hh"
 #include "isa/assembler.hh"
 #include "kb/kb_io.hh"
+#include "runtime/snapshot.hh"
 
 using namespace snap;
 
@@ -181,23 +188,29 @@ main(int argc, char **argv)
                                 l.weight);
                 }
             } else if (tok[0] == ".save" && tok.size() == 2) {
-                std::ofstream os(tok[1]);
-                if (!os) {
-                    std::printf("cannot open '%s'\n",
-                                tok[1].c_str());
+                std::string err;
+                if (!saveMarkersFile(machine.image().flatten(), tok[1],
+                                     err)) {
+                    std::printf("%s\n", err.c_str());
                     continue;
                 }
-                machine.image().saveMarkers(os);
                 std::printf("saved marker state to %s\n",
                             tok[1].c_str());
             } else if (tok[0] == ".load" && tok.size() == 2) {
-                std::ifstream is(tok[1]);
-                if (!is) {
-                    std::printf("cannot open '%s'\n",
-                                tok[1].c_str());
+                MarkerStore flat(0);
+                std::string err;
+                if (!loadMarkersFile(tok[1], flat, err)) {
+                    std::printf("%s\n", err.c_str());
                     continue;
                 }
-                machine.image().loadMarkers(is);
+                if (flat.numNodes() != net.numNodes()) {
+                    std::printf("'%s' holds %u nodes but the knowledge "
+                                "base has %u\n",
+                                tok[1].c_str(), flat.numNodes(),
+                                net.numNodes());
+                    continue;
+                }
+                machine.image().restoreMarkers(flat);
                 std::printf("restored marker state from %s\n",
                             tok[1].c_str());
             } else {

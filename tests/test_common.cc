@@ -94,6 +94,17 @@ TEST(Rng, DeterministicBySeed)
     EXPECT_TRUE(any_diff);
 }
 
+TEST(Rng, SplitMix64IsTheReferenceStep)
+{
+    // The reference generator's outputs from states 0 and 1: request
+    // seeds, trace ids, ring points and sketch slots all hang off it.
+    EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafull);
+    EXPECT_EQ(splitmix64(1), 0x910a2dec89025cc1ull);
+    // Rng seeds its state from consecutive SplitMix64 steps.
+    EXPECT_EQ(Rng(0).next(), 0x99ec5f36cb75f2b4ull);
+    EXPECT_EQ(Rng(0x5eed5eed5eed5eedull).next(), 0x5530c1deb89725efull);
+}
+
 TEST(Rng, BelowStaysInBounds)
 {
     Rng rng(7);

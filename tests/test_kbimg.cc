@@ -226,6 +226,10 @@ TEST(KbImg, TruncationIsTypedRejection)
                   std::string(::testing::TempDir()) + "missing.kbimg",
                   out, detail),
               KbImgStatus::IoError);
+    // A directory opens but cannot be read.
+    EXPECT_EQ(loadKbImageFile(::testing::TempDir(), out, detail),
+              KbImgStatus::IoError)
+        << detail;
 }
 
 TEST(KbImg, CorruptionIsTypedRejection)
@@ -318,6 +322,44 @@ TEST(KbImg, CorruptionIsTypedRejection)
         ASSERT_LT(victim, nodes);
         putLe(bad, off + 8 * victim + 4, 4, 0xFFFFFFFFu);
         reseal(bad, 6);
+        writeBytes(f.path(), bad);
+        EXPECT_EQ(loadKbImageFile(f.path(), out, detail),
+                  KbImgStatus::BadSection)
+            << detail;
+    }
+
+    // A table of exactly seven entries whose first id is unknown.
+    {
+        std::string bad = whole;
+        putLe(bad, 24, 4, 99);
+        writeBytes(f.path(), bad);
+        EXPECT_EQ(loadKbImageFile(f.path(), out, detail),
+                  KbImgStatus::BadSection)
+            << detail;
+    }
+
+    // Four added table entries under an unknown id, each covering the
+    // whole payload with a valid checksum (the payload moves 4 * 32
+    // bytes down to make room): refused before anything is hashed,
+    // where a loader that skipped unknown ids would hash the whole
+    // payload once per added entry.
+    {
+        constexpr std::uint32_t kExtra = 4;
+        const std::size_t shift = kExtra * 32;
+        const std::string payload = whole.substr(table_end);
+        std::string bad = whole.substr(0, table_end);
+        putLe(bad, 16, 4, 7 + kExtra);
+        for (std::size_t e = 24; e < table_end; e += 32)
+            putLe(bad, e + 8, 8, getLe(bad, e + 8, 8) + shift);
+        for (std::uint32_t k = 0; k < kExtra; ++k) {
+            std::string entry(32, '\0');
+            putLe(entry, 0, 4, 99);
+            putLe(entry, 8, 8, table_end + shift);
+            putLe(entry, 16, 8, payload.size());
+            putLe(entry, 24, 8, fnv1a64(payload.data(), payload.size()));
+            bad += entry;
+        }
+        bad += payload;
         writeBytes(f.path(), bad);
         EXPECT_EQ(loadKbImageFile(f.path(), out, detail),
                   KbImgStatus::BadSection)

@@ -1320,16 +1320,22 @@ TEST_F(ShardFleetTest, TracedAnswersMatchAndFleetStatsAggregate)
     std::string detail;
     ASSERT_TRUE(router.connect(detail)) << detail;
 
+    // Eight programs, repeated past the slow-query log's window
+    // (repeats are answer-cache hits, so this stays cheap).
     RelationType inc = net_.relationId("includes");
     std::vector<Program> mix;
-    for (NodeId n = 0; n < 8; ++n)
+    std::vector<RunResult> refs;
+    for (NodeId n = 0; n < 8; ++n) {
         mix.push_back(countQuery(n * 41 % 300, inc));
+        refs.push_back(reference(mix.back()));
+    }
+    const std::size_t queries = ShardRouter::maxSlowQueries + 76;
 
-    std::vector<shard::ResponseFrame> got(mix.size());
+    std::vector<shard::ResponseFrame> got(queries);
     std::mutex mu;
-    for (std::size_t i = 0; i < mix.size(); ++i) {
+    for (std::size_t i = 0; i < queries; ++i) {
         shard::RouterRequest req;
-        req.prog = mix[i];
+        req.prog = mix[i % mix.size()];
         router.submit(std::move(req),
                       [&, i](shard::ResponseFrame &&resp) {
                           std::lock_guard<std::mutex> lock(mu);
@@ -1339,18 +1345,20 @@ TEST_F(ShardFleetTest, TracedAnswersMatchAndFleetStatsAggregate)
     router.drain();
 
     // Trace context on the wire must not perturb the answers.
-    for (std::size_t i = 0; i < mix.size(); ++i) {
+    for (std::size_t i = 0; i < queries; ++i) {
         ASSERT_EQ(got[i].status, serve::RequestStatus::Ok)
             << "request " << i;
-        RunResult ref = reference(mix[i]);
+        const RunResult &ref = refs[i % mix.size()];
         test::expectSameResults(got[i].results, ref.results);
         EXPECT_EQ(got[i].wallTicks, ref.wallTicks);
     }
 
     // Every query cleared the 0ms slow threshold and logged its
-    // per-hop path.
+    // per-hop path; the log keeps the latest maxSlowQueries records
+    // while the count takes them all.
     auto slow = router.slowQueries();
-    ASSERT_EQ(slow.size(), mix.size());
+    ASSERT_EQ(slow.size(), ShardRouter::maxSlowQueries);
+    EXPECT_EQ(router.slowQueryCount(), queries);
     for (const auto &q : slow) {
         EXPECT_NE(q.traceId, 0u);
         ASSERT_GE(q.hops.size(), 1u);
@@ -1398,8 +1406,7 @@ TEST_F(ShardFleetTest, TracedAnswersMatchAndFleetStatsAggregate)
             shards_up = smp.value;
         if (smp.name == "snap_router_slow_queries_total") {
             slow_total = true;
-            EXPECT_DOUBLE_EQ(smp.value,
-                             static_cast<double>(mix.size()));
+            EXPECT_DOUBLE_EQ(smp.value, static_cast<double>(queries));
         }
         for (const auto &lab : smp.labels) {
             if (lab.first == "shard") {
