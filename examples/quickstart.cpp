@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "arch/machine.hh"
 #include "isa/assembler.hh"
@@ -47,19 +48,24 @@ main()
     link("object", "part-of", "seeing-event", 1.0f);
 
     // --- 2. the program (Fig. 5, literally) --------------------------------
-    Program prog = assemble(
-        // Climb is-a links, step onto a sequence element via last,
-        // then bind to the sequence root via part-of.
-        "rule up custom [ {is-a}* {last} {part-of} ]\n"
-        "search-node NP m1 0             # L1\n"
-        "search-node VP m2 0             # L2\n"
-        "search-node DO m2 0             # L3\n"
-        "propagate m2 m3 up add-weight   # L4\n"
-        "propagate m1 m4 up add-weight   # L5\n"
-        "barrier\n"
-        "and-marker m3 m4 m5 sum         # L6\n"
-        "collect-marker m5               # L7\n",
-        net);
+    Program prog;
+    std::string err;
+    if (!assemble(
+            // Climb is-a links, step onto a sequence element via last,
+            // then bind to the sequence root via part-of.
+            "rule up custom [ {is-a}* {last} {part-of} ]\n"
+            "search-node NP m1 0             # L1\n"
+            "search-node VP m2 0             # L2\n"
+            "search-node DO m2 0             # L3\n"
+            "propagate m2 m3 up add-weight   # L4\n"
+            "propagate m1 m4 up add-weight   # L5\n"
+            "barrier\n"
+            "and-marker m3 m4 m5 sum         # L6\n"
+            "collect-marker m5               # L7\n",
+            net, prog, err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return 1;
+    }
     requireRaceFree(prog);
 
     // --- 3. the machine ------------------------------------------------------

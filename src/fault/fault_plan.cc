@@ -1,5 +1,6 @@
 #include "fault/fault_plan.hh"
 
+#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -12,10 +13,6 @@
 
 namespace snap
 {
-
-using specjson::jsonFind;
-using specjson::jsonFindU64;
-using specjson::jsonNum;
 
 namespace
 {
@@ -43,6 +40,27 @@ rateOf(const FaultSpec &s, FaultKind k)
       case FaultKind::DeadCluster: return s.deadClusterRate;
       default: return 0.0;
     }
+}
+
+/// FaultSpec's JSON keys, in toJson order.
+std::array<specjson::Field, 13>
+jsonFields(FaultSpec &s)
+{
+    return {{
+        {"seed", nullptr, &s.seed},
+        {"icn_drop", &s.icnDropRate},
+        {"icn_corrupt", &s.icnCorruptRate},
+        {"icn_delay", &s.icnDelayRate},
+        {"sem_stall", &s.semStallRate},
+        {"marker_flip", &s.markerFlipRate},
+        {"marker_stick", &s.markerStickRate},
+        {"sync_wedge", &s.syncWedgeRate},
+        {"dead_cluster", &s.deadClusterRate},
+        {"icn_delay_ticks", nullptr, &s.icnDelayTicks},
+        {"sem_stall_ticks", nullptr, &s.semStallTicks},
+        {"schedule_window_ticks", nullptr, &s.scheduleWindowTicks},
+        {"watchdog_ticks", nullptr, &s.watchdogTicks},
+    }};
 }
 
 } // namespace
@@ -109,61 +127,16 @@ FaultSpec::messageFaults(std::uint64_t seed, double rate)
 std::string
 FaultSpec::toJson() const
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"seed\": " << seed << ",\n";
-    jsonNum(os, "icn_drop", icnDropRate, true);
-    jsonNum(os, "icn_corrupt", icnCorruptRate, true);
-    jsonNum(os, "icn_delay", icnDelayRate, true);
-    jsonNum(os, "sem_stall", semStallRate, true);
-    jsonNum(os, "marker_flip", markerFlipRate, true);
-    jsonNum(os, "marker_stick", markerStickRate, true);
-    jsonNum(os, "sync_wedge", syncWedgeRate, true);
-    jsonNum(os, "dead_cluster", deadClusterRate, true);
-    os << "  \"icn_delay_ticks\": " << icnDelayTicks << ",\n";
-    os << "  \"sem_stall_ticks\": " << semStallTicks << ",\n";
-    os << "  \"schedule_window_ticks\": " << scheduleWindowTicks << ",\n";
-    os << "  \"watchdog_ticks\": " << watchdogTicks << "\n";
-    os << "}\n";
-    return os.str();
+    FaultSpec copy = *this;
+    return specjson::write(jsonFields(copy));
 }
 
 bool
-FaultSpec::fromJson(const std::string &text, FaultSpec &out)
+FaultSpec::fromJson(const std::string &text, FaultSpec &out,
+                    std::string *why)
 {
-    if (text.find('{') == std::string::npos)
-        return false;
     FaultSpec s;
-    bool bad = false;
-    double v = 0.0;
-    std::uint64_t u = 0;
-    if (jsonFindU64(text, "seed", u, &bad))
-        s.seed = u;
-    if (jsonFind(text, "icn_drop", v, &bad))
-        s.icnDropRate = v;
-    if (jsonFind(text, "icn_corrupt", v, &bad))
-        s.icnCorruptRate = v;
-    if (jsonFind(text, "icn_delay", v, &bad))
-        s.icnDelayRate = v;
-    if (jsonFind(text, "sem_stall", v, &bad))
-        s.semStallRate = v;
-    if (jsonFind(text, "marker_flip", v, &bad))
-        s.markerFlipRate = v;
-    if (jsonFind(text, "marker_stick", v, &bad))
-        s.markerStickRate = v;
-    if (jsonFind(text, "sync_wedge", v, &bad))
-        s.syncWedgeRate = v;
-    if (jsonFind(text, "dead_cluster", v, &bad))
-        s.deadClusterRate = v;
-    if (jsonFindU64(text, "icn_delay_ticks", u, &bad))
-        s.icnDelayTicks = static_cast<Tick>(u);
-    if (jsonFindU64(text, "sem_stall_ticks", u, &bad))
-        s.semStallTicks = static_cast<Tick>(u);
-    if (jsonFindU64(text, "schedule_window_ticks", u, &bad))
-        s.scheduleWindowTicks = static_cast<Tick>(u);
-    if (jsonFindU64(text, "watchdog_ticks", u, &bad))
-        s.watchdogTicks = static_cast<Tick>(u);
-    if (bad)
+    if (!specjson::read(text, jsonFields(s), why))
         return false;
     out = s;
     return true;

@@ -82,10 +82,12 @@ struct FaultSpec {
     /// Serialize to a JSON object (stable key order).
     std::string toJson() const;
 
-    /// Parse from JSON text produced by toJson() (or hand-written with
-    /// the same keys).  Unknown keys are ignored; missing keys keep
-    /// their defaults.  Returns false on malformed input.
-    static bool fromJson(const std::string &text, FaultSpec &out);
+    /// Parse the flat object toJson() writes.  A missing key keeps its
+    /// default; an unknown or repeated key, or any other malformation,
+    /// is refused (false, @p out untouched) with the reason in @p why
+    /// when it is not null.
+    static bool fromJson(const std::string &text, FaultSpec &out,
+                         std::string *why = nullptr);
 };
 
 /// What actually happened during one run.  Attached to RunResult.

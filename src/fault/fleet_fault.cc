@@ -1,6 +1,6 @@
 #include "fault/fleet_fault.hh"
 
-#include <sstream>
+#include <array>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -8,10 +8,6 @@
 
 namespace snap
 {
-
-using specjson::jsonFind;
-using specjson::jsonFindU64;
-using specjson::jsonNum;
 
 namespace
 {
@@ -36,6 +32,20 @@ rateOf(const FleetFaultSpec &s, FleetFaultKind k)
       case FleetFaultKind::Delay: return s.delayRate;
       default: return 0.0;
     }
+}
+
+/// FleetFaultSpec's JSON keys, in toJson order.
+std::array<specjson::Field, 6>
+jsonFields(FleetFaultSpec &s)
+{
+    return {{
+        {"seed", nullptr, &s.seed},
+        {"conn_drop", &s.connDropRate},
+        {"truncate", &s.truncateRate},
+        {"corrupt", &s.corruptRate},
+        {"delay", &s.delayRate},
+        {"delay_ms", &s.delayMs},
+    }};
 }
 
 } // namespace
@@ -94,40 +104,16 @@ FleetFaultSpec::wireFaults(std::uint64_t seed, double rate)
 std::string
 FleetFaultSpec::toJson() const
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"seed\": " << seed << ",\n";
-    jsonNum(os, "conn_drop", connDropRate, true);
-    jsonNum(os, "truncate", truncateRate, true);
-    jsonNum(os, "corrupt", corruptRate, true);
-    jsonNum(os, "delay", delayRate, true);
-    jsonNum(os, "delay_ms", delayMs, false);
-    os << "}\n";
-    return os.str();
+    FleetFaultSpec copy = *this;
+    return specjson::write(jsonFields(copy));
 }
 
 bool
-FleetFaultSpec::fromJson(const std::string &text, FleetFaultSpec &out)
+FleetFaultSpec::fromJson(const std::string &text, FleetFaultSpec &out,
+                         std::string *why)
 {
-    if (text.find('{') == std::string::npos)
-        return false;
     FleetFaultSpec s;
-    bool bad = false;
-    double v = 0.0;
-    std::uint64_t u = 0;
-    if (jsonFindU64(text, "seed", u, &bad))
-        s.seed = u;
-    if (jsonFind(text, "conn_drop", v, &bad))
-        s.connDropRate = v;
-    if (jsonFind(text, "truncate", v, &bad))
-        s.truncateRate = v;
-    if (jsonFind(text, "corrupt", v, &bad))
-        s.corruptRate = v;
-    if (jsonFind(text, "delay", v, &bad))
-        s.delayRate = v;
-    if (jsonFind(text, "delay_ms", v, &bad))
-        s.delayMs = v;
-    if (bad)
+    if (!specjson::read(text, jsonFields(s), why))
         return false;
     out = s;
     return true;

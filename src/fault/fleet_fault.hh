@@ -71,9 +71,10 @@ struct FleetFaultSpec {
     /// Serialize to a JSON object (stable key order).
     std::string toJson() const;
 
-    /// Parse JSON produced by toJson() (or hand-written with the same
-    /// keys).  Unknown keys ignored; missing keys keep defaults.
-    static bool fromJson(const std::string &text, FleetFaultSpec &out);
+    /// Parse the flat object toJson() writes, as strictly as
+    /// FaultSpec::fromJson.
+    static bool fromJson(const std::string &text, FleetFaultSpec &out,
+                         std::string *why = nullptr);
 };
 
 /**

@@ -4,7 +4,6 @@
 #include <map>
 #include <sstream>
 
-#include "common/logging.hh"
 #include "common/strutil.hh"
 
 namespace snap
@@ -12,6 +11,12 @@ namespace snap
 
 namespace
 {
+
+/** A refused statement; caught by assemble(), never leaves it. */
+struct Refusal
+{
+    std::string why;
+};
 
 /** Parse state for one assembly run. */
 class Asm
@@ -29,10 +34,17 @@ class Asm
             if (body.empty())
                 continue;
             parseLine(body);
+            // A line adds at most one instruction (`end` checks its
+            // unroll first), so this bounds the program's size.
+            if (prog_.size() > capacity::maxInstructions)
+                die("more than " +
+                    std::to_string(capacity::maxInstructions) +
+                    " instructions");
         }
-        if (!repeats_.empty())
-            snap_fatal("asm: %zu unterminated repeat block(s)",
-                       repeats_.size());
+        if (!repeats_.empty()) {
+            throw Refusal{std::to_string(repeats_.size()) +
+                          " unterminated repeat block(s)"};
+        }
         return std::move(prog_);
     }
 
@@ -47,7 +59,7 @@ class Asm
     [[noreturn]] void
     die(const std::string &msg) const
     {
-        snap_fatal("asm line %d: %s", lineno_, msg.c_str());
+        throw Refusal{"line " + std::to_string(lineno_) + ": " + msg};
     }
 
     void
@@ -79,12 +91,20 @@ class Asm
         return id;
     }
 
-    RelationType rel(const std::string &s) { return net_.relation(s); }
-
-    Color color(const std::string &s)
+    /** Intern @p s, refusing a new name when @p table is full. */
+    template <typename Id>
+    Id
+    intern(SymbolTable<Id> &table, const std::string &s)
     {
-        return net_.colorNames().intern(s);
+        if (table.full() && !table.contains(s))
+            die(table.kind() + " table full (adding '" + s + "')");
+        return table.intern(s);
     }
+
+    RelationType
+    rel(const std::string &s) { return intern(net_.relations(), s); }
+
+    Color color(const std::string &s) { return intern(net_.colorNames(), s); }
 
     float
     num(const std::string &s) const
@@ -133,7 +153,8 @@ class Asm
         std::size_t maxpos = text.rfind("max=");
         if (maxpos != std::string::npos) {
             long long v;
-            if (!parseInt(trim(text.substr(maxpos + 4)), v) || v <= 0)
+            if (!parseInt(trim(text.substr(maxpos + 4)), v) || v <= 0 ||
+                v > UINT32_MAX)
                 die("bad max= value");
             max_steps = static_cast<std::uint32_t>(v);
             text = trim(text.substr(0, maxpos));
@@ -145,6 +166,8 @@ class Asm
         const std::string &name = head[1];
         if (ruleIds_.count(name))
             die("duplicate rule '" + name + "'");
+        if (prog_.rules().size() >= maxRules)
+            die("more than " + std::to_string(maxRules) + " rules");
 
         // Re-join the spec (everything after the name; search past
         // the "rule" keyword so a short name like "r" is not found
@@ -273,6 +296,12 @@ class Asm
             RepeatBlock block = repeats_.back();
             repeats_.pop_back();
             std::size_t body_end = prog_.size();
+            // Refuse before unrolling: nested repeats multiply.
+            if ((body_end - block.bodyStart) * (block.count - 1) >
+                capacity::maxInstructions - body_end)
+                die("repeat unrolls past " +
+                    std::to_string(capacity::maxInstructions) +
+                    " instructions");
             for (std::uint32_t rep = 1; rep < block.count; ++rep) {
                 for (std::size_t i = block.bodyStart; i < body_end;
                      ++i) {
@@ -403,27 +432,37 @@ class Asm
 
 } // namespace
 
-Program
-assemble(std::istream &is, SemanticNetwork &net)
-{
-    Asm a(net);
-    return a.run(is);
-}
-
-Program
-assemble(const std::string &text, SemanticNetwork &net)
+bool
+assemble(const std::string &text, SemanticNetwork &net, Program &out,
+         std::string &err)
 {
     std::istringstream is(text);
-    return assemble(is, net);
+    try {
+        out = Asm(net).run(is);
+    } catch (const Refusal &r) {
+        err = r.why;
+        return false;
+    }
+    err.clear();
+    return true;
 }
 
-Program
-assembleFile(const std::string &path, SemanticNetwork &net)
+bool
+assembleFile(const std::string &path, SemanticNetwork &net,
+             Program &out, std::string &err)
 {
     std::ifstream is(path);
-    if (!is)
-        snap_fatal("cannot open '%s'", path.c_str());
-    return assemble(is, net);
+    if (!is) {
+        err = "cannot open '" + path + "'";
+        return false;
+    }
+    std::ostringstream text;
+    text << is.rdbuf();
+    if (!assemble(text.str(), net, out, err)) {
+        err = path + ": " + err;
+        return false;
+    }
+    return true;
 }
 
 } // namespace snap

@@ -28,13 +28,15 @@
  *     rule <name> step(r) [max=N]
  *     rule <name> custom [ {r,...}* {r,...} ... ] [max=N]
  *
- * Malformed programs are fatal (user) errors with line numbers.
+ * Malformed text is refused with a message naming its line; so is a
+ * program the machine could not hold (a 257th rule, a full relation
+ * or color table, more than capacity::maxInstructions instructions
+ * after `repeat` unrolls).  Nothing exits and nothing throws.
  */
 
 #ifndef SNAP_ISA_ASSEMBLER_HH
 #define SNAP_ISA_ASSEMBLER_HH
 
-#include <iosfwd>
 #include <string>
 
 #include "isa/program.hh"
@@ -49,14 +51,16 @@ namespace snap
  * @param net network providing node/relation/color symbols; relation
  *            and color names are interned on first use, node names
  *            must already exist.
+ * @return false when the text is refused, with "line N: why" in
+ *         @p err and @p out untouched.
  */
-Program assemble(const std::string &text, SemanticNetwork &net);
+bool assemble(const std::string &text, SemanticNetwork &net,
+              Program &out, std::string &err);
 
-/** Assemble from a stream. */
-Program assemble(std::istream &is, SemanticNetwork &net);
-
-/** Assemble from a file; fatal on IO failure. */
-Program assembleFile(const std::string &path, SemanticNetwork &net);
+/** Assemble the file at @p path; a refusal's @p err starts with the
+ *  path, and an unreadable file is refused as "cannot open". */
+bool assembleFile(const std::string &path, SemanticNetwork &net,
+                  Program &out, std::string &err);
 
 } // namespace snap
 

@@ -98,6 +98,12 @@ class SymbolTable
         return ids_.count(name) != 0;
     }
 
+    /** True when interning a new name would overflow. */
+    bool full() const { return names_.size() >= maxSymbols_; }
+
+    /** What the table names ("relation", "color", ...). */
+    const std::string &kind() const { return kind_; }
+
   private:
     std::string kind_;
     std::uint32_t maxSymbols_;

@@ -13,12 +13,15 @@ namespace snap
 namespace shard
 {
 
-RequestFile
-loadRequestFile(const std::string &path, SemanticNetwork &net)
+bool
+loadRequestFile(const std::string &path, SemanticNetwork &net,
+                RequestFile &out, std::string &err)
 {
     std::ifstream is(path);
-    if (!is)
-        snap_fatal("cannot open request file '%s'", path.c_str());
+    if (!is) {
+        err = "cannot open request file '" + path + "'";
+        return false;
+    }
     std::size_t slash = path.find_last_of('/');
     std::string base = slash == std::string::npos ? std::string(".")
                                                   : path.substr(0, slash);
@@ -38,27 +41,33 @@ loadRequestFile(const std::string &path, SemanticNetwork &net)
             spec.sessionId = tok[1];
             spec.progPath = tok[2];
         } else {
-            snap_fatal("%s:%d: expected 'query <prog>' or "
-                       "'session <id> <prog>', got '%s'",
-                       path.c_str(), lineno, body.c_str());
+            err = formatString("%s:%d: expected 'query <prog>' or "
+                               "'session <id> <prog>', got '%s'",
+                               path.c_str(), lineno, body.c_str());
+            return false;
         }
         if (spec.progPath[0] != '/')
             spec.progPath = base + "/" + spec.progPath;
         file.specs.push_back(std::move(spec));
     }
-    if (file.specs.empty())
-        snap_fatal("request file '%s' holds no requests",
-                   path.c_str());
+    if (file.specs.empty()) {
+        err = "request file '" + path + "' holds no requests";
+        return false;
+    }
 
     for (const RequestSpec &s : file.specs) {
         if (file.progs.count(s.progPath))
             continue;
-        Program prog = assembleFile(s.progPath, net);
+        Program prog;
+        if (!assembleFile(s.progPath, net, prog, err))
+            return false;
         for (const auto &v : validateProgram(prog))
             snap_warn("%s: %s", s.progPath.c_str(), v.message.c_str());
         file.progs.emplace(s.progPath, std::move(prog));
     }
-    return file;
+    out = std::move(file);
+    err.clear();
+    return true;
 }
 
 void

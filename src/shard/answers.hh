@@ -53,9 +53,11 @@ struct RequestFile
  * `session <id> <prog>` per line, '#' comments) and assemble each
  * distinct program once against @p net.  Assembly interns symbols
  * into @p net, so call this before any other thread uses it.  An
- * unreadable, malformed or empty file is fatal (exit 1).
+ * unreadable, malformed or empty file, or a program the assembler
+ * refuses, is refused: false, with the reason in @p err.
  */
-RequestFile loadRequestFile(const std::string &path, SemanticNetwork &net);
+bool loadRequestFile(const std::string &path, SemanticNetwork &net,
+                     RequestFile &out, std::string &err);
 
 /** Append one request's canonical answer block to @p os.  Node and
  *  relation ids are printed as names so the text is stable across

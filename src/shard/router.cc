@@ -16,21 +16,6 @@ namespace snap
 namespace shard
 {
 
-namespace
-{
-
-/** True when @p ack is a @p want frame that @p decode accepts into
- *  @p out. */
-template <typename Ack, typename Frame, typename Decode>
-bool
-decodeAck(const Ack &ack, FrameType want, Decode decode, Frame &out)
-{
-    WireReader r(ack.payload);
-    return ack.type == want && decode(r, out);
-}
-
-} // namespace
-
 ShardRouter::ShardRouter(RouterConfig cfg)
     : cfg_(std::move(cfg)),
       ring_(static_cast<std::uint32_t>(cfg_.shards.empty()
@@ -902,33 +887,50 @@ ShardRouter::drain()
     allDone_.wait(lock, [&] { return outstanding_ == 0; });
 }
 
-bool
-ShardRouter::sendControl(std::uint32_t idx, FrameType type,
-                         const std::vector<std::uint8_t> &payload,
-                         double timeout_ms, ControlAck &ack)
+template <typename Ack, typename Decode, typename Echo>
+ShardRouter::Reply
+ShardRouter::exchange(std::uint32_t idx, FrameType type,
+                      const WireWriter &request, FrameType ack_type,
+                      Decode decode, Echo echoes, Ack &ack,
+                      double timeout_ms, const char *what,
+                      std::string &err)
 {
     Shard &shard = *shards_[idx];
+    auto silent = [&] {
+        err = formatString("shard %u did not answer the %s", idx, what);
+        return Reply::Silent;
+    };
     {
         std::lock_guard<std::mutex> lock(shard.mu);
         if (!shard.up)
-            return false;
+            return silent();
         shard.controlReady = false;
     }
     {
         std::lock_guard<std::mutex> wlock(shard.writeMu);
-        if (!writeFrame(shard.fd, type, payload))
-            return false;
+        if (!writeFrame(shard.fd, type, request.bytes()))
+            return silent();
     }
-    std::unique_lock<std::mutex> lock(shard.mu);
-    const bool got = shard.controlCv.wait_for(
-        lock,
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::duration<double, std::milli>(timeout_ms)),
-        [&] { return shard.controlReady || !shard.up; });
-    if (!got || !shard.controlReady)
-        return false;
-    ack = std::move(shard.controlAck);
-    return true;
+    ControlAck answer;
+    {
+        std::unique_lock<std::mutex> lock(shard.mu);
+        const bool got = shard.controlCv.wait_for(
+            lock,
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::duration<double, std::milli>(timeout_ms)),
+            [&] { return shard.controlReady || !shard.up; });
+        if (!got || !shard.controlReady)
+            return silent();
+        answer = std::move(shard.controlAck);
+    }
+    WireReader r(answer.payload);
+    if (answer.type != ack_type || !decode(r, ack) || !echoes(ack)) {
+        err = formatString("shard %u answered the %s with a wrong ack",
+                           idx, what);
+        return Reply::Wrong;
+    }
+    err.clear();
+    return Reply::Ok;
 }
 
 bool
@@ -951,30 +953,20 @@ ShardRouter::probe(std::uint32_t idx, HealthAckFrame &ack,
                    (1ull << 63);
     WireWriter w;
     encodeHealth(w, health);
-    ControlAck reply;
-    if (!sendControl(idx, FrameType::Health, w.bytes(), 5000.0,
-                     reply)) {
-        err = formatString("shard %u did not answer the health probe",
-                           idx);
-        if (shardHealthy(idx)) {
-            // The connection is nominally up but the shard sat on a
-            // probe for seconds: a wedged shard is as gone as a dead
-            // one.  Mark it down so in-flight work fails over; the
-            // monitor re-dials it if it comes back.
-            shard.lastError.store(IoErrorKind::Timeout,
-                                  std::memory_order_release);
-            shardDown(idx);
-        }
-        return false;
+    const Reply reply = exchange(
+        idx, FrameType::Health, w, FrameType::HealthAck, decodeHealthAck,
+        [&](const HealthAckFrame &a) { return a.nonce == health.nonce; },
+        ack, 5000.0, "health probe", err);
+    if (reply == Reply::Silent && shardHealthy(idx)) {
+        // The connection is nominally up but the shard sat on a
+        // probe for seconds: a wedged shard is as gone as a dead
+        // one.  Mark it down so in-flight work fails over; the
+        // monitor re-dials it if it comes back.
+        shard.lastError.store(IoErrorKind::Timeout,
+                              std::memory_order_release);
+        shardDown(idx);
     }
-    if (!decodeAck(reply, FrameType::HealthAck, decodeHealthAck, ack) ||
-        ack.nonce != health.nonce) {
-        err = formatString("shard %u answered the health probe with "
-                           "a wrong or stale ack", idx);
-        return false;
-    }
-    err.clear();
-    return true;
+    return reply == Reply::Ok;
 }
 
 bool
@@ -993,25 +985,15 @@ ShardRouter::pullShardStats(std::uint32_t idx,
                  (1ull << 62);
     WireWriter w;
     encodeStatsPull(w, pull);
-    ControlAck reply;
-    if (!sendControl(idx, FrameType::StatsPull, w.bytes(), 5000.0,
-                     reply)) {
-        err = formatString("shard %u did not answer the stats pull",
-                           idx);
+    if (exchange(idx, FrameType::StatsPull, w, FrameType::StatsSnapshot,
+                 decodeStatsSnapshot,
+                 [&](const StatsSnapshotFrame &f) {
+                     return f.nonce == pull.nonce;
+                 },
+                 out, 5000.0, "stats pull", err) != Reply::Ok)
         return false;
-    }
-    if (!decodeAck(reply, FrameType::StatsSnapshot, decodeStatsSnapshot,
-                   out) ||
-        out.nonce != pull.nonce) {
-        err = formatString("shard %u answered the wrong stats pull",
-                           idx);
-        return false;
-    }
-    {
-        std::lock_guard<std::mutex> lock(statsMu_);
-        lastStats_[idx] = out;
-    }
-    err.clear();
+    std::lock_guard<std::mutex> lock(statsMu_);
+    lastStats_[idx] = out;
     return true;
 }
 
@@ -1088,24 +1070,15 @@ ShardRouter::pullSession(std::uint32_t idx, const std::string &sid,
     pull.sessionId = sid;
     WireWriter w;
     encodeSessionPull(w, pull);
-    ControlAck reply;
-    if (!sendControl(idx, FrameType::SessionPull, w.bytes(), 30000.0,
-                     reply)) {
-        err = formatString("shard %u did not answer the session pull",
-                           idx);
-        return false;
-    }
     const auto decode = [this](WireReader &r, SessionStateFrame &f) {
         return decodeSessionState(r, numNodes_, f);
     };
-    if (!decodeAck(reply, FrameType::SessionState, decode, out) ||
-        out.sessionId != sid) {
-        err = formatString("shard %u answered the wrong session pull",
-                           idx);
-        return false;
-    }
-    err.clear();
-    return true;
+    return exchange(idx, FrameType::SessionPull, w,
+                    FrameType::SessionState, decode,
+                    [&](const SessionStateFrame &f) {
+                        return f.sessionId == sid;
+                    },
+                    out, 30000.0, "session pull", err) == Reply::Ok;
 }
 
 bool
@@ -1120,27 +1093,19 @@ ShardRouter::pushSession(std::uint32_t idx, const std::string &sid,
     push.markers = markers;
     WireWriter w;
     encodeSessionPush(w, push);
-    ControlAck reply;
-    if (!sendControl(idx, FrameType::SessionPush, w.bytes(), 30000.0,
-                     reply)) {
-        err = formatString("shard %u did not answer the session push",
-                           idx);
-        return false;
-    }
     SessionPushAckFrame ack;
-    if (!decodeAck(reply, FrameType::SessionPushAck,
-                   decodeSessionPushAck, ack) ||
-        ack.sessionId != sid) {
-        err = formatString("shard %u answered the wrong session push",
-                           idx);
+    if (exchange(idx, FrameType::SessionPush, w, FrameType::SessionPushAck,
+                 decodeSessionPushAck,
+                 [&](const SessionPushAckFrame &a) {
+                     return a.sessionId == sid;
+                 },
+                 ack, 30000.0, "session push", err) != Reply::Ok)
         return false;
-    }
     if (!ack.ok) {
         err = formatString("shard %u refused the session push: %s",
                            idx, ack.detail.c_str());
         return false;
     }
-    err.clear();
     return true;
 }
 
@@ -1577,14 +1542,13 @@ ShardRouter::swapEpoch(const std::string &image_path, std::string &err)
         WireWriter w;
         encodeEpoch(w, frame);
         std::lock_guard<std::mutex> op(shards_[i]->controlOpMu);
-        ControlAck reply;
         EpochFrame ack;
-        if (!sendControl(i, FrameType::Commit, w.bytes(), 120000.0,
-                         reply) ||
-            !decodeAck(reply, FrameType::CommitAck, decodeEpoch, ack) ||
-            ack.epoch != epoch)
-            snap_warn("router: shard %u did not ack the commit of "
-                      "epoch %llu", i,
+        std::string why;
+        if (exchange(i, FrameType::Commit, w, FrameType::CommitAck,
+                     decodeEpoch,
+                     [&](const EpochFrame &a) { return a.epoch == epoch; },
+                     ack, 120000.0, "commit", why) != Reply::Ok)
+            snap_warn("router: %s of epoch %llu", why.c_str(),
                       static_cast<unsigned long long>(epoch));
     };
 
@@ -1600,19 +1564,15 @@ ShardRouter::swapEpoch(const std::string &image_path, std::string &err)
         WireWriter w;
         encodePrepare(w, prep);
         std::lock_guard<std::mutex> op(shards_[i]->controlOpMu);
-        ControlAck reply;
         PrepareAckFrame ack;
         // Loading an image is seconds of work at most; minutes means
         // the shard is wedged.
-        if (!sendControl(i, FrameType::Prepare, w.bytes(), 120000.0,
-                         reply)) {
-            err = formatString("shard %u did not ack prepare", i);
-            all_ok = false;
-        } else if (!decodeAck(reply, FrameType::PrepareAck,
-                              decodePrepareAck, ack) ||
-                   ack.epoch != next_epoch) {
-            err = formatString("shard %u answered the prepare with a "
-                               "wrong ack", i);
+        if (exchange(i, FrameType::Prepare, w, FrameType::PrepareAck,
+                     decodePrepareAck,
+                     [&](const PrepareAckFrame &a) {
+                         return a.epoch == next_epoch;
+                     },
+                     ack, 120000.0, "prepare", err) != Reply::Ok) {
             all_ok = false;
         } else if (!ack.ok) {
             err = formatString("shard %u refused the new image: %s", i,

@@ -407,13 +407,22 @@ class ShardRouter
     void dispatch(PendingPtr p);
     void failRequest(const PendingPtr &p);
     void noteDone();
-    /** Send one control frame and wait up to @p timeout_ms for the
-     *  shard's answer.  @return false when the shard is down or
-     *  silent; otherwise the answer is in @p ack, for the caller to
-     *  check and decode (call under the shard's controlOpMu). */
-    bool sendControl(std::uint32_t idx, FrameType type,
-                     const std::vector<std::uint8_t> &payload,
-                     double timeout_ms, ControlAck &ack);
+    /** How a control exchange ended: Silent when the shard is down
+     *  or does not answer in time, Wrong when its answer has another
+     *  type, does not decode, or answers another request. */
+    enum class Reply { Ok, Silent, Wrong };
+    /** One control exchange with shard @p idx (call under its
+     *  controlOpMu): send @p request as a @p type frame, wait up to
+     *  @p timeout_ms, and decode the answer as @p ack_type with
+     *  @p decode into @p ack; @p echoes checks that it answers this
+     *  request (its nonce, session id or epoch).  Unless Ok, @p err
+     *  names the shard and @p what ("health probe", ...). */
+    template <typename Ack, typename Decode, typename Echo>
+    Reply exchange(std::uint32_t idx, FrameType type,
+                   const WireWriter &request, FrameType ack_type,
+                   Decode decode, Echo echoes, Ack &ack,
+                   double timeout_ms, const char *what,
+                   std::string &err);
     /** Health probe of shard @p idx; a timeout downs it. */
     bool probe(std::uint32_t idx, HealthAckFrame &ack,
                std::string &err);

@@ -23,10 +23,7 @@
  * memory, so a KB over capacity::maxNodes (32,768) nodes is a user
  * error: no tool could load it.
  *
- * Exit status: 0 on success, 1 on user error (bad parameter values —
- * the snap_fatal path), 2 on a command-line usage error.  This
- * convention is shared by snapvm, snapsh, snapserve, snapkb-pack,
- * and snaprouter.
+ * Exit status follows the tools' convention (tools/cli.hh).
  */
 
 #include <cstdio>
@@ -38,10 +35,10 @@
 #include "arch/config.hh"
 #include "arch/kb_image.hh"
 #include "arch/kb_image_io.hh"
-#include "common/logging.hh"
 #include "common/strutil.hh"
 #include "kb/kb_io.hh"
 #include "nlu/kb_factory.hh"
+#include "tools/cli.hh"
 #include "workload/kb_gen.hh"
 
 using namespace snap;
@@ -49,37 +46,21 @@ using namespace snap;
 namespace
 {
 
-[[noreturn]] void
-usage()
-{
-    std::fprintf(stderr,
-        "usage: snapkb-gen tree <nodes> [branching] [options]\n"
-        "       snapkb-gen random <nodes> <avg-fanout> <rel-types> "
-        "[seed] [options]\n"
-        "       snapkb-gen linguistic <nonlexical> [vocab] [seed] "
-        "[options]\n"
-        "       snapkb-gen chain <length> [options]\n"
-        "options:\n"
-        "  --out FILE        write to FILE\n"
-        "  --pack            write a binary .kbimg snapshot "
-        "(requires --out)\n"
-        "  --clusters N      (--pack) clusters 1..32 (default 16)\n"
-        "  --partition P     (--pack) seq|rr|sem (default sem)\n"
-        "  --relax-capacity  (--pack) lift the nodes/cluster cap\n"
-        "writes .snapkb text to stdout when --out is absent\n");
-    std::exit(2);
-}
-
-long long
-argInt(int argc, char **argv, int i, long long fallback)
-{
-    if (i >= argc)
-        return fallback;
-    long long v;
-    if (!parseInt(argv[i], v))
-        usage();
-    return v;
-}
+const char *const kUsage =
+    "usage: snapkb-gen tree <nodes> [branching] [options]\n"
+    "       snapkb-gen random <nodes> <avg-fanout> <rel-types> "
+    "[seed] [options]\n"
+    "       snapkb-gen linguistic <nonlexical> [vocab] [seed] "
+    "[options]\n"
+    "       snapkb-gen chain <length> [options]\n"
+    "options:\n"
+    "  --out FILE        write to FILE\n"
+    "  --pack            write a binary .kbimg snapshot "
+    "(requires --out)\n"
+    "  --clusters N      (--pack) clusters 1..32 (default 16)\n"
+    "  --partition P     (--pack) seq|rr|sem (default sem)\n"
+    "  --relax-capacity  (--pack) lift the nodes/cluster cap\n"
+    "writes .snapkb text to stdout when --out is absent\n";
 
 struct Options
 {
@@ -88,55 +69,17 @@ struct Options
     MachineConfig machine = MachineConfig::paperSetup();
 };
 
-/** Split flags (from the first "--" argument on) from positionals. */
-Options
-parseOptions(int &argc, char **argv)
+/** Positional argument @p i (the kind is 0) as an integer, or
+ *  @p fallback when it is absent. */
+long long
+argInt(const cli::Args &args, std::size_t i, long long fallback)
 {
-    Options opt;
-    int keep = 1;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (++i >= argc)
-                usage();
-            return argv[i];
-        };
-        if (arg == "--out") {
-            opt.outPath = next();
-        } else if (arg == "--pack") {
-            opt.pack = true;
-        } else if (arg == "--clusters") {
-            long long n;
-            if (!parseInt(next(), n) || n < 1 || n > 32)
-                usage();
-            opt.machine.numClusters =
-                static_cast<std::uint32_t>(n);
-        } else if (arg == "--partition") {
-            std::string p = next();
-            if (p == "seq")
-                opt.machine.partition = PartitionStrategy::Sequential;
-            else if (p == "rr")
-                opt.machine.partition = PartitionStrategy::RoundRobin;
-            else if (p == "sem")
-                opt.machine.partition = PartitionStrategy::Semantic;
-            else
-                usage();
-        } else if (arg == "--relax-capacity") {
-            opt.machine.maxNodesPerCluster = capacity::maxNodes;
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option '%s'\n",
-                         arg.c_str());
-            usage();
-        } else {
-            argv[keep++] = argv[i];
-        }
-    }
-    argc = keep;
-    if (opt.pack && opt.outPath.empty()) {
-        std::fprintf(stderr, "--pack requires --out FILE\n");
-        usage();
-    }
-    return opt;
+    if (i >= args.positional().size())
+        return fallback;
+    long long v;
+    if (!parseInt(args.positional()[i], v))
+        args.usage();
+    return v;
 }
 
 /** Emit a fully built network as text or as a packed .kbimg. */
@@ -161,44 +104,54 @@ emitNetwork(SemanticNetwork net, const Options &opt)
 int
 main(int argc, char **argv)
 {
-    Options opt = parseOptions(argc, argv);
-    if (argc < 3)
-        usage();
-    std::string kind = argv[1];
+    cli::Args args("snapkb-gen", kUsage, argc, argv);
+    Options opt;
+    while (args.nextFlag()) {
+        if (cli::machineFlag(args, opt.machine))
+            continue;
+        if (args.is("--out"))
+            opt.outPath = args.value();
+        else if (args.is("--pack"))
+            opt.pack = true;
+        else
+            args.unknownFlag();
+    }
+    if (opt.pack && opt.outPath.empty())
+        args.usageError("--pack requires --out FILE");
+    const std::vector<std::string> &pos = args.positional();
+    if (pos.size() < 2)
+        args.usage();
+    const std::string &kind = pos[0];
 
     if (kind == "tree") {
         emitNetwork(makeTreeKb(static_cast<std::uint32_t>(
-                                   argInt(argc, argv, 2, 0)),
+                                   argInt(args, 1, 0)),
                                static_cast<std::uint32_t>(
-                                   argInt(argc, argv, 3, 4))),
+                                   argInt(args, 2, 4))),
                     opt);
     } else if (kind == "random") {
-        if (argc < 5)
-            usage();
-        auto nodes = static_cast<std::uint32_t>(
-            argInt(argc, argv, 2, 0));
-        double fanout = std::atof(argv[3]);
-        auto rels = static_cast<std::uint32_t>(
-            argInt(argc, argv, 4, 2));
-        auto seed = static_cast<std::uint64_t>(
-            argInt(argc, argv, 5, 42));
+        if (pos.size() < 4)
+            args.usage();
+        auto nodes = static_cast<std::uint32_t>(argInt(args, 1, 0));
+        double fanout = std::atof(pos[2].c_str());
+        auto rels = static_cast<std::uint32_t>(argInt(args, 3, 2));
+        auto seed = static_cast<std::uint64_t>(argInt(args, 4, 42));
         emitNetwork(makeRandomKb(nodes, fanout, rels, seed), opt);
     } else if (kind == "linguistic") {
         LinguisticKbParams params;
         params.nonlexicalNodes = static_cast<std::uint32_t>(
-            argInt(argc, argv, 2, 0));
+            argInt(args, 1, 0));
         params.vocabulary = static_cast<std::uint32_t>(
-            argInt(argc, argv, 3, 700));
-        params.seed = static_cast<std::uint64_t>(
-            argInt(argc, argv, 4, 42));
+            argInt(args, 2, 700));
+        params.seed = static_cast<std::uint64_t>(argInt(args, 3, 42));
         LinguisticKb kb(params);
         emitNetwork(kb.net(), opt);
     } else if (kind == "chain") {
         emitNetwork(makeChainKb(static_cast<std::uint32_t>(
-                        argInt(argc, argv, 2, 0))),
+                        argInt(args, 1, 0))),
                     opt);
     } else {
-        usage();
+        args.usage();
     }
     return 0;
 }

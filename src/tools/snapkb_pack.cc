@@ -3,7 +3,7 @@
  * snapkb-pack — compile a text knowledge base into a binary .kbimg
  * snapshot, or verify an existing snapshot.
  *
- *   snapkb-pack <kb.snapkb> <out.kbimg> [options]
+ *   snapkb-pack <kb.snapkb|kb.kbimg> <out.kbimg> [options]
  *     --clusters N      replica array size (1..32, default 16)
  *     --partition P     seq|rr|sem allocation (default sem)
  *     --relax-capacity  lift the 1024 nodes/cluster cap
@@ -16,57 +16,43 @@
  * relation-table compilation once, and every shard process that loads
  * the image skips both.
  *
- * Exit status: 0 on success, 1 on user error (unreadable/malformed
- * text KB — the snap_fatal path), 2 on a usage error *or* a corrupt
- * .kbimg (--check): typed rejection of an invalid snapshot file is
- * the exit-code-2 convention the round-trip tests gate on.
+ * The input may also be a .kbimg: its network is packed again for the
+ * flags' array.  Exit status follows the tools' convention
+ * (tools/cli.hh): a corrupt .kbimg, given to --check or as the input,
+ * exits 2 with its typed KbImgStatus, the rejection the round-trip
+ * tests gate on.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "arch/config.hh"
 #include "arch/kb_image.hh"
 #include "arch/kb_image_io.hh"
-#include "common/logging.hh"
-#include "common/strutil.hh"
-#include "kb/kb_io.hh"
+#include "tools/cli.hh"
 
 using namespace snap;
 
 namespace
 {
 
-[[noreturn]] void
-usage()
-{
-    std::fprintf(stderr,
-        "usage: snapkb-pack <kb.snapkb> <out.kbimg> [options]\n"
-        "       snapkb-pack --check <file.kbimg>\n"
-        "  --clusters N      clusters 1..32 (default 16)\n"
-        "  --partition P     seq|rr|sem (default sem)\n"
-        "  --relax-capacity  lift the nodes/cluster cap\n");
-    std::exit(2);
-}
+const char *const kUsage =
+    "usage: snapkb-pack <kb.snapkb|kb.kbimg> <out.kbimg> [options]\n"
+    "       snapkb-pack --check <file.kbimg>\n"
+    "  --clusters N      clusters 1..32 (default 16)\n"
+    "  --partition P     seq|rr|sem (default sem)\n"
+    "  --relax-capacity  lift the nodes/cluster cap\n";
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    cli::Args args("snapkb-pack", kUsage, argc, argv);
     if (argc >= 2 && std::string(argv[1]) == "--check") {
         if (argc != 3)
-            usage();
-        KbImageFile kb;
-        std::string detail;
-        KbImgStatus status = loadKbImageFile(argv[2], kb, detail);
-        if (status != KbImgStatus::Ok) {
-            std::fprintf(stderr, "snapkb-pack: %s: %s (%s)\n",
-                         argv[2], kbImgStatusName(status),
-                         detail.c_str());
-            return 2;
-        }
+            args.usage();
+        KbImageFile kb = cli::loadImage(args, argv[2]);
         std::printf("%s: ok, %u nodes, %llu links, %u clusters, "
                     "fingerprint %016llx\n",
                     argv[2], kb.net.numNodes(),
@@ -77,44 +63,17 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (argc < 3)
-        usage();
-    std::string kb_path = argv[1];
-    std::string out_path = argv[2];
     MachineConfig machine = MachineConfig::paperSetup();
-
-    for (int i = 3; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (++i >= argc)
-                usage();
-            return argv[i];
-        };
-        if (arg == "--clusters") {
-            long long n;
-            if (!parseInt(next(), n) || n < 1 || n > 32)
-                usage();
-            machine.numClusters = static_cast<std::uint32_t>(n);
-        } else if (arg == "--partition") {
-            std::string p = next();
-            if (p == "seq")
-                machine.partition = PartitionStrategy::Sequential;
-            else if (p == "rr")
-                machine.partition = PartitionStrategy::RoundRobin;
-            else if (p == "sem")
-                machine.partition = PartitionStrategy::Semantic;
-            else
-                usage();
-        } else if (arg == "--relax-capacity") {
-            machine.maxNodesPerCluster = capacity::maxNodes;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n",
-                         arg.c_str());
-            usage();
-        }
+    while (args.nextFlag()) {
+        if (!cli::machineFlag(args, machine))
+            args.unknownFlag();
     }
+    if (args.positional().size() != 2)
+        args.usage();
+    const std::string &kb_path = args.positional()[0];
+    const std::string &out_path = args.positional()[1];
 
-    SemanticNetwork net = loadNetworkFile(kb_path);
+    SemanticNetwork net = cli::loadKb(args, kb_path).net;
     KbImage image(net, machine);
     saveKbImageFile(net, image, machine.partition, out_path);
 
@@ -125,8 +84,8 @@ main(int argc, char **argv)
     std::string detail;
     KbImgStatus status = loadKbImageFile(out_path, check, detail);
     if (status != KbImgStatus::Ok)
-        snap_fatal("packed image fails verification: %s (%s)",
-                   kbImgStatusName(status), detail.c_str());
+        args.inputError(std::string("packed image fails verification: ") +
+                        kbImgStatusName(status) + " (" + detail + ")");
     std::printf("packed %s -> %s: %u nodes, %llu links, %u clusters, "
                 "fingerprint %016llx\n",
                 kb_path.c_str(), out_path.c_str(), net.numNodes(),

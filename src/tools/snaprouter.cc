@@ -64,28 +64,26 @@
  * shard.  See docs/sharding.md for the wire protocol and the epoch
  * state machine.
  *
- * Exit status: 0 on success (all requests answered Ok), 1 on user
- * error or any non-Ok answer / failed swap, 2 on a usage error or a
- * corrupt .kbimg.
+ * Exit status follows the tools' convention (tools/cli.hh); any
+ * answer that is not Ok, a failed drain or a failed swap exits 1.
  */
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "arch/kb_image_io.hh"
 #include "common/logging.hh"
 #include "common/metrics_registry.hh"
 #include "common/strutil.hh"
-#include "kb/kb_io.hh"
 #include "shard/answers.hh"
 #include "shard/router.hh"
+#include "tools/cli.hh"
 #include "trace/trace.hh"
 
 using namespace snap;
@@ -93,59 +91,46 @@ using namespace snap;
 namespace
 {
 
-[[noreturn]] void
-usage()
-{
-    std::fprintf(stderr,
-        "usage: snaprouter <kb> <requests.txt> --shard EP "
-        "[--shard EP ...] [options]\n"
-        "  --shard ENDPOINT    a shard worker (repeatable)\n"
-        "  --vnodes N          ring points per shard (default 64)\n"
-        "  --window N          max in-flight per shard (default 64)\n"
-        "  --retries N         stateless re-dispatch budget "
-        "(default 2)\n"
-        "  --timeout-ms X      per-request deadline, host ms\n"
-        "  --seed N            base request-seed chain\n"
-        "  --connect-ms X      shard boot wait (default 15000)\n"
-        "  --replication N     owner shards per key range "
-        "(default 1)\n"
-        "  --hedge-ms X        hedge stateless requests after X ms\n"
-        "  --drain K@N         drain shard K after N submits "
-        "(repeatable)\n"
-        "  --swap-epoch FILE@K hot-swap to FILE after K submits\n"
-        "  --answers-out FILE  write canonical answer text\n"
-        "  --trace-out FILE    write router Chrome trace JSON\n"
-        "  --trace-categories L trace category list (default all)\n"
-        "  --trace-sample X    sampling rate 0..1 (default 1 with "
-        "--trace-out)\n"
-        "  --stats-interval-ms X periodic shard metrics pull\n"
-        "  --fleet-metrics FILE write aggregated fleet metrics\n"
-        "  --fleet-metrics-format F json|prometheus\n"
-        "  --slow-query-ms X   slow-query log threshold, host ms\n"
-        "  --slow-log FILE     slow-query log as JSON lines\n"
-        "  --shutdown          send Shutdown to shards when done\n"
-        "  --quiet             suppress per-request lines\n");
-    std::exit(2);
-}
-
-[[noreturn]] void
-usageError(const char *msg)
-{
-    std::fprintf(stderr, "snaprouter: %s\n", msg);
-    std::exit(2);
-}
+const char *const kUsage =
+    "usage: snaprouter <kb> <requests.txt> --shard EP "
+    "[--shard EP ...] [options]\n"
+    "  --shard ENDPOINT    a shard worker (repeatable)\n"
+    "  --vnodes N          ring points per shard (default 64)\n"
+    "  --window N          max in-flight per shard (default 64)\n"
+    "  --retries N         stateless re-dispatch budget "
+    "(default 2)\n"
+    "  --timeout-ms X      per-request deadline, host ms\n"
+    "  --seed N            base request-seed chain\n"
+    "  --connect-ms X      shard boot wait (default 15000)\n"
+    "  --replication N     owner shards per key range "
+    "(default 1)\n"
+    "  --hedge-ms X        hedge stateless requests after X ms\n"
+    "  --drain K@N         drain shard K after N submits "
+    "(repeatable)\n"
+    "  --swap-epoch FILE@K hot-swap to FILE after K submits\n"
+    "  --answers-out FILE  write canonical answer text\n"
+    "  --trace-out FILE    write router Chrome trace JSON\n"
+    "  --trace-categories L trace category list (default all)\n"
+    "  --trace-sample X    sampling rate 0..1 (default 1 with "
+    "--trace-out)\n"
+    "  --stats-interval-ms X periodic shard metrics pull\n"
+    "  --fleet-metrics FILE write aggregated fleet metrics\n"
+    "  --fleet-metrics-format F json|prometheus\n"
+    "  --slow-query-ms X   slow-query log threshold, host ms\n"
+    "  --slow-log FILE     slow-query log as JSON lines\n"
+    "  --shutdown          send Shutdown to shards when done\n"
+    "  --quiet             suppress per-request lines\n";
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 3)
-        usage();
-    std::string kb_path = argv[1];
-    std::string req_path = argv[2];
-
+    cli::Args args("snaprouter", kUsage, argc, argv);
     shard::RouterConfig cfg;
+    cli::TraceFlags tracing;
+    tracing.sampling = true;
+    cli::MetricsFlags metrics("--fleet-metrics", "--fleet-metrics-format");
     double timeout_ms = 0.0;
     std::uint64_t base_seed = 1;
     std::string answers_path;
@@ -155,129 +140,86 @@ main(int argc, char **argv)
     std::vector<std::pair<std::size_t, std::uint32_t>> drains;
     bool do_shutdown = false;
     bool quiet = false;
-    std::string trace_out;
-    std::string trace_categories = "all";
-    double trace_sample = -1.0; // unset: 1.0 with --trace-out else 0
-    std::string fleet_metrics_path;
-    std::string fleet_metrics_format = "json";
     std::string slow_log_path;
 
-    for (int i = 3; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (++i >= argc)
-                usage();
-            return argv[i];
-        };
-        if (arg == "--shard") {
-            cfg.shards.push_back(next());
-        } else if (arg == "--vnodes") {
-            long long n;
-            if (!parseInt(next(), n) || n < 1 || n > 4096)
-                usageError("--vnodes must be 1..4096");
-            cfg.vnodes = static_cast<std::uint32_t>(n);
-        } else if (arg == "--window") {
-            long long n;
-            if (!parseInt(next(), n) || n < 1 || n > UINT32_MAX)
-                usageError("--window must be 1..4294967295");
-            cfg.maxInflightPerShard = static_cast<std::uint32_t>(n);
-        } else if (arg == "--retries") {
-            long long n;
-            if (!parseInt(next(), n) || n < 0 || n > 100)
-                usageError("--retries must be 0..100");
-            cfg.maxRetries = static_cast<std::uint32_t>(n);
-        } else if (arg == "--timeout-ms") {
-            double x;
-            if (!parseDouble(next(), x) || x < 0)
-                usageError("--timeout-ms must be >= 0");
-            timeout_ms = x;
-        } else if (arg == "--seed") {
-            long long n;
-            if (!parseInt(next(), n))
-                usageError("--seed must be an integer");
-            base_seed = static_cast<std::uint64_t>(n);
-        } else if (arg == "--connect-ms") {
-            double x;
-            if (!parseDouble(next(), x) || x < 0)
-                usageError("--connect-ms must be >= 0");
-            cfg.connectTimeoutMs = x;
-        } else if (arg == "--replication") {
-            long long n;
-            if (!parseInt(next(), n) || n < 1 || n > 64)
-                usageError("--replication must be 1..64");
-            cfg.replication = static_cast<std::uint32_t>(n);
-        } else if (arg == "--hedge-ms") {
-            double x;
-            if (!parseDouble(next(), x) || x < 0)
-                usageError("--hedge-ms must be >= 0");
-            cfg.hedgeDelayMs = x;
-        } else if (arg == "--drain") {
-            std::string spec = next();
+    while (args.nextFlag()) {
+        if (tracing.take(args) || metrics.take(args))
+            continue;
+        if (args.is("--shard")) {
+            cfg.shards.push_back(args.value());
+        } else if (args.is("--vnodes")) {
+            cfg.vnodes = static_cast<std::uint32_t>(
+                args.intValue(1, 4096, "--vnodes must be 1..4096"));
+        } else if (args.is("--window")) {
+            cfg.maxInflightPerShard =
+                static_cast<std::uint32_t>(args.intValue(
+                    1, UINT32_MAX, "--window must be 1..4294967295"));
+        } else if (args.is("--retries")) {
+            cfg.maxRetries = static_cast<std::uint32_t>(
+                args.intValue(0, 100, "--retries must be 0..100"));
+        } else if (args.is("--timeout-ms")) {
+            timeout_ms = args.doubleValue(0.0, cli::kNoLimit,
+                                          "--timeout-ms must be >= 0");
+        } else if (args.is("--seed")) {
+            base_seed = static_cast<std::uint64_t>(args.intValue(
+                LLONG_MIN, LLONG_MAX, "--seed must be an integer"));
+        } else if (args.is("--connect-ms")) {
+            cfg.connectTimeoutMs = args.doubleValue(
+                0.0, cli::kNoLimit, "--connect-ms must be >= 0");
+        } else if (args.is("--replication")) {
+            cfg.replication = static_cast<std::uint32_t>(
+                args.intValue(1, 64, "--replication must be 1..64"));
+        } else if (args.is("--hedge-ms")) {
+            cfg.hedgeDelayMs = args.doubleValue(
+                0.0, cli::kNoLimit, "--hedge-ms must be >= 0");
+        } else if (args.is("--drain")) {
+            std::string spec = args.value();
             std::size_t at = spec.find_last_of('@');
             long long k, n;
             if (at == std::string::npos || at == 0 ||
                 !parseInt(spec.substr(0, at), k) ||
                 !parseInt(spec.substr(at + 1), n) || k < 0 ||
                 k > UINT32_MAX || n < 0)
-                usageError("--drain must be K@N (drain shard K "
-                           "after N submits)");
+                args.usageError("--drain must be K@N (drain shard K "
+                                "after N submits)");
             drains.emplace_back(static_cast<std::size_t>(n),
                                 static_cast<std::uint32_t>(k));
-        } else if (arg == "--swap-epoch") {
-            std::string spec = next();
+        } else if (args.is("--swap-epoch")) {
+            std::string spec = args.value();
             std::size_t at = spec.find_last_of('@');
             long long k;
             if (at == std::string::npos || at == 0 ||
                 !parseInt(spec.substr(at + 1), k) || k < 0)
-                usageError("--swap-epoch must be FILE@K");
+                args.usageError("--swap-epoch must be FILE@K");
             swap_path = spec.substr(0, at);
             swap_after = static_cast<std::size_t>(k);
-        } else if (arg == "--answers-out") {
-            answers_path = next();
-        } else if (arg == "--trace-out") {
-            trace_out = next();
-        } else if (arg == "--trace-categories") {
-            trace_categories = next();
-        } else if (arg == "--trace-sample") {
-            double x;
-            if (!parseDouble(next(), x) || x < 0.0 || x > 1.0)
-                usageError("--trace-sample must be in 0..1");
-            trace_sample = x;
-        } else if (arg == "--stats-interval-ms") {
-            double x;
-            if (!parseDouble(next(), x) || x < 0.0)
-                usageError("--stats-interval-ms must be >= 0");
-            cfg.statsIntervalMs = x;
-        } else if (arg == "--fleet-metrics") {
-            fleet_metrics_path = next();
-        } else if (arg == "--fleet-metrics-format") {
-            fleet_metrics_format = next();
-            if (fleet_metrics_format != "json" &&
-                fleet_metrics_format != "prometheus")
-                usageError("--fleet-metrics-format must be json or "
-                           "prometheus");
-        } else if (arg == "--slow-query-ms") {
-            double x;
-            if (!parseDouble(next(), x) || x < 0.0)
-                usageError("--slow-query-ms must be >= 0");
-            cfg.slowQueryMs = x;
-        } else if (arg == "--slow-log") {
-            slow_log_path = next();
-        } else if (arg == "--shutdown") {
+        } else if (args.is("--answers-out")) {
+            answers_path = args.value();
+        } else if (args.is("--stats-interval-ms")) {
+            cfg.statsIntervalMs = args.doubleValue(
+                0.0, cli::kNoLimit, "--stats-interval-ms must be >= 0");
+        } else if (args.is("--slow-query-ms")) {
+            cfg.slowQueryMs = args.doubleValue(
+                0.0, cli::kNoLimit, "--slow-query-ms must be >= 0");
+        } else if (args.is("--slow-log")) {
+            slow_log_path = args.value();
+        } else if (args.is("--shutdown")) {
             do_shutdown = true;
-        } else if (arg == "--quiet") {
+        } else if (args.is("--quiet")) {
             quiet = true;
         } else {
-            std::fprintf(stderr, "unknown option '%s'\n",
-                         arg.c_str());
-            usage();
+            args.unknownFlag();
         }
     }
+    if (args.positional().size() != 2)
+        args.usage();
+    const std::string &kb_path = args.positional()[0];
+    const std::string &req_path = args.positional()[1];
     if (cfg.shards.empty())
-        usageError("at least one --shard endpoint is required");
+        args.usageError("at least one --shard endpoint is required");
     for (const auto &d : drains) {
         if (d.second >= cfg.shards.size())
-            usageError("--drain names a shard the fleet lacks");
+            args.usageError("--drain names a shard the fleet lacks");
     }
     std::stable_sort(drains.begin(), drains.end(),
                      [](const auto &a, const auto &b) {
@@ -287,54 +229,29 @@ main(int argc, char **argv)
     // --trace-out without an explicit rate samples everything; a
     // rate without --trace-out still propagates context (shards can
     // trace even when the router does not).
-    cfg.traceSample = trace_sample >= 0.0
-                          ? trace_sample
-                          : (trace_out.empty() ? 0.0 : 1.0);
-    if (!trace_out.empty()) {
-        std::uint32_t mask = 0;
-        if (!trace::parseCategories(trace_categories, mask) ||
-            mask == 0) {
-            usageError("--trace-categories must be a comma list "
-                       "from: all,instr,cluster,icn,sync,sem,fault,"
-                       "machine,serve");
-        }
-        trace::start(mask);
-    }
+    cfg.traceSample = tracing.sampleRate();
+    tracing.start();
 
     // The router's copy of the KB exists for symbol resolution only.
-    SemanticNetwork net;
-    if (isKbImageFile(kb_path)) {
-        KbImageFile kbf;
-        std::string detail;
-        KbImgStatus status = loadKbImageFile(kb_path, kbf, detail);
-        if (status != KbImgStatus::Ok) {
-            std::fprintf(stderr, "snaprouter: %s: %s (%s)\n",
-                         kb_path.c_str(), kbImgStatusName(status),
-                         detail.c_str());
-            return 2;
-        }
-        net = std::move(kbf.net);
-    } else {
-        net = loadNetworkFile(kb_path);
-    }
-
-    shard::RequestFile requests = shard::loadRequestFile(req_path, net);
+    SemanticNetwork net = cli::loadKb(args, kb_path).net;
+    shard::RequestFile requests;
+    std::string err;
+    if (!shard::loadRequestFile(req_path, net, requests, err))
+        args.inputError(err);
     const std::vector<shard::RequestSpec> &specs = requests.specs;
 
     shard::ShardRouter router(cfg);
-    std::string detail;
-    if (!router.connect(detail))
-        snap_fatal("cannot connect shard fleet: %s", detail.c_str());
+    if (!router.connect(err))
+        args.inputError("cannot connect shard fleet: " + err);
     std::printf("connected %u shard(s), image fingerprint %016llx, "
                 "epoch %llu\n",
                 router.numShards(),
                 static_cast<unsigned long long>(router.fingerprint()),
                 static_cast<unsigned long long>(router.epoch()));
     for (std::uint32_t s = 0; s < router.numShards(); ++s) {
-        std::string err;
         if (!router.probeShard(s, err))
-            snap_fatal("shard %u failed its health probe: %s", s,
-                       err.c_str());
+            args.inputError(formatString(
+                "shard %u failed its health probe: %s", s, err.c_str()));
     }
 
     // Responses land on router reader threads in completion order;
@@ -437,8 +354,8 @@ main(int argc, char **argv)
     if (!answers_path.empty()) {
         std::ofstream os(answers_path);
         if (!os)
-            snap_fatal("cannot open '%s' for writing",
-                       answers_path.c_str());
+            args.inputError("cannot open '" + answers_path +
+                            "' for writing");
         for (std::size_t i = 0; i < specs.size(); ++i) {
             shard::writeAnswer(os, net, i, specs[i].sessionId,
                                responses[i].status,
@@ -448,29 +365,19 @@ main(int argc, char **argv)
                     answers_path.c_str());
     }
 
-    if (!fleet_metrics_path.empty()) {
+    if (!metrics.path().empty()) {
         // Final pull so the aggregated view reflects end-of-run
         // counters even without --stats-interval-ms.
         for (std::uint32_t s = 0; s < router.numShards(); ++s) {
             if (!router.shardHealthy(s))
                 continue;
             shard::StatsSnapshotFrame snap;
-            std::string err;
             if (!router.pullShardStats(s, snap, err))
                 snap_warn("final stats pull: %s", err.c_str());
         }
         MetricsRegistry reg;
         router.exportFleetMetrics(reg);
-        std::ofstream os(fleet_metrics_path);
-        if (!os)
-            snap_fatal("cannot open '%s' for writing",
-                       fleet_metrics_path.c_str());
-        if (fleet_metrics_format == "prometheus")
-            reg.writePrometheus(os);
-        else
-            reg.writeJson(os);
-        std::printf("wrote fleet metrics (%zu samples) to %s\n",
-                    reg.size(), fleet_metrics_path.c_str());
+        metrics.write(args, reg);
     }
 
     if (cfg.slowQueryMs >= 0.0) {
@@ -497,8 +404,8 @@ main(int argc, char **argv)
             };
             std::ofstream os(slow_log_path);
             if (!os)
-                snap_fatal("cannot open '%s' for writing",
-                           slow_log_path.c_str());
+                args.inputError("cannot open '" + slow_log_path +
+                                "' for writing");
             for (const shard::SlowQuery &q : slow) {
                 os << formatString(
                     "{\"trace_id\":\"0x%llx\",\"request_id\":%llu,"
@@ -535,7 +442,7 @@ main(int argc, char **argv)
     if (do_shutdown)
         router.shutdownShards();
 
-    if (!trace_out.empty()) {
+    if (!tracing.out.empty()) {
         // Clock alignment table for `snaptrace merge`: per shard,
         // the shard-clock-minus-router-clock offset captured in the
         // Hello handshake.
@@ -549,13 +456,7 @@ main(int argc, char **argv)
         }
         trace::setMeta("clock_sync", sync);
         trace::setMeta("trace_role", "router");
-        trace::stop();
-        if (trace::writeJsonFile(trace_out)) {
-            std::printf("wrote trace to %s (%llu events dropped)\n",
-                        trace_out.c_str(),
-                        static_cast<unsigned long long>(
-                            trace::droppedCount()));
-        }
+        tracing.write();
     }
     return (bad == 0 && swap_ok && drains_ok) ? 0 : 1;
 }

@@ -2,13 +2,16 @@
  * @file
  * snapsh — an interactive shell on the simulated SNAP-1.
  *
- *   snapsh <kb.snapkb> [--clusters N] [--partition seq|rr|sem]
+ *   snapsh <kb.snapkb|kb.kbimg> [--clusters N]
+ *          [--partition seq|rr|sem] [--relax-capacity]
  *
  * Each input line is one SNAP assembler statement, executed
  * immediately against persistent marker state (every line runs to
  * quiescence, so no explicit `barrier` is needed interactively).
  * `rule` declarations persist for the session.  Collect results
- * print as they return.
+ * print as they return.  A statement the assembler refuses prints its
+ * message; the shell keeps its prompt, its rules and its marker
+ * state.
  *
  * Builtins:
  *   .markers <m>       count (and sample) nodes holding marker m
@@ -27,29 +30,31 @@
  * file, or one from a KB of another size, with a message and keeps
  * the current marker state.
  *
- * Exit status: 0 on success, 1 on user error (bad input files or
- * values — the snap_fatal path), 2 on a command-line usage error.
- * This convention is shared by snapvm, snapkb-gen, and snapserve.
+ * Exit status follows the tools' convention (tools/cli.hh).
  */
 
 #include <cstdio>
 #include <unistd.h>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "arch/machine.hh"
-#include "common/logging.hh"
 #include "common/metrics_registry.hh"
 #include "common/strutil.hh"
 #include "isa/assembler.hh"
-#include "kb/kb_io.hh"
 #include "runtime/snapshot.hh"
+#include "tools/cli.hh"
 
 using namespace snap;
 
 namespace
 {
+
+const char *const kUsage =
+    "usage: snapsh <kb.snapkb|kb.kbimg> [--clusters N] "
+    "[--partition seq|rr|sem] [--relax-capacity]\n";
 
 void
 printHelp()
@@ -68,44 +73,19 @@ printHelp()
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::fprintf(stderr,
-                     "usage: snapsh <kb.snapkb> [--clusters N] "
-                     "[--partition seq|rr|sem]\n");
-        return 2;
-    }
-
+    cli::Args args("snapsh", kUsage, argc, argv);
     MachineConfig cfg = MachineConfig::paperSetup();
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (++i >= argc)
-                snap_fatal("missing value for %s", arg.c_str());
-            return argv[i];
-        };
-        if (arg == "--clusters") {
-            long long n;
-            if (!parseInt(next(), n) || n < 1 || n > 32)
-                snap_fatal("--clusters must be 1..32");
-            cfg.numClusters = static_cast<std::uint32_t>(n);
-        } else if (arg == "--partition") {
-            std::string p = next();
-            if (p == "seq")
-                cfg.partition = PartitionStrategy::Sequential;
-            else if (p == "rr")
-                cfg.partition = PartitionStrategy::RoundRobin;
-            else if (p == "sem")
-                cfg.partition = PartitionStrategy::Semantic;
-            else
-                snap_fatal("--partition must be seq, rr, or sem");
-        } else {
-            snap_fatal("unknown option '%s'", arg.c_str());
-        }
+    while (args.nextFlag()) {
+        if (!cli::machineFlag(args, cfg))
+            args.unknownFlag();
     }
+    if (args.positional().size() != 1)
+        args.usage();
 
-    SemanticNetwork net = loadNetworkFile(argv[1]);
-    SnapMachine machine(cfg);
-    machine.loadKb(net);
+    KbImageFile kb = cli::loadKb(args, args.positional()[0]);
+    SemanticNetwork &net = kb.net;
+    std::unique_ptr<SnapMachine> machine_ptr = cli::machineFor(kb, cfg);
+    SnapMachine &machine = *machine_ptr;
     std::printf("snapsh: %u nodes, %llu links on %u clusters "
                 "(%u processors).  .help for help.\n",
                 net.numNodes(),
@@ -219,11 +199,14 @@ main(int argc, char **argv)
             continue;
         }
 
-        // --- SNAP statements ------------------------------------------
+        // --- SNAP statements, assembled after the session's rules ----
+        Program prog;
+        std::string err;
+        if (!assemble(rules_text + body + "\n", net, prog, err)) {
+            std::printf("%s\n", err.c_str());
+            continue;
+        }
         if (startsWith(body, "rule ")) {
-            // Validate by assembling, then remember for the session.
-            Program probe = assemble(rules_text + body + "\n", net);
-            (void)probe;
             rules_text += body + "\n";
             std::printf("ok (%zu rule(s) in session)\n",
                         static_cast<std::size_t>(
@@ -232,7 +215,6 @@ main(int argc, char **argv)
             continue;
         }
 
-        Program prog = assemble(rules_text + body + "\n", net);
         if (prog.empty())
             continue;
         RunResult run = machine.run(prog);

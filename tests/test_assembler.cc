@@ -45,10 +45,30 @@ fig1Network()
     return net;
 }
 
+/** Assemble text the test expects to be accepted. */
+Program
+assembleOk(const std::string &text, SemanticNetwork &net)
+{
+    Program prog;
+    std::string err;
+    EXPECT_TRUE(assemble(text, net, prog, err)) << err;
+    return prog;
+}
+
+/** The message refusing text the test expects to be refused. */
+std::string
+refusal(const std::string &text, SemanticNetwork &net)
+{
+    Program prog;
+    std::string err;
+    EXPECT_FALSE(assemble(text, net, prog, err));
+    return err;
+}
+
 TEST(Assembler, Fig5StyleProgram)
 {
     SemanticNetwork net = fig1Network();
-    Program prog = assemble(
+    Program prog = assembleOk(
         "# Fig. 5 of the paper, in assembler syntax\n"
         "rule up spread(is-a, last)\n"
         "rule bind step(part-of)\n"
@@ -77,7 +97,7 @@ TEST(Assembler, Fig5StyleProgram)
 TEST(Assembler, AllMnemonics)
 {
     SemanticNetwork net = fig1Network();
-    Program prog = assemble(
+    Program prog = assembleOk(
         "rule r1 chain(is-a) max=5\n"
         "rule r2 seq(is-a, last)\n"
         "rule r3 comb(is-a, last)\n"
@@ -116,7 +136,7 @@ TEST(Assembler, AllMnemonics)
 TEST(Assembler, CustomRuleMultiRelationSegment)
 {
     SemanticNetwork net = fig1Network();
-    Program prog = assemble(
+    Program prog = assembleOk(
         "rule r custom [ {is-a, last}* {part-of} ]\n", net);
     const PropRule &rule = prog.rules().rule(0);
     ASSERT_EQ(rule.segments.size(), 2u);
@@ -126,7 +146,7 @@ TEST(Assembler, CustomRuleMultiRelationSegment)
 TEST(Assembler, RepeatUnrolls)
 {
     SemanticNetwork net = fig1Network();
-    Program prog = assemble(
+    Program prog = assembleOk(
         "repeat 3\n"
         "set-marker m0 1.0\n"
         "clear-marker m0\n"
@@ -142,7 +162,7 @@ TEST(Assembler, RepeatUnrolls)
 TEST(Assembler, NestedRepeat)
 {
     SemanticNetwork net = fig1Network();
-    Program prog = assemble(
+    Program prog = assembleOk(
         "repeat 2\n"
         "clear-marker m0\n"
         "repeat 3\n"
@@ -154,70 +174,124 @@ TEST(Assembler, NestedRepeat)
     EXPECT_EQ(prog.size(), 8u);
 }
 
-TEST(AssemblerDeath, UnterminatedRepeat)
+TEST(AssemblerRefusal, UnterminatedRepeat)
 {
     SemanticNetwork net = fig1Network();
-    EXPECT_EXIT(assemble("repeat 2\nclear-marker m0\n", net),
-                ::testing::ExitedWithCode(1), "unterminated");
+    EXPECT_EQ(refusal("repeat 2\nclear-marker m0\n", net),
+              "1 unterminated repeat block(s)");
 }
 
-TEST(AssemblerDeath, EndWithoutRepeat)
+TEST(AssemblerRefusal, EndWithoutRepeat)
 {
     SemanticNetwork net = fig1Network();
-    EXPECT_EXIT(assemble("end\n", net),
-                ::testing::ExitedWithCode(1), "without matching");
+    EXPECT_EQ(refusal("end\n", net),
+              "line 1: 'end' without matching 'repeat'");
 }
 
-TEST(AssemblerDeath, UnknownMnemonic)
+TEST(AssemblerRefusal, UnknownMnemonic)
 {
     SemanticNetwork net = fig1Network();
-    EXPECT_EXIT(assemble("frobnicate m1\n", net),
-                ::testing::ExitedWithCode(1), "unknown mnemonic");
+    EXPECT_EQ(refusal("frobnicate m1\n", net),
+              "line 1: unknown mnemonic 'frobnicate'");
 }
 
-TEST(AssemblerDeath, UnknownNode)
+TEST(AssemblerRefusal, UnknownNode)
 {
     SemanticNetwork net = fig1Network();
-    EXPECT_EXIT(assemble("search-node ghost m0 0\n", net),
-                ::testing::ExitedWithCode(1), "unknown node");
+    EXPECT_EQ(refusal("search-node ghost m0 0\n", net),
+              "line 1: unknown node 'ghost'");
 }
 
-TEST(AssemblerDeath, UnknownRule)
+TEST(AssemblerRefusal, UnknownRule)
 {
     SemanticNetwork net = fig1Network();
-    EXPECT_EXIT(assemble("propagate m0 m1 nope add-weight\n", net),
-                ::testing::ExitedWithCode(1), "unknown rule");
+    EXPECT_EQ(refusal("propagate m0 m1 nope add-weight\n", net),
+              "line 1: unknown rule 'nope'");
 }
 
-TEST(AssemblerDeath, BadMarker)
+TEST(AssemblerRefusal, BadMarker)
 {
     SemanticNetwork net = fig1Network();
-    EXPECT_EXIT(assemble("search-node we m200 0\n", net),
-                ::testing::ExitedWithCode(1), "bad marker");
-    EXPECT_EXIT(assemble("search-node we q1 0\n", net),
-                ::testing::ExitedWithCode(1), "bad marker");
+    EXPECT_EQ(refusal("search-node we m200 0\n", net),
+              "line 1: bad marker 'm200' (m0..m127)");
+    EXPECT_EQ(refusal("search-node we q1 0\n", net),
+              "line 1: bad marker 'q1' (m0..m127)");
 }
 
-TEST(AssemblerDeath, WrongArity)
+TEST(AssemblerRefusal, WrongArity)
 {
     SemanticNetwork net = fig1Network();
-    EXPECT_EXIT(assemble("search-node we m0\n", net),
-                ::testing::ExitedWithCode(1), "usage");
+    EXPECT_EQ(refusal("search-node we m0\n", net),
+              "line 1: usage: search-node <node> <marker> <value>");
 }
 
-TEST(AssemblerDeath, DuplicateRule)
+TEST(AssemblerRefusal, DuplicateRule)
 {
     SemanticNetwork net = fig1Network();
-    EXPECT_EXIT(assemble("rule r chain(is-a)\nrule r chain(last)\n",
-                         net),
-                ::testing::ExitedWithCode(1), "duplicate rule");
+    EXPECT_EQ(refusal("rule r chain(is-a)\nrule r chain(last)\n", net),
+              "line 2: duplicate rule 'r'");
 }
 
-TEST(AssemblerDeath, LineNumberInError)
+TEST(AssemblerRefusal, LineNumberInError)
 {
     SemanticNetwork net = fig1Network();
-    EXPECT_EXIT(assemble("rule r chain(is-a)\n\n\nbogus\n", net),
-                ::testing::ExitedWithCode(1), "line 4");
+    EXPECT_EQ(refusal("rule r chain(is-a)\n\n\nbogus\n", net),
+              "line 4: unknown mnemonic 'bogus'");
+}
+
+// Text that would reach a fatal further down is refused first.
+
+TEST(AssemblerRefusal, RuleTableOverflow)
+{
+    SemanticNetwork net = fig1Network();
+    std::string text;
+    for (std::uint32_t r = 0; r < maxRules; ++r)
+        text += "rule r" + std::to_string(r) + " chain(is-a)\n";
+    EXPECT_EQ(assembleOk(text, net).rules().size(), maxRules);
+    EXPECT_EQ(refusal(text + "rule one-more chain(is-a)\n", net),
+              "line 257: more than 256 rules");
+}
+
+TEST(AssemblerRefusal, ColorTableOverflow)
+{
+    SemanticNetwork net = fig1Network();
+    std::string text;
+    for (std::uint32_t c = net.colorNames().size();
+         c <= capacity::numColors; ++c)
+        text += "search-color c" + std::to_string(c) + " m0 0\n";
+    std::string err = refusal(text, net);
+    EXPECT_NE(err.find(": color table full (adding 'c256')"),
+              std::string::npos)
+        << err;
+}
+
+TEST(AssemblerRefusal, NestedRepeatPastTheSequenceSpace)
+{
+    // 48 bytes that would unroll to 4096 x 4096 instructions: refused
+    // at the outer `end`, before anything is copied.
+    SemanticNetwork net = fig1Network();
+    EXPECT_EQ(refusal("repeat 4096\nrepeat 4096\nclear-marker m1\n"
+                      "end\nend\n",
+                      net),
+              "line 5: repeat unrolls past 65535 instructions");
+}
+
+TEST(AssemblerRefusal, ProgramPastTheSequenceSpace)
+{
+    // 4095 x 16 + 15 = 65535 instructions is the most the controller
+    // sequences; one more is refused.
+    SemanticNetwork net = fig1Network();
+    std::string text = "repeat 4095\n";
+    for (int i = 0; i < 16; ++i)
+        text += "clear-marker m0\n";
+    text += "end\n";
+    for (int i = 0; i < 15; ++i)
+        text += "clear-marker m1\n";
+    EXPECT_EQ(assembleOk(text, net).size(), capacity::maxInstructions);
+    EXPECT_EQ(refusal(text + "barrier\n", net),
+              "line 34: more than 65535 instructions");
+    EXPECT_EQ(refusal("repeat 4096\n" + text.substr(12), net),
+              "line 18: repeat unrolls past 65535 instructions");
 }
 
 } // namespace

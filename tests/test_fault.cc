@@ -99,6 +99,26 @@ TEST(FaultSpec, JsonRoundTrip)
     EXPECT_EQ(back.watchdogTicks, spec.watchdogTicks);
     EXPECT_EQ(back.icnDelayTicks, spec.icnDelayTicks);
     EXPECT_EQ(back.seed, spec.seed);
+
+    // Keys are strict: a misspelled key used to arm nothing, silently.
+    // Each refusal says why and leaves the output untouched.
+    std::string why;
+    EXPECT_FALSE(FaultSpec::fromJson(
+        "{\"seed\": 3, \"icn_drop_rate\": 0.5}", back, &why));
+    EXPECT_EQ(why, "unknown key \"icn_drop_rate\"");
+    EXPECT_FALSE(FaultSpec::fromJson(
+        "{\"icn_drop\": 0.5, \"icn_drop\": 0.25}", back, &why));
+    EXPECT_EQ(why, "repeated key \"icn_drop\"");
+    EXPECT_FALSE(FaultSpec::fromJson("{\"icn_drop\" 0.5}", back, &why));
+    EXPECT_EQ(why, "missing ':' after \"icn_drop\"");
+    EXPECT_FALSE(
+        FaultSpec::fromJson("{\"icn_drop\": 0.5} x", back, &why));
+    EXPECT_EQ(why, "bytes after the closing '}'");
+    EXPECT_DOUBLE_EQ(back.icnDropRate, spec.icnDropRate);
+    EXPECT_EQ(back.seed, spec.seed);
+    // Absent keys keep their defaults; an empty object is no faults.
+    ASSERT_TRUE(FaultSpec::fromJson(" {\n}\n", back));
+    EXPECT_FALSE(back.any());
 }
 
 TEST(FaultSpec, MessageFaultsSplitsAggregateRate)

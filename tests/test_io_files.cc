@@ -88,17 +88,33 @@ TEST(IoFiles, AssembleFile)
               "collect-marker m1\n";
     }
     SemanticNetwork net = makeChainKb(5);
-    Program prog = assembleFile(path, net);
+    Program prog;
+    std::string err;
+    ASSERT_TRUE(assembleFile(path, net, prog, err)) << err;
     EXPECT_EQ(prog.size(), 4u);
+
+    // A malformed file is refused with its path and line.
+    {
+        std::ofstream os(path);
+        os << "search-node n0 m0 0\nsearch-node ghost m0 0\n";
+    }
+    EXPECT_FALSE(assembleFile(path, net, prog, err));
+    EXPECT_EQ(err, path + ": line 2: unknown node 'ghost'");
     std::remove(path.c_str());
+}
+
+TEST(IoFiles, MissingProgramFileIsRefused)
+{
+    SemanticNetwork net = makeChainKb(3);
+    Program prog;
+    std::string err;
+    EXPECT_FALSE(assembleFile("/nonexistent/p.snap", net, prog, err));
+    EXPECT_EQ(err, "cannot open '/nonexistent/p.snap'");
 }
 
 TEST(IoFilesDeath, MissingFilesAreFatal)
 {
     EXPECT_EXIT((void)loadNetworkFile("/nonexistent/kb.snapkb"),
-                ::testing::ExitedWithCode(1), "cannot open");
-    SemanticNetwork net = makeChainKb(3);
-    EXPECT_EXIT((void)assembleFile("/nonexistent/p.snap", net),
                 ::testing::ExitedWithCode(1), "cannot open");
 }
 

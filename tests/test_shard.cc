@@ -1071,6 +1071,21 @@ TEST(FleetFault, SpecSerializesAndSplitsTheAggregateRate)
     EXPECT_FALSE(FleetFaultSpec::fromJson("{\"seed\": -2}", back));
     EXPECT_FALSE(FleetFaultSpec::fromJson("{\"seed\":\t\n-2}", back));
     EXPECT_EQ(back.seed, spec.seed);
+    // Keys are strict, as for the machine's FaultSpec.
+    std::string why;
+    EXPECT_FALSE(FleetFaultSpec::fromJson("{\"delay_rate\": 0.5}", back,
+                                          &why));
+    EXPECT_EQ(why, "unknown key \"delay_rate\"");
+    EXPECT_FALSE(FleetFaultSpec::fromJson(
+        "{\"delay\": 0.5, \"delay\": 0.5}", back, &why));
+    EXPECT_EQ(why, "repeated key \"delay\"");
+    EXPECT_FALSE(
+        FleetFaultSpec::fromJson("{\"delay\" 0.5}", back, &why));
+    EXPECT_EQ(why, "missing ':' after \"delay\"");
+    EXPECT_FALSE(
+        FleetFaultSpec::fromJson("{\"delay\": 0.5}}", back, &why));
+    EXPECT_EQ(why, "bytes after the closing '}'");
+    EXPECT_DOUBLE_EQ(back.delayRate, spec.delayRate);
 
     // --fleet-fault-rate sugar: the aggregate splits evenly.
     FleetFaultSpec w = FleetFaultSpec::wireFaults(7, 0.2);
