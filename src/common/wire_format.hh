@@ -9,7 +9,9 @@
  * flips the reader into a sticky error state the decoder checks once
  * at the end.  Every element count read from untrusted bytes goes
  * through WireReader::count(), which rejects a count the bytes left
- * cannot hold before anything is allocated for it.
+ * cannot hold before anything is allocated for it.  A varint (7 bits
+ * per byte, low group first) has exactly one encoding: the reader
+ * refuses a truncated one and one longer than its value needs.
  */
 
 #ifndef SNAP_COMMON_WIRE_FORMAT_HH
@@ -91,6 +93,18 @@ class WireWriter
     {
         u32(static_cast<std::uint32_t>(s.size()));
         buf_.insert(buf_.end(), s.begin(), s.end());
+    }
+
+    /** @p v in 1 to 10 bytes of 7 bits, low group first; every byte
+     *  but the last has its top bit set. */
+    void
+    varint(std::uint64_t v)
+    {
+        while (v >= 0x80) {
+            buf_.push_back(static_cast<std::uint8_t>(v | 0x80));
+            v >>= 7;
+        }
+        buf_.push_back(static_cast<std::uint8_t>(v));
     }
 
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
@@ -186,6 +200,29 @@ class WireReader
         std::string s(reinterpret_cast<const char *>(data_ + pos_), n);
         pos_ += n;
         return s;
+    }
+
+    /**
+     * A varint as WireWriter::varint writes it.  A truncated one, or
+     * one longer than its value needs (a last byte of 0 after the
+     * first, or bits past the 64th), fails the reader and reads as 0.
+     */
+    std::uint64_t
+    varint()
+    {
+        std::uint64_t v = 0;
+        for (unsigned shift = 0; shift < 64; shift += 7) {
+            if (pos_ >= end_)
+                return fail8();
+            const std::uint8_t b = data_[pos_++];
+            v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+            if (b < 0x80) {
+                if ((b == 0 && shift > 0) || (shift == 63 && b > 1))
+                    return fail8();
+                return v;
+            }
+        }
+        return fail8();
     }
 
     /**

@@ -4,7 +4,9 @@
 #include <iterator>
 #include <utility>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/wire_format.hh"
 #include "isa/encoding.hh"
 
 namespace snap
@@ -51,17 +53,83 @@ programBytes(const Program &prog)
     return w.take();
 }
 
-/** Heap bytes of a stored copy of @p results (a copy holds no spare
- *  capacity). */
-std::size_t
-answerBytes(const ResultSet &results)
+/** @p to - @p from in 32-bit wrapping arithmetic, as a zigzag
+ *  varint: a step of a few ids either way takes one byte. */
+void
+putStep(WireWriter &w, NodeId from, NodeId to)
 {
-    std::size_t n = results.size() * sizeof(CollectResult);
-    for (const CollectResult &r : results) {
-        n += r.nodes.size() * sizeof(CollectedNode) +
-             r.links.size() * sizeof(CollectedLink);
+    const auto d = static_cast<std::int32_t>(to - from);
+    w.varint((static_cast<std::uint32_t>(d) << 1) ^
+             static_cast<std::uint32_t>(d >> 31));
+}
+
+NodeId
+getStep(WireReader &r, NodeId from)
+{
+    const auto z = static_cast<std::uint32_t>(r.varint());
+    return from + ((z >> 1) ^ (0u - (z & 1)));
+}
+
+/** The answer part of an entry's record. */
+void
+encodeAnswer(WireWriter &w, const ResultSet &results, Tick wall_ticks)
+{
+    w.u64(wall_ticks);
+    w.u32(static_cast<std::uint32_t>(results.size()));
+    for (const CollectResult &cr : results) {
+        w.u8(static_cast<std::uint8_t>(cr.op));
+        w.u8(cr.marker);
+        w.u8(cr.color);
+        w.u16(cr.rel);
+        w.u32(static_cast<std::uint32_t>(cr.nodes.size()));
+        NodeId prev = 0;
+        for (const CollectedNode &n : cr.nodes) {
+            putStep(w, prev, n.node);
+            putStep(w, n.node, n.origin);
+            w.f32(n.value);
+            prev = n.node;
+        }
+        w.u32(static_cast<std::uint32_t>(cr.links.size()));
+        for (const CollectedLink &l : cr.links) {
+            w.u32(l.src);
+            w.u16(l.rel);
+            w.u32(l.dst);
+            w.f32(l.weight);
+        }
     }
-    return n;
+}
+
+/** Decode what encodeAnswer wrote into @p results / @p wall_ticks;
+ *  false if the bytes are not exactly one answer. */
+bool
+decodeAnswer(WireReader &r, ResultSet &results, Tick &wall_ticks)
+{
+    wall_ticks = r.u64();
+    // A result's header is 13 bytes, a node at least 6 (two one-byte
+    // steps and the value) and a link 14.
+    results.assign(r.count(13), CollectResult{});
+    for (CollectResult &cr : results) {
+        cr.op = static_cast<Opcode>(r.u8());
+        cr.marker = r.u8();
+        cr.color = r.u8();
+        cr.rel = r.u16();
+        cr.nodes.resize(r.count(6));
+        NodeId prev = 0;
+        for (CollectedNode &n : cr.nodes) {
+            n.node = getStep(r, prev);
+            n.origin = getStep(r, n.node);
+            n.value = r.f32();
+            prev = n.node;
+        }
+        cr.links.resize(r.count(14));
+        for (CollectedLink &l : cr.links) {
+            l.src = r.u32();
+            l.rel = r.u16();
+            l.dst = r.u32();
+            l.weight = r.f32();
+        }
+    }
+    return r.done();
 }
 
 } // namespace
@@ -69,6 +137,12 @@ answerBytes(const ResultSet &results)
 AnswerCache::AnswerCache(std::size_t budget_bytes)
     : budget_(budget_bytes), filter_(kFilterSlots, 0)
 {
+}
+
+std::size_t
+AnswerCache::charge(std::size_t record_bytes)
+{
+    return sizeof(Entry) + kBookkeepingBytes + record_bytes;
 }
 
 AnswerCache::Lru::iterator
@@ -79,7 +153,9 @@ AnswerCache::find(const Program &prog, std::uint64_t hash,
     for (auto it = lo; it != hi; ++it) {
         if (bytes.empty())
             bytes = programBytes(prog);
-        if (it->second->program == bytes)
+        const Entry &e = *it->second;
+        if (e.programBytes == bytes.size() &&
+            std::equal(bytes.begin(), bytes.end(), e.record.begin()))
             return it->second;
     }
     return lru_.end();
@@ -115,23 +191,50 @@ AnswerCache::estimate(std::uint64_t hash) const
     return f;
 }
 
+unsigned
+AnswerCache::frequency(std::uint64_t hash) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return estimate(hash);
+}
+
+bool
+AnswerCache::get(const Program &prog, std::uint64_t hash,
+                 ResultSet &results, Tick &wall_ticks, bool count_miss)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<std::uint8_t> bytes;
+    auto it = find(prog, hash, bytes);
+    if (it == lru_.end()) {
+        if (count_miss) {
+            record(hash);
+            ++stats_.misses;
+        }
+        return false;
+    }
+    record(hash);
+    lru_.splice(lru_.begin(), lru_, it);
+    WireReader r(it->record.data() + it->programBytes,
+                 it->record.size() - it->programBytes);
+    const bool decoded = decodeAnswer(r, results, wall_ticks);
+    snap_assert(decoded, "answer cache: an entry's record does not "
+                         "decode");
+    ++stats_.hits;
+    return true;
+}
+
 bool
 AnswerCache::lookup(const Program &prog, std::uint64_t hash,
                     ResultSet &results, Tick &wall_ticks)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    record(hash);
-    std::vector<std::uint8_t> bytes;
-    auto it = find(prog, hash, bytes);
-    if (it == lru_.end()) {
-        ++stats_.misses;
-        return false;
-    }
-    lru_.splice(lru_.begin(), lru_, it);
-    results = it->results;
-    wall_ticks = it->wallTicks;
-    ++stats_.hits;
-    return true;
+    return get(prog, hash, results, wall_ticks, true);
+}
+
+bool
+AnswerCache::probe(const Program &prog, std::uint64_t hash,
+                   ResultSet &results, Tick &wall_ticks)
+{
+    return get(prog, hash, results, wall_ticks, false);
 }
 
 bool
@@ -146,7 +249,7 @@ AnswerCache::admits(std::uint64_t hash, std::size_t cost)
             ++stats_.rejected;
             return false;
         }
-        held -= it->bytes;
+        held -= charge(it->record.size());
     }
     return true;
 }
@@ -166,24 +269,24 @@ AnswerCache::insert(const Program &prog, std::uint64_t hash,
         return;  // another worker's run of the same program got here
     // The cost without the program's bytes settles most refusals, so
     // a refused newcomer is seldom encoded.
-    std::size_t cost =
-        sizeof(Entry) + kBookkeepingBytes + answerBytes(results);
-    if (!admits(hash, cost))
+    WireWriter answer;
+    encodeAnswer(answer, results, wall_ticks);
+    if (!admits(hash, charge(answer.size())))
         return;
     if (bytes.empty())
         bytes = programBytes(prog);
-    cost += bytes.size();
+    const std::size_t cost = charge(bytes.size() + answer.size());
     if (!admits(hash, cost))
         return;
     while (stats_.bytes + cost > budget_)
         evictOldest();
     Entry e;
     e.hash = hash;
-    e.program = std::move(bytes);
-    e.program.shrink_to_fit();
-    e.results = results;
-    e.wallTicks = wall_ticks;
-    e.bytes = cost;
+    e.record.reserve(bytes.size() + answer.size());
+    e.record.assign(bytes.begin(), bytes.end());
+    e.record.insert(e.record.end(), answer.bytes().begin(),
+                    answer.bytes().end());
+    e.programBytes = static_cast<std::uint32_t>(bytes.size());
     stats_.bytes += cost;
     lru_.push_front(std::move(e));
     index_.emplace(hash, lru_.begin());
@@ -201,7 +304,7 @@ AnswerCache::evictOldest()
             break;
         }
     }
-    stats_.bytes -= victim->bytes;
+    stats_.bytes -= charge(victim->record.size());
     lru_.erase(victim);
     ++stats_.evictions;
 }

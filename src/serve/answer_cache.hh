@@ -9,6 +9,15 @@
  * engine keeps the answers it has already produced for the current
  * image here and hands them back without running a replica.
  *
+ * An entry is one byte record: the program's codec bytes, then the
+ * answer in compact form.  The answer keeps wallTicks and each
+ * result's header and links as the wire has them; each collected node
+ * is a zigzag varint of its id's step from the previous node's, one
+ * of its origin's step from its own id (both in 32-bit wrapping
+ * arithmetic, so invalidNode is a short step back) and the value's 4
+ * raw bytes.  A hit decodes it bit for bit.  A sentence parse's entry
+ * costs about 2.5 KB of the budget.
+ *
  * Exactness: a hit requires the stored program bytes to equal the
  * request's.  The bytes are the program codec's (isa/encoding.hh),
  * which cover every field Program::contentHash covers (floats by bit
@@ -37,7 +46,7 @@
  *    nothing is evicted.  Ties keep the incumbent, so a scan of
  *    programs seen twice cannot flush a hot set.
  *
- * Thread-safe: one mutex guards everything; a hit copies the answer
+ * Thread-safe: one mutex guards everything; a hit decodes the answer
  * out under it.
  */
 
@@ -90,12 +99,18 @@ class AnswerCache
     AnswerCache &operator=(const AnswerCache &) = delete;
 
     /** Look @p prog up under bucket @p hash (the engine passes
-     *  Program::contentHash).  On a hit, copy the stored answer into
-     *  @p results / @p wall_ticks and return true; a miss returns
-     *  false.  Either way the outcome is counted and the lookup is
-     *  recorded in the frequency sketch. */
+     *  Program::contentHash).  On a hit, decode the stored answer
+     *  into @p results / @p wall_ticks and return true; a miss
+     *  returns false.  Either way the outcome is counted and the
+     *  lookup is recorded in the frequency sketch. */
     bool lookup(const Program &prog, std::uint64_t hash,
                 ResultSet &results, Tick &wall_ticks);
+
+    /** lookup() that counts and records only a hit.  The engine
+     *  probes at admission and looks a missed request up again on
+     *  its worker, so each request is counted and recorded once. */
+    bool probe(const Program &prog, std::uint64_t hash,
+               ResultSet &results, Tick &wall_ticks);
 
     /**
      * Offer a clean run's answer to @p prog (the caller looked it up
@@ -113,16 +128,18 @@ class AnswerCache
 
     Stats stats() const;
 
+    /** The sketch's estimate of how often @p hash was looked up
+     *  lately, 0 to 15. */
+    unsigned frequency(std::uint64_t hash) const;
+
   private:
     struct Entry
     {
         std::uint64_t hash = 0;
-        /** The program's codec bytes: a hit must match them. */
-        std::vector<std::uint8_t> program;
-        ResultSet results;
-        Tick wallTicks = 0;
-        /** What the entry is charged against the budget. */
-        std::size_t bytes = 0;
+        /** The program's codec bytes, which a hit must match, then
+         *  the answer in compact form. */
+        std::vector<std::uint8_t> record;
+        std::uint32_t programBytes = 0;
     };
     using Lru = std::list<Entry>;
 
@@ -131,6 +148,11 @@ class AnswerCache
      *  empty otherwise). */
     Lru::iterator find(const Program &prog, std::uint64_t hash,
                        std::vector<std::uint8_t> &bytes);
+    bool get(const Program &prog, std::uint64_t hash,
+             ResultSet &results, Tick &wall_ticks, bool count_miss);
+    /** What an entry whose record holds @p record_bytes is charged
+     *  against the budget. */
+    static std::size_t charge(std::size_t record_bytes);
     /** Whether @p cost more bytes for @p hash fit the budget and
      *  out-count the entries that would be evicted; a refusal by
      *  frequency is counted. */

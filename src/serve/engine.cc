@@ -194,12 +194,14 @@ ServeEngine::outstandingCount() const
 }
 
 /**
- * Shared admission: assign id/seed/deadline, take the session turn,
- * and enqueue — all under admitMu_ so queue order == session order.
- * On reject (@return false) the response is in @p early, the session
- * turn is released, and @p pending still holds the record.
+ * Shared admission: assign id/seed/deadline, answer a cache hit, or
+ * take the session turn and enqueue — all under admitMu_, so queue
+ * order == session order and swapImage cannot flush the cache
+ * between a probe and its outstanding count.  Unless the request
+ * was queued, the response is in @p early and @p pending still holds
+ * the record; a rejected request's session turn is released.
  */
-bool
+ServeEngine::Admission
 ServeEngine::admit(Request &&req, std::unique_ptr<Pending> &pending,
                    Response &early)
 {
@@ -238,7 +240,36 @@ ServeEngine::admit(Request &&req, std::unique_ptr<Pending> &pending,
                                "admit.shed");
         }
         early.status = RequestStatus::Rejected;
-        return false;
+        return Admission::Refused;
+    }
+
+    // A hit never waits behind the runs in the queue.  A miss is
+    // neither counted nor recorded here: its worker looks it up.
+    if (!sessioned && programIsPure(req.prog)) {
+        pending->cacheable = true;
+        pending->hash = req.prog.contentHash();
+        const std::uint64_t lookup_ns =
+            SNAP_TRACE_ON(trace::kServe) ? trace::hostNowNs() : 0;
+        if (!queue_.closed() &&
+            cache_.probe(req.prog, pending->hash, early.results,
+                         early.wallTicks)) {
+            if (lookup_ns != 0) {
+                trace::hostSpan(trace::kServe, trace::kTidAdmission,
+                                "cache.hit", lookup_ns,
+                                trace::hostNowNs());
+                trace::hostAsyncBegin(trace::kServe,
+                                      trace::kTidAdmission, "request",
+                                      req.id);
+            }
+            early.status = RequestStatus::Ok;
+            early.serviceMs =
+                msBetween(pending->enqueuedAt, Clock::now());
+            metrics_.noteAnsweredAtAdmission(early.serviceMs,
+                                             early.wallTicks);
+            std::lock_guard<std::mutex> lock(doneMu_);
+            ++outstanding_;
+            return Admission::Hit;
+        }
     }
 
     if (sessioned)
@@ -266,7 +297,7 @@ ServeEngine::admit(Request &&req, std::unique_ptr<Pending> &pending,
         }
         early.status = RequestStatus::Rejected;
         noteDone();
-        return false;
+        return Admission::Refused;
     }
     metrics_.noteSubmitted();
     if (SNAP_TRACE_ON(trace::kServe)) {
@@ -275,7 +306,7 @@ ServeEngine::admit(Request &&req, std::unique_ptr<Pending> &pending,
         trace::hostAsyncBegin(trace::kServe, trace::kTidAdmission,
                               "request", rid);
     }
-    return true;
+    return Admission::Queued;
 }
 
 std::future<Response>
@@ -298,8 +329,16 @@ ServeEngine::submit(Request req, std::function<void(Response &&)> done)
     pending->callback = std::move(done);
 
     Response early;
-    if (!admit(std::move(req), pending, early))
+    switch (admit(std::move(req), pending, early)) {
+      case Admission::Queued:
+        break;
+      case Admission::Hit:
+        deliverResponse(std::move(pending), std::move(early));
+        break;
+      case Admission::Refused:
         pending->callback(std::move(early));
+        break;
+    }
 }
 
 void
@@ -385,15 +424,14 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
         return;
     }
 
-    // A stateless pure program is looked up before any replica runs:
-    // a hit is the answer of an earlier clean run of the same program
+    // A stateless pure program is looked up again before any replica
+    // runs: its answer may have been admitted while it queued.  A hit
+    // is the answer of an earlier clean run of the same program
     // against this image, results and wallTicks alike.
-    const bool cacheable = !sessioned && programIsPure(req.prog);
-    const std::uint64_t hash = cacheable ? req.prog.contentHash() : 0;
-    if (cacheable) {
+    if (p->cacheable) {
         const std::uint64_t lookup_ns =
             SNAP_TRACE_ON(trace::kServe) ? trace::hostNowNs() : 0;
-        if (cache_.lookup(req.prog, hash, resp.results,
+        if (cache_.lookup(req.prog, p->hash, resp.results,
                           resp.wallTicks)) {
             if (lookup_ns != 0) {
                 trace::hostSpan(trace::kServe, trace::tidWorker(idx),
@@ -486,8 +524,8 @@ ServeEngine::serveOne(std::uint32_t idx, std::unique_ptr<Pending> p)
     // delay can pass the integrity shadow yet shift wallTicks).
     // Inserted before delivery, so swapImage's drain also waits for
     // it and no old-image answer lands after the flush.
-    if (cacheable && run.fault.injected() == 0)
-        cache_.insert(req.prog, hash, run.results, run.wallTicks);
+    if (p->cacheable && run.fault.injected() == 0)
+        cache_.insert(req.prog, p->hash, run.results, run.wallTicks);
 
     resp.status = RequestStatus::Ok;
     resp.results = std::move(run.results);

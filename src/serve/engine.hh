@@ -26,10 +26,12 @@
  *    in its response.
  *
  * Answer cache (serve/answer_cache.hh): a stateless request with a
- * pure program is looked up before its replica runs; a hit returns
- * the stored answer of an earlier clean run of the same program,
- * bit-identical to running it again.  Sessions never use the cache,
- * and a hot-swap clears it.
+ * pure program is looked up at admission; a hit returns the stored
+ * answer of an earlier clean run of the same program, bit-identical
+ * to running it again, on the submitting thread, without queueing or
+ * touching a replica.  A miss queues, and its worker looks it up
+ * again, so an answer admitted while it waited still hits.  Sessions
+ * never use the cache, and a hot-swap clears it.
  *
  * Untrusted programs: a program that names a node outside the
  * serving image (the node of CREATE, DELETE, SET-COLOR, SET-WEIGHT or
@@ -157,13 +159,14 @@ class ServeEngine
 
     /**
      * Admission control.  Assigns id/seed, applies the default
-     * deadline, and enqueues.  @p done is invoked exactly once with
-     * the response, from the worker that served the request or — on
-     * immediate rejection, status Rejected, when the queue is full or
-     * the engine is shut down — from the submitting thread.  The
-     * shard server's delivery mode: its connection writers serialize
-     * responses straight out of the callback instead of parking a
-     * thread per in-flight request.
+     * deadline, and answers from the answer cache or enqueues.
+     * @p done is invoked exactly once with the response, from the
+     * worker that served the request or from the submitting thread:
+     * for an answer-cache hit (queueMs 0, worker 0), and on immediate
+     * rejection (status Rejected, when the queue is full or the
+     * engine is shut down).  The shard server's delivery mode: its
+     * connection writers serialize responses straight out of the
+     * callback instead of parking a thread per in-flight request.
      * @p done must not re-enter the engine.
      */
     void submit(Request req, std::function<void(Response &&)> done);
@@ -232,6 +235,7 @@ class ServeEngine
                         std::string &err);
 
     const KbImage &sharedImage() const { return *master_; }
+    const AnswerCache &answerCache() const { return cache_; }
     std::uint32_t numWorkers() const { return cfg_.numWorkers; }
     const ServeConfig &config() const { return cfg_; }
 
@@ -250,12 +254,29 @@ class ServeEngine
         /** Host-ns admission timestamp (trace epoch); 0 when tracing
          *  was off at admission.  Anchors the queue.wait span. */
         std::uint64_t traceAdmitNs = 0;
+        /** A stateless pure program: the worker looks it up in the
+         *  answer cache under its Program::contentHash. */
+        bool cacheable = false;
+        std::uint64_t hash = 0;
+    };
+
+    /** What admit() did with a request. */
+    enum class Admission
+    {
+        /** Queued for a worker. */
+        Queued,
+        /** Answered from the answer cache: the answer is in the
+         *  early response, and the request stays outstanding until
+         *  it is delivered. */
+        Hit,
+        /** Rejected or shed: the early response says which. */
+        Refused,
     };
 
     void workerMain(std::uint32_t idx);
     void serveOne(std::uint32_t idx, std::unique_ptr<Pending> p);
-    bool admit(Request &&req, std::unique_ptr<Pending> &pending,
-               Response &early);
+    Admission admit(Request &&req, std::unique_ptr<Pending> &pending,
+                    Response &early);
     void deliverResponse(std::unique_ptr<Pending> p, Response &&resp);
     void noteDone();
     std::uint64_t outstandingCount() const;
@@ -298,9 +319,10 @@ class ServeEngine
     mutable std::mutex statsMu_;
     ExecBreakdown aggExec_;
 
-    /** Admission lock: id/seed assignment, session sequencing, and
-     *  the queue push happen atomically so queue order == session
-     *  order. */
+    /** Admission lock: id/seed assignment, session sequencing, the
+     *  answer-cache probe and the queue push happen atomically, so
+     *  queue order == session order and swapImage's drain covers
+     *  every hit it did not flush. */
     std::mutex admitMu_;
     std::uint64_t nextId_ = 0;
 

@@ -75,6 +75,9 @@ MetricsSnapshot::exportMetrics(MetricsRegistry &reg,
     gau("snap_serve_answer_cache_bytes",
         static_cast<double>(answerCache.bytes),
         "Bytes held by the answer cache");
+    gau("snap_serve_answer_cache_entries",
+        static_cast<double>(answerCache.entries),
+        "Answers held by the answer cache");
 
     gau("snap_serve_queue_depth", static_cast<double>(queueDepth),
         "Admission queue depth at snapshot time");

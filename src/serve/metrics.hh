@@ -36,6 +36,8 @@ namespace serve
 /** Per-worker serving tallies. */
 struct WorkerStats
 {
+    /** Requests this worker answered (a hit answered at admission is
+     *  no worker's). */
     std::uint64_t served = 0;
     /** Simulated machine time spent executing (sum of wallTicks of
      *  the runs this replica made; answer-cache hits add none). */
@@ -161,16 +163,23 @@ class ServeMetrics
                   bool executed = true)
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++m_.completed;
-        m_.queueWaitMs.record(queue_ms);
-        m_.serviceMs.record(service_ms);
-        m_.totalMs.record(queue_ms + service_ms);
-        m_.simUs.record(ticksToUs(sim_ticks));
+        recordOk(queue_ms, service_ms, sim_ticks);
         WorkerStats &w = m_.workers.at(worker);
         ++w.served;
         if (executed)
             w.busyTicks += sim_ticks;
         w.busyMs += service_ms;
+    }
+
+    /** One request admitted and answered at admission from the
+     *  answer cache: it waited in no queue and no worker served
+     *  it. */
+    void
+    noteAnsweredAtAdmission(double service_ms, Tick sim_ticks)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++m_.submitted;
+        recordOk(0.0, service_ms, sim_ticks);
     }
 
     /** One run attempt tripped fault detection. */
@@ -248,6 +257,16 @@ class ServeMetrics
     }
 
   private:
+    void
+    recordOk(double queue_ms, double service_ms, Tick sim_ticks)
+    {
+        ++m_.completed;
+        m_.queueWaitMs.record(queue_ms);
+        m_.serviceMs.record(service_ms);
+        m_.totalMs.record(queue_ms + service_ms);
+        m_.simUs.record(ticksToUs(sim_ticks));
+    }
+
     mutable std::mutex mu_;
     /** The counters, histograms and per-worker tallies; the queue
      *  gauges, uptime and answer-cache stats stay zero here. */

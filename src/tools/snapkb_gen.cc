@@ -21,14 +21,17 @@
  * (lexical layer, syntactic/semantic constraints, concept sequences
  * with the 75/15/5/5 budget).  Every kind builds its network in
  * memory, so a KB over capacity::maxNodes (32,768) nodes is a user
- * error: no tool could load it.
+ * error: no tool could load it.  Every positional value is checked
+ * before anything is generated; one that is not a number in its
+ * range is bad input.
  *
  * Exit status follows the tools' convention (tools/cli.hh).
  */
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -69,16 +72,22 @@ struct Options
     MachineConfig machine = MachineConfig::paperSetup();
 };
 
-/** Positional argument @p i (the kind is 0) as an integer, or
- *  @p fallback when it is absent. */
+/** Positional argument @p i (the kind is 0), the generator's
+ *  @p what, as an integer in [@p lo, @p hi], or @p fallback when it
+ *  is absent. */
 long long
-argInt(const cli::Args &args, std::size_t i, long long fallback)
+argInt(const cli::Args &args, std::size_t i, const char *what,
+       long long lo, long long hi, long long fallback)
 {
-    if (i >= args.positional().size())
+    const std::vector<std::string> &pos = args.positional();
+    if (i >= pos.size())
         return fallback;
     long long v;
-    if (!parseInt(args.positional()[i], v))
-        args.usage();
+    if (!parseInt(pos[i], v) || v < lo || v > hi) {
+        args.inputError(formatString(
+            "%s: %s must be an integer in [%lld, %lld], not '%s'",
+            pos[0].c_str(), what, lo, hi, pos[i].c_str()));
+    }
     return v;
 }
 
@@ -123,32 +132,44 @@ main(int argc, char **argv)
         args.usage();
     const std::string &kind = pos[0];
 
+    constexpr long long kMaxNodes = capacity::maxNodes;
+    constexpr long long kMaxU32 = 0xffffffffll;
+    constexpr long long kAnySeed = std::numeric_limits<long long>::max();
     if (kind == "tree") {
-        emitNetwork(makeTreeKb(static_cast<std::uint32_t>(
-                                   argInt(args, 1, 0)),
-                               static_cast<std::uint32_t>(
-                                   argInt(args, 2, 4))),
-                    opt);
+        const auto nodes = static_cast<std::uint32_t>(
+            argInt(args, 1, "nodes", 1, kMaxNodes, 0));
+        const auto branching = static_cast<std::uint32_t>(
+            argInt(args, 2, "branching", 1, kMaxU32, 4));
+        emitNetwork(makeTreeKb(nodes, branching), opt);
     } else if (kind == "random") {
         if (pos.size() < 4)
             args.usage();
-        auto nodes = static_cast<std::uint32_t>(argInt(args, 1, 0));
-        double fanout = std::atof(pos[2].c_str());
-        auto rels = static_cast<std::uint32_t>(argInt(args, 3, 2));
-        auto seed = static_cast<std::uint64_t>(argInt(args, 4, 42));
+        const auto nodes = static_cast<std::uint32_t>(
+            argInt(args, 1, "nodes", 2, kMaxNodes, 0));
+        double fanout = 0.0;
+        if (!parseDouble(pos[2], fanout) || !std::isfinite(fanout) ||
+            fanout <= 0.0) {
+            args.inputError("random: avg-fanout must be a number "
+                            "above 0, not '" + pos[2] + "'");
+        }
+        const auto rels = static_cast<std::uint32_t>(argInt(
+            args, 3, "rel-types", 1, capacity::numRelationTypes, 2));
+        const auto seed = static_cast<std::uint64_t>(
+            argInt(args, 4, "seed", -kAnySeed - 1, kAnySeed, 42));
         emitNetwork(makeRandomKb(nodes, fanout, rels, seed), opt);
     } else if (kind == "linguistic") {
         LinguisticKbParams params;
         params.nonlexicalNodes = static_cast<std::uint32_t>(
-            argInt(args, 1, 0));
+            argInt(args, 1, "nonlexical", 200, kMaxNodes, 0));
         params.vocabulary = static_cast<std::uint32_t>(
-            argInt(args, 2, 700));
-        params.seed = static_cast<std::uint64_t>(argInt(args, 3, 42));
+            argInt(args, 2, "vocabulary", 1, kMaxNodes, 700));
+        params.seed = static_cast<std::uint64_t>(
+            argInt(args, 3, "seed", -kAnySeed - 1, kAnySeed, 42));
         LinguisticKb kb(params);
         emitNetwork(kb.net(), opt);
     } else if (kind == "chain") {
-        emitNetwork(makeChainKb(static_cast<std::uint32_t>(
-                        argInt(args, 1, 0))),
+        emitNetwork(makeChainKb(static_cast<std::uint32_t>(argInt(
+                        args, 1, "length", 1, kMaxNodes, 0))),
                     opt);
     } else {
         args.usage();

@@ -6,11 +6,13 @@
  *          [--partition seq|rr|sem] [--relax-capacity]
  *
  * Each input line is one SNAP assembler statement, executed
- * immediately against persistent marker state (every line runs to
- * quiescence, so no explicit `barrier` is needed interactively).
- * `rule` declarations persist for the session.  Collect results
- * print as they return.  A statement the assembler refuses prints its
- * message; the shell keeps its prompt, its rules and its marker
+ * immediately against persistent marker state (every statement runs
+ * to quiescence, so no explicit `barrier` is needed interactively).
+ * A `repeat N` line opens a statement that runs once its matching
+ * `end` is typed.  `rule` declarations persist for the session.
+ * Collect results print as they return.  A statement the assembler
+ * refuses prints its message, with line numbers counted within the
+ * statement; the shell keeps its prompt, its rules and its marker
  * state.
  *
  * Builtins:
@@ -68,6 +70,33 @@ printHelp()
         "          .save <file>  .load <file>  .help  .quit\n");
 }
 
+/** @p err with its "line N: " prefix counted from the statement's
+ *  first line, when the assembler counted @p rule_lines session rule
+ *  lines ahead of it. */
+std::string
+statementError(const std::string &err, long long rule_lines)
+{
+    const std::size_t colon = err.find(':');
+    long long n;
+    if (!startsWith(err, "line ") || colon == std::string::npos ||
+        !parseInt(err.substr(5, colon - 5), n) || n <= rule_lines)
+        return err;
+    return "line " + std::to_string(n - rule_lines) + err.substr(colon);
+}
+
+/** How far @p line opens (+1, `repeat N`) or closes (-1, `end`) a
+ *  repeat block. */
+int
+blockStep(const std::string &line)
+{
+    const std::vector<std::string> tok = tokenize(line);
+    if (tok.empty())
+        return 0;
+    if (tok[0] == "repeat")
+        return 1;
+    return tok[0] == "end" ? -1 : 0;
+}
+
 } // namespace
 
 int
@@ -94,19 +123,38 @@ main(int argc, char **argv)
 
     // Rule declarations accumulate for the session.
     std::string rules_text;
+    long long rule_lines = 0;
+    // The lines of a statement still inside a repeat block, and how
+    // many blocks are open.
+    std::string block;
+    int depth = 0;
     std::string line;
     bool tty = isatty(0);
 
     while (true) {
         if (tty) {
-            std::printf("snap> ");
+            std::printf(depth > 0 ? "....> " : "snap> ");
             std::fflush(stdout);
         }
-        if (!std::getline(std::cin, line))
+        const bool more = static_cast<bool>(std::getline(std::cin, line));
+        if (!more && depth == 0)
             break;
-        std::string body = trim(line);
-        if (body.empty() || body[0] == '#')
+        std::string body = more ? trim(line) : std::string();
+        if (more && (body.empty() || body[0] == '#'))
             continue;
+        if (depth > 0 || (more && blockStep(body) > 0)) {
+            // Inside a repeat block: buffer until its end (or the end
+            // of input, which the assembler reports as unterminated).
+            if (more) {
+                block += body + "\n";
+                depth += blockStep(body);
+                if (depth > 0)
+                    continue;
+            }
+            body = std::move(block);
+            block.clear();
+            depth = 0;
+        }
 
         // --- builtins ------------------------------------------------
         if (body[0] == '.') {
@@ -203,15 +251,13 @@ main(int argc, char **argv)
         Program prog;
         std::string err;
         if (!assemble(rules_text + body + "\n", net, prog, err)) {
-            std::printf("%s\n", err.c_str());
+            std::printf("%s\n", statementError(err, rule_lines).c_str());
             continue;
         }
         if (startsWith(body, "rule ")) {
             rules_text += body + "\n";
-            std::printf("ok (%zu rule(s) in session)\n",
-                        static_cast<std::size_t>(
-                            std::count(rules_text.begin(),
-                                       rules_text.end(), '\n')));
+            ++rule_lines;
+            std::printf("ok (%lld rule(s) in session)\n", rule_lines);
             continue;
         }
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -1000,6 +1001,149 @@ resultBytes(const ResultSet &results)
     return w.take();
 }
 
+/** A float from raw bits (NaN payloads and -0.0f included). */
+float
+floatOfBits(std::uint32_t bits)
+{
+    float f;
+    std::memcpy(&f, &bits, sizeof(f));
+    return f;
+}
+
+/** A random answer: up to 4 results, some with no nodes and some
+ *  with links; node ids from a few apart to anywhere in 32 bits,
+ *  invalidNode origins, and values drawn as raw bit patterns. */
+ResultSet
+randomAnswer(Rng &rng)
+{
+    ResultSet out(rng.below(5));
+    for (CollectResult &cr : out) {
+        cr.op = rng.chance(0.5) ? Opcode::CollectMarker
+                                : Opcode::CollectRelation;
+        cr.marker = static_cast<MarkerId>(rng.below(128));
+        cr.color = static_cast<Color>(rng.below(256));
+        cr.rel = static_cast<RelationType>(rng.below(65536));
+        const std::size_t nodes = rng.chance(0.2) ? 0 : rng.below(300);
+        NodeId id = static_cast<NodeId>(rng.below(6000));
+        for (std::size_t k = 0; k < nodes; ++k) {
+            id = rng.chance(0.1) ? static_cast<NodeId>(rng.next())
+                                 : id + static_cast<NodeId>(
+                                            rng.range(-3, 12));
+            CollectedNode n;
+            n.node = id;
+            n.origin = rng.chance(0.3)
+                           ? invalidNode
+                           : id + static_cast<NodeId>(rng.range(-8, 8));
+            n.value = floatOfBits(static_cast<std::uint32_t>(rng.next()));
+            cr.nodes.push_back(n);
+        }
+        const std::size_t links = rng.chance(0.5) ? 0 : rng.below(20);
+        for (std::size_t k = 0; k < links; ++k) {
+            cr.links.push_back(CollectedLink{
+                static_cast<NodeId>(rng.next()),
+                static_cast<RelationType>(rng.below(65536)),
+                static_cast<NodeId>(rng.next()),
+                floatOfBits(static_cast<std::uint32_t>(rng.next()))});
+        }
+    }
+    return out;
+}
+
+TEST(AnswerCache, RecordsDecodeBitIdentical)
+{
+    // Edge values first: the ends of the id range, steps that wrap,
+    // -0.0f and NaNs with payloads (quiet, signalling, negative).
+    CollectResult edge;
+    edge.op = Opcode::CollectColor;
+    edge.marker = 127;
+    edge.color = 255;
+    edge.rel = 65535;
+    for (std::uint32_t bits : {0x80000000u, 0x7fc00001u, 0x7f800001u,
+                               0xffbfffffu, 0x00000001u}) {
+        edge.nodes.push_back(
+            CollectedNode{0xfffffffeu, floatOfBits(bits), 0});
+        edge.nodes.push_back(
+            CollectedNode{0, floatOfBits(bits), invalidNode});
+    }
+    edge.links.push_back(CollectedLink{invalidNode, 65535, 0,
+                                       floatOfBits(0x7fc0beefu)});
+    std::vector<ResultSet> answers = {ResultSet{}, ResultSet{edge},
+                                      ResultSet{CollectResult{}}};
+    Rng rng(77);
+    for (int i = 0; i < 300; ++i)
+        answers.push_back(randomAnswer(rng));
+
+    AnswerCache cache(64u << 20);
+    for (std::size_t i = 0; i < answers.size(); ++i) {
+        const Program p = countQuery(static_cast<NodeId>(i), 1, 0.0f);
+        const Tick wall = rng.next();
+        admit(cache, p, p.contentHash(), answers[i], wall);
+        ResultSet out = answerOf(3, 1.0f);  // replaced, not appended to
+        Tick got = 0;
+        ASSERT_TRUE(cache.lookup(p, p.contentHash(), out, got))
+            << "answer " << i;
+        EXPECT_EQ(got, wall) << "answer " << i;
+        EXPECT_EQ(resultBytes(out), resultBytes(answers[i]))
+            << "answer " << i;
+    }
+    EXPECT_EQ(cache.stats().entries, answers.size());
+}
+
+TEST(AnswerCache, NewswireParseEntryIsCompact)
+{
+    // One sentence parse on the 5K-node knowledge base the parse
+    // workloads serve: its entry, the program's codec bytes and the
+    // compact answer, costs at most 2.7 KB and decodes bit for bit.
+    LinguisticKbParams params;
+    params.nonlexicalNodes = 5000;
+    params.vocabulary = 700;
+    LinguisticKb kb(params);
+    MemoryBasedParser parser(kb);
+    const Sentence s = makeNewswireBatch(kb.lexicon(), 1, 11).at(0);
+    const Program p = parser.buildProgram(s.words);
+    MachineConfig cfg;
+    cfg.perfNetEnabled = false;
+    SnapMachine machine(cfg);
+    machine.loadKb(kb.net());
+    const RunResult run = machine.run(p);
+    std::size_t collected = 0;
+    for (const CollectResult &cr : run.results)
+        collected += cr.nodes.size();
+    ASSERT_GT(collected, 100u);
+
+    AnswerCache cache;
+    admit(cache, p, p.contentHash(), run.results, run.wallTicks);
+    ASSERT_EQ(cache.stats().entries, 1u);
+    EXPECT_LE(cache.stats().bytes, 2700u);
+    ResultSet out;
+    Tick wall = 0;
+    ASSERT_TRUE(cache.lookup(p, p.contentHash(), out, wall));
+    EXPECT_EQ(wall, run.wallTicks);
+    EXPECT_EQ(resultBytes(out), resultBytes(run.results));
+}
+
+TEST(AnswerCache, ProbeCountsAndRecordsOnlyAHit)
+{
+    const Program p = countQuery(3, 1, 0.0f);
+    const std::uint64_t h = p.contentHash();
+    AnswerCache cache;
+    ResultSet out;
+    Tick wall = 0;
+    EXPECT_FALSE(cache.probe(p, h, out, wall));
+    EXPECT_EQ(cache.stats().misses, 0u);
+    EXPECT_EQ(cache.frequency(h), 0u);
+    lookupThenOffer(cache, p, answerOf(4, 2.0f), 9);
+    lookupThenOffer(cache, p, answerOf(4, 2.0f), 9);
+    EXPECT_EQ(cache.frequency(h), 2u);
+    ASSERT_TRUE(cache.probe(p, h, out, wall));
+    EXPECT_EQ(wall, 9u);
+    EXPECT_EQ(resultBytes(out), resultBytes(answerOf(4, 2.0f)));
+    const AnswerCache::Stats st = cache.stats();
+    EXPECT_EQ(st.hits, 1u);
+    EXPECT_EQ(st.misses, 2u);
+    EXPECT_EQ(cache.frequency(h), 3u);
+}
+
 TEST(ServeEngine, FirstCacheHitIsTheThirdServe)
 {
     SemanticNetwork net = makeTreeKb(300, 4);
@@ -1151,6 +1295,161 @@ TEST(ServeEngine, SwapImageFlushesTheCache)
                   resultBytes(ref_after.results))
             << "serve " << i;
     }
+}
+
+TEST(ServeEngine, HitIsAnsweredWhileAMissHoldsTheOnlyWorker)
+{
+    SemanticNetwork net = makeTreeKb(300, 4);
+    const RelationType inc = net.relationId("includes");
+    const Program hot = countQuery(0, inc, 0.0f);
+    ServeEngine engine(net, smallEngineConfig(1));
+    auto serveOnce = [&](const Program &prog) {
+        Request req;
+        req.prog = prog;
+        return engine.submit(std::move(req)).get();
+    };
+    const Response ref = serveOnce(hot);
+    serveOnce(hot);  // the second clean run admits it
+    ASSERT_EQ(engine.metricsSnapshot().answerCache.entries, 1u);
+
+    // A miss whose delivery holds the only worker until released,
+    // and another miss queued behind it.
+    std::promise<void> entered, release;
+    std::shared_future<void> released = release.get_future().share();
+    Request slow;
+    slow.prog = countQuery(1, inc, 0.0f);
+    engine.submit(std::move(slow), [&entered, released](Response &&) {
+        entered.set_value();
+        released.wait();
+    });
+    entered.get_future().wait();
+    Request queued;
+    queued.prog = countQuery(2, inc, 0.0f);
+    std::future<Response> behind = engine.submit(std::move(queued));
+
+    // The hit is answered on this thread, inside submit().
+    bool answered = false;
+    Request req;
+    req.prog = hot;
+    const std::thread::id self = std::this_thread::get_id();
+    engine.submit(std::move(req), [&](Response &&resp) {
+        answered = true;
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        EXPECT_EQ(resp.status, RequestStatus::Ok);
+        EXPECT_EQ(resp.queueMs, 0.0);
+        EXPECT_EQ(resp.wallTicks, ref.wallTicks);
+        EXPECT_EQ(resultBytes(resp.results), resultBytes(ref.results));
+    });
+    EXPECT_TRUE(answered);
+    EXPECT_EQ(behind.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout)
+        << "the queued miss must still be waiting for the worker";
+    release.set_value();
+    EXPECT_EQ(behind.get().status, RequestStatus::Ok);
+    const serve::MetricsSnapshot m = engine.metricsSnapshot();
+    EXPECT_EQ(m.answerCache.hits, 1u);
+    EXPECT_EQ(m.workers[0].served, 4u) << "the hit is no worker's";
+    EXPECT_EQ(m.completed, 5u);
+}
+
+TEST(ServeEngine, SwapNeverReturnsBeforeAnOldImageHitIsDelivered)
+{
+    SemanticNetwork before = makeTreeKb(300, 4);
+    SemanticNetwork after = makeTreeKb(300, 3);
+    const Program prog =
+        countQuery(0, before.relationId("includes"), 0.0f);
+    ServeConfig cfg = smallEngineConfig(1);
+    SnapMachine direct(cfg.machine);
+    direct.loadKb(before);
+    const Tick old_wall = direct.run(prog).wallTicks;
+
+    for (int round = 0; round < 4; ++round) {
+        ServeEngine engine(before, cfg);
+        for (int i = 0; i < 2; ++i) {
+            Request req;
+            req.prog = prog;
+            engine.submit(std::move(req)).get();
+        }
+        // An old-image delivery lingers in its callback, so one that
+        // overlapped swapImage's return would see the flag set.
+        std::atomic<bool> swapped{false}, stop{false};
+        std::atomic<std::uint64_t> old_hits{0}, late_old{0};
+        auto submitter = [&] {
+            while (!stop.load()) {
+                Request req;
+                req.prog = prog;
+                engine.submit(std::move(req), [&](Response &&resp) {
+                    if (resp.wallTicks != old_wall)
+                        return;
+                    ++old_hits;
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(500));
+                    if (swapped.load())
+                        ++late_old;
+                });
+            }
+        };
+        std::thread a(submitter), b(submitter);
+        while (old_hits.load() < 20)
+            std::this_thread::yield();
+        std::string err;
+        ASSERT_TRUE(engine.swapImage(
+            after, std::make_unique<KbImage>(after, cfg.machine), err))
+            << err;
+        swapped.store(true);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        stop.store(true);
+        a.join();
+        b.join();
+        engine.drain();
+        EXPECT_EQ(late_old.load(), 0u)
+            << "round " << round << ": an old-image answer was "
+            << "delivered after swapImage returned";
+    }
+}
+
+TEST(ServeEngine, EachRequestIsCountedAndRecordedOnce)
+{
+    SemanticNetwork net = makeTreeKb(300, 4);
+    const RelationType inc = net.relationId("includes");
+    const Program p = countQuery(0, inc, 0.0f);
+    const Program q = countQuery(5, inc, 0.0f);
+    ServeConfig cfg = smallEngineConfig(1);
+    cfg.startPaused = true;
+    ServeEngine engine(net, cfg);
+
+    // Queued before anything ran: each misses at admission, and its
+    // worker looks it up again.  p's third copy finds the answer its
+    // second admitted while it waited.
+    std::vector<std::future<Response>> queued;
+    for (const Program *prog : {&p, &p, &p, &q}) {
+        Request req;
+        req.prog = *prog;
+        queued.push_back(engine.submit(std::move(req)));
+    }
+    engine.start();
+    for (auto &f : queued)
+        ASSERT_EQ(f.get().status, RequestStatus::Ok);
+    // Answered at admission.
+    for (int i = 0; i < 2; ++i) {
+        Request req;
+        req.prog = p;
+        const Response resp = engine.submit(std::move(req)).get();
+        ASSERT_EQ(resp.status, RequestStatus::Ok);
+        EXPECT_EQ(resp.queueMs, 0.0);
+    }
+    engine.drain();
+
+    const serve::MetricsSnapshot m = engine.metricsSnapshot();
+    EXPECT_EQ(m.submitted, 6u);
+    EXPECT_EQ(m.completed, 6u);
+    EXPECT_EQ(m.answerCache.hits, 3u);
+    EXPECT_EQ(m.answerCache.misses, 3u);
+    EXPECT_EQ(m.answerCache.admitted, 1u);
+    EXPECT_EQ(m.workers[0].served, 4u);
+    EXPECT_EQ(engine.answerCache().frequency(p.contentHash()), 5u)
+        << "each of p's five requests is recorded once";
+    EXPECT_EQ(engine.answerCache().frequency(q.contentHash()), 1u);
 }
 
 TEST(RequestSeed, DeterministicAndSpread)

@@ -913,6 +913,55 @@ TEST(WireReader, CountIsBoundedByTheBytesLeft)
     EXPECT_TRUE(tail.failed());
 }
 
+TEST(WireReader, VarintRoundTripsAndRefusesTruncatedOrOverlong)
+{
+    const std::uint64_t values[] = {0, 1, 127, 128, 16383, 16384,
+                                    0xffffffffull, 0xffffffffffffffffull};
+    const std::size_t sizes[] = {1, 1, 1, 2, 2, 3, 5, 10};
+    for (std::size_t i = 0; i < std::size(values); ++i) {
+        WireWriter w;
+        w.varint(values[i]);
+        EXPECT_EQ(w.size(), sizes[i]) << values[i];
+        WireReader r(w.bytes());
+        EXPECT_EQ(r.varint(), values[i]);
+        EXPECT_TRUE(r.done()) << values[i];
+
+        // Every cut is refused, stickily.
+        for (std::size_t cut = 0; cut < w.size(); ++cut) {
+            WireReader t(w.bytes().data(), cut);
+            EXPECT_EQ(t.varint(), 0u);
+            EXPECT_TRUE(t.failed()) << values[i] << " cut " << cut;
+            t.u8();
+            EXPECT_TRUE(t.failed());
+        }
+    }
+
+    // Longer than the value needs: a padded zero, a padded 1, an
+    // eleventh byte, and a tenth byte carrying bits past the 64th.
+    const std::vector<std::vector<std::uint8_t>> overlong = {
+        {0x80, 0x00},
+        {0x81, 0x80, 0x00},
+        {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81,
+         0x00},
+        {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+    };
+    for (const std::vector<std::uint8_t> &bytes : overlong) {
+        WireReader r(bytes);
+        EXPECT_EQ(r.varint(), 0u);
+        EXPECT_TRUE(r.failed()) << bytes.size() << " bytes";
+    }
+
+    // A count after varints is still bounded by the bytes left.
+    WireWriter w;
+    w.varint(300);
+    w.u32(2);
+    w.varint(1);
+    WireReader r(w.bytes());
+    EXPECT_EQ(r.varint(), 300u);
+    EXPECT_EQ(r.count(1), 0u);
+    EXPECT_TRUE(r.failed());
+}
+
 // --- typed endpoint errors ----------------------------------------------
 
 TEST(ShardEndpoint, TypedErrorsDistinguishFailureModes)

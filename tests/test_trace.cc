@@ -290,20 +290,26 @@ TEST(Trace, ServeSpansMatchRegistryCounters)
     }
     trace::stop();
 
-    std::uint64_t hit_spans = 0, attempt_spans = 0;
+    std::uint64_t hit_spans = 0, admission_hits = 0, attempt_spans = 0;
     for (const trace::Event &ev : trace::snapshotEvents()) {
         if (ev.ph != 'X' || !ev.host || ev.name == nullptr)
             continue;
         const std::string name = ev.name;
-        if (name == "cache.hit")
+        if (name == "cache.hit") {
             ++hit_spans;
-        else if (name == "attempt")
+            if (ev.tid == trace::kTidAdmission)
+                ++admission_hits;
+        } else if (name == "attempt") {
             ++attempt_spans;
+        }
     }
     EXPECT_EQ(trace::droppedCount(), 0u);
     EXPECT_EQ(static_cast<double>(hit_spans),
               sampleValue(reg, "snap_serve_answer_cache_hits_total"));
     EXPECT_EQ(hit_spans, 6u);
+    // Each serve waits for the one before it, so every hit finds its
+    // answer already admitted and is answered at admission.
+    EXPECT_EQ(admission_hits, hit_spans);
     // Every completed request is either a traced hit or a traced run.
     EXPECT_EQ(static_cast<double>(hit_spans + attempt_spans),
               sampleValue(reg, "snap_serve_completed_total"));
